@@ -467,6 +467,73 @@ func BenchmarkRegistrySelect(b *testing.B) {
 			})
 		}
 	}
+	// The baseline of BenchmarkRegistryPage: same fleets, same predicates.
+	for _, n := range registryPageSizes {
+		fleet := sync.OnceValue(func() *registry.DB { return registryBenchFleet(b, registry.BackendSharded, n) })
+		for _, pred := range registryPagePreds {
+			q := registryBenchQuery(b, pred.text)
+			b.Run(fmt.Sprintf("backend=sharded/machines=%d/pred=%s", n, pred.name), func(b *testing.B) {
+				db := fleet()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if got := db.Select(q); len(got) < n/8 {
+						b.Fatalf("selected %d records", len(got))
+					}
+				}
+			})
+		}
+	}
+}
+
+// registryPagePreds are the predicates the paged read is measured on, with
+// the share of a DefaultFleetSpec fleet each matches: one the inverted
+// index serves, one that needs a test per record (the kind the end-to-end
+// benchmark's selects use), and none.
+var registryPagePreds = []struct{ name, text string }{
+	{"indexed", "punch.rsrc.arch = sun"},  // 1/4, through the posting lists
+	{"range", "punch.rsrc.speed = >=300"}, // 3/4, a numeric built-in
+	{"empty", ""},                         // every record
+}
+
+var registryPageSizes = []int{10000, 100000}
+
+// BenchmarkRegistryPage measures the paged read on the sharded engine: a
+// 64-record page with the match total (what one wire select costs) and a
+// whole-set pass in 2048-record pages resumed by name (what a snapshot or
+// a domain export costs). The baseline on the same fleets and predicates is
+// BenchmarkRegistrySelect's pred= rows: every match cloned, which is what
+// a page cost before it existed.
+func BenchmarkRegistryPage(b *testing.B) {
+	for _, n := range registryPageSizes {
+		fleet := sync.OnceValue(func() *registry.DB { return registryBenchFleet(b, registry.BackendSharded, n) })
+		for _, pred := range registryPagePreds {
+			conds := query.CompileRsrc(registryBenchQuery(b, pred.text))
+			name := fmt.Sprintf("machines=%d/pred=%s", n, pred.name)
+			b.Run(name+"/page64", func(b *testing.B) {
+				db := fleet()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if ms, total := db.Page(conds, registry.Cursor{Limit: 64, Total: true}); len(ms) != 64 || total < 64 {
+						b.Fatalf("page of %d, total %d", len(ms), total)
+					}
+				}
+			})
+			b.Run(name+"/pass2048", func(b *testing.B) {
+				db := fleet()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					seen := 0
+					db.EachPage(conds, 2048, func(page []*registry.Machine) { seen += len(page) })
+					if seen < n/8 {
+						b.Fatalf("pass saw %d records", seen)
+					}
+				}
+			})
+		}
+	}
 }
 
 func BenchmarkRegistryTake(b *testing.B) {

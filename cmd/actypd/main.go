@@ -565,31 +565,28 @@ func pruneForeign(db *registry.DB, routes *route.Table) int {
 // in steady-state journal size) scale with the owned domains and never
 // re-persist cross-domain watch replicas. Snapshot paging is monotone from
 // offset 0 under the journal's snapshot mutex, so the source cuts a fresh
-// filtered slice whenever a pass restarts at offset 0 and serves the rest
-// of that pass from it.
+// filtered slice (one pass over the registry, resumed by last name)
+// whenever a pass restarts at offset 0, serves the rest of that pass from
+// it, and lets it go with the last page.
 func ownedSnapshotSource(svc *core.Service, routes *route.Table) journal.SnapshotSource {
 	var cut journal.SnapshotSource
 	return func(limit, offset int) ([]*registry.Machine, int, error) {
 		if offset == 0 || cut == nil {
 			var owned []*registry.Machine
-			for off := 0; ; {
-				page, total, err := svc.SelectMachines("", limit, off)
-				if err != nil {
-					return nil, 0, err
-				}
+			svc.DB().EachPage(nil, limit, func(page []*registry.Machine) {
 				for _, m := range page {
 					if routes.KeepMachine(m) {
 						owned = append(owned, m)
 					}
 				}
-				off += len(page)
-				if len(page) == 0 || off >= total {
-					break
-				}
-			}
+			})
 			cut = journal.SliceSource(owned)
 		}
-		return cut(limit, offset)
+		page, total, err := cut(limit, offset)
+		if offset+len(page) >= total {
+			cut = nil // the pass is over: do not hold its copies until the next one
+		}
+		return page, total, err
 	}
 }
 

@@ -32,6 +32,7 @@ import (
 	"time"
 
 	"actyp/internal/pool"
+	"actyp/internal/query"
 	"actyp/internal/registry"
 	"actyp/internal/route"
 )
@@ -44,10 +45,11 @@ type DomainExport struct {
 }
 
 // ExportDomain drains one domain from this service: the white-pages
-// records matching the domain (read in pages of pageSize, the snapshot
-// paging that keeps a fleet-sized domain under the wire frame cap) and
-// the live leases the local pools hold on the domain's machines. The
-// service keeps serving the domain until DropDomain; export is a read.
+// records matching the domain (read in pages of pageSize resumed by last
+// name, so a record registered for the whole export appears exactly once
+// whatever is added or removed meanwhile) and the live leases the local
+// pools hold on the domain's machines. The service keeps serving the
+// domain until DropDomain; export is a read.
 func (s *Service) ExportDomain(domain string, pageSize int) (*DomainExport, error) {
 	if domain == "" {
 		return nil, fmt.Errorf("core: export needs a domain")
@@ -56,17 +58,13 @@ func (s *Service) ExportDomain(domain string, pageSize int) (*DomainExport, erro
 		pageSize = 2048
 	}
 	exp := &DomainExport{Domain: domain}
-	filter := route.Filter(domain)
-	for off := 0; ; off += pageSize {
-		page, total, err := s.SelectMachines(filter, pageSize, off)
-		if err != nil {
-			return nil, err
-		}
-		exp.Machines = append(exp.Machines, page...)
-		if off+len(page) >= total || len(page) == 0 {
-			break
-		}
+	q, err := query.ParseBasic(route.Filter(domain))
+	if err != nil {
+		return nil, err
 	}
+	s.db.EachPage(query.CompileRsrc(q), pageSize, func(page []*registry.Machine) {
+		exp.Machines = append(exp.Machines, page...)
+	})
 	names := make(map[string]bool, len(exp.Machines))
 	for _, m := range exp.Machines {
 		names[m.Static.Name] = true

@@ -174,6 +174,14 @@ func TestSelectWireStats(t *testing.T) {
 	if _, _, err := c.Select("", 0, false); err != nil {
 		t.Fatal(err)
 	}
+	// The server accounts a frame after its write returns, which can be
+	// after the client has read the reply: wait for its books to close
+	// (raw bytes are the last counter a frame updates).
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if serverStats.Snapshot()["binary2+flate"].RawOut >= clientStats.Snapshot()["binary2+flate"].RawIn {
+			break
+		}
+	}
 
 	for side, stats := range map[string]*metrics.WireStats{"client": clientStats, "server": serverStats} {
 		snap := stats.Snapshot()

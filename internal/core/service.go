@@ -464,23 +464,17 @@ func (s *Service) DB() *registry.DB { return s.db }
 // a positive limit truncates what follows — the paging contract behind
 // snapshot fetches of fleets whose full batch would exceed a wire frame.
 // Total always reports the full match count. This is the record-batch
-// read behind the wire "select" endpoint.
+// read behind the wire "select" endpoint, a thin adapter over the
+// registry's paged read: a call costs one predicate test per candidate
+// record (none for "") plus offset+limit names per shard, and clones only
+// the records it returns. A reader of a whole set in-process should resume
+// by name instead (registry.DB.EachPage), which also spares the offset.
 func (s *Service) SelectMachines(text string, limit, offset int) ([]*registry.Machine, int, error) {
 	q, err := query.ParseBasic(text)
 	if err != nil {
 		return nil, 0, err
 	}
-	ms := s.db.Select(q)
-	total := len(ms)
-	if offset > 0 {
-		if offset > len(ms) {
-			offset = len(ms)
-		}
-		ms = ms[offset:]
-	}
-	if limit > 0 && len(ms) > limit {
-		ms = ms[:limit]
-	}
+	ms, total := s.db.Page(query.CompileRsrc(q), registry.Cursor{Offset: offset, Limit: limit, Total: true})
 	return ms, total, nil
 }
 

@@ -152,7 +152,9 @@ const snapshotPage = 2048
 // or duplicated across page boundaries — which the consumers tolerate by
 // construction: replica upserts are idempotent, and anything missed
 // lands with the watch events queued behind the baseline (or with the
-// next poll).
+// next poll). On the serving side each page is one paged registry read:
+// a predicate test per candidate record for the filter and the total, and
+// a clone of the records of that page only.
 func (c *Client) FetchSnapshot(ctx context.Context, filter string) ([]*registry.Machine, error) {
 	var out []*registry.Machine
 	for {

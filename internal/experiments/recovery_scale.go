@@ -172,17 +172,8 @@ func buildCrashedJournal(dir string, cfg RecoveryConfig, size int) error {
 		return err
 	}
 	source := func(limit, offset int) ([]*registry.Machine, int, error) {
-		var all []*registry.Machine
-		db.Walk(func(m *registry.Machine) bool { all = append(all, m); return true })
-		total := len(all)
-		if offset > total {
-			offset = total
-		}
-		all = all[offset:]
-		if limit > 0 && len(all) > limit {
-			all = all[:limit]
-		}
-		return all, total, nil
+		page, total := db.Page(nil, registry.Cursor{Offset: offset, Limit: limit, Total: true})
+		return page, total, nil
 	}
 	if err := jnl.Attach(db, source, 0); err != nil {
 		return err

@@ -16,7 +16,10 @@ import (
 // snapshotting from ever stop-the-worlding the registry, at the cost of
 // pages that are not a single point-in-time cut (replay converges anyway:
 // every mutation between pages is also in the tail segment, and event
-// application is idempotent).
+// application is idempotent). On that implementation a page clones the
+// limit records it returns and nothing else; stepping to offset costs
+// offset+limit names per registry shard, no record copies, so a snapshot
+// pass clones each machine once.
 type SnapshotSource func(limit, offset int) ([]*registry.Machine, int, error)
 
 // SliceSource adapts an in-memory record slice to a SnapshotSource (for

@@ -109,7 +109,9 @@ type Monitor struct {
 	done   chan struct{}
 	mu     sync.Mutex
 	sweeps int
-	batch  []registry.DynamicUpdate // recycled across sweeps
+	// Recycled across sweeps: what the pass read and what it writes back.
+	seen  []registry.Status
+	batch []registry.DynamicUpdate
 }
 
 // New creates a Monitor. DB and Sampler are required.
@@ -129,30 +131,30 @@ func New(cfg Config) *Monitor {
 // UpdateDynamicBatch in one call, so a fleet-wide sweep costs the store
 // O(shards) lock acquisitions instead of one per machine — and the
 // registry change stream carries one coalesced event per machine either
-// way.
+// way. The pass reads name, state and dynamic fields by value (Statuses);
+// no record is cloned, and the sampler runs outside the store's locks.
 func (m *Monitor) Sweep() int {
 	now := m.cfg.Now()
 	var stale []string
-	// The update buffer is recycled across sweeps; a concurrent Sweep
-	// (tests drive them directly) simply allocates its own.
+	// The buffers are recycled across sweeps; a concurrent Sweep (tests
+	// drive them directly) simply allocates its own.
 	m.mu.Lock()
-	batch := m.batch[:0]
-	m.batch = nil
+	seen, batch := m.seen[:0], m.batch[:0]
+	m.seen, m.batch = nil, nil
 	m.mu.Unlock()
-	m.cfg.DB.Walk(func(rec *registry.Machine) bool {
-		name := rec.Static.Name
+	seen = m.cfg.DB.Statuses(seen)
+	for _, rec := range seen {
 		if m.cfg.Staleness > 0 && rec.State == registry.StateUp &&
 			!rec.Dynamic.LastUpdate.IsZero() && now.Sub(rec.Dynamic.LastUpdate) > m.cfg.Staleness {
-			stale = append(stale, name)
-			return true
+			stale = append(stale, rec.Name)
+			continue
 		}
 		batch = append(batch, registry.DynamicUpdate{
-			Name:    name,
-			Dynamic: m.cfg.Sampler.Sample(name, rec.Dynamic, now),
+			Name:    rec.Name,
+			Dynamic: m.cfg.Sampler.Sample(rec.Name, rec.Dynamic, now),
 		})
-		return true
-	})
-	// Machines removed between the walk and the write are skipped by the
+	}
+	// Machines removed between the read and the write are skipped by the
 	// batch (and by SetState below); that is not a failure of the sweep.
 	n := m.cfg.DB.UpdateDynamicBatch(batch)
 	for _, name := range stale {
@@ -160,7 +162,7 @@ func (m *Monitor) Sweep() int {
 	}
 	m.mu.Lock()
 	m.sweeps++
-	m.batch = batch[:0]
+	m.seen, m.batch = seen[:0], batch[:0]
 	m.mu.Unlock()
 	return n
 }

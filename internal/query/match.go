@@ -97,6 +97,49 @@ func (a Attr) Matches(c Condition) bool {
 	return false
 }
 
+// NumMatches reports NumAttr(f).Matches(c) without building the attribute:
+// NumAttr formats f into a string, which the per-record matchers of a
+// registry scan cannot afford once per record tested. Only a string
+// comparison against a numeric attribute (string equality, membership)
+// needs the formatted value, and that goes through a stack buffer.
+func NumMatches(f float64, c Condition) bool {
+	switch c.Op {
+	case OpAny:
+		return true
+	case OpEq:
+		if c.IsNum {
+			return f == c.Num
+		}
+		return numIsStr(f, c.Str)
+	case OpNe:
+		c.Op = OpEq
+		return !NumMatches(f, c)
+	case OpGe:
+		return f >= c.Num
+	case OpLe:
+		return f <= c.Num
+	case OpGt:
+		return f > c.Num
+	case OpLt:
+		return f < c.Num
+	case OpRange:
+		return f >= c.Lo && f <= c.Hi
+	case OpIn:
+		for _, want := range c.Set {
+			if numIsStr(f, want) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// numIsStr reports FormatNum(f) == s without allocating.
+func numIsStr(f float64, s string) bool {
+	var buf [32]byte
+	return string(appendNum(buf[:0], f)) == s
+}
+
 // AttrSet is a named collection of attributes, as held by a machine record.
 type AttrSet map[string]Attr
 

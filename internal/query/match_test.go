@@ -139,3 +139,25 @@ func TestRangeAgreesWithConjunctionProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// NumMatches is NumAttr(f).Matches(c) for every operator, including the
+// string comparisons against a numeric attribute, and allocates nothing.
+func TestNumMatchesAgreesWithNumAttr(t *testing.T) {
+	nums := []float64{0, 1, 2, 2.5, 300, -4, 1e21, 0.1}
+	conds := []Condition{
+		Any(), Eq("2"), Eq("2.5"), Eq("sun"), EqNum(300), Ne("2"), Ne("sun"),
+		Ge(2), Le(2), Gt(2), Lt(2), Between(1, 300), In("1", "2.5", "sun"), In(),
+		{Op: OpEq, Str: "300"}, {Op: OpEq, Str: "1e+21"}, {Op: OpNe, Str: "0.1"}, {Op: Op(99)},
+	}
+	for _, f := range nums {
+		for _, c := range conds {
+			if got, want := NumMatches(f, c), NumAttr(f).Matches(c); got != want {
+				t.Errorf("NumMatches(%v, %v %q) = %v, NumAttr.Matches = %v", f, c.Op, c.Str, got, want)
+			}
+		}
+	}
+	c := In("1", "2.5", "sun")
+	if allocs := testing.AllocsPerRun(100, func() { NumMatches(2.5, c) }); allocs != 0 {
+		t.Errorf("NumMatches allocates %.0f times on a membership condition", allocs)
+	}
+}

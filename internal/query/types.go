@@ -205,10 +205,16 @@ func (c Condition) String() string {
 // FormatNum renders a float in the compact form used throughout pool names:
 // integers print without a decimal point.
 func FormatNum(f float64) string {
+	var buf [32]byte
+	return string(appendNum(buf[:0], f))
+}
+
+// appendNum appends FormatNum(f) to dst.
+func appendNum(dst []byte, f float64) []byte {
 	if f == float64(int64(f)) {
-		return strconv.FormatInt(int64(f), 10)
+		return strconv.AppendInt(dst, int64(f), 10)
 	}
-	return strconv.FormatFloat(f, 'g', -1, 64)
+	return strconv.AppendFloat(dst, f, 'g', -1, 64)
 }
 
 // Query is a basic (non-composite) query: an unordered set of conditions

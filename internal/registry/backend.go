@@ -16,7 +16,7 @@ import (
 //     and inverted indexes over discrete admin parameters — the default.
 //
 // All implementations share the semantics the pipeline depends on:
-// name-sorted deterministic ordering of Walk/Select/Take/Names/TakenBy,
+// name-sorted deterministic ordering of Walk/Select/Page/Take/Names/TakenBy,
 // copy-out isolation (callers never alias stored records), and the atomic
 // mark-taken protocol of Section 5.2.3 (no machine is ever handed to two
 // pool instances at once).
@@ -50,6 +50,19 @@ type Backend interface {
 	// rsrc constraints of the query, regardless of taken state, in name
 	// order.
 	Select(q *query.Query) []*Machine
+	// Page is the paged read behind every reader that wants part of a
+	// match set: copies of at most c.Limit records satisfying conds (the
+	// compiled form, query.CompileRsrc; none matches every record), in
+	// global name order, past the resume point and offset c names. It
+	// costs one predicate test per candidate and one clone per record
+	// returned, and a page shorter than a positive c.Limit means the scan
+	// reached the end of the match set. The second result is the number
+	// of matches in the whole registry when c.Total asks for it, else 0.
+	Page(conds []query.RsrcCond, c Cursor) ([]*Machine, int)
+	// Statuses appends the monitor's view of every record (name, state
+	// and dynamic fields, copied by value, nothing cloned) to buf, in no
+	// particular order, and returns the extended slice.
+	Statuses(buf []Status) []Status
 	// Take atomically selects up to limit machines that satisfy the
 	// query, are not already taken, and marks them taken by the named
 	// pool instance. A limit of zero or less means "no limit".
@@ -72,6 +85,25 @@ type Backend interface {
 	// per-subscriber ring that degrades to a resync marker on overflow
 	// instead of ever blocking a writer. See watch.go for the contract.
 	Watch(buffer int) *Subscription
+}
+
+// Cursor names the part of a match set one Page call returns. A reader of
+// a whole set passes the last name it saw as After and stops at the first
+// short page: every record present for the whole pass is then returned
+// exactly once, whatever is added or removed meanwhile, which paging by
+// Offset cannot promise.
+type Cursor struct {
+	After  string // resume point: only names greater than After are returned
+	Offset int    // matches past After to skip before the page starts
+	Limit  int    // page size; zero or less returns every match past Offset
+	Total  bool   // also count the matches in the whole registry
+}
+
+// Status is what a monitor sweep reads of one record.
+type Status struct {
+	Name    string
+	State   State
+	Dynamic Dynamic
 }
 
 // Backend kind names accepted by OpenBackend and the daemons' flags.

@@ -1,5 +1,7 @@
 package registry
 
+import "actyp/internal/query"
+
 // DB is the white-pages database handed around the pipeline: a
 // concurrency-safe store of one record per machine carrying the twenty
 // fields of Figure 3, with per-field update, walk with predicate, and the
@@ -23,4 +25,23 @@ func NewDBWith(b Backend) *DB {
 		return NewDB()
 	}
 	return &DB{Backend: b}
+}
+
+// EachPage reads the whole match set of conds in name order, pageSize
+// records at a time, resuming each page by the last name of the one
+// before: a record present for the whole pass is visited exactly once,
+// whatever is added or removed meanwhile, and no page costs more than the
+// candidates it steps over.
+func (db *DB) EachPage(conds []query.RsrcCond, pageSize int, visit func(page []*Machine)) {
+	c := Cursor{Limit: pageSize}
+	for {
+		page, _ := db.Page(conds, c)
+		if len(page) > 0 {
+			visit(page)
+		}
+		if pageSize <= 0 || len(page) < pageSize {
+			return
+		}
+		c.After = page[len(page)-1].Static.Name
+	}
 }

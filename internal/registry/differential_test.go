@@ -141,7 +141,7 @@ func TestDifferentialShardedVsLocked(t *testing.T) {
 			for step := 0; step < steps; step++ {
 				name := names[rng.Intn(len(names))]
 				pool := pools[rng.Intn(len(pools))]
-				switch op := rng.Intn(14); op {
+				switch op := rng.Intn(16); op {
 				case 0, 1: // Add
 					mrng := rand.New(rand.NewSource(rng.Int63()))
 					m := diffMachine(mrng, name)
@@ -232,6 +232,24 @@ func TestDifferentialShardedVsLocked(t *testing.T) {
 					})
 					if !sameNames(w1, w2) {
 						t.Fatalf("step %d: Walk diverged: %v vs %v", step, w1, w2)
+					}
+				case 14, 15: // Page: random predicate, limit, offset and resume point
+					conds := query.CompileRsrc(diffQuery(rng))
+					if rng.Intn(4) == 0 {
+						conds = nil
+					}
+					c := Cursor{Limit: rng.Intn(8) - 1, Offset: rng.Intn(6) - 1, Total: rng.Intn(2) == 0}
+					switch rng.Intn(3) {
+					case 0:
+						c.After = name // a registered name, mostly
+					case 1:
+						c.After = fmt.Sprintf("d%03dx", rng.Intn(40)) // between two names
+					}
+					ms1, total1 := oracle.Page(conds, c)
+					ms2, total2 := subject.Page(conds, c)
+					if got1, got2 := machineNames(ms1), machineNames(ms2); !sameNames(got1, got2) || total1 != total2 {
+						t.Fatalf("step %d: Page(%v, %+v) diverged\noracle:  %v total %d\nsubject: %v total %d",
+							step, conds, c, got1, total1, got2, total2)
 					}
 				case 13: // point reads
 					if !sameNames(oracle.Names(), subject.Names()) {

@@ -101,6 +101,73 @@ func containsSorted(names []string, name string) bool {
 	return i < len(names) && names[i] == name
 }
 
+// firstAfter returns the position in a sorted list of the first name
+// greater than after.
+func firstAfter(names []string, after string) int {
+	if after == "" {
+		return 0
+	}
+	return sort.Search(len(names), func(i int) bool { return names[i] > after })
+}
+
+// mergeSorted merges sorted lists that share no name into one ascending
+// list, drops its first skip names and stops at limit names (zero or less:
+// no limit). A heap of list heads makes the cost one log(lists) step per
+// name consumed, whatever the lists hold beyond that. The lists slice is
+// consumed: it becomes the heap.
+func mergeSorted(lists [][]string, skip, limit int) []string {
+	h := lists[:0]
+	rest := 0
+	for _, l := range lists {
+		if len(l) > 0 {
+			h = append(h, l)
+			rest += len(l)
+		}
+	}
+	if rest -= skip; rest <= 0 {
+		return nil
+	}
+	if limit > 0 && rest > limit {
+		rest = limit
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
+	}
+	out := make([]string, 0, rest)
+	for len(out) < rest {
+		if skip > 0 {
+			skip--
+		} else {
+			out = append(out, h[0][0])
+		}
+		if h[0] = h[0][1:]; len(h[0]) == 0 {
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+		}
+		siftDown(h, 0)
+	}
+	return out
+}
+
+// siftDown restores the heap order (smallest first name at the root) below
+// position i.
+func siftDown(h [][]string, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if r := c + 1; r < len(h) && h[r][0] < h[c][0] {
+			c = r
+		}
+		if h[i][0] <= h[c][0] {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+}
+
 // forEachMerged visits the union of the sorted lists in ascending order,
 // skipping duplicates, until visit returns false.
 func forEachMerged(lists [][]string, visit func(name string) bool) {

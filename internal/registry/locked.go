@@ -188,6 +188,42 @@ func (db *Locked) Select(q *query.Query) []*Machine {
 	return out
 }
 
+// Page is the oracle for the sharded engine's paged read, and the one place
+// where a full scan is cut down afterwards: every record is cloned and
+// tested through the materialized attribute set, then the resume point,
+// offset and limit are applied to the name-sorted matches.
+func (db *Locked) Page(conds []query.RsrcCond, c Cursor) ([]*Machine, int) {
+	ms := []*Machine{}
+	db.Walk(func(m *Machine) bool {
+		if m.Attrs().MatchConds(conds) {
+			ms = append(ms, m)
+		}
+		return true
+	})
+	total := 0
+	if c.Total {
+		total = len(ms)
+	}
+	ms = ms[sort.Search(len(ms), func(i int) bool { return ms[i].Static.Name > c.After }):]
+	if c.Offset > 0 {
+		ms = ms[min(c.Offset, len(ms)):]
+	}
+	if c.Limit > 0 && len(ms) > c.Limit {
+		ms = ms[:c.Limit]
+	}
+	return ms, total
+}
+
+// Statuses appends every record's name, state and dynamic fields to buf.
+func (db *Locked) Statuses(buf []Status) []Status {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	for name, m := range db.machines {
+		buf = append(buf, Status{Name: name, State: m.State, Dynamic: m.Dynamic})
+	}
+	return buf
+}
+
 // Take implements the pool-initialization protocol of Section 5.2.3: it
 // atomically selects up to limit machines that satisfy the query, are not
 // already taken, and marks them taken by the named pool instance. A limit

@@ -117,34 +117,50 @@ func (m *Machine) Clone() *Machine {
 	return &c
 }
 
+// builtinAttr derives one attribute from record fields. Exactly one of
+// num and attr is set: numeric built-ins expose the bare number, so the
+// per-record matcher tests them without formatting a string per record.
+type builtinAttr struct {
+	num  func(*Machine) float64
+	attr func(*Machine) (query.Attr, bool)
+}
+
+// value is the attribute as Attrs exposes it.
+func (b builtinAttr) value(m *Machine) (query.Attr, bool) {
+	if b.num != nil {
+		return query.NumAttr(b.num(m)), true
+	}
+	return b.attr(m)
+}
+
 // builtinAttrs is the single schema of the attributes derived from record
 // fields rather than admin parameters. Attrs, the per-record matcher
-// (attrNamed) and the sharded backend's index guard all read this table,
-// so a new derived attribute added here is consistently exposed by every
-// backend and never shadowed by a stale index. An extractor returning
-// ok=false (the empty usergroup/toolgroup lists) lets a same-named admin
-// parameter show through instead.
-var builtinAttrs = map[string]func(*Machine) (query.Attr, bool){
-	"name":       func(m *Machine) (query.Attr, bool) { return query.StrAttr(m.Static.Name), true },
-	"speed":      func(m *Machine) (query.Attr, bool) { return query.NumAttr(m.Static.Speed), true },
-	"cpus":       func(m *Machine) (query.Attr, bool) { return query.NumAttr(float64(m.Static.CPUs)), true },
-	"maxload":    func(m *Machine) (query.Attr, bool) { return query.NumAttr(m.Static.MaxLoad), true },
-	"load":       func(m *Machine) (query.Attr, bool) { return query.NumAttr(m.Dynamic.Load), true },
-	"activejobs": func(m *Machine) (query.Attr, bool) { return query.NumAttr(float64(m.Dynamic.ActiveJobs)), true },
-	"freememory": func(m *Machine) (query.Attr, bool) { return query.NumAttr(m.Dynamic.FreeMemory), true },
-	"freeswap":   func(m *Machine) (query.Attr, bool) { return query.NumAttr(m.Dynamic.FreeSwap), true },
-	"usergroup": func(m *Machine) (query.Attr, bool) {
+// (attrNamed, matchConds) and the sharded backend's index guard all read
+// this table, so a new derived attribute added here is consistently exposed
+// by every backend and never shadowed by a stale index. An extractor
+// returning ok=false (the empty usergroup/toolgroup lists) lets a same-named
+// admin parameter show through instead.
+var builtinAttrs = map[string]builtinAttr{
+	"name":       {attr: func(m *Machine) (query.Attr, bool) { return query.StrAttr(m.Static.Name), true }},
+	"speed":      {num: func(m *Machine) float64 { return m.Static.Speed }},
+	"cpus":       {num: func(m *Machine) float64 { return float64(m.Static.CPUs) }},
+	"maxload":    {num: func(m *Machine) float64 { return m.Static.MaxLoad }},
+	"load":       {num: func(m *Machine) float64 { return m.Dynamic.Load }},
+	"activejobs": {num: func(m *Machine) float64 { return float64(m.Dynamic.ActiveJobs) }},
+	"freememory": {num: func(m *Machine) float64 { return m.Dynamic.FreeMemory }},
+	"freeswap":   {num: func(m *Machine) float64 { return m.Dynamic.FreeSwap }},
+	"usergroup": {attr: func(m *Machine) (query.Attr, bool) {
 		if len(m.Policy.UserGroups) == 0 {
 			return query.Attr{}, false
 		}
 		return query.ListAttr(m.Policy.UserGroups...), true
-	},
-	"toolgroup": func(m *Machine) (query.Attr, bool) {
+	}},
+	"toolgroup": {attr: func(m *Machine) (query.Attr, bool) {
 		if len(m.Policy.ToolGroups) == 0 {
 			return query.Attr{}, false
 		}
 		return query.ListAttr(m.Policy.ToolGroups...), true
-	},
+	}},
 }
 
 // Attrs flattens the record into the attribute set seen by query matching:
@@ -156,8 +172,8 @@ func (m *Machine) Attrs() query.AttrSet {
 	if out == nil {
 		out = make(query.AttrSet)
 	}
-	for name, extract := range builtinAttrs {
-		if attr, ok := extract(m); ok {
+	for name, b := range builtinAttrs {
+		if attr, ok := b.value(m); ok {
 			out[name] = attr
 		}
 	}
@@ -168,8 +184,8 @@ func (m *Machine) Attrs() query.AttrSet {
 // without materializing (and deep-copying) the whole set. Built-in
 // attributes shadow same-named admin parameters, exactly as in Attrs.
 func (m *Machine) attrNamed(name string) (query.Attr, bool) {
-	if extract, ok := builtinAttrs[name]; ok {
-		if attr, ok := extract(m); ok {
+	if b, ok := builtinAttrs[name]; ok {
+		if attr, ok := b.value(m); ok {
 			return attr, true
 		}
 	}
@@ -177,15 +193,19 @@ func (m *Machine) attrNamed(name string) (query.Attr, bool) {
 	return attr, ok
 }
 
-// matchConds is the per-record hot path of Select and Take: equivalent to
-// m.Attrs().MatchConds(conds) but without building the attribute set.
+// matchConds is the per-record hot path of Page, Select and Take:
+// equivalent to m.Attrs().MatchConds(conds) but without building the
+// attribute set, and without allocating on numeric built-ins.
 func (m *Machine) matchConds(conds []query.RsrcCond) bool {
 	for _, rc := range conds {
-		attr, ok := m.attrNamed(rc.Name)
-		if !ok {
-			return false
+		if b := builtinAttrs[rc.Name]; b.num != nil {
+			if !query.NumMatches(b.num(m), rc.Cond) {
+				return false
+			}
+			continue
 		}
-		if !attr.Matches(rc.Cond) {
+		attr, ok := m.attrNamed(rc.Name)
+		if !ok || !attr.Matches(rc.Cond) {
 			return false
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -16,19 +17,22 @@ import (
 // queries on different machines do not serialize on one lock. Each shard
 // additionally keeps
 //
+//   - its records sorted by name, so a scan yields name order and a page
+//     can start at a resume point and stop at its limit,
 //   - a free list (the names whose TakenBy is empty), so Take never scans
 //     machines that are already held by a pool instance, and
 //   - an inverted index over discrete admin parameters (arch, OS, domain,
-//     ... — see DefaultIndexedAttrs), so Select and Take visit only the
+//     ... — see DefaultIndexedAttrs), so Page and Take visit only the
 //     posting list of the most selective indexed condition instead of the
 //     whole shard.
 //
 // Observable semantics match Locked exactly: results are name-sorted,
 // callers only ever see copies, and the mark-taken protocol of Section
-// 5.2.3 is atomic per machine. Walk, Save, Names and Len assemble their
-// snapshots shard by shard, so under concurrent writes they see a possibly
-// interleaved (but per-machine consistent) view, where Locked sees a
-// single frozen instant; serial callers cannot tell the difference.
+// 5.2.3 is atomic per machine. Page (and Select, Walk and Save on top of
+// it), Names and Len assemble their results shard by shard, so under
+// concurrent writes they see a possibly interleaved (but per-machine
+// consistent) view, where Locked sees a single frozen instant; serial
+// callers cannot tell the difference.
 type Sharded struct {
 	shards  []*shard
 	indexed map[string]bool
@@ -42,7 +46,8 @@ type Sharded struct {
 type shard struct {
 	mu       sync.RWMutex
 	machines map[string]*Machine
-	free     []string // sorted names with TakenBy == ""
+	all      []*Machine // every record, sorted by name
+	free     []string   // sorted names with TakenBy == ""
 	idx      attrIndex
 }
 
@@ -135,11 +140,21 @@ func (s *Sharded) Add(m *Machine) error {
 	return nil
 }
 
-// insert wires a record into the shard's map, free list and index. The
-// caller holds the shard lock and guarantees the name is unused.
+// after returns the position in all of the first record named greater than
+// name.
+func (sh *shard) after(name string) int {
+	if name == "" {
+		return 0
+	}
+	return sort.Search(len(sh.all), func(i int) bool { return sh.all[i].Static.Name > name })
+}
+
+// insert wires a record into the shard's map, sorted list, free list and
+// index. The caller holds the shard lock and guarantees the name is unused.
 func (sh *shard) insert(indexed map[string]bool, m *Machine) {
 	name := m.Static.Name
 	sh.machines[name] = m
+	sh.all = slices.Insert(sh.all, sh.after(name), m)
 	if m.TakenBy == "" {
 		sh.free = insertSorted(sh.free, name)
 	}
@@ -160,6 +175,8 @@ func (s *Sharded) Remove(name string) error {
 		return fmt.Errorf("registry: machine %q not registered", name)
 	}
 	delete(sh.machines, name)
+	i := sh.after(name) - 1
+	sh.all = slices.Delete(sh.all, i, i+1)
 	sh.free = removeSorted(sh.free, name)
 	for k, v := range m.Policy.Params {
 		if s.indexed[k] {
@@ -195,16 +212,17 @@ func (s *Sharded) Len() int {
 
 // Names returns all machine names, sorted.
 func (s *Sharded) Names() []string {
-	var out []string
+	lists := make([][]string, 0, len(s.shards))
 	for _, sh := range s.shards {
 		sh.mu.RLock()
-		for n := range sh.machines {
-			out = append(out, n)
+		names := make([]string, len(sh.all))
+		for i, m := range sh.all {
+			names[i] = m.Static.Name
 		}
 		sh.mu.RUnlock()
+		lists = append(lists, names)
 	}
-	sort.Strings(out)
-	return out
+	return mergeSorted(lists, 0, 0)
 }
 
 // SetState updates field 1 for a machine.
@@ -299,24 +317,28 @@ func (s *Sharded) SetParam(name, key string, attr query.Attr) error {
 // Walk calls fn for every machine in name order, stopping early if fn
 // returns false. The callback receives a copy; mutations do not write back.
 func (s *Sharded) Walk(fn func(*Machine) bool) {
-	var clones []*Machine
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		for _, m := range sh.machines {
-			clones = append(clones, m.Clone())
-		}
-		sh.mu.RUnlock()
-	}
-	sort.Slice(clones, func(i, j int) bool { return clones[i].Static.Name < clones[j].Static.Name })
-	for _, m := range clones {
+	ms, _ := s.Page(nil, Cursor{})
+	for _, m := range ms {
 		if !fn(m) {
 			return
 		}
 	}
 }
 
-// plan compiles a query once per operation: the full condition list for
-// verification plus the subset the inverted index can serve.
+// Statuses appends every record's name, state and dynamic fields to buf.
+func (s *Sharded) Statuses(buf []Status) []Status {
+	for _, sh := range s.shards {
+		sh.mu.RLock()
+		for _, m := range sh.all {
+			buf = append(buf, Status{Name: m.Static.Name, State: m.State, Dynamic: m.Dynamic})
+		}
+		sh.mu.RUnlock()
+	}
+	return buf
+}
+
+// plan is a compiled predicate prepared for this store: the full condition
+// list for verification plus the subset the inverted index can serve.
 type plan struct {
 	conds     []query.RsrcCond
 	indexable []idxCond
@@ -327,8 +349,7 @@ type idxCond struct {
 	terms []string
 }
 
-func (s *Sharded) compile(q *query.Query) plan {
-	conds := query.CompileRsrc(q)
+func (s *Sharded) plan(conds []query.RsrcCond) plan {
 	p := plan{conds: conds}
 	for _, rc := range conds {
 		if !s.indexed[rc.Name] {
@@ -341,37 +362,39 @@ func (s *Sharded) compile(q *query.Query) plan {
 	return p
 }
 
-// scan calls visit for every machine in the shard that can match the
-// plan's indexable conditions — the merged posting lists of the most
-// selective indexed condition when the index applies, the whole shard (or
-// just the free list, with freeOnly) otherwise. Candidates arrive in
-// ascending name order except on the unordered full-shard path, and visit
-// may return false to stop early (Take stops at its limit). Full condition
-// verification is left to visit. The caller holds the shard lock.
-func (sh *shard) scan(p plan, freeOnly bool, visit func(m *Machine) bool) {
+// scan calls visit, in ascending name order, for every machine named
+// greater than after that can match the plan's indexable conditions — the
+// merged posting lists of the most selective indexed condition when the
+// index applies, the whole shard (or just the free list, with freeOnly)
+// otherwise. visit may return false to stop early (Page and Take stop at
+// their limits). Full condition verification is left to visit. The caller
+// holds the shard lock.
+func (sh *shard) scan(p plan, freeOnly bool, after string, visit func(m *Machine) bool) {
 	best, useIndex := sh.bestPostings(p)
-	if !useIndex {
-		if freeOnly {
-			for _, name := range sh.free {
-				if !visit(sh.machines[name]) {
-					return
-				}
-			}
-			return
+	switch {
+	case useIndex:
+		for i, l := range best {
+			best[i] = l[firstAfter(l, after):]
 		}
-		for _, m := range sh.machines {
+		forEachMerged(best, func(name string) bool {
+			if freeOnly && !containsSorted(sh.free, name) {
+				return true
+			}
+			return visit(sh.machines[name])
+		})
+	case freeOnly:
+		for _, name := range sh.free[firstAfter(sh.free, after):] {
+			if !visit(sh.machines[name]) {
+				return
+			}
+		}
+	default:
+		for _, m := range sh.all[sh.after(after):] {
 			if !visit(m) {
 				return
 			}
 		}
-		return
 	}
-	forEachMerged(best, func(name string) bool {
-		if freeOnly && !containsSorted(sh.free, name) {
-			return true
-		}
-		return visit(sh.machines[name])
-	})
 }
 
 // bestPostings picks the most selective indexable condition's posting
@@ -400,22 +423,89 @@ func (sh *shard) bestPostings(p plan) ([][]string, bool) {
 }
 
 // Select returns copies of the machines whose attributes satisfy the rsrc
-// constraints of the query, regardless of taken state, in name order.
+// constraints of the query, regardless of taken state, in name order: the
+// unlimited page, for callers that want every match.
 func (s *Sharded) Select(q *query.Query) []*Machine {
-	p := s.compile(q)
+	ms, _ := s.Page(query.CompileRsrc(q), Cursor{})
+	return ms
+}
+
+// Page implements the paged read in the two phases Take has: gather the
+// page's names shard by shard under read locks, then clone those records
+// under their shard locks, re-verifying each one, so a record removed or
+// reconfigured in between is skipped and never returned stale. Holes that
+// leaves in a limited page are filled from past the last name chosen, so a
+// short page always means the end of the match set.
+func (s *Sharded) Page(conds []query.RsrcCond, c Cursor) ([]*Machine, int) {
+	p := s.plan(conds)
+	if c.Offset < 0 {
+		c.Offset = 0
+	}
 	var out []*Machine
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		sh.scan(p, false, func(m *Machine) bool {
-			if m.matchConds(p.conds) {
+	total := 0
+	for {
+		names, n := s.pageNames(p, c)
+		total += n
+		if out == nil {
+			out = make([]*Machine, 0, len(names))
+		}
+		before := len(out)
+		for _, name := range names {
+			sh := s.shardFor(name)
+			sh.mu.RLock()
+			if m, ok := sh.machines[name]; ok && m.matchConds(p.conds) {
 				out = append(out, m.Clone())
 			}
-			return true
+			sh.mu.RUnlock()
+		}
+		cloned := len(out) - before
+		if c.Limit <= 0 || len(names) < c.Limit || cloned == len(names) {
+			return out, total
+		}
+		c = Cursor{After: names[len(names)-1], Limit: c.Limit - cloned}
+	}
+}
+
+// pageNames is phase one of Page: the names of the page, in order, and the
+// match total when the cursor asks for it. The globally first Offset+Limit
+// names past the resume point are necessarily among the first Offset+Limit
+// of each shard, and scan yields candidates in name order, so each shard
+// keeps that many names and then stops — or, when the total is wanted,
+// only counts. The full match set is never materialized or sorted.
+func (s *Sharded) pageNames(p plan, c Cursor) ([]string, int) {
+	need := c.Offset + c.Limit
+	if c.Limit <= 0 || need < 0 {
+		need = 0 // unlimited (or past counting): every name
+	}
+	total := 0
+	lists := make([][]string, 0, len(s.shards))
+	for _, sh := range s.shards {
+		var local []string
+		sh.mu.RLock()
+		count, from := c.Total, c.After
+		if count && len(p.conds) == 0 {
+			total += len(sh.all)
+			count = false
+		}
+		if count {
+			from = "" // the total counts the matches before the resume point too
+		}
+		sh.scan(p, false, from, func(m *Machine) bool {
+			if !m.matchConds(p.conds) {
+				return true
+			}
+			if count {
+				total++
+			}
+			if (need == 0 || len(local) < need) && m.Static.Name > c.After {
+				local = append(local, m.Static.Name)
+			}
+			return count || need == 0 || len(local) < need
 		})
 		sh.mu.RUnlock()
+		lists = append(lists, local)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Static.Name < out[j].Static.Name })
-	return out
+	return mergeSorted(lists, c.Offset, c.Limit), total
 }
 
 // Take implements the pool-initialization protocol of Section 5.2.3 in two
@@ -429,7 +519,7 @@ func (s *Sharded) Take(q *query.Query, poolInstance string, limit int) []*Machin
 	if poolInstance == "" {
 		return nil
 	}
-	p := s.compile(q)
+	p := s.plan(query.CompileRsrc(q))
 	var cands []string
 	for _, sh := range s.shards {
 		// The globally-first limit names are necessarily among the first
@@ -439,7 +529,7 @@ func (s *Sharded) Take(q *query.Query, poolInstance string, limit int) []*Machin
 		// Take never materializes the full match set.
 		var local []string
 		sh.mu.RLock()
-		sh.scan(p, true, func(m *Machine) bool {
+		sh.scan(p, true, "", func(m *Machine) bool {
 			if m.matchConds(p.conds) {
 				local = append(local, m.Static.Name)
 			}
@@ -524,19 +614,10 @@ func (s *Sharded) TakenBy(poolInstance string) []string {
 // Save writes the database as JSON to w, in the same name-sorted snapshot
 // shape as every other backend.
 func (s *Sharded) Save(w io.Writer) error {
-	// Machines starts non-nil so an empty database serializes as [] (the
-	// same JSON Locked emits), not null.
-	snap := snapshot{Machines: []*Machine{}}
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		for _, m := range sh.machines {
-			snap.Machines = append(snap.Machines, m.Clone())
-		}
-		sh.mu.RUnlock()
-	}
-	sort.Slice(snap.Machines, func(i, j int) bool {
-		return snap.Machines[i].Static.Name < snap.Machines[j].Static.Name
-	})
+	// Page returns a non-nil slice, so an empty database serializes as []
+	// (the same JSON Locked emits), not null.
+	ms, _ := s.Page(nil, Cursor{})
+	snap := snapshot{Machines: ms}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(snap)
@@ -556,11 +637,18 @@ func (s *Sharded) Load(r io.Reader) error {
 	}
 	for _, sh := range s.shards {
 		sh.machines = make(map[string]*Machine, 1+len(fresh)/len(s.shards))
+		sh.all = nil
 		sh.free = nil
 		sh.idx = make(attrIndex)
 	}
-	for _, m := range fresh {
-		s.shardFor(m.Static.Name).insert(s.indexed, m)
+	// In name order every sorted list (records, free, postings) appends.
+	names := make([]string, 0, len(fresh))
+	for name := range fresh {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		s.shardFor(name).insert(s.indexed, fresh[name])
 	}
 	for _, sh := range s.shards {
 		sh.mu.Unlock()
@@ -572,9 +660,10 @@ func (s *Sharded) Load(r io.Reader) error {
 }
 
 // checkInvariants verifies the internal bookkeeping of every shard: the
-// free list holds exactly the untaken machines, records live in the shard
-// their name hashes to, and the index holds exactly the terms of the
-// indexed parameters. Tests call it after stress runs.
+// sorted list holds exactly the shard's records in name order, the free
+// list holds exactly the untaken machines, records live in the shard their
+// name hashes to, and the index holds exactly the terms of the indexed
+// parameters. Tests call it after stress runs.
 func (s *Sharded) checkInvariants() error {
 	for i, sh := range s.shards {
 		sh.mu.RLock()
@@ -596,6 +685,17 @@ func (s *Sharded) checkInvariants() error {
 							return fmt.Errorf("shard %d: machine %q missing from index %q term %q", i, name, k, t)
 						}
 					}
+				}
+			}
+			if len(sh.all) != len(sh.machines) {
+				return fmt.Errorf("shard %d: sorted list holds %d records, the map %d", i, len(sh.all), len(sh.machines))
+			}
+			for j, m := range sh.all {
+				if sh.machines[m.Static.Name] != m {
+					return fmt.Errorf("shard %d: sorted list holds a record the map does not have under %q", i, m.Static.Name)
+				}
+				if j > 0 && sh.all[j-1].Static.Name >= m.Static.Name {
+					return fmt.Errorf("shard %d: sorted list out of order at %q", i, m.Static.Name)
 				}
 			}
 			if !sort.StringsAreSorted(sh.free) {
