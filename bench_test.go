@@ -10,9 +10,12 @@ import (
 
 	"actyp/internal/baseline"
 	"actyp/internal/core"
+	"actyp/internal/directory"
 	"actyp/internal/experiments"
+	"actyp/internal/monitor"
 	"actyp/internal/netsim"
 	"actyp/internal/pool"
+	"actyp/internal/poolmgr"
 	"actyp/internal/query"
 	"actyp/internal/querymgr"
 	"actyp/internal/registry"
@@ -242,6 +245,7 @@ func BenchmarkPipelinedActYP(b *testing.B) {
 	}
 	var next uint64
 	b.SetParallelism(4)
+	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
@@ -434,6 +438,7 @@ func BenchmarkRegistrySelect(b *testing.B) {
 			b.Run(fmt.Sprintf("backend=%s/machines=%d/striped/serial", kind, n), func(b *testing.B) {
 				db := registryBenchFleet(b, kind, n)
 				qs := registryStripeQueries(b)
+				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					if got := db.Select(qs[i%registryBenchStripes]); len(got) == 0 {
@@ -445,6 +450,7 @@ func BenchmarkRegistrySelect(b *testing.B) {
 				db := registryBenchFleet(b, kind, n)
 				qs := registryStripeQueries(b)
 				var next uint64
+				b.ReportAllocs()
 				b.ResetTimer()
 				b.RunParallel(func(pb *testing.PB) {
 					for pb.Next() {
@@ -458,6 +464,7 @@ func BenchmarkRegistrySelect(b *testing.B) {
 			b.Run(fmt.Sprintf("backend=%s/machines=%d/broad/serial", kind, n), func(b *testing.B) {
 				db := registryBenchFleet(b, kind, n)
 				q := registryBenchQuery(b, "punch.rsrc.arch = sun")
+				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					if got := db.Select(q); len(got) == 0 {
@@ -526,7 +533,7 @@ func BenchmarkRegistryPage(b *testing.B) {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					seen := 0
-					db.EachPage(conds, 2048, func(page []*registry.Machine) { seen += len(page) })
+					db.EachPage(conds, registry.Cursor{Limit: 2048}, func(page []*registry.Machine) { seen += len(page) })
 					if seen < n/8 {
 						b.Fatalf("pass saw %d records", seen)
 					}
@@ -543,6 +550,7 @@ func BenchmarkRegistryTake(b *testing.B) {
 			b.Run(fmt.Sprintf("backend=%s/machines=%d/serial", kind, n), func(b *testing.B) {
 				db := registryBenchFleet(b, kind, n)
 				query := registryBenchQuery(b, q)
+				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					got := db.Take(query, "bench-pool", 8)
@@ -562,6 +570,7 @@ func BenchmarkRegistryTake(b *testing.B) {
 				db := registryBenchFleet(b, kind, n)
 				query := registryBenchQuery(b, q)
 				var instances uint64
+				b.ReportAllocs()
 				b.ResetTimer()
 				b.RunParallel(func(pb *testing.PB) {
 					inst := fmt.Sprintf("bench-pool-%d", atomic.AddUint64(&instances, 1))
@@ -597,6 +606,7 @@ func BenchmarkRegistrySelectTake(b *testing.B) {
 				db := registryBenchFleet(b, kind, n)
 				qs := registryStripeQueries(b)
 				var next uint64
+				b.ReportAllocs()
 				b.ResetTimer()
 				b.RunParallel(func(pb *testing.PB) {
 					id := atomic.AddUint64(&next, 1)
@@ -661,6 +671,7 @@ func BenchmarkPipelineAskAllocateRelease(b *testing.B) {
 		for _, n := range registryBenchSizes {
 			b.Run(fmt.Sprintf("engine=%s/machines=%d/serial", engine, n), func(b *testing.B) {
 				svc := benchPipelineService(b, n, engine)
+				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					requestRelease(b, svc, "punch.rsrc.arch = sun")
@@ -671,6 +682,7 @@ func BenchmarkPipelineAskAllocateRelease(b *testing.B) {
 				// At least 8 closed-loop clients contending on the one
 				// pool, regardless of GOMAXPROCS.
 				b.SetParallelism(max(1, (8+runtime.GOMAXPROCS(0)-1)/runtime.GOMAXPROCS(0)))
+				b.ReportAllocs()
 				b.ResetTimer()
 				b.RunParallel(func(pb *testing.PB) {
 					for pb.Next() {
@@ -692,6 +704,7 @@ func BenchmarkPipelineContention(b *testing.B) {
 			var wg sync.WaitGroup
 			errCh := make(chan error, 8)
 			each := b.N/8 + 1
+			b.ReportAllocs()
 			b.ResetTimer()
 			for w := 0; w < 8; w++ {
 				wg.Add(1)
@@ -743,6 +756,7 @@ func BenchmarkPoolNameMapping(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if query.Name(q).Signature == "" {
@@ -765,6 +779,7 @@ func BenchmarkPoolAllocateRelease(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.Cleanup(p.Close)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		lease, err := p.Allocate(q)
@@ -774,5 +789,109 @@ func BenchmarkPoolAllocateRelease(b *testing.B) {
 		if err := p.Release(lease.ID); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// sweepRig is the daemon's write path in one process: a DefaultFleetSpec
+// registry, the four punch.rsrc.arch pools created through a pool manager
+// and subscribed to the registry's change stream as core.New wires them,
+// and the monitor whose sweeps feed that stream. The dispatcher is not
+// started: sweep drains it synchronously, so a sweep is over when it
+// returns.
+type sweepRig struct {
+	mon    *monitor.Monitor
+	events *pool.Dispatcher
+}
+
+func newSweepRig(tb testing.TB, machines int) *sweepRig {
+	tb.Helper()
+	db := registry.NewDB()
+	if err := registry.DefaultFleetSpec(machines).Populate(db, time.Now()); err != nil {
+		tb.Fatal(err)
+	}
+	events := pool.NewDispatcher(db, max(registry.DefaultWatchBuffer, 2*machines))
+	factory := &poolmgr.LocalFactory{DB: db, Events: events}
+	tb.Cleanup(func() {
+		factory.CloseAll()
+		events.Stop()
+	})
+	pm, err := poolmgr.New(poolmgr.Config{Name: "pm-0", Dir: directory.New(), Factory: factory})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, arch := range []string{"sun", "hp", "alpha", "x86"} {
+		q, err := query.ParseBasic("punch.rsrc.arch = " + arch)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		lease, err := pm.Resolve(q)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if err := pm.Release(lease); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return &sweepRig{
+		mon:    monitor.New(monitor.Config{DB: db, Sampler: monitor.NewSyntheticSampler(1)}),
+		events: events,
+	}
+}
+
+// sweep is one monitor pass end to end: sample, UpdateDynamicBatch, the
+// change stream, Apply on every pool.
+func (r *sweepRig) sweep() {
+	r.mon.Sweep()
+	r.events.Dispatch()
+}
+
+// BenchmarkMonitorSweep10k is the write path's allocation bar: one
+// steady-state sweep of a 10k fleet through to the four arch pools. PR 16's
+// tree measures 6.2 MB/op here (a regrouped copy of the batch, a filtered
+// copy of the events per pool, a fresh Machine per event per pool); the bar
+// since is 1.5 MB/op, and what is left is a few hundred bytes.
+func BenchmarkMonitorSweep10k(b *testing.B) {
+	rig := newSweepRig(b, 10000)
+	for i := 0; i < 2; i++ {
+		rig.sweep() // both halves of the subscription's ring reach their steady size
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rig.sweep()
+	}
+}
+
+// TestResidentBytesPerMachine bars what one machine costs a running
+// daemon in live heap: the registry's record, the pools' view of it, the
+// indexes, and whatever the monitor keeps per machine. The parent of the
+// change that added this test (PR 16's tree: one rand.Rand per machine in
+// the sampler, a deep copy of every record in the pools) measures 10355
+// bytes here (go1.24.0, linux/amd64); that change brought it to 3400. The
+// bar is 5000: under half the parent's figure, with room for a field.
+func TestResidentBytesPerMachine(t *testing.T) {
+	const machines = 10000
+	var before, after, swept runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	rig := newSweepRig(t, machines)
+	for i := 0; i < 3; i++ {
+		rig.sweep()
+	}
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	perMachine := float64(after.HeapAlloc-before.HeapAlloc) / machines
+	t.Logf("%.0f bytes of live heap per machine", perMachine)
+	if perMachine > 5000 {
+		t.Errorf("%.0f bytes of live heap per machine, want at most 5000", perMachine)
+	}
+	// The heap may only be this small if the sweeps make little garbage
+	// (see BenchmarkMonitorSweep10k): a fourth one, rings and buffers at
+	// their steady size, stays under the benchmark's bar.
+	rig.sweep()
+	runtime.ReadMemStats(&swept)
+	if garbage := swept.TotalAlloc - after.TotalAlloc; garbage > 1500<<10 {
+		t.Errorf("a steady-state sweep allocated %d bytes, want at most 1.5 MB", garbage)
 	}
 }

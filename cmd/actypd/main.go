@@ -279,15 +279,23 @@ func run(cfg daemonConfig) error {
 		}
 		log.Printf("actypd: loaded %d machines from %s", db.Len(), cfg.dbPath)
 	default:
-		if err := registry.DefaultFleetSpec(cfg.machines).Populate(db, time.Now()); err != nil {
+		// Owned-only from the start: a record the ownership table assigns
+		// elsewhere is dropped as it is generated, never stored and pruned.
+		if err := registry.DefaultFleetSpec(cfg.machines).Each(time.Now(), func(m *registry.Machine) error {
+			if routes != nil && !routes.KeepMachine(m) {
+				return nil
+			}
+			return db.AddOwned(m)
+		}); err != nil {
 			return err
 		}
-		log.Printf("actypd: generated a synthetic fleet of %d machines", db.Len())
+		log.Printf("actypd: generated a synthetic fleet of %d machines; %d owned records resident", cfg.machines, db.Len())
 	}
 
 	// Owned-only storage: whatever population path ran, a partitioned
 	// node keeps only the records its ownership table assigns to it (the
-	// replay path already filtered; pruning again is a no-op there).
+	// replay and synthetic paths already filtered; pruning again is a
+	// no-op there).
 	if routes != nil {
 		if pruned := pruneForeign(db, routes); pruned > 0 {
 			log.Printf("actypd: pruned %d foreign-domain records; %d owned records resident", pruned, db.Len())
@@ -542,14 +550,17 @@ func overloadPolicy(cfg daemonConfig) (*wire.OverloadPolicy, *metrics.OverloadSt
 
 // pruneForeign removes every record the ownership table assigns to
 // another node, making the white pages owned-domains-only regardless of
-// which population path filled them. Returns the number removed.
+// which population path filled them. Returns the number removed. It reads
+// the fleet by pages of views: looking at one attribute of each record is
+// no reason to copy any of them.
 func pruneForeign(db *registry.DB, routes *route.Table) int {
 	var foreign []string
-	db.Walk(func(m *registry.Machine) bool {
-		if !routes.KeepMachine(m) {
-			foreign = append(foreign, m.Static.Name)
+	db.EachPage(nil, registry.Cursor{Limit: 4096, Shared: true}, func(page []*registry.Machine) {
+		for _, m := range page {
+			if !routes.KeepMachine(m) {
+				foreign = append(foreign, m.Static.Name)
+			}
 		}
-		return true
 	})
 	pruned := 0
 	for _, name := range foreign {
@@ -573,7 +584,7 @@ func ownedSnapshotSource(svc *core.Service, routes *route.Table) journal.Snapsho
 	return func(limit, offset int) ([]*registry.Machine, int, error) {
 		if offset == 0 || cut == nil {
 			var owned []*registry.Machine
-			svc.DB().EachPage(nil, limit, func(page []*registry.Machine) {
+			svc.DB().EachPage(nil, registry.Cursor{Limit: limit}, func(page []*registry.Machine) {
 				for _, m := range page {
 					if routes.KeepMachine(m) {
 						owned = append(owned, m)

@@ -62,7 +62,7 @@ func (s *Service) ExportDomain(domain string, pageSize int) (*DomainExport, erro
 	if err != nil {
 		return nil, err
 	}
-	s.db.EachPage(query.CompileRsrc(q), pageSize, func(page []*registry.Machine) {
+	s.db.EachPage(query.CompileRsrc(q), registry.Cursor{Limit: pageSize}, func(page []*registry.Machine) {
 		exp.Machines = append(exp.Machines, page...)
 	})
 	names := make(map[string]bool, len(exp.Machines))

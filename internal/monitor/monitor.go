@@ -7,7 +7,6 @@
 package monitor
 
 import (
-	"math/rand"
 	"sync"
 	"time"
 
@@ -30,11 +29,10 @@ func (f SamplerFunc) Sample(machine string, prev registry.Dynamic, now time.Time
 
 // SyntheticSampler random-walks machine load and derives memory pressure
 // from it, emulating the background activity of a shared workstation fleet.
-// It is deterministic for a given seed and machine name.
+// It is deterministic for a given seed, machine name and sample time, and
+// keeps no state per machine: each step is drawn by hashing those three.
 type SyntheticSampler struct {
-	mu   sync.Mutex
-	rngs map[string]*rand.Rand
-	seed int64
+	seed uint64
 
 	// Volatility is the maximum per-sample load delta (default 0.25).
 	Volatility float64
@@ -42,38 +40,44 @@ type SyntheticSampler struct {
 	BaseMemory float64
 }
 
-// NewSyntheticSampler returns a sampler with deterministic per-machine
-// random streams derived from seed.
+// NewSyntheticSampler returns a sampler whose per-machine random walks are
+// derived from seed.
 func NewSyntheticSampler(seed int64) *SyntheticSampler {
 	return &SyntheticSampler{
-		rngs:       make(map[string]*rand.Rand),
-		seed:       seed,
+		seed:       uint64(seed),
 		Volatility: 0.25,
 		BaseMemory: 512,
 	}
 }
 
-func (s *SyntheticSampler) rng(machine string) *rand.Rand {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	r, ok := s.rngs[machine]
-	if !ok {
-		var h int64
-		for _, c := range machine {
-			h = h*131 + int64(c)
-		}
-		r = rand.New(rand.NewSource(s.seed ^ h))
-		s.rngs[machine] = r
+// mix64 is the splitmix64 finalizer.
+func mix64(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return x
+}
+
+// draw returns the machine's uniform variate in [0, 1) for the sample taken
+// at now: FNV-1a over the name picks the machine's stream, the sample time
+// the position in it, and a finalizer round after each makes neighbouring
+// names and neighbouring instants independent.
+func (s *SyntheticSampler) draw(machine string, now time.Time) float64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(machine); i++ {
+		h = (h ^ uint64(machine[i])) * 1099511628211
 	}
-	return r
+	x := mix64(mix64(s.seed+h) + uint64(now.UnixNano())*0x9e3779b97f4a7c15)
+	return float64(x>>11) / (1 << 53)
 }
 
 // Sample random-walks the load in [0, 4] and scales free memory down as
 // load rises. Jobs counted by the allocator are preserved.
 func (s *SyntheticSampler) Sample(machine string, prev registry.Dynamic, now time.Time) registry.Dynamic {
-	r := s.rng(machine)
 	next := prev
-	next.Load += (r.Float64()*2 - 1) * s.Volatility
+	next.Load += (s.draw(machine, now)*2 - 1) * s.Volatility
 	if next.Load < 0 {
 		next.Load = 0
 	}

@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -57,6 +58,62 @@ func TestSyntheticSamplerDeterministicPerMachine(t *testing.T) {
 	}
 	if !diverged {
 		t.Error("per-machine streams identical over 100 steps")
+	}
+}
+
+// TestSyntheticSamplerUniform pins the stateless draw to what the figure
+// drivers' load dynamics assume of it: uniform on [0, 1) across machines
+// and ticks alike. 100k (machine, tick) pairs over 64 buckets; the 0.1%
+// point of chi-square with 63 degrees of freedom is 103.4.
+func TestSyntheticSamplerUniform(t *testing.T) {
+	const machines, ticks, buckets = 1000, 100, 64
+	s := NewSyntheticSampler(1)
+	var hist [buckets]int
+	start := time.Unix(1700000000, 0)
+	for m := 0; m < machines; m++ {
+		name := fmt.Sprintf("m%04d", m)
+		for k := 0; k < ticks; k++ {
+			// Consecutive sweeps of a running monitor: a second apart, give
+			// or take scheduling.
+			u := s.draw(name, start.Add(time.Duration(k)*time.Second+time.Duration(k*m)*time.Microsecond))
+			if u < 0 || u >= 1 {
+				t.Fatalf("draw %v outside [0, 1)", u)
+			}
+			hist[int(u*buckets)]++
+		}
+	}
+	want := float64(machines*ticks) / buckets
+	chi2 := 0.0
+	for _, n := range hist {
+		d := float64(n) - want
+		chi2 += d * d / want
+	}
+	if chi2 > 103.4 {
+		t.Errorf("chi-square %.1f over %d buckets: the draw is not uniform (histogram %v)", chi2, buckets, hist)
+	}
+	// One machine's walk must not be a function of its neighbour's: the
+	// same tick on adjacent names gives unrelated draws.
+	same := 0
+	for k := 0; k < ticks; k++ {
+		now := start.Add(time.Duration(k) * time.Second)
+		if (s.draw("m0001", now) < 0.5) == (s.draw("m0002", now) < 0.5) {
+			same++
+		}
+	}
+	if same < 30 || same > 70 {
+		t.Errorf("adjacent machines move together on %d of %d ticks", same, ticks)
+	}
+}
+
+func TestSyntheticSamplerSampleAllocatesNothing(t *testing.T) {
+	s := NewSyntheticSampler(1)
+	d := registry.Dynamic{Load: 1}
+	now := time.Unix(1700000000, 0)
+	if n := testing.AllocsPerRun(1000, func() {
+		now = now.Add(time.Second)
+		d = s.Sample("m0042", d, now)
+	}); n != 0 {
+		t.Errorf("Sample allocates %v times per call, want 0", n)
 	}
 }
 

@@ -39,7 +39,7 @@ import (
 // leaves: never is one taken while holding another.
 // Entries mutate their candidate view only while exclusively held —
 // popped from a heap but not yet in the lease table, or removed from the
-// lease table but not yet pushed back.
+// lease table but not yet pushed back. Apply takes its own mutex first.
 type indexedAlloc struct {
 	cfg engineConfig
 
@@ -51,6 +51,9 @@ type indexedAlloc struct {
 	leaseMu sync.Mutex
 	leases  map[string]*ientry
 
+	applyMu sync.Mutex // serializes Apply, which owns mine; taken before rw
+	mine    []int32    // positions of this pool's members in the batch being applied
+
 	claiming atomic.Int64  // claims mid-flight (may hold entries out of the heaps)
 	claimGen atomic.Uint64 // completed claim attempts, for miss revalidation
 
@@ -60,12 +63,16 @@ type indexedAlloc struct {
 	scanned atomic.Int64 // entries popped while selecting
 }
 
-// ientry is one machine in the indexed engine.
+// ientry is one machine in the indexed engine. machine is a registry view
+// whose header the engine owns: updates land in it in place until Allocate
+// has returned it (handed), after which a caller may be reading it and it
+// is never written again.
 type ientry struct {
 	idx     int  // cache position: the oracle's scan order, used for tie-breaks
 	pref    bool // on this replica's preferred stride (idx%replicas == instance%replicas)
 	pos     int  // index in its bucket heap; -1 while leased or mid-claim
 	machine *registry.Machine
+	handed  bool // Allocate has returned machine to a caller
 	cand    schedule.Candidate
 	lease   string
 	expires time.Time
@@ -339,6 +346,7 @@ func (x *indexedAlloc) Allocate(req *allocRequest) (*registry.Machine, error) {
 	// the lease table, so no other goroutine can observe these writes.
 	e.lease = id
 	e.expires = req.expires
+	e.handed = true
 	placeAccounting(&e.cand, e.machine)
 	x.leaseMu.Lock()
 	x.leases[id] = e
@@ -459,7 +467,7 @@ func (x *indexedAlloc) Refresh(get func(name string) (*registry.Machine, error))
 		if err != nil {
 			continue // machine unregistered; keep last view
 		}
-		e.machine = m
+		e.machine, e.handed = m, false
 		refreshCandidate(&e.cand, m)
 	}
 	x.rebuildGroups()
@@ -477,54 +485,47 @@ const applyChunk = 256
 // its gate key actually changed. Events for machines outside the cache are
 // ignored, and a failing get keeps the last view, exactly as Refresh does.
 func (x *indexedAlloc) Apply(events []registry.Event, get func(name string) (*registry.Machine, error)) {
-	// Membership pre-filter, outside any lock: byName is immutable after
-	// construction, so a pool holding few of the fleet's machines pays
+	x.applyMu.Lock()
+	defer x.applyMu.Unlock()
+	// Membership pre-filter, outside the engine lock: byName is immutable
+	// after construction, so a pool holding few of the fleet's machines pays
 	// exclusive-lock time for its own changes, not for every sweep event
 	// the dispatcher fans out. The shared batch is never mutated (other
-	// pools receive the same slice).
-	mine := 0
-	for _, ev := range events {
-		if _, ok := x.byName[ev.Name]; ok {
-			mine++
+	// pools receive the same slice); what is kept is positions in it, in a
+	// buffer recycled across batches.
+	mine := x.mine[:0]
+	for i := range events {
+		if _, ok := x.byName[events[i].Name]; ok {
+			mine = append(mine, int32(i))
 		}
 	}
-	if mine == 0 {
-		return
-	}
-	if mine < len(events) {
-		filtered := make([]registry.Event, 0, mine)
-		for _, ev := range events {
-			if _, ok := x.byName[ev.Name]; ok {
-				filtered = append(filtered, ev)
-			}
-		}
-		events = filtered
-	}
-	for len(events) > 0 {
-		n := min(applyChunk, len(events))
-		x.applyBatch(events[:n], get)
-		events = events[n:]
+	x.mine = mine
+	for len(mine) > 0 {
+		n := min(applyChunk, len(mine))
+		x.applyBatch(events, mine[:n], get)
+		mine = mine[n:]
 	}
 }
 
-func (x *indexedAlloc) applyBatch(events []registry.Event, get func(name string) (*registry.Machine, error)) {
+// applyBatch folds the events at the given positions, all of them members'.
+func (x *indexedAlloc) applyBatch(events []registry.Event, mine []int32, get func(name string) (*registry.Machine, error)) {
 	x.rw.Lock()
 	defer x.rw.Unlock()
 	// Under the exclusive lock no claim is in flight, so every entry is
 	// either in its bucket heap (pos >= 0) or in the lease table.
-	for _, ev := range events {
-		e, ok := x.byName[ev.Name]
-		if !ok {
-			continue // not a member of this pool
-		}
+	for _, i := range mine {
+		ev := &events[i]
+		e := x.byName[ev.Name]
 		if ev.Kind == registry.EventDynamicUpdated {
-			// The event carries the whole update: no database read. The old
-			// record may still be held by a caller that just allocated it,
-			// so it is never mutated in place — clone-and-swap, shallowly
-			// (Policy slices are immutable once loaded).
-			m := *e.machine
-			m.Dynamic = ev.Dynamic
-			e.machine = &m
+			// The event carries the whole update: no database read, and no
+			// allocation unless a caller may still hold the view, which
+			// then gets a successor (a copy of the header; the cold part
+			// stays the store's).
+			if e.handed {
+				m := *e.machine
+				e.machine, e.handed = &m, false
+			}
+			e.machine.Dynamic = ev.Dynamic
 			x.reposition(e)
 			continue
 		}
@@ -532,7 +533,7 @@ func (x *indexedAlloc) applyBatch(events []registry.Event, get func(name string)
 		if err != nil {
 			continue // machine unregistered; keep last view
 		}
-		e.machine = m
+		e.machine, e.handed = m, false
 		x.rebucket(e, m)
 	}
 }

@@ -130,7 +130,10 @@ type Pool struct {
 // New creates and initializes a pool object: it walks the white pages for
 // machines matching the criteria encoded in the pool name (or adopts the
 // explicit member list), loads them into the allocation engine, and —
-// when exclusive — marks them taken in the database.
+// when exclusive — marks them taken in the database. The engine holds
+// registry views (registry.Backend.View), on every path here and on every
+// later Refresh and Apply: the records' cold parts stay the store's one
+// copy, and nothing in this package writes to them.
 func New(cfg Config) (*Pool, error) {
 	if cfg.Name.IsZero() {
 		return nil, fmt.Errorf("pool: config needs a name")
@@ -170,7 +173,7 @@ func New(cfg Config) (*Pool, error) {
 	var machines []*registry.Machine
 	if cfg.Members != nil {
 		for _, name := range cfg.Members {
-			m, err := cfg.DB.Get(name)
+			m, err := cfg.DB.View(name)
 			if err != nil {
 				return nil, fmt.Errorf("pool %s: member %s: %w", p.id, name, err)
 			}
@@ -187,10 +190,7 @@ func New(cfg Config) (*Pool, error) {
 		if cfg.Exclusive {
 			machines = cfg.DB.Take(crit, p.id, cfg.MaxMachines)
 		} else {
-			machines = cfg.DB.Select(crit)
-			if cfg.MaxMachines > 0 && len(machines) > cfg.MaxMachines {
-				machines = machines[:cfg.MaxMachines]
-			}
+			machines, _ = cfg.DB.Page(query.CompileRsrc(crit), registry.Cursor{Limit: cfg.MaxMachines, Shared: true})
 		}
 	}
 	if len(machines) == 0 {
@@ -216,7 +216,7 @@ func New(cfg Config) (*Pool, error) {
 		// and would stay stale forever. One full re-read after subscribing
 		// closes the gap: everything earlier lands here, everything later
 		// arrives as events.
-		p.engine.Refresh(cfg.DB.Get)
+		p.engine.Refresh(cfg.DB.View)
 	}
 	return p, nil
 }
@@ -346,7 +346,7 @@ func (p *Pool) Release(leaseID string) error {
 // updates land in the database and Refresh folds them into the cache,
 // preserving locally-accounted jobs.
 func (p *Pool) Refresh() {
-	p.engine.Refresh(p.db.Get)
+	p.engine.Refresh(p.db.View)
 }
 
 // Apply folds registry change events into the cache incrementally — the
@@ -354,7 +354,7 @@ func (p *Pool) Refresh() {
 // machines the events name are touched; events for non-members are
 // ignored.
 func (p *Pool) Apply(events []registry.Event) {
-	p.engine.Apply(events, p.db.Get)
+	p.engine.Apply(events, p.db.View)
 }
 
 // Closed reports whether the pool has shut down (dispatchers drop closed

@@ -17,17 +17,29 @@ import (
 //
 // All implementations share the semantics the pipeline depends on:
 // name-sorted deterministic ordering of Walk/Select/Page/Take/Names/TakenBy,
-// copy-out isolation (callers never alias stored records), and the atomic
+// copy-out isolation (callers never alias stored records; the one shared
+// read, View, is read-only by contract), and the atomic
 // mark-taken protocol of Section 5.2.3 (no machine is ever handed to two
 // pool instances at once).
 type Backend interface {
 	// Add inserts a machine record. It fails if the record is invalid or
 	// a machine with the same name already exists.
 	Add(m *Machine) error
+	// AddOwned is Add without the copy: the store keeps m itself, so the
+	// caller must not touch m, or anything it references, afterwards.
+	AddOwned(m *Machine) error
 	// Remove deletes a machine record by name.
 	Remove(name string) error
 	// Get returns a copy of the record for name.
 	Get(name string) (*Machine, error)
+	// View is the read for in-process holders that keep many records for
+	// long, the pools above all: a copy of the record's mutable header
+	// (State, Dynamic, TakenBy) whose cold part (Static, Access, Policy,
+	// with the slices and the Params map behind it) may be the store's
+	// own. A store never writes a published cold part, it replaces it, so
+	// a view stays consistent as of its read; in return the holder must
+	// treat everything outside the header as read-only.
+	View(name string) (*Machine, error)
 	// Len returns the number of registered machines.
 	Len() int
 	// Names returns all machine names, sorted.
@@ -37,9 +49,10 @@ type Backend interface {
 	// UpdateDynamic overwrites the monitor-maintained fields 2–7 as a unit.
 	UpdateDynamic(name string, d Dynamic) error
 	// UpdateDynamicBatch applies many dynamic updates in one call,
-	// amortizing lock acquisitions (the sharded engine locks each shard
-	// once per batch instead of once per machine). Unknown machines are
-	// skipped; it returns how many records were updated.
+	// amortizing lock acquisitions (the sharded engine locks a shard once
+	// per run of updates that hash to it, so once per shard for a batch
+	// in Statuses order). Unknown machines are skipped; it returns how
+	// many records were updated.
 	UpdateDynamicBatch(updates []DynamicUpdate) int
 	// SetParam sets one administrator-defined parameter (field 20).
 	SetParam(name, key string, attr query.Attr) error
@@ -65,7 +78,8 @@ type Backend interface {
 	Statuses(buf []Status) []Status
 	// Take atomically selects up to limit machines that satisfy the
 	// query, are not already taken, and marks them taken by the named
-	// pool instance. A limit of zero or less means "no limit".
+	// pool instance. A limit of zero or less means "no limit". The
+	// records returned are views (see View).
 	Take(q *query.Query, poolInstance string, limit int) []*Machine
 	// Release clears the taken mark on the named machines, but only if
 	// they are held by the given pool instance.
@@ -97,6 +111,7 @@ type Cursor struct {
 	Offset int    // matches past After to skip before the page starts
 	Limit  int    // page size; zero or less returns every match past Offset
 	Total  bool   // also count the matches in the whole registry
+	Shared bool   // the caller only reads the page: views (see View) will do
 }
 
 // Status is what a monitor sweep reads of one record.

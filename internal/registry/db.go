@@ -27,19 +27,18 @@ func NewDBWith(b Backend) *DB {
 	return &DB{Backend: b}
 }
 
-// EachPage reads the whole match set of conds in name order, pageSize
-// records at a time, resuming each page by the last name of the one
-// before: a record present for the whole pass is visited exactly once,
-// whatever is added or removed meanwhile, and no page costs more than the
-// candidates it steps over.
-func (db *DB) EachPage(conds []query.RsrcCond, pageSize int, visit func(page []*Machine)) {
-	c := Cursor{Limit: pageSize}
+// EachPage reads the match set of conds past c.After in name order, c.Limit
+// records at a time (copies, or views under c.Shared), resuming each page
+// by the last name of the one before: a record present for the whole pass
+// is visited exactly once, whatever is added or removed meanwhile, and no
+// page costs more than the candidates it steps over.
+func (db *DB) EachPage(conds []query.RsrcCond, c Cursor, visit func(page []*Machine)) {
 	for {
 		page, _ := db.Page(conds, c)
 		if len(page) > 0 {
 			visit(page)
 		}
-		if pageSize <= 0 || len(page) < pageSize {
+		if c.Limit <= 0 || len(page) < c.Limit {
 			return
 		}
 		c.After = page[len(page)-1].Static.Name

@@ -134,6 +134,28 @@ func TestDifferentialShardedVsLocked(t *testing.T) {
 			}
 			names = append(names, "węird-ñame", "has,comma", "")
 
+			// Every view the subject hands out (View, Take, a Shared page)
+			// is kept beside a deep copy made on the spot: whatever the
+			// later operations do to the record, the view must still read
+			// as it did then.
+			type heldView struct{ view, asRead *Machine }
+			var held []heldView
+			hold := func(views ...*Machine) {
+				for _, v := range views {
+					held = append(held, heldView{v, v.Clone()})
+				}
+			}
+			checkHeld := func(step int) {
+				t.Helper()
+				for _, h := range held {
+					if !machineEqual(h.view, h.asRead) {
+						t.Fatalf("step %d: a view of %q changed after it was read:\nnow:     %+v\nas read: %+v",
+							step, h.asRead.Static.Name, h.view, h.asRead)
+					}
+				}
+				held = held[:0]
+			}
+
 			steps := 3000
 			if testing.Short() {
 				steps = 600
@@ -187,7 +209,9 @@ func TestDifferentialShardedVsLocked(t *testing.T) {
 					q := diffQuery(rng)
 					limit := rng.Intn(8) - 1 // includes 0 and -1 ("no limit")
 					got1 := machineNames(oracle.Take(q, pool, limit))
-					got2 := machineNames(subject.Take(q, pool, limit))
+					taken := subject.Take(q, pool, limit)
+					hold(taken...)
+					got2 := machineNames(taken)
 					if !sameNames(got1, got2) {
 						t.Fatalf("step %d: Take(%q, %d) diverged\nquery:\n%s\noracle:  %v\nsubject: %v",
 							step, pool, limit, q, got1, got2)
@@ -238,7 +262,7 @@ func TestDifferentialShardedVsLocked(t *testing.T) {
 					if rng.Intn(4) == 0 {
 						conds = nil
 					}
-					c := Cursor{Limit: rng.Intn(8) - 1, Offset: rng.Intn(6) - 1, Total: rng.Intn(2) == 0}
+					c := Cursor{Limit: rng.Intn(8) - 1, Offset: rng.Intn(6) - 1, Total: rng.Intn(2) == 0, Shared: rng.Intn(2) == 0}
 					switch rng.Intn(3) {
 					case 0:
 						c.After = name // a registered name, mostly
@@ -247,6 +271,9 @@ func TestDifferentialShardedVsLocked(t *testing.T) {
 					}
 					ms1, total1 := oracle.Page(conds, c)
 					ms2, total2 := subject.Page(conds, c)
+					if c.Shared {
+						hold(ms2...)
+					}
 					if got1, got2 := machineNames(ms1), machineNames(ms2); !sameNames(got1, got2) || total1 != total2 {
 						t.Fatalf("step %d: Page(%v, %+v) diverged\noracle:  %v total %d\nsubject: %v total %d",
 							step, conds, c, got1, total1, got2, total2)
@@ -269,14 +296,29 @@ func TestDifferentialShardedVsLocked(t *testing.T) {
 					if e1 == nil && m1.Static.Name != m2.Static.Name {
 						t.Fatalf("step %d: Get(%q) returned different machines", step, name)
 					}
+					// The shared read: same record as the oracle's deep copy,
+					// field for field.
+					v1, e1 := oracle.View(name)
+					v2, e2 := subject.View(name)
+					if (e1 == nil) != (e2 == nil) {
+						t.Fatalf("step %d: View(%q): %v vs %v", step, name, e1, e2)
+					}
+					if e1 == nil {
+						if !machineEqual(v1, v2) {
+							t.Fatalf("step %d: View(%q) diverged\noracle:  %+v\nsubject: %+v", step, name, v1, v2)
+						}
+						hold(v2)
+					}
 				}
 				if step%250 == 0 {
+					checkHeld(step)
 					compareState(t, step, oracle, subject)
 					if err := subject.checkInvariants(); err != nil {
 						t.Fatalf("step %d: %v", step, err)
 					}
 				}
 			}
+			checkHeld(steps)
 			compareState(t, steps, oracle, subject)
 			if err := subject.checkInvariants(); err != nil {
 				t.Fatal(err)

@@ -46,17 +46,18 @@ func HomogeneousFleetSpec(n int) FleetSpec {
 	}
 }
 
-// Build generates the fleet records. Machine names are m0000, m0001, ...
-// and every record is up, unloaded, and monitor-fresh as of now.
-func (spec FleetSpec) Build(now time.Time) ([]*Machine, error) {
+// Each generates the fleet one record at a time and hands each to fn, which
+// owns it from then on; the first error from fn stops the generation.
+// Machine names are m0000, m0001, ... and every record is up, unloaded, and
+// monitor-fresh as of now.
+func (spec FleetSpec) Each(now time.Time, fn func(*Machine) error) error {
 	if spec.N <= 0 {
-		return nil, fmt.Errorf("registry: fleet size must be positive, got %d", spec.N)
+		return fmt.Errorf("registry: fleet size must be positive, got %d", spec.N)
 	}
 	if len(spec.Archs) == 0 || len(spec.Domains) == 0 {
-		return nil, fmt.Errorf("registry: fleet needs at least one arch and one domain")
+		return fmt.Errorf("registry: fleet needs at least one arch and one domain")
 	}
 	rng := rand.New(rand.NewSource(spec.Seed))
-	out := make([]*Machine, 0, spec.N)
 	for i := 0; i < spec.N; i++ {
 		arch := spec.Archs[i%len(spec.Archs)]
 		domain := spec.Domains[i%len(spec.Domains)]
@@ -105,23 +106,27 @@ func (spec FleetSpec) Build(now time.Time) ([]*Machine, error) {
 				},
 			},
 		}
-		out = append(out, m)
-	}
-	return out, nil
-}
-
-// Populate builds the fleet and adds every machine to the database.
-func (spec FleetSpec) Populate(db *DB, now time.Time) error {
-	machines, err := spec.Build(now)
-	if err != nil {
-		return err
-	}
-	for _, m := range machines {
-		if err := db.Add(m); err != nil {
+		if err := fn(m); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// Build generates the fleet records as a slice.
+func (spec FleetSpec) Build(now time.Time) ([]*Machine, error) {
+	var out []*Machine
+	err := spec.Each(now, func(m *Machine) error {
+		out = append(out, m)
+		return nil
+	})
+	return out, err
+}
+
+// Populate streams the fleet into the database: each record is generated,
+// handed to the store to keep, and never held a second time.
+func (spec FleetSpec) Populate(db *DB, now time.Time) error {
+	return spec.Each(now, db.AddOwned)
 }
 
 func toolSlice(tools []string, i int) []string {

@@ -15,10 +15,10 @@ import (
 // is not.
 //
 // A value is indexed under its canonical string form, each list member,
-// and (for numbers) the canonical numeric rendering. String and numeric
-// terms carry distinct prefixes so "5" the string and 5 the number do not
-// collide by accident; they are looked up together when a condition allows
-// both interpretations, mirroring Attr.Matches.
+// and (for numbers) the canonical numeric rendering. A term says which of
+// the two it is, so "5" the string and 5 the number do not collide by
+// accident; they are looked up together when a condition allows both
+// interpretations, mirroring Attr.Matches.
 //
 // Posting lists are kept sorted so Take can visit candidates in name order
 // and stop as soon as it has its limit — the same reason the free list is
@@ -33,22 +33,25 @@ var DefaultIndexedAttrs = []string{
 	"arch", "ostype", "osversion", "domain", "owner", "cms", "license", "pool",
 }
 
-const (
-	strTermPrefix = "s\x00"
-	numTermPrefix = "n\x00"
-)
+// term is one key of an attribute's postings: a string value, or the
+// rendering of a number. A struct key, where a prefixed string would do,
+// because deriving it from a record's value then allocates nothing, and
+// every insert, removal and SetParam derives a record's worth of them.
+type term struct {
+	num bool
+	s   string
+}
 
-// indexTerms returns the terms an attribute value is indexed under.
-func indexTerms(a query.Attr) []string {
-	terms := make([]string, 0, 2+len(a.List))
-	terms = append(terms, strTermPrefix+a.Str)
+// appendIndexTerms appends the terms an attribute value is indexed under.
+func appendIndexTerms(terms []term, a query.Attr) []term {
+	terms = append(terms, term{s: a.Str})
 	for _, m := range a.List {
 		if m != a.Str {
-			terms = append(terms, strTermPrefix+m)
+			terms = append(terms, term{s: m})
 		}
 	}
 	if a.IsNum {
-		terms = append(terms, numTermPrefix+query.FormatNum(a.Num))
+		terms = append(terms, term{num: true, s: query.FormatNum(a.Num)})
 	}
 	return terms
 }
@@ -56,18 +59,18 @@ func indexTerms(a query.Attr) []string {
 // condTerms returns the terms whose posting lists jointly cover every
 // attribute value satisfying the condition, or ok=false when the condition
 // cannot be served by the index (ordering, range and negation conditions).
-func condTerms(c query.Condition) ([]string, bool) {
+func condTerms(c query.Condition) ([]term, bool) {
 	switch c.Op {
 	case query.OpEq:
-		terms := []string{strTermPrefix + c.Str}
+		terms := []term{{s: c.Str}}
 		if c.IsNum {
-			terms = append(terms, numTermPrefix+query.FormatNum(c.Num))
+			terms = append(terms, term{num: true, s: query.FormatNum(c.Num)})
 		}
 		return terms, true
 	case query.OpIn:
-		terms := make([]string, 0, len(c.Set))
+		terms := make([]term, 0, len(c.Set))
 		for _, w := range c.Set {
-			terms = append(terms, strTermPrefix+w)
+			terms = append(terms, term{s: w})
 		}
 		return terms, true
 	}
@@ -203,15 +206,16 @@ func forEachMerged(lists [][]string, visit func(name string) bool) {
 
 // attrIndex is one shard's inverted index: attribute name -> term ->
 // sorted machine names.
-type attrIndex map[string]map[string][]string
+type attrIndex map[string]map[term][]string
 
 func (ix attrIndex) add(attr string, v query.Attr, name string) {
 	byTerm := ix[attr]
 	if byTerm == nil {
-		byTerm = make(map[string][]string)
+		byTerm = make(map[term][]string)
 		ix[attr] = byTerm
 	}
-	for _, t := range indexTerms(v) {
+	var buf [8]term // on the stack: more than any attribute of the default fleet has
+	for _, t := range appendIndexTerms(buf[:0], v) {
 		byTerm[t] = insertSorted(byTerm[t], name)
 	}
 }
@@ -221,7 +225,8 @@ func (ix attrIndex) remove(attr string, v query.Attr, name string) {
 	if byTerm == nil {
 		return
 	}
-	for _, t := range indexTerms(v) {
+	var buf [8]term
+	for _, t := range appendIndexTerms(buf[:0], v) {
 		if rest := removeSorted(byTerm[t], name); len(rest) == 0 {
 			delete(byTerm, t)
 		} else {
@@ -235,7 +240,7 @@ func (ix attrIndex) remove(attr string, v query.Attr, name string) {
 
 // postings returns the posting lists for the given terms of one attribute.
 // Absent terms contribute nothing; the result may be empty.
-func (ix attrIndex) postings(attr string, terms []string) [][]string {
+func (ix attrIndex) postings(attr string, terms []term) [][]string {
 	byTerm := ix[attr]
 	if byTerm == nil {
 		return nil

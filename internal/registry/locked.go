@@ -30,9 +30,14 @@ func NewLocked() *Locked {
 	return &Locked{machines: make(map[string]*Machine)}
 }
 
-// Add inserts a machine record. It fails if the record is invalid or a
-// machine with the same name already exists.
+// Add inserts a copy of a machine record. It fails if the record is
+// invalid or a machine with the same name already exists.
 func (db *Locked) Add(m *Machine) error {
+	return db.AddOwned(m.Clone())
+}
+
+// AddOwned inserts the record itself; the caller gives it up.
+func (db *Locked) AddOwned(m *Machine) error {
 	if err := m.Validate(); err != nil {
 		return err
 	}
@@ -42,7 +47,7 @@ func (db *Locked) Add(m *Machine) error {
 	if _, ok := db.machines[name]; ok {
 		return fmt.Errorf("registry: machine %q already registered", name)
 	}
-	db.machines[name] = m.Clone()
+	db.machines[name] = m
 	db.emit(Event{Kind: EventAdded, Name: name})
 	return nil
 }
@@ -69,6 +74,9 @@ func (db *Locked) Get(name string) (*Machine, error) {
 	}
 	return m.Clone(), nil
 }
+
+// View is Get: the oracle shares nothing, which the contract allows.
+func (db *Locked) View(name string) (*Machine, error) { return db.Get(name) }
 
 // Len returns the number of registered machines.
 func (db *Locked) Len() int {
@@ -146,10 +154,7 @@ func (db *Locked) SetParam(name, key string, attr query.Attr) error {
 	if !ok {
 		return fmt.Errorf("registry: machine %q not registered", name)
 	}
-	if m.Policy.Params == nil {
-		m.Policy.Params = make(query.AttrSet)
-	}
-	m.Policy.Params[key] = attr
+	m.Policy.Params = withParam(m.Policy.Params, key, attr)
 	db.emit(Event{Kind: EventParamSet, Name: name})
 	return nil
 }

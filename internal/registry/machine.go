@@ -6,6 +6,7 @@ package registry
 
 import (
 	"fmt"
+	"maps"
 	"time"
 
 	"actyp/internal/query"
@@ -115,6 +116,23 @@ func (m *Machine) Clone() *Machine {
 	c.Policy.ToolGroups = append([]string(nil), m.Policy.ToolGroups...)
 	c.Policy.Params = m.Policy.Params.Clone()
 	return &c
+}
+
+// view returns a copy of the record's struct alone: the header is the
+// caller's, everything behind the cold part's strings, slices and map is
+// still m's (see Backend.View for who may hold one).
+func (m *Machine) view() *Machine {
+	v := *m
+	return &v
+}
+
+// withParam returns params with key set to attr, as a new map: a stored
+// record's Params is never written in place, because views share it.
+func withParam(params query.AttrSet, key string, attr query.Attr) query.AttrSet {
+	out := make(query.AttrSet, len(params)+1)
+	maps.Copy(out, params)
+	out[key] = attr
+	return out
 }
 
 // builtinAttr derives one attribute from record fields. Exactly one of

@@ -101,7 +101,7 @@ func TestStressPagePass(t *testing.T) {
 			for pass := 0; pass < passes && !t.Failed(); pass++ {
 				seen := make(map[string]bool, fleet)
 				last := ""
-				db.EachPage(conds, 2+pass%17, func(page []*Machine) {
+				db.EachPage(conds, Cursor{Limit: 2 + pass%17}, func(page []*Machine) {
 					for _, m := range page {
 						name := m.Static.Name
 						if name <= last {

@@ -27,7 +27,8 @@ import (
 //     whole shard.
 //
 // Observable semantics match Locked exactly: results are name-sorted,
-// callers only ever see copies, and the mark-taken protocol of Section
+// callers only ever see copies (or views, which share only what the store
+// never writes in place: see View), and the mark-taken protocol of Section
 // 5.2.3 is atomic per machine. Page (and Select, Walk and Save on top of
 // it), Names and Len assemble their results shard by shard, so under
 // concurrent writes they see a possibly interleaved (but per-machine
@@ -122,9 +123,14 @@ func (s *Sharded) shardFor(name string) *shard {
 	return s.shards[s.shardIndex(name)]
 }
 
-// Add inserts a machine record. It fails if the record is invalid or a
-// machine with the same name already exists.
+// Add inserts a copy of a machine record. It fails if the record is
+// invalid or a machine with the same name already exists.
 func (s *Sharded) Add(m *Machine) error {
+	return s.AddOwned(m.Clone())
+}
+
+// AddOwned inserts the record itself; the caller gives it up.
+func (s *Sharded) AddOwned(m *Machine) error {
 	if err := m.Validate(); err != nil {
 		return err
 	}
@@ -135,7 +141,7 @@ func (s *Sharded) Add(m *Machine) error {
 	if _, ok := sh.machines[name]; ok {
 		return fmt.Errorf("registry: machine %q already registered", name)
 	}
-	sh.insert(s.indexed, m.Clone())
+	sh.insert(s.indexed, m)
 	s.emit(Event{Kind: EventAdded, Name: name})
 	return nil
 }
@@ -199,6 +205,22 @@ func (s *Sharded) Get(name string) (*Machine, error) {
 	return m.Clone(), nil
 }
 
+// View returns the record's header by value and the store's own cold part
+// behind it. Every writer below replaces what a view may share (SetParam
+// swaps the Params map) and writes in place only what the copy took by
+// value, which is what lets a pool hold its members without a second deep
+// copy of the fleet.
+func (s *Sharded) View(name string) (*Machine, error) {
+	sh := s.shardFor(name)
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	m, ok := sh.machines[name]
+	if !ok {
+		return nil, fmt.Errorf("registry: machine %q not registered", name)
+	}
+	return m.view(), nil
+}
+
 // Len returns the number of registered machines.
 func (s *Sharded) Len() int {
 	n := 0
@@ -256,42 +278,38 @@ func (s *Sharded) UpdateDynamic(name string, d Dynamic) error {
 }
 
 // UpdateDynamicBatch applies many dynamic updates in one call, the
-// monitor's per-sweep entry point: updates are grouped by shard and each
-// shard's lock is taken once per batch, so a fleet-wide sweep costs
-// O(shards) lock acquisitions instead of O(machines). Unknown machines are
+// monitor's per-sweep entry point. A shard's lock is held across each run
+// of consecutive updates that hash to it, so a batch in Statuses order (the
+// monitor's) costs O(shards) lock acquisitions instead of O(machines), and
+// no batch is regrouped or copied to get there. Unknown machines are
 // skipped; it returns how many records were updated.
 func (s *Sharded) UpdateDynamicBatch(updates []DynamicUpdate) int {
-	if len(updates) == 0 {
-		return 0
-	}
-	byShard := make([][]DynamicUpdate, len(s.shards))
-	for _, u := range updates {
-		i := s.shardIndex(u.Name)
-		byShard[i] = append(byShard[i], u)
-	}
 	n := 0
-	for i, batch := range byShard {
-		if len(batch) == 0 {
-			continue
-		}
-		sh := s.shards[i]
-		sh.mu.Lock()
-		for _, u := range batch {
-			m, ok := sh.machines[u.Name]
-			if !ok {
-				continue
+	var held *shard
+	for i := range updates {
+		u := &updates[i]
+		if sh := s.shardFor(u.Name); sh != held {
+			if held != nil {
+				held.mu.Unlock()
 			}
+			sh.mu.Lock()
+			held = sh
+		}
+		if m, ok := held.machines[u.Name]; ok {
 			m.Dynamic = u.Dynamic
 			s.emit(Event{Kind: EventDynamicUpdated, Name: u.Name, Dynamic: u.Dynamic})
 			n++
 		}
-		sh.mu.Unlock()
+	}
+	if held != nil {
+		held.mu.Unlock()
 	}
 	return n
 }
 
 // SetParam sets one administrator-defined parameter (field 20), keeping
-// the inverted index in step when the key is indexed.
+// the inverted index in step when the key is indexed. The record gets a
+// new Params map: views may hold the old one.
 func (s *Sharded) SetParam(name, key string, attr query.Attr) error {
 	sh := s.shardFor(name)
 	sh.mu.Lock()
@@ -300,16 +318,13 @@ func (s *Sharded) SetParam(name, key string, attr query.Attr) error {
 	if !ok {
 		return fmt.Errorf("registry: machine %q not registered", name)
 	}
-	if m.Policy.Params == nil {
-		m.Policy.Params = make(query.AttrSet)
-	}
 	if s.indexed[key] {
 		if old, had := m.Policy.Params[key]; had {
 			sh.idx.remove(key, old, name)
 		}
 		sh.idx.add(key, attr, name)
 	}
-	m.Policy.Params[key] = attr
+	m.Policy.Params = withParam(m.Policy.Params, key, attr)
 	s.emit(Event{Kind: EventParamSet, Name: name})
 	return nil
 }
@@ -346,7 +361,7 @@ type plan struct {
 
 type idxCond struct {
 	name  string
-	terms []string
+	terms []term
 }
 
 func (s *Sharded) plan(conds []query.RsrcCond) plan {
@@ -433,7 +448,8 @@ func (s *Sharded) Select(q *query.Query) []*Machine {
 // Page implements the paged read in the two phases Take has: gather the
 // page's names shard by shard under read locks, then clone those records
 // under their shard locks, re-verifying each one, so a record removed or
-// reconfigured in between is skipped and never returned stale. Holes that
+// reconfigured in between is skipped and never returned stale (a Shared
+// cursor gets views in place of clones, nothing else differs). Holes that
 // leaves in a limited page are filled from past the last name chosen, so a
 // short page always means the end of the match set.
 func (s *Sharded) Page(conds []query.RsrcCond, c Cursor) ([]*Machine, int) {
@@ -454,7 +470,11 @@ func (s *Sharded) Page(conds []query.RsrcCond, c Cursor) ([]*Machine, int) {
 			sh := s.shardFor(name)
 			sh.mu.RLock()
 			if m, ok := sh.machines[name]; ok && m.matchConds(p.conds) {
-				out = append(out, m.Clone())
+				if c.Shared {
+					out = append(out, m.view())
+				} else {
+					out = append(out, m.Clone())
+				}
 			}
 			sh.mu.RUnlock()
 		}
@@ -549,7 +569,7 @@ func (s *Sharded) Take(q *query.Query, poolInstance string, limit int) []*Machin
 		if m, ok := sh.machines[name]; ok && m.TakenBy == "" && m.matchConds(p.conds) {
 			m.TakenBy = poolInstance
 			sh.free = removeSorted(sh.free, name)
-			out = append(out, m.Clone())
+			out = append(out, m.view())
 			s.emit(Event{Kind: EventTaken, Name: name})
 		}
 		sh.mu.Unlock()
@@ -680,9 +700,9 @@ func (s *Sharded) checkInvariants() error {
 					if !s.indexed[k] {
 						continue
 					}
-					for _, t := range indexTerms(v) {
+					for _, t := range appendIndexTerms(nil, v) {
 						if !containsSorted(sh.idx[k][t], name) {
-							return fmt.Errorf("shard %d: machine %q missing from index %q term %q", i, name, k, t)
+							return fmt.Errorf("shard %d: machine %q missing from index %q term %+v", i, name, k, t)
 						}
 					}
 				}
@@ -709,26 +729,26 @@ func (s *Sharded) checkInvariants() error {
 			for k, byTerm := range sh.idx {
 				for t, list := range byTerm {
 					if !sort.StringsAreSorted(list) {
-						return fmt.Errorf("shard %d: index %q term %q posting list is not sorted", i, k, t)
+						return fmt.Errorf("shard %d: index %q term %+v posting list is not sorted", i, k, t)
 					}
 					for _, name := range list {
 						m, ok := sh.machines[name]
 						if !ok {
-							return fmt.Errorf("shard %d: index %q term %q holds unknown machine %q", i, k, t, name)
+							return fmt.Errorf("shard %d: index %q term %+v holds unknown machine %q", i, k, t, name)
 						}
 						v, has := m.Policy.Params[k]
 						if !has {
-							return fmt.Errorf("shard %d: index %q term %q holds machine %q without that param", i, k, t, name)
+							return fmt.Errorf("shard %d: index %q term %+v holds machine %q without that param", i, k, t, name)
 						}
 						found := false
-						for _, want := range indexTerms(v) {
+						for _, want := range appendIndexTerms(nil, v) {
 							if want == t {
 								found = true
 								break
 							}
 						}
 						if !found {
-							return fmt.Errorf("shard %d: index %q term %q stale for machine %q (value %q)", i, k, t, name, v.Str)
+							return fmt.Errorf("shard %d: index %q term %+v stale for machine %q (value %q)", i, k, t, name, v.Str)
 						}
 					}
 				}
