@@ -68,10 +68,8 @@ func usage() {
 }
 
 // mirrorCmd snapshots a live actypd registry over the wire. Without
-// -watch it performs one snapshot fetch (the poll floor every peer
-// supports); with -watch it subscribes to the change stream, waits for
-// the replica to baseline, and reports which freshness mode the peer
-// actually granted (pre-watch peers degrade to poll automatically).
+// -watch it performs one snapshot fetch; with -watch it subscribes to the
+// change stream and waits for the replica to baseline.
 func mirrorCmd(args []string) error {
 	fs := flag.NewFlagSet("mirror", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:7464", "actypd wire endpoint to mirror")

@@ -42,7 +42,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7464", "actypd address")
-	wireCodec := flag.String("wire-codec", "auto", "wire codec preference: auto (negotiate, binary preferred), binary, json, a compressed variant like binary2+flate, or a comma list")
+	wireCodec := flag.String("wire-codec", "auto", "wire codec preference: auto (negotiate binary, JSON floor), binary, json, binary+flate, or a comma list in preference order")
 	flag.Parse()
 	args := flag.Args()
 	if len(args) == 0 {

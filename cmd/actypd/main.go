@@ -54,10 +54,6 @@ type daemonConfig struct {
 	warm        int
 	firstMatch  bool
 	leaseTTL    time.Duration
-	regBackend  string
-	regShards   int
-	poolEngine  string
-	refreshMode string
 	connWindow  int
 	wireCodec   string
 	laneWeights string
@@ -96,12 +92,8 @@ func main() {
 	flag.IntVar(&cfg.warm, "warm", 0, "pre-stripe machines across N pools and pre-create them")
 	flag.BoolVar(&cfg.firstMatch, "first-match", false, "return the first composite fragment instead of reintegrating all")
 	flag.DurationVar(&cfg.leaseTTL, "lease-ttl", 0, "reclaim leases not renewed within this lifetime (0 disables)")
-	flag.StringVar(&cfg.regBackend, "registry-backend", registry.BackendSharded, "white-pages storage engine: sharded or locked")
-	flag.IntVar(&cfg.regShards, "registry-shards", 0, "shard count for the sharded backend (0: GOMAXPROCS-scaled)")
-	flag.StringVar(&cfg.poolEngine, "pool-engine", "", "pool allocation engine: indexed or oracle (default indexed; -scancost pools stay on oracle)")
-	flag.StringVar(&cfg.refreshMode, "refresh-mode", "", "pool freshness mode: events (registry change stream, default) or poll (timer-driven full refresh)")
 	flag.IntVar(&cfg.connWindow, "conn-window", wire.DefaultWindow, "per-connection in-flight request window (1 serializes each connection)")
-	flag.StringVar(&cfg.wireCodec, "wire-codec", "auto", "wire codec preference: auto (negotiate, binary preferred), binary, json, a compressed variant like binary2+flate, or a comma list")
+	flag.StringVar(&cfg.wireCodec, "wire-codec", "auto", "wire codec preference: auto (negotiate binary, JSON floor), binary, json, binary+flate, or a comma list in preference order")
 	flag.StringVar(&cfg.laneWeights, "lane-weights", "lease=4,bulk=1", "priority-lane round-robin weights for overloaded dispatch, e.g. lease=4,bulk=1 (control is always first); \"off\" restores plain FIFO dispatch")
 	flag.Float64Var(&cfg.admitRate, "admit-rate", 0, "default per-account admission rate in requests/s; over-limit requests are shed with Busy (0 disables admission)")
 	flag.Float64Var(&cfg.admitBurst, "admit-burst", 0, "default admission burst capacity in tokens (0: same as -admit-rate)")
@@ -116,7 +108,7 @@ func main() {
 	flag.StringVar(&cfg.peerAddrs, "peer-addrs", "", "comma-separated stage endpoints of federation peers; local misses delegate to them")
 	flag.IntVar(&cfg.fanout, "fanout", 0, "peer delegation width: peers contacted concurrently on a local miss (<=1 keeps the serial walk)")
 	flag.DurationVar(&cfg.hedgeDelay, "hedge-delay", 0, "stagger between delegation fan-out branches, e.g. 10ms (0 races the full width at once)")
-	flag.StringVar(&cfg.remoteWatch, "remote-watch", "", "mirror remote actypd registries into the local white pages over the wire watch stream: comma-separated addr[=domain] entries, where =domain subscribes only that domain's slice (typically with -machines 0; falls back to polling against pre-watch peers)")
+	flag.StringVar(&cfg.remoteWatch, "remote-watch", "", "mirror remote actypd registries into the local white pages over the wire watch stream: comma-separated addr[=domain] entries, where =domain subscribes only that domain's slice (typically with -machines 0); the links offer the -wire-codec preference")
 	flag.StringVar(&cfg.ownDomains, "own-domains", "", "enable domain partitioning: comma-separated static assignments, each \"domain\" (owned here) or \"domain=node\"; unlisted domains rendezvous-hash over this node and -peer-addrs peers (\"auto\" enables with no static pins)")
 	flag.StringVar(&cfg.nodeName, "node-name", "", "pool-manager name prefix; federated daemons need distinct names (the delegation visited list keys on them) — defaults to pm, or pm@<addr> when -stage-addr or -peer-addrs is set")
 	flag.StringVar(&cfg.journalDir, "journal-dir", "", "durability journal directory: registry events and lease transitions are logged there, replayed on boot, and compacted by snapshots (empty disables durability)")
@@ -140,13 +132,7 @@ func main() {
 }
 
 func run(cfg daemonConfig) error {
-	backend, err := registry.OpenBackend(cfg.regBackend, cfg.regShards)
-	if err != nil {
-		return err
-	}
-	db := registry.NewDBWith(backend)
-	log.Printf("actypd: white pages on the %s backend", cfg.regBackend)
-
+	db := registry.NewDB()
 	profile, err := profileByName(cfg.profile)
 	if err != nil {
 		return err
@@ -155,9 +141,10 @@ func run(cfg daemonConfig) error {
 	if err != nil {
 		return err
 	}
-	if err := core.ValidateRefreshMode(cfg.refreshMode); err != nil {
-		return err
-	}
+	// One WireStats instance spans every endpoint and link of the daemon,
+	// so the shutdown report is the process's whole wire footprint per
+	// codec.
+	wireStats := &metrics.WireStats{}
 	// Manager names must be unique across a federation mesh (the visited
 	// list, self/peer filters, and the domain-ownership table all key on
 	// them), so a daemon that is about to federate or partition defaults
@@ -312,8 +299,6 @@ func run(cfg daemonConfig) error {
 		ScanCost:        cfg.scanCost,
 		MonitorInterval: cfg.monitor,
 		LeaseTTL:        cfg.leaseTTL,
-		PoolEngine:      cfg.poolEngine,
-		RefreshMode:     cfg.refreshMode,
 		Fanout:          cfg.fanout,
 		HedgeDelay:      cfg.hedgeDelay,
 		FederationStats: fedStats,
@@ -366,34 +351,12 @@ func run(cfg daemonConfig) error {
 		if entry == "" {
 			continue
 		}
-		// addr[=domain]: a bare address mirrors the peer's whole registry;
-		// =domain subscribes only that domain's slice, so a cross-domain
-		// replica ships exactly the records it needs over the wire.
-		addr, domain, _ := strings.Cut(entry, "=")
-		rcli, err := core.Dial(addr, profile)
+		rcli, w, err := mirrorRemote(entry, db, profile, core.DialConfig{Codecs: codecs, Stats: wireStats}, fedStats)
 		if err != nil {
-			return fmt.Errorf("-remote-watch %s: %w", addr, err)
+			return fmt.Errorf("-remote-watch %s: %w", entry, err)
 		}
 		defer rcli.Close()
-		wcfg := registry.RemoteWatchConfig{
-			Transport: rcli,
-			Replica:   db,
-			Stats:     fedStats,
-			Logf:      log.Printf,
-		}
-		if domain != "" {
-			wcfg.Filter = route.Filter(domain)
-		}
-		w, err := registry.StartRemoteWatch(wcfg)
-		if err != nil {
-			return fmt.Errorf("-remote-watch %s: %w", addr, err)
-		}
 		defer w.Close()
-		if domain != "" {
-			log.Printf("actypd: mirroring domain %s of the registry at %s into the local white pages", domain, addr)
-		} else {
-			log.Printf("actypd: mirroring the registry at %s into the local white pages", addr)
-		}
 	}
 
 	if cfg.warm > 0 {
@@ -430,9 +393,6 @@ func run(cfg daemonConfig) error {
 	if cfg.connWindow < 1 {
 		cfg.connWindow = -1 // 0 means serial, as it always did (negatives are rejected in main)
 	}
-	// One WireStats instance spans every endpoint of the daemon, so the
-	// shutdown report is the process's whole wire footprint per codec.
-	wireStats := &metrics.WireStats{}
 	srv, err := core.ServeOpts(svc, cfg.addr, profile, core.ServeConfig{Window: cfg.connWindow, Codecs: codecs, Overload: overload, Stats: wireStats})
 	if err != nil {
 		return err
@@ -510,6 +470,39 @@ func run(cfg daemonConfig) error {
 // the -lane-weights and -admit-* flags. The returned policy is shared by
 // the TCP and UDP endpoints, so admission buckets and lane counters span
 // both; each endpoint still queues independently.
+// mirrorRemote starts one -remote-watch entry. A bare address mirrors the
+// peer's whole registry; addr=domain subscribes only that domain's slice,
+// so a cross-domain replica ships exactly the records it needs over the
+// wire. The link dials with dial, the daemon's codec preference and wire
+// stats.
+func mirrorRemote(entry string, db *registry.DB, profile netsim.Profile, dial core.DialConfig, fedStats *metrics.FederationStats) (*core.Client, *registry.RemoteWatch, error) {
+	addr, domain, _ := strings.Cut(entry, "=")
+	rcli, err := core.DialOpts(addr, profile, dial)
+	if err != nil {
+		return nil, nil, err
+	}
+	wcfg := registry.RemoteWatchConfig{
+		Transport: rcli,
+		Replica:   db,
+		Stats:     fedStats,
+		Logf:      log.Printf,
+	}
+	if domain != "" {
+		wcfg.Filter = route.Filter(domain)
+	}
+	w, err := registry.StartRemoteWatch(wcfg)
+	if err != nil {
+		_ = rcli.Close()
+		return nil, nil, err
+	}
+	if domain != "" {
+		log.Printf("actypd: mirroring domain %s of the registry at %s into the local white pages (codec %s)", domain, addr, rcli.CodecName())
+	} else {
+		log.Printf("actypd: mirroring the registry at %s into the local white pages (codec %s)", addr, rcli.CodecName())
+	}
+	return rcli, w, nil
+}
+
 func overloadPolicy(cfg daemonConfig) (*wire.OverloadPolicy, *metrics.OverloadStats, error) {
 	if cfg.laneWeights == "off" {
 		if cfg.admitRate > 0 || cfg.admitKeys != "" {

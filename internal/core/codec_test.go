@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sync"
 	"testing"
 	"time"
 
@@ -79,53 +78,5 @@ func TestServiceForcedJSON(t *testing.T) {
 	lifecycle(t, c)
 	if got := c.CodecName(); got != "json" {
 		t.Errorf("negotiated %q, want json", got)
-	}
-}
-
-// TestServiceMixedFleetInterop is the acceptance interop matrix under
-// -race: a negotiating client against a pre-codec server (negotiation
-// disabled) and a pre-codec client against a negotiating server, both
-// with concurrent callers hammering one connection.
-func TestServiceMixedFleetInterop(t *testing.T) {
-	cases := []struct {
-		name   string
-		server ServeConfig
-		dial   DialConfig
-	}{
-		{"new-client-old-server", ServeConfig{DisableNegotiation: true}, DialConfig{}},
-		{"old-client-new-server", ServeConfig{}, DialConfig{DisableNegotiation: true}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			srv := startCodecServer(t, 64, tc.server)
-			c, err := DialOpts(srv.Addr(), netsim.Local(), tc.dial)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
-			if got := c.CodecName(); got != "json" {
-				t.Fatalf("mixed fleet negotiated %q, want json", got)
-			}
-			const callers, iters = 8, 10
-			var wg sync.WaitGroup
-			for w := 0; w < callers; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for i := 0; i < iters; i++ {
-						g, err := c.Request("punch.rsrc.arch = sun")
-						if err != nil {
-							t.Errorf("request: %v", err)
-							return
-						}
-						if err := c.Release(g); err != nil {
-							t.Errorf("release: %v", err)
-							return
-						}
-					}
-				}()
-			}
-			wg.Wait()
-		})
 	}
 }

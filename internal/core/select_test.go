@@ -12,18 +12,18 @@ import (
 )
 
 // selectCodecs are the negotiation preferences the select tests sweep:
-// the JSON floor, the plain binary2 fast path (delta batches), and the
+// the JSON floor, the plain binary fast path (delta batches), and the
 // compressed variant.
 func selectCodecs(t *testing.T) map[string][]wire.Codec {
 	t.Helper()
-	comp, err := wire.Compressed(wire.Binary2, wire.AlgoFlate)
+	comp, err := wire.Compressed(wire.Binary, wire.AlgoFlate)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return map[string][]wire.Codec{
-		"json":          {wire.JSON},
-		"binary2":       {wire.Binary2, wire.JSON},
-		"binary2+flate": {comp, wire.JSON},
+		"json":         {wire.JSON},
+		"binary":       {wire.Binary, wire.JSON},
+		"binary+flate": {comp, wire.JSON},
 	}
 }
 
@@ -41,12 +41,12 @@ func TestSelectAcrossCodecs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer svc.Close()
-	comp, err := wire.Compressed(wire.Binary2, wire.AlgoFlate)
+	comp, err := wire.Compressed(wire.Binary, wire.AlgoFlate)
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv, err := ServeOpts(svc, "127.0.0.1:0", netsim.Local(), ServeConfig{
-		Codecs: []wire.Codec{comp, wire.Binary2, wire.JSON},
+		Codecs: []wire.Codec{comp, wire.Binary, wire.JSON},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -144,15 +144,15 @@ func TestSelectWireStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer svc.Close()
-	comp, err := wire.Compressed(wire.Binary2, wire.AlgoFlate)
+	comp, err := wire.Compressed(wire.Binary, wire.AlgoFlate)
 	if err != nil {
 		t.Fatal(err)
 	}
 	serverStats := &metrics.WireStats{}
 	srv, err := ServeOpts(svc, "127.0.0.1:0", netsim.Local(), ServeConfig{
 		// The compressed codec is opt-in on both sides: a server that does
-		// not offer it negotiates down to plain binary2 or JSON.
-		Codecs: []wire.Codec{comp, wire.Binary2, wire.JSON},
+		// not offer it negotiates down to plain binary or JSON.
+		Codecs: []wire.Codec{comp, wire.Binary, wire.JSON},
 		Stats:  serverStats,
 	})
 	if err != nil {
@@ -168,8 +168,8 @@ func TestSelectWireStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if got := c.CodecName(); got != "binary2+flate" {
-		t.Fatalf("negotiated %q, want binary2+flate", got)
+	if got := c.CodecName(); got != "binary+flate" {
+		t.Fatalf("negotiated %q, want binary+flate", got)
 	}
 	if _, _, err := c.Select("", 0, false); err != nil {
 		t.Fatal(err)
@@ -178,16 +178,16 @@ func TestSelectWireStats(t *testing.T) {
 	// after the client has read the reply: wait for its books to close
 	// (raw bytes are the last counter a frame updates).
 	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
-		if serverStats.Snapshot()["binary2+flate"].RawOut >= clientStats.Snapshot()["binary2+flate"].RawIn {
+		if serverStats.Snapshot()["binary+flate"].RawOut >= clientStats.Snapshot()["binary+flate"].RawIn {
 			break
 		}
 	}
 
 	for side, stats := range map[string]*metrics.WireStats{"client": clientStats, "server": serverStats} {
 		snap := stats.Snapshot()
-		wc, ok := snap["binary2+flate"]
+		wc, ok := snap["binary+flate"]
 		if !ok {
-			t.Fatalf("%s stats missing binary2+flate: %v", side, snap)
+			t.Fatalf("%s stats missing binary+flate: %v", side, snap)
 		}
 		if wc.FramesOut == 0 || wc.FramesIn == 0 || wc.BytesOut == 0 || wc.BytesIn == 0 {
 			t.Errorf("%s stats incomplete: %+v", side, wc)
@@ -195,7 +195,7 @@ func TestSelectWireStats(t *testing.T) {
 	}
 	// The fleet-sized select reply is the compressible direction:
 	// server-out (= client-in) raw bytes must exceed wire bytes.
-	wc := serverStats.Snapshot()["binary2+flate"]
+	wc := serverStats.Snapshot()["binary+flate"]
 	if wc.RawOut <= wc.BytesOut {
 		t.Errorf("select reply did not compress: raw out %d <= wire out %d", wc.RawOut, wc.BytesOut)
 	}

@@ -53,9 +53,6 @@ type ServeConfig struct {
 	// wire.DefaultCodecs: binary preferred, JSON floor). Offering only
 	// wire.JSON pins every connection to JSON.
 	Codecs []wire.Codec
-	// DisableNegotiation makes the server behave like a pre-codec build:
-	// plain JSON, hellos dispatched (and rejected) as unknown requests.
-	DisableNegotiation bool
 	// Overload, when set, enables overload control on every connection:
 	// priority-lane dispatch, admission, and deadline-aware shedding.
 	// See wire.OverloadPolicy.
@@ -63,11 +60,6 @@ type ServeConfig struct {
 	// Stats, when set, accounts every frame served (bytes, frames,
 	// compressed-vs-raw) per codec. See metrics.WireStats.
 	Stats *metrics.WireStats
-	// DisableWatch turns the watch stream endpoint off: subscribe attempts
-	// are dispatched as unknown requests and bounce with an error reply,
-	// exactly how a pre-watch server answers. Tests and mixed-fleet drills
-	// use it to prove clients degrade to polling.
-	DisableWatch bool
 }
 
 // AdmitFrom adapts a policy.Admitter into the wire-layer admission hook:
@@ -169,17 +161,12 @@ func (s *Server) handle(conn net.Conn) {
 		s.mu.Unlock()
 		_ = conn.Close()
 	}()
-	var streams map[string]wire.StreamHandler
-	if !s.cfg.DisableWatch {
-		streams = map[string]wire.StreamHandler{wire.TypeWatch: s.serveWatch}
-	}
 	err := wire.ServeConnOpts(conn, wire.ServeOptions{
-		Window:             s.cfg.Window,
-		Codecs:             s.cfg.Codecs,
-		DisableNegotiation: s.cfg.DisableNegotiation,
-		Overload:           s.cfg.Overload,
-		Streams:            streams,
-		Stats:              s.cfg.Stats,
+		Window:   s.cfg.Window,
+		Codecs:   s.cfg.Codecs,
+		Overload: s.cfg.Overload,
+		Streams:  map[string]wire.StreamHandler{wire.TypeWatch: s.serveWatch},
+		Stats:    s.cfg.Stats,
 		Logf: func(format string, args ...any) {
 			// A negative window is a misconfiguration the wire layer
 			// clamps; surface it once per listener, not per connection.
@@ -310,9 +297,6 @@ type DialConfig struct {
 	// Codecs is the wire-codec negotiation preference (nil means
 	// wire.DefaultCodecs).
 	Codecs []wire.Codec
-	// DisableNegotiation makes the client behave like a pre-codec build:
-	// plain JSON frames, no hello.
-	DisableNegotiation bool
 	// Timeout bounds each call without its own context deadline.
 	Timeout time.Duration
 	// From names the requesting account or group; servers running
@@ -334,11 +318,10 @@ func DialOpts(addr string, profile netsim.Profile, cfg DialConfig) (*Client, err
 	c := wire.NewClientOpts(func() (net.Conn, error) {
 		return (netsim.Dialer{Profile: profile}).Dial(addr)
 	}, wire.ClientOptions{
-		Timeout:            cfg.Timeout,
-		Codecs:             cfg.Codecs,
-		DisableNegotiation: cfg.DisableNegotiation,
-		From:               cfg.From,
-		Stats:              cfg.Stats,
+		Timeout: cfg.Timeout,
+		Codecs:  cfg.Codecs,
+		From:    cfg.From,
+		Stats:   cfg.Stats,
 	})
 	if err := c.Connect(); err != nil {
 		return nil, fmt.Errorf("core: dial %s: %w", addr, err)
@@ -463,7 +446,6 @@ func (c *Client) SelectContext(ctx context.Context, text string, limit int, full
 
 // SelectPage is SelectContext with a page offset: offset matching records
 // (in the registry's sorted name order) are skipped before limit applies.
-// Non-zero offsets need a paging-aware server; see wire.SelectRequest.
 func (c *Client) SelectPage(ctx context.Context, text string, limit, offset int, full bool) ([]*registry.Machine, int, error) {
 	env, err := c.call(ctx, wire.TypeSelect, wire.SelectRequest{Text: text, Limit: limit, Offset: offset, Full: full})
 	if err != nil {
@@ -477,8 +459,8 @@ func (c *Client) SelectPage(ctx context.Context, text string, limit, offset int,
 }
 
 // Route fetches the server's domain-ownership view, resolving the owners
-// of any named domains along the way. A pre-partition server bounces the
-// unknown type as an error.
+// of any named domains along the way. An unpartitioned server answers with
+// Enabled false.
 func (c *Client) Route(ctx context.Context, domains ...string) (*wire.RouteReply, error) {
 	env, err := c.call(ctx, wire.TypeRoute, wire.RouteRequest{Domains: domains})
 	if err != nil {

@@ -130,8 +130,8 @@ type Options struct {
 	Routes *route.Table
 }
 
-// Refresh modes accepted by Options.RefreshMode and the daemons'
-// -refresh-mode flags.
+// Refresh modes accepted by Options.RefreshMode and actyp-bench's
+// -refresh-mode flag.
 const (
 	RefreshPoll   = "poll"
 	RefreshEvents = "events"
@@ -142,8 +142,8 @@ const (
 // either mode, mirroring the wire package's per-codec matrix.
 var defaultRefreshMode = RefreshEvents
 
-// ValidateRefreshMode rejects unknown refresh modes; daemons use it to
-// fail fast on bad -refresh-mode flags.
+// ValidateRefreshMode rejects unknown refresh modes; actyp-bench uses it to
+// fail fast on a bad -refresh-mode flag.
 func ValidateRefreshMode(mode string) error {
 	switch mode {
 	case "", RefreshPoll, RefreshEvents:

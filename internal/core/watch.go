@@ -10,8 +10,7 @@ package core
 //
 // The client half implements registry.WatchTransport, which is everything
 // registry.RemoteWatch needs to maintain a replica: subscribe, and fetch
-// snapshots for baselines (and for the poll fallback against peers that
-// answer the subscribe with an error reply — the JSON-floor degradation).
+// snapshots for baselines (and for ForcePoll's periodic fetches).
 
 import (
 	"context"
@@ -110,11 +109,7 @@ func (ws *clientWatchStream) Close() error { return ws.cs.Close() }
 
 // WatchSubscribe opens a change-stream subscription on the server; it
 // implements registry.WatchTransport so a registry.RemoteWatch can drive
-// this client directly. A peer that answers the subscribe with an error
-// reply instead of the ack frame does not speak watch (pre-watch builds
-// bounce the unknown type; the binary codec's inline-string type escape
-// carries it far enough for them to answer), reported as
-// registry.ErrWatchUnsupported so the watcher degrades to polling.
+// this client directly.
 func (c *Client) WatchSubscribe(ctx context.Context, filter string, ring int) (registry.WatchStream, error) {
 	cs, err := c.c.Stream(wire.TypeWatch, wire.WatchRequest{Filter: filter, Ring: ring}, 0)
 	if err != nil {
@@ -123,10 +118,6 @@ func (c *Client) WatchSubscribe(ctx context.Context, filter string, ring int) (r
 	env, err := cs.Recv(ctx)
 	if err != nil {
 		_ = cs.Close()
-		var remote *wire.RemoteError
-		if errors.As(err, &remote) {
-			return nil, fmt.Errorf("%w: %v", registry.ErrWatchUnsupported, err)
-		}
 		return nil, err
 	}
 	var we wire.WatchEvents
@@ -146,7 +137,7 @@ func (c *Client) WatchSubscribe(ctx context.Context, filter string, ring int) (r
 const snapshotPage = 2048
 
 // FetchSnapshot returns the records matching filter; it is the resync
-// baseline and the poll fallback of registry.RemoteWatch. Large fleets
+// baseline and the poll mode of registry.RemoteWatch. Large fleets
 // are fetched in sorted-name pages. Paging under concurrent mutation is
 // not an atomic cut — a record added or removed mid-fetch can be missed
 // or duplicated across page boundaries — which the consumers tolerate by

@@ -184,11 +184,11 @@ func TestWatchLoadTriggersResync(t *testing.T) {
 	}
 }
 
-// TestWatchDisabledServerDegradesToPoll is the mixed-fleet drill: against
-// a server that answers the subscribe like a pre-watch build (unknown
-// type, error reply), the watcher must latch poll mode, converge via
-// snapshot fetches, and leave regular request traffic untouched.
-func TestWatchDisabledServerDegradesToPoll(t *testing.T) {
+// TestWatchForcePollOverWire drives the federation figure's poll-and-
+// rebuild baseline over a real connection: a ForcePoll watcher converges
+// through snapshot fetches alone, stays fresh on the poll ticker, and
+// leaves regular request traffic on the same connection untouched.
+func TestWatchForcePollOverWire(t *testing.T) {
 	db := registry.NewDB()
 	if err := registry.DefaultFleetSpec(8).Populate(db, time.Unix(0, 0)); err != nil {
 		t.Fatal(err)
@@ -198,7 +198,7 @@ func TestWatchDisabledServerDegradesToPoll(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer svc.Close()
-	srv, err := ServeOpts(svc, "127.0.0.1:0", netsim.Local(), ServeConfig{DisableWatch: true})
+	srv, err := Serve(svc, "127.0.0.1:0", netsim.Local())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,18 +212,18 @@ func TestWatchDisabledServerDegradesToPoll(t *testing.T) {
 	rep := registry.NewDB()
 	stats := metrics.NewFederationStats()
 	w := startWatch(t, c, rep, registry.RemoteWatchConfig{
-		Stats: stats, PollInterval: 5 * time.Millisecond,
+		Stats: stats, PollInterval: 5 * time.Millisecond, ForcePoll: true,
 	})
 	if w.Mode() != registry.WatchModePoll {
-		t.Fatalf("mode = %q, want poll against a watch-less server", w.Mode())
+		t.Fatalf("mode = %q, want poll under ForcePoll", w.Mode())
 	}
 	waitDBConverged(t, db, rep)
 
 	// Freshness rides the poll ticker.
 	_ = db.UpdateDynamic(db.Names()[0], registry.Dynamic{Load: 42, LastUpdate: time.Unix(8000, 0)})
 	waitDBConverged(t, db, rep)
-	if got := stats.Snapshot().WatchPolls; got < 2 {
-		t.Fatalf("counted %d polls, want >= 2", got)
+	if got := stats.Snapshot(); got.WatchPolls < 2 || got.WatchEvents != 0 {
+		t.Fatalf("counted %d polls and %d streamed events, want >= 2 and none", got.WatchPolls, got.WatchEvents)
 	}
 	// The same connection still serves the classic request path.
 	g, err := c.Request("punch.rsrc.arch = sun")
@@ -236,8 +236,7 @@ func TestWatchDisabledServerDegradesToPoll(t *testing.T) {
 }
 
 // TestWatchJSONFloorStreams pins the connection to the JSON codec: the
-// watch family must work at the codec floor too (the degradation ladder
-// keys off servers that lack the message, not off the codec).
+// watch family must work at the codec floor too.
 func TestWatchJSONFloorStreams(t *testing.T) {
 	srv, svc := startServer(t, 8, netsim.Local())
 	c, err := DialOpts(srv.Addr(), netsim.Local(), DialConfig{Codecs: []wire.Codec{wire.JSON}})

@@ -14,7 +14,7 @@ import (
 )
 
 // Registry backend, pool engine, and wire codec selection shared by every
-// experiment driver, settable from the daemons' -registry-backend /
+// experiment driver, settable from actyp-bench's -registry-backend /
 // -registry-shards / -pool-engine / -wire-codec flags.
 var (
 	regMu           sync.Mutex

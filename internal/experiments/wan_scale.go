@@ -25,8 +25,8 @@ import (
 
 // WanLeg is one wire-encoding leg of the sweep.
 type WanLeg struct {
-	Name string // series label ("binary2 full", "binary2 delta", ...)
-	Spec string // codec spec for wire.CodecByName ("binary2", "binary2+flate")
+	Name string // series label ("binary full", "binary delta", ...)
+	Spec string // codec spec for wire.CodecByName ("binary", "binary+flate")
 	Full bool   // pin the full per-record oracle encoding
 }
 
@@ -56,9 +56,9 @@ func DefaultWan() WanConfig {
 		Clients:      8,
 		OpsPerClient: 25,
 		Legs: []WanLeg{
-			{Name: "binary2 full", Spec: "binary2", Full: true},
-			{Name: "binary2 delta", Spec: "binary2"},
-			{Name: "binary2+flate delta", Spec: "binary2+flate"},
+			{Name: "binary full", Spec: "binary", Full: true},
+			{Name: "binary delta", Spec: "binary"},
+			{Name: "binary+flate delta", Spec: "binary+flate"},
 		},
 		Profiles: []WanProfile{
 			{Name: "lan", Profile: netsim.LAN()},
@@ -84,10 +84,10 @@ const wanCheckBytes = 8 << 10
 // op than the full baseline, or complete at least 3x the ops/s. Bytes
 // are the primary criterion — they are host-speed independent.
 func (r WanResult) Check() error {
-	baseB := r.find(r.Bytes, "wan/binary2 full")
-	compB := r.find(r.Bytes, "wan/binary2+flate delta")
-	baseOps := r.find(r.Ops, "wan/binary2 full")
-	compOps := r.find(r.Ops, "wan/binary2+flate delta")
+	baseB := r.find(r.Bytes, "wan/binary full")
+	compB := r.find(r.Bytes, "wan/binary+flate delta")
+	baseOps := r.find(r.Ops, "wan/binary full")
+	compOps := r.find(r.Ops, "wan/binary+flate delta")
 	if baseB == nil || compB == nil || baseOps == nil || compOps == nil {
 		return errors.New("wan: missing a wan-profile series to assert")
 	}

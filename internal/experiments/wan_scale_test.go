@@ -51,9 +51,9 @@ func TestWanScaleBar(t *testing.T) {
 	}
 	// The delta and compressed legs must actually shrink the reply, not
 	// just tie the baseline, at the largest batch.
-	base := res.find(res.Bytes, "wan/binary2 full")
-	delta := res.find(res.Bytes, "wan/binary2 delta")
-	comp := res.find(res.Bytes, "wan/binary2+flate delta")
+	base := res.find(res.Bytes, "wan/binary full")
+	delta := res.find(res.Bytes, "wan/binary delta")
+	comp := res.find(res.Bytes, "wan/binary+flate delta")
 	last := len(cfg.Batches) - 1
 	if !(comp.Points[last].Y < delta.Points[last].Y && delta.Points[last].Y < base.Points[last].Y) {
 		t.Errorf("bytes/op not monotone full > delta > delta+flate: %.0f / %.0f / %.0f",
@@ -66,10 +66,10 @@ func TestWanScaleBar(t *testing.T) {
 func TestWanCheckRejectsBadSeries(t *testing.T) {
 	bad := WanResult{
 		Ops: []metrics.Series{
-			wanSeries("wan/binary2 full", 10), wanSeries("wan/binary2+flate delta", 12),
+			wanSeries("wan/binary full", 10), wanSeries("wan/binary+flate delta", 12),
 		},
 		Bytes: []metrics.Series{
-			wanSeries("wan/binary2 full", 10000), wanSeries("wan/binary2+flate delta", 9000),
+			wanSeries("wan/binary full", 10000), wanSeries("wan/binary+flate delta", 9000),
 		},
 	}
 	if err := bad.Check(); err == nil {
@@ -77,10 +77,10 @@ func TestWanCheckRejectsBadSeries(t *testing.T) {
 	}
 	ok := WanResult{
 		Ops: []metrics.Series{
-			wanSeries("wan/binary2 full", 10), wanSeries("wan/binary2+flate delta", 12),
+			wanSeries("wan/binary full", 10), wanSeries("wan/binary+flate delta", 12),
 		},
 		Bytes: []metrics.Series{
-			wanSeries("wan/binary2 full", 10000), wanSeries("wan/binary2+flate delta", 1000),
+			wanSeries("wan/binary full", 10000), wanSeries("wan/binary+flate delta", 1000),
 		},
 	}
 	if err := ok.Check(); err != nil {

@@ -8,16 +8,16 @@ import (
 
 func TestWireStatsCounts(t *testing.T) {
 	var s WireStats
-	s.Sent("binary2+flate", 100, 400)
-	s.Sent("binary2+flate", 50, 100)
-	s.Received("binary2+flate", 30, 60)
+	s.Sent("binary+flate", 100, 400)
+	s.Sent("binary+flate", 50, 100)
+	s.Received("binary+flate", 30, 60)
 	s.Sent("json", 80, 80)
 
 	snap := s.Snapshot()
 	if len(snap) != 2 {
 		t.Fatalf("snapshot has %d codecs, want 2", len(snap))
 	}
-	c := snap["binary2+flate"]
+	c := snap["binary+flate"]
 	if c.FramesOut != 2 || c.BytesOut != 150 || c.RawOut != 500 {
 		t.Errorf("out counts: %+v", c)
 	}
@@ -42,10 +42,10 @@ func TestWireStatsString(t *testing.T) {
 		t.Errorf("empty stats render %q, want empty", s.String())
 	}
 	s.Sent("json", 10, 10)
-	s.Sent("binary2", 20, 20)
+	s.Sent("binary", 20, 20)
 	out := s.String()
 	lines := strings.Split(out, "\n")
-	if len(lines) != 2 || !strings.HasPrefix(lines[0], "codec binary2:") || !strings.HasPrefix(lines[1], "codec json:") {
+	if len(lines) != 2 || !strings.HasPrefix(lines[0], "codec binary:") || !strings.HasPrefix(lines[1], "codec json:") {
 		t.Errorf("render not sorted one-per-line:\n%s", out)
 	}
 }
@@ -58,13 +58,13 @@ func TestWireStatsConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
-				s.Sent("binary2", 10, 10)
-				s.Received("binary2", 5, 5)
+				s.Sent("binary", 10, 10)
+				s.Received("binary", 5, 5)
 			}
 		}()
 	}
 	wg.Wait()
-	c := s.Snapshot()["binary2"]
+	c := s.Snapshot()["binary"]
 	if c.FramesOut != 8000 || c.FramesIn != 8000 || c.BytesOut != 80000 || c.BytesIn != 40000 {
 		t.Errorf("lost updates: %+v", c)
 	}

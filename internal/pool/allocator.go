@@ -10,8 +10,8 @@ import (
 	"actyp/internal/schedule"
 )
 
-// Allocation engine kinds accepted by Config.Engine and the daemons'
-// -pool-engine flags.
+// Allocation engine kinds accepted by Config.Engine and actyp-bench's
+// -pool-engine flag.
 const (
 	// EngineOracle is the original single-mutex full-scan allocator: every
 	// Allocate builds a candidate view of the whole cache and runs the
@@ -140,8 +140,8 @@ func resolveEngine(kind string, scanCost time.Duration) (string, error) {
 	return EngineIndexed, nil
 }
 
-// ValidateEngine rejects unknown engine kinds; the daemons use it to fail
-// fast on bad -pool-engine flags.
+// ValidateEngine rejects unknown engine kinds; core.New uses it to fail
+// fast on a bad engine name.
 func ValidateEngine(kind string) error {
 	_, err := resolveEngine(kind, 0)
 	return err

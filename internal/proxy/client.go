@@ -15,8 +15,7 @@ import (
 // returns the new instance's id and allocation address. A spawn is a rare
 // one-shot exchange on a throwaway connection; it piggybacks the request
 // on the codec hello, so the exchange negotiates properly and still costs
-// a single round trip (against a pre-negotiation server the call falls
-// back to the JSON floor automatically).
+// a single round trip.
 func Spawn(addr string, req wire.SpawnPoolRequest, profile netsim.Profile) (*wire.SpawnPoolReply, error) {
 	conn, err := (netsim.Dialer{Profile: profile}).Dial(addr)
 	if err != nil {

@@ -1,6 +1,7 @@
 package proxy
 
 import (
+	"net"
 	"strings"
 	"testing"
 	"time"
@@ -30,6 +31,14 @@ func startProxy(t *testing.T, n int) *Server {
 	}
 	t.Cleanup(s.Close)
 	return s
+}
+
+// dialProxy opens a negotiated client connection to a proxy server.
+func dialProxy(t *testing.T, s *Server) *wire.Client {
+	t.Helper()
+	c := wire.NewClient(func() (net.Conn, error) { return (netsim.Dialer{}).Dial(s.Addr()) }, 5*time.Second)
+	t.Cleanup(func() { _ = c.Close() })
+	return c
 }
 
 func TestStartValidation(t *testing.T) {
@@ -139,20 +148,12 @@ func TestRemoteFactoryNoProxies(t *testing.T) {
 }
 
 func TestProxyPing(t *testing.T) {
-	srv := startProxy(t, 2)
-	conn, err := (netsim.Dialer{}).Dial(srv.Addr())
+	c := dialProxy(t, startProxy(t, 2))
+	reply, err := c.Call(wire.TypePing, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	if err := wire.WriteFrame(conn, &wire.Envelope{Type: wire.TypePing, ID: 9}); err != nil {
-		t.Fatal(err)
-	}
-	reply, err := wire.ReadFrame(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reply.Type != wire.TypePing || reply.ID != 9 {
+	if reply.Type != wire.TypePing {
 		t.Errorf("reply = %+v", reply)
 	}
 }

@@ -1,6 +1,7 @@
 package proxy
 
 import (
+	"errors"
 	"testing"
 
 	"actyp/internal/netsim"
@@ -60,21 +61,11 @@ func TestRemotePoolBadQueryPropagates(t *testing.T) {
 }
 
 func TestProxyUnknownMessageType(t *testing.T) {
-	srv := startProxy(t, 2)
-	conn, err := (netsim.Dialer{}).Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if err := wire.WriteFrame(conn, &wire.Envelope{Type: "nonsense", ID: 1}); err != nil {
-		t.Fatal(err)
-	}
-	reply, err := wire.ReadFrame(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reply.Type != wire.TypeError {
-		t.Errorf("reply = %+v", reply)
+	c := dialProxy(t, startProxy(t, 2))
+	_, err := c.Call("nonsense", nil)
+	var remote *wire.RemoteError
+	if !errors.As(err, &remote) {
+		t.Errorf("err = %v, want an error reply", err)
 	}
 }
 

@@ -121,7 +121,7 @@ type Status struct {
 	Dynamic Dynamic
 }
 
-// Backend kind names accepted by OpenBackend and the daemons' flags.
+// Backend kind names accepted by OpenBackend and actyp-bench's flags.
 const (
 	BackendLocked  = "locked"
 	BackendSharded = "sharded"

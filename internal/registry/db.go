@@ -19,7 +19,8 @@ func NewDB() *DB {
 }
 
 // NewDBWith returns a database on an explicit backend, typically built by
-// OpenBackend from a daemon flag. A nil backend falls back to the default.
+// OpenBackend from a benchmark flag. A nil backend falls back to the
+// default.
 func NewDBWith(b Backend) *DB {
 	if b == nil {
 		return NewDB()

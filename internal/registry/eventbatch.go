@@ -326,7 +326,7 @@ func machineEqual(a, b *Machine) bool {
 // ReconcileSnapshot makes the replica's contents equal the fetched
 // snapshot: records absent from the snapshot are removed, present ones
 // upserted (unchanged records cost a read each, no index churn). It
-// returns how many records changed. The snapshot is the poll fallback's
+// returns how many records changed. The snapshot is poll mode's
 // freshness unit and the watch path's resync baseline.
 func ReconcileSnapshot(b Backend, ms []*Machine) (changed int) {
 	want := make(map[string]bool, len(ms))

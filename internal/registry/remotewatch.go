@@ -17,27 +17,20 @@ package registry
 //  2. resync — on a resync marker (remote ring overflow or wholesale
 //     Load), stream overflow, or reconnect, the replica re-baselines from
 //     a full snapshot fetch and the stream resumes.
-//  3. poll — a peer that answers the subscribe with a remote error has
-//     never learned the watch message (the JSON floor); the watcher
-//     latches poll mode and keeps the replica fresh with periodic
-//     snapshot fetches instead. Old peers cost bandwidth, not liveness.
+//
+// A failed subscribe retries with backoff like every other failure. Poll
+// mode (periodic snapshot fetches, no stream) runs only when ForcePoll
+// asks for it: it is the poll-and-rebuild baseline the federation figure
+// measures the stream against.
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"actyp/internal/metrics"
 )
-
-// ErrWatchUnsupported reports that the remote peer does not implement the
-// watch message family (a JSON-floor or pre-watch build). Transports
-// return it from WatchSubscribe; RemoteWatch reacts by latching the poll
-// fallback instead of retrying the subscribe.
-var ErrWatchUnsupported = errors.New("registry: remote peer does not support watch")
 
 // WatchBatch is one received unit of the remote change stream: either a
 // batch of events or a resync marker (never both; a marker means the
@@ -61,11 +54,10 @@ type WatchStream interface {
 type WatchTransport interface {
 	// WatchSubscribe opens a stream of changes to records matching filter
 	// ("" = all), with a server-side coalescing ring of the given size
-	// (<=0 = server default). It returns ErrWatchUnsupported (possibly
-	// wrapped) when the peer does not speak watch.
+	// (<=0 = server default).
 	WatchSubscribe(ctx context.Context, filter string, ring int) (WatchStream, error)
 	// FetchSnapshot returns the current records matching filter — the
-	// resync baseline and the poll fallback's freshness unit.
+	// resync baseline and poll mode's freshness unit.
 	FetchSnapshot(ctx context.Context, filter string) ([]*Machine, error)
 }
 
@@ -87,7 +79,7 @@ type RemoteWatchConfig struct {
 	// Ring sizes the remote subscription's coalescing ring (<=0 uses the
 	// server default).
 	Ring int
-	// PollInterval paces the poll fallback and defaults to 2s.
+	// PollInterval paces poll mode and defaults to 2s.
 	PollInterval time.Duration
 	// RetryBackoff is the initial resubscribe backoff after a stream
 	// failure (default 50ms, capped at 2s, full jitter not needed — each
@@ -98,7 +90,8 @@ type RemoteWatchConfig struct {
 	ForcePoll bool
 	// Stats, when set, counts events, resyncs, polls, and reconnects.
 	Stats *metrics.FederationStats
-	// Logf receives rare diagnostics (mode degradation); nil discards.
+	// Logf receives rare diagnostics (failed resync and poll fetches);
+	// nil discards.
 	Logf func(format string, args ...any)
 }
 
@@ -112,8 +105,6 @@ type RemoteWatch struct {
 
 	synced     chan struct{}
 	syncedOnce sync.Once
-
-	mode atomic.Value // string: WatchModeStream or WatchModePoll
 
 	streamMu sync.Mutex
 	stream   WatchStream
@@ -143,18 +134,18 @@ func StartRemoteWatch(cfg RemoteWatchConfig) (*RemoteWatch, error) {
 		done:   make(chan struct{}),
 		synced: make(chan struct{}),
 	}
-	w.mode.Store(WatchModeStream)
-	if cfg.ForcePoll {
-		w.mode.Store(WatchModePoll)
-	}
 	go w.run()
 	return w, nil
 }
 
-// Mode reports the active freshness mode: WatchModeStream while the event
-// stream feeds the replica, WatchModePoll once the watcher degraded to
-// periodic snapshot fetches.
-func (w *RemoteWatch) Mode() string { return w.mode.Load().(string) }
+// Mode reports the freshness mode: WatchModeStream when the event stream
+// feeds the replica, WatchModePoll under ForcePoll.
+func (w *RemoteWatch) Mode() string {
+	if w.cfg.ForcePoll {
+		return WatchModePoll
+	}
+	return WatchModeStream
+}
 
 // WaitSynced blocks until the replica holds its first complete baseline
 // (or ctx expires, or the watcher is closed).
@@ -209,18 +200,13 @@ func (w *RemoteWatch) run() {
 	defer close(w.done)
 	backoff := w.cfg.RetryBackoff
 	const maxBackoff = 2 * time.Second
+	if w.cfg.ForcePoll {
+		w.pollLoop()
+		return
+	}
 	for w.ctx.Err() == nil {
-		if w.Mode() == WatchModePoll {
-			w.pollLoop()
-			return
-		}
 		st, err := w.cfg.Transport.WatchSubscribe(w.ctx, w.cfg.Filter, w.cfg.Ring)
 		if err != nil {
-			if errors.Is(err, ErrWatchUnsupported) {
-				w.logf("registry: remote watch unsupported by peer, degrading to poll every %v", w.cfg.PollInterval)
-				w.mode.Store(WatchModePoll)
-				continue
-			}
 			if !w.sleep(backoff) {
 				return
 			}
@@ -246,7 +232,7 @@ func (w *RemoteWatch) run() {
 		w.markSynced()
 		w.consume(st)
 		_ = st.Close()
-		if w.ctx.Err() == nil && w.Mode() == WatchModeStream {
+		if w.ctx.Err() == nil {
 			w.cfg.Stats.WatchReconnect()
 		}
 	}
@@ -287,8 +273,8 @@ func (w *RemoteWatch) resync() error {
 	return nil
 }
 
-// pollLoop is the floor: periodic snapshot fetches, no stream. It runs
-// until the watcher closes.
+// pollLoop is ForcePoll's mode: periodic snapshot fetches, no stream. It
+// runs until the watcher closes.
 func (w *RemoteWatch) pollLoop() {
 	poll := func() {
 		w.cfg.Stats.WatchPoll()

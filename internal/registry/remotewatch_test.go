@@ -38,22 +38,23 @@ func (s *fakeWatchStream) Close() error {
 
 // fakeTransport implements WatchTransport against a live source backend:
 // FetchSnapshot reads the backend, WatchSubscribe hands out hand-fed
-// streams (or ErrWatchUnsupported, mimicking a JSON-floor peer).
+// streams once it has refused the first failSubs subscribes.
 type fakeTransport struct {
 	src Backend
 
-	mu          sync.Mutex
-	unsupported bool
-	subs        int
-	fetches     int
-	cur         *fakeWatchStream
+	mu       sync.Mutex
+	failSubs int
+	subs     int
+	fetches  int
+	cur      *fakeWatchStream
 }
 
 func (f *fakeTransport) WatchSubscribe(ctx context.Context, filter string, ring int) (WatchStream, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.unsupported {
-		return nil, fmt.Errorf("server: unknown message type %q: %w", "watch", ErrWatchUnsupported)
+	if f.failSubs > 0 {
+		f.failSubs--
+		return nil, fmt.Errorf("subscribe refused, %d more to go", f.failSubs)
 	}
 	f.subs++
 	f.cur = newFakeWatchStream()
@@ -227,20 +228,16 @@ func TestRemoteWatchReconnect(t *testing.T) {
 	if got := stats.Snapshot().Reconnects; got < 1 {
 		t.Fatalf("stats counted %d reconnects, want >= 1", got)
 	}
-	if w.Mode() != WatchModeStream {
-		t.Fatalf("mode degraded to %q on a plain reconnect", w.Mode())
-	}
 }
 
-// TestRemoteWatchUnsupportedDegradesToPoll is the JSON-floor ladder: a peer
-// that bounces the subscribe latches poll mode and stays fresh by fetches.
-func TestRemoteWatchUnsupportedDegradesToPoll(t *testing.T) {
+// TestRemoteWatchRetriesFailedSubscribe: a refused subscribe is retried
+// with backoff like any other failure, and the watcher ends up streaming.
+func TestRemoteWatchRetriesFailedSubscribe(t *testing.T) {
 	src := watchSrc(t, 4)
-	tr := &fakeTransport{src: src, unsupported: true}
+	tr := &fakeTransport{src: src, failSubs: 3}
 	rep := NewDB()
-	stats := metrics.NewFederationStats()
 	w, err := StartRemoteWatch(RemoteWatchConfig{
-		Transport: tr, Replica: rep, Stats: stats, PollInterval: 5 * time.Millisecond,
+		Transport: tr, Replica: rep, RetryBackoff: time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -251,26 +248,21 @@ func TestRemoteWatchUnsupportedDegradesToPoll(t *testing.T) {
 	if err := w.WaitSynced(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if w.Mode() != WatchModePoll {
-		t.Fatalf("mode = %q, want poll", w.Mode())
+	if subs, _ := tr.counts(); subs != 1 || w.Mode() != WatchModeStream {
+		t.Fatalf("%d live subscribes in %q mode, want 1 streaming", subs, w.Mode())
 	}
 	backendsEqual(t, src, rep)
-
-	// Freshness now rides the poll ticker alone.
-	_ = src.UpdateDynamic("rw000", Dynamic{Load: 3})
-	_ = src.Remove("rw002")
-	waitConverged(t, src, rep)
-	if got := stats.Snapshot().WatchPolls; got < 1 {
-		t.Fatalf("stats counted %d polls, want >= 1", got)
-	}
 }
 
+// TestRemoteWatchForcePoll: the poll baseline never subscribes, baselines
+// by fetch, and stays fresh on the poll ticker alone.
 func TestRemoteWatchForcePoll(t *testing.T) {
-	src := watchSrc(t, 2)
+	src := watchSrc(t, 4)
 	tr := &fakeTransport{src: src}
 	rep := NewDB()
+	stats := metrics.NewFederationStats()
 	w, err := StartRemoteWatch(RemoteWatchConfig{
-		Transport: tr, Replica: rep, ForcePoll: true, PollInterval: 5 * time.Millisecond,
+		Transport: tr, Replica: rep, Stats: stats, ForcePoll: true, PollInterval: 5 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -286,5 +278,13 @@ func TestRemoteWatchForcePoll(t *testing.T) {
 	}
 	if w.Mode() != WatchModePoll {
 		t.Fatalf("mode = %q, want poll", w.Mode())
+	}
+	backendsEqual(t, src, rep)
+
+	_ = src.UpdateDynamic("rw000", Dynamic{Load: 3})
+	_ = src.Remove("rw002")
+	waitConverged(t, src, rep)
+	if got := stats.Snapshot().WatchPolls; got < 1 {
+		t.Fatalf("stats counted %d polls, want >= 1", got)
 	}
 }

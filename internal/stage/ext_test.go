@@ -40,7 +40,7 @@ func TestExtPayloadRoundTrip(t *testing.T) {
 		{"releaseRequest", &releaseRequest{Lease: lease}, &releaseRequest{}},
 		{"nameReply", &nameReply{Name: "pm-侍"}, &nameReply{}},
 	}
-	for _, codec := range []wire.Codec{wire.Binary, wire.Binary2} {
+	for _, codec := range []wire.Codec{wire.Binary} {
 		for _, tc := range cases {
 			t.Run(codec.Name()+"/"+tc.name, func(t *testing.T) {
 				if _, ok := tc.in.(wire.ExtPayload); !ok {
@@ -72,17 +72,17 @@ func TestExtPayloadRoundTrip(t *testing.T) {
 func TestExtPayloadTruncation(t *testing.T) {
 	lease := testLease()
 	env := &wire.Envelope{Type: typeResolve, ID: 1, Msg: &resolveReply{Lease: &lease}}
-	buf, err := wire.Binary2.AppendEnvelope(nil, env)
+	buf, err := wire.Binary.AppendEnvelope(nil, env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	whole, err := wire.Binary2.DecodeEnvelope(buf)
+	whole, err := wire.Binary.DecodeEnvelope(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for n := range whole.Payload {
 		var out resolveReply
-		if err := wire.Binary2.DecodePayload(whole.Payload[:n], &out); err == nil {
+		if err := wire.Binary.DecodePayload(whole.Payload[:n], &out); err == nil {
 			t.Fatalf("prefix of %d/%d bytes decoded without error", n, len(whole.Payload))
 		}
 	}

@@ -25,8 +25,9 @@ var ErrClosed = errors.New("wire: client closed")
 // request may or may not have executed. Idempotent calls retry on it.
 var ErrConnLost = errors.New("wire: connection lost")
 
-// ErrDial wraps failures to establish (or negotiate) a connection.
-// Idempotent calls retry on it.
+// ErrDial wraps failures to establish (or negotiate) a connection, except
+// a handshake the server refused (ErrRefused). Idempotent calls retry on
+// it.
 var ErrDial = errors.New("wire: dial")
 
 // RemoteError is a failure the server reported through an error envelope.
@@ -64,13 +65,8 @@ type ClientOptions struct {
 	// Codecs is the negotiation preference, best first (nil means
 	// DefaultCodecs). Offering only JSON pins connections to JSON.
 	Codecs []Codec
-	// DisableNegotiation speaks plain JSON with no hello — exactly how a
-	// pre-codec client behaves. Tests use it to prove old clients keep
-	// working against new servers.
-	DisableNegotiation bool
 	// From names the requesting account or group. It is stamped on every
-	// outgoing envelope as the server's admission-bucket key; codecs
-	// without envelope identity (binary v1) drop it silently.
+	// outgoing envelope as the server's admission-bucket key.
 	From string
 	// Stats, when set, accounts every frame the client writes and reads
 	// (bytes, frames, compressed-vs-raw) under the connection codec's
@@ -83,9 +79,8 @@ type ClientOptions struct {
 // reply channel, while a single reader goroutine demultiplexes whatever
 // reply arrives next to the call that owns its id. Replies may therefore
 // return in any order, and N callers share one connection without waiting
-// for each other's round trips. Each new connection starts with the codec
-// handshake (unless negotiation is disabled), so frames travel in the best
-// codec both ends speak.
+// for each other's round trips. Each new connection starts with the
+// handshake, so frames travel in the best codec both ends speak.
 //
 // A failed connection fails every in-flight call; a background loop then
 // redials with exponential backoff so heartbeating callers find a live
@@ -93,12 +88,11 @@ type ClientOptions struct {
 // redials on demand, whichever comes first). Client is safe for concurrent
 // use.
 type Client struct {
-	dialFn      DialFunc
-	timeout     time.Duration
-	codecs      []Codec
-	noNegotiate bool
-	from        string
-	stats       *metrics.WireStats
+	dialFn  DialFunc
+	timeout time.Duration
+	codecs  []Codec
+	from    string
+	stats   *metrics.WireStats
 
 	writeMu sync.Mutex // serializes frame writes on the live connection
 
@@ -131,19 +125,20 @@ func NewClientOpts(dial DialFunc, opts ClientOptions) *Client {
 		codecs = DefaultCodecs()
 	}
 	return &Client{
-		dialFn:      dial,
-		timeout:     opts.Timeout,
-		codecs:      codecs,
-		noNegotiate: opts.DisableNegotiation,
-		from:        opts.From,
-		stats:       opts.Stats,
-		pending:     make(map[uint64]chan callResult),
+		dialFn:  dial,
+		timeout: opts.Timeout,
+		codecs:  codecs,
+		from:    opts.From,
+		stats:   opts.Stats,
+		pending: make(map[uint64]chan callResult),
 	}
 }
 
-// Connect ensures a live connection, dialing (and negotiating the codec)
+// Connect ensures a live connection, dialing (and running the handshake)
 // if necessary. Calls dial lazily anyway; Connect exists so constructors
-// can surface dial errors immediately.
+// can surface dial errors immediately. A server that refuses the handshake
+// fails Connect with an error wrapping ErrRefused that names the server's
+// address and the protocol.
 func (c *Client) Connect() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -205,9 +200,7 @@ func (c *Client) CallContext(ctx context.Context, typ string, payload any) (*Env
 		}
 	}
 	// The caller's deadline travels in the envelope so the server can
-	// shed work that cannot finish in time. Codecs without the field
-	// (binary v1, old JSON peers) drop it, which degrades to the old
-	// no-deadline behaviour.
+	// shed work that cannot finish in time.
 	if dl, ok := ctx.Deadline(); ok {
 		env.SetDeadline(dl)
 	}
@@ -330,7 +323,8 @@ func (c *Client) CallIdempotent(ctx context.Context, typ string, payload any) (*
 
 // Retryable reports whether a call failure is a transport-level loss (the
 // connection died or could not be established) that an idempotent request
-// may safely retry immediately. A BusyError is deliberately NOT retryable:
+// may safely retry immediately. A refused handshake is not: the same peer
+// refuses the same hello again. A BusyError is deliberately NOT retryable:
 // the server shed that request to survive overload, and an immediate
 // retry re-applies the load it just rejected. CallIdempotent handles Busy
 // separately, waiting out the server's retry-after hint first.
@@ -367,22 +361,21 @@ func (c *Client) dialAndNegotiate() (net.Conn, *Framer, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w: %v", ErrDial, err)
 	}
-	framer := NewFramerStats(JSON, c.stats)
-	if !c.noNegotiate {
-		bound := negotiateTimeout
-		if c.timeout > 0 && c.timeout < bound {
-			bound = c.timeout
-		}
-		_ = conn.SetDeadline(time.Now().Add(bound)) // best effort: not every conn has deadlines
-		chosen, err := negotiateClient(conn, c.codecs)
-		if err != nil {
-			_ = conn.Close()
-			return nil, nil, fmt.Errorf("%w: negotiate: %v", ErrDial, err)
-		}
-		_ = conn.SetDeadline(time.Time{})
-		framer = NewFramerStats(chosen, c.stats)
+	bound := negotiateTimeout
+	if c.timeout > 0 && c.timeout < bound {
+		bound = c.timeout
 	}
-	return conn, framer, nil
+	_ = conn.SetDeadline(time.Now().Add(bound)) // best effort: not every conn has deadlines
+	chosen, err := negotiateClient(conn, c.codecs, nil)
+	if err != nil {
+		_ = conn.Close()
+		if errors.Is(err, ErrRefused) {
+			return nil, nil, err
+		}
+		return nil, nil, fmt.Errorf("%w: negotiate: %v", ErrDial, err)
+	}
+	_ = conn.SetDeadline(time.Time{})
+	return conn, NewFramerStats(chosen, c.stats), nil
 }
 
 func (c *Client) installConnLocked(conn net.Conn, framer *Framer) {

@@ -12,19 +12,15 @@ import (
 	"actyp/internal/metrics"
 )
 
-// Codec is the pluggable encoding a connection's frames travel in. A codec
-// encodes and decodes whole envelopes (the fixed type/id header plus the
-// payload bytes) and decodes the payloads it produced. Connections pick a
-// codec through the hello/hello-ack negotiation (see ServeConnOpts and
-// Client); peers that never negotiate — pre-codec builds, UDP datagrams —
-// speak JSON, the compatibility floor every deployment shares.
-//
-// Future codecs (compression, versioned schemas) plug in here: implement
-// the three methods, register a name in CodecByName, and make the first
-// body byte distinguishable from '{' (JSON) and existing codec magics so
-// the negotiation ack can be sniffed.
+// Codec is the encoding a connection's frames travel in. A codec encodes
+// and decodes whole envelopes (the fixed type/id header plus the payload
+// bytes) and decodes the payloads it produced. Connections pick a codec in
+// the hello/hello-ack handshake (see ServeConnOpts and Client), which
+// itself always travels in JSON; UDP datagrams, which carry no handshake,
+// are JSON too.
 type Codec interface {
-	// Name identifies the codec during negotiation ("json", "binary").
+	// Name identifies the codec during negotiation ("json", "binary",
+	// "binary+flate").
 	Name() string
 	// AppendEnvelope appends env, encoded as one frame body, to dst and
 	// returns the extended slice. The envelope's typed payload (Msg) is
@@ -39,36 +35,32 @@ type Codec interface {
 	DecodePayload(payload []byte, out any) error
 }
 
-// JSON is the compatibility codec: frames are JSON envelopes exactly as
-// pre-codec builds wrote them. It is the differential oracle the binary
-// codec is tested against and the floor negotiation falls back to.
+// JSON is the debug codec and the negotiation floor: frames are JSON
+// envelopes. It is the differential oracle the binary codec is tested
+// against, the handshake's encoding, and what negotiation lands on when
+// the two ends share no binary codec.
 var JSON Codec = jsonCodec{}
 
 // Binary is the compact codec: length-prefixed fields, varint ids, no
 // reflection on the fixed envelope header, with per-type fast paths for
-// the hot payloads and a JSON fallback for everything else.
+// the hot payloads and a JSON fallback for everything else. Its envelope
+// header carries the overload-control fields (From, Deadline) behind a
+// flags byte.
 var Binary Codec = binaryCodec{}
-
-// Binary2 extends Binary with the overload-control envelope fields (From,
-// Deadline) behind a flags byte. Payload encodings are identical to
-// Binary; only the envelope header differs. Peers that predate it simply
-// never pick it during negotiation and the connection degrades to Binary
-// — which is exactly the "absent = no deadline" behaviour old peers need.
-var Binary2 Codec = binaryCodec{v2: true}
 
 // defaultCodecs is the negotiation preference used when a client or server
 // is not configured with an explicit list. Tests may override it to force
 // a whole run onto one codec.
-var defaultCodecs = []Codec{Binary2, Binary, JSON}
+var defaultCodecs = []Codec{Binary, JSON}
 
 // DefaultCodecs returns the default negotiation preference, best first.
 func DefaultCodecs() []Codec {
 	return append([]Codec(nil), defaultCodecs...)
 }
 
-// CodecByName resolves a codec name ("json", "binary", "binary2"),
-// optionally carrying a compression suffix ("binary2+flate"). Unknown
-// algorithms and misplaced suffixes get errors that name the fix.
+// CodecByName resolves a codec name ("json", "binary"), optionally
+// carrying a compression suffix ("binary+flate"). Unknown algorithms and
+// misplaced suffixes get errors that name the fix.
 func CodecByName(name string) (Codec, error) {
 	base, algo := splitCodecName(name)
 	var inner Codec
@@ -77,14 +69,12 @@ func CodecByName(name string) (Codec, error) {
 		inner = JSON
 	case "binary":
 		inner = Binary
-	case "binary2":
-		inner = Binary2
 	case AlgoFlate, "gzip", "zlib", "zstd", "lz4", "snappy":
 		// A bare algorithm name is a common misspelling of the real
 		// syntax; point at it.
-		return nil, fmt.Errorf("wire: %q is a compression algo, not a codec: append it to a base codec, e.g. %q", name, "binary2+"+AlgoFlate)
+		return nil, fmt.Errorf("wire: %q is a compression algo, not a codec: append it to a base codec, e.g. %q", name, "binary+"+AlgoFlate)
 	default:
-		return nil, fmt.Errorf("wire: unknown codec %q (want json, binary, binary2, or <codec>+%s)", name, AlgoFlate)
+		return nil, fmt.Errorf("wire: unknown codec %q (want json, binary, or binary+%s)", name, AlgoFlate)
 	}
 	if algo == "" {
 		return inner, nil
@@ -100,7 +90,7 @@ func CodecByName(name string) (Codec, error) {
 // "" or "auto" means the default preference (binary first), a single name
 // pins that codec (negotiation still lands on JSON against a peer that
 // cannot speak it), and a comma-separated list sets an explicit order.
-// Compressed codecs spell as "<codec>+<algo>" ("binary2+flate").
+// Compressed codecs spell as "<codec>+<algo>" ("binary+flate").
 func ParseCodecs(spec string) ([]Codec, error) {
 	if spec == "" || spec == "auto" {
 		return DefaultCodecs(), nil
@@ -129,18 +119,14 @@ func codecNames(cs []Codec) []string {
 // so the connection is still healthy — only the failed message is lost.
 var ErrEncode = errors.New("wire: encode")
 
-// jsonCodec is the JSON implementation of Codec. The wire format is
-// byte-identical to the pre-codec protocol, so negotiating down to it
-// interoperates with old peers.
+// jsonCodec is the JSON implementation of Codec.
 type jsonCodec struct{}
 
 func (jsonCodec) Name() string { return "json" }
 
 // jsonEnvelope is the marshalled shape; Envelope itself carries extra
 // bookkeeping (Msg, codec) that must not leak onto the wire. From and
-// Deadline are omitted when unset, so frames without them stay
-// byte-identical to the pre-overload protocol (and old decoders ignore
-// them when present).
+// Deadline are omitted when unset.
 type jsonEnvelope struct {
 	Type     string          `json:"type"`
 	ID       uint64          `json:"id"`
@@ -284,6 +270,11 @@ func (f *Framer) ReadFrame(r io.Reader) (*Envelope, error) {
 		return nil, err
 	}
 	defer putReadBuf(bp)
+	return f.decode(body)
+}
+
+// decode accounts and decodes one frame body read by readFrameBody.
+func (f *Framer) decode(body []byte) (*Envelope, error) {
 	if f.stats != nil {
 		f.stats.Received(f.codec.Name(), 4+len(body), rawFrameSize(f.codec, body))
 	}
@@ -323,16 +314,8 @@ func putReadBuf(bp *[]byte) {
 	}
 }
 
+// jsonFramer frames the handshake, which travels in JSON both ways.
 var jsonFramer = NewFramer(JSON)
-
-// WriteFrame writes one JSON frame. It is the compatibility shim pre-codec
-// peers speak (and tests use to simulate them); negotiated connections go
-// through a codec-bound Framer instead.
-func WriteFrame(w io.Writer, env *Envelope) error { return jsonFramer.WriteFrame(w, env) }
-
-// ReadFrame reads one JSON frame; see WriteFrame for when to prefer a
-// codec-bound Framer.
-func ReadFrame(r io.Reader) (*Envelope, error) { return jsonFramer.ReadFrame(r) }
 
 // EncodeDatagram encodes one envelope as a standalone datagram body (no
 // length prefix). Datagrams carry no negotiation state, so they always

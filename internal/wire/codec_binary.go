@@ -14,44 +14,40 @@ import (
 
 // Binary frame body layout:
 //
-//	magic 0xAC | version 0x01 | type uvarint | id uvarint | payload...
+//	magic 0xAC | version 0x02 | type uvarint | id uvarint | flags | [deadline] [from] | payload...
 //
 // A type of 0 is followed by a length-prefixed type string (private
-// protocol extensions such as the proxy and stage messages); nonzero
-// types index the fixed table below. The payload region is empty for
-// bare envelopes, or one tag byte plus data:
+// protocol extensions such as the proxy and stage messages, and the
+// message families added after the type table was fixed); nonzero types
+// index the fixed table below. The flags byte carries the
+// overload-control envelope fields:
+//
+//	bit0  deadline present: varint UnixNano follows
+//	bit1  from present: length-prefixed string follows
+//
+// The payload region is empty for bare envelopes, or one tag byte plus
+// data:
 //
 //	0x00  generic fallback: the data is a JSON document
 //	0x01  typed fast path: uvarint payload-type id, then fixed fields
 //
 // Fast-path fields are length-prefixed strings (uvarint length + bytes),
 // varints for integers, and a presence byte + UnixNano varint for times.
-// The magic byte distinguishes binary bodies from JSON ones (which open
-// with '{'), which is what lets the negotiation ack be sniffed.
-//
-// Version 0x02 ("binary2") inserts one flags byte between the id and the
-// payload, carrying the overload-control envelope fields:
-//
-//	bit0  deadline present: varint UnixNano follows
-//	bit1  from present: length-prefixed string follows
-//
-// Payload encodings are identical across versions. Old builds reject
-// version 0x02, which is why binary2 is a separately negotiated codec
-// name rather than a silent upgrade: peers that do not know it never
-// receive it. New builds decode both versions on any binary connection.
+// Version 0x02 is the only frame version: 0x01 bodies (no flags byte) are
+// refused by DecodeEnvelope.
 const (
-	binMagic    = 0xAC
-	binVersion  = 0x01
-	binVersion2 = 0x02
+	binMagic   = 0xAC
+	binVersion = 0x02
 )
 
-// binary2 envelope flag bits.
+// Envelope flag bits.
 const (
 	binFlagDeadline = 1 << 0
 	binFlagFrom     = 1 << 1
 )
 
-// Envelope type table. 0 is reserved for the inline-string escape.
+// Envelope type table. 0 is reserved for the inline-string escape; 7 and
+// 8 belonged to the hello and hello-ack, which now travel only in JSON.
 var binTypeIDs = map[string]uint64{
 	TypeQuery:     1,
 	TypeRelease:   2,
@@ -59,8 +55,6 @@ var binTypeIDs = map[string]uint64{
 	TypePing:      4,
 	TypeSpawnPool: 5,
 	TypeError:     6,
-	TypeHello:     7,
-	TypeHelloAck:  8,
 }
 
 var binTypeNames = func() map[uint64]string {
@@ -75,7 +69,7 @@ var binTypeNames = func() map[uint64]string {
 // hand-rolled private payloads (see ExtPayload); the compressed tag
 // wraps any of the other three behind an algo byte and a raw length
 // (see compress.go). Every binary-family decoder understands all four
-// tags regardless of which codec was negotiated.
+// tags whether or not its own writes compress.
 const (
 	binPayloadJSON       = 0x00
 	binPayloadTyped      = 0x01
@@ -93,8 +87,8 @@ const (
 	pidErrorReply
 	pidSpawnPoolRequest
 	pidSpawnPoolReply
-	pidHello
-	pidHelloAck
+	_ // formerly the hello; ids are part of the frame bytes, so never reuse
+	_ // formerly the hello-ack
 	pidBusyReply
 	pidSelectRequest
 	pidSelectReply
@@ -102,30 +96,23 @@ const (
 )
 
 type binaryCodec struct {
-	// v2 frames carry the flags byte (From, Deadline). Both variants
-	// decode both frame versions; v2 only governs what gets written.
-	v2 bool
 	// algo, when set, compresses payload regions at or above
-	// compressMinSize under the named algorithm ("flate"). Like v2 it
-	// only governs what gets written: every binary codec decodes
-	// compressed payloads.
+	// compressMinSize under the named algorithm ("flate"). It only
+	// governs what gets written: every binary codec decodes compressed
+	// payloads.
 	algo string
 }
 
 func (c binaryCodec) Name() string {
-	name := "binary"
-	if c.v2 {
-		name = "binary2"
-	}
 	if c.algo != "" {
-		name += "+" + c.algo
+		return "binary+" + c.algo
 	}
-	return name
+	return "binary"
 }
 
 // isBinaryFamily reports whether a payload decoded by c can be re-framed
-// by any binary codec: v1 and v2 share payload encodings, so payloads
-// move freely between them.
+// by any binary codec: compressed and plain binary codecs share payload
+// encodings, so payloads move freely between them.
 func isBinaryFamily(c Codec) bool {
 	_, ok := c.(binaryCodec)
 	return ok
@@ -139,20 +126,17 @@ func (binaryCodec) rawBodyLen(body []byte) int {
 	if len(body) < 2 || body[0] != binMagic {
 		return len(body)
 	}
-	version := body[1]
 	cur := binCursor{b: body[2:]}
 	if tid := cur.uvarint(); tid == 0 {
 		cur.string()
 	}
 	cur.uvarint() // id
-	if version == binVersion2 {
-		flags := cur.byte()
-		if flags&binFlagDeadline != 0 {
-			cur.varint()
-		}
-		if flags&binFlagFrom != 0 {
-			cur.string()
-		}
+	flags := cur.byte()
+	if flags&binFlagDeadline != 0 {
+		cur.varint()
+	}
+	if flags&binFlagFrom != 0 {
+		cur.string()
 	}
 	if cur.err != nil || len(cur.b) < 2 || cur.b[0] != binPayloadCompressed {
 		return len(body)
@@ -167,11 +151,7 @@ func (binaryCodec) rawBodyLen(body []byte) int {
 }
 
 func (c binaryCodec) AppendEnvelope(dst []byte, env *Envelope) ([]byte, error) {
-	version := byte(binVersion)
-	if c.v2 {
-		version = binVersion2
-	}
-	dst = append(dst, binMagic, version)
+	dst = append(dst, binMagic, binVersion)
 	if id, ok := binTypeIDs[env.Type]; ok {
 		dst = binary.AppendUvarint(dst, id)
 	} else {
@@ -179,21 +159,19 @@ func (c binaryCodec) AppendEnvelope(dst []byte, env *Envelope) ([]byte, error) {
 		dst = appendBinString(dst, env.Type)
 	}
 	dst = binary.AppendUvarint(dst, env.ID)
-	if c.v2 {
-		var flags byte
-		if env.Deadline != 0 {
-			flags |= binFlagDeadline
-		}
-		if env.From != "" {
-			flags |= binFlagFrom
-		}
-		dst = append(dst, flags)
-		if env.Deadline != 0 {
-			dst = binary.AppendVarint(dst, env.Deadline)
-		}
-		if env.From != "" {
-			dst = appendBinString(dst, env.From)
-		}
+	var flags byte
+	if env.Deadline != 0 {
+		flags |= binFlagDeadline
+	}
+	if env.From != "" {
+		flags |= binFlagFrom
+	}
+	dst = append(dst, flags)
+	if env.Deadline != 0 {
+		dst = binary.AppendVarint(dst, env.Deadline)
+	}
+	if env.From != "" {
+		dst = appendBinString(dst, env.From)
 	}
 	payloadStart := len(dst)
 	switch {
@@ -269,9 +247,8 @@ func (binaryCodec) DecodeEnvelope(body []byte) (*Envelope, error) {
 	if len(body) < 2 || body[0] != binMagic {
 		return nil, errors.New("not a binary frame")
 	}
-	version := body[1]
-	if version != binVersion && version != binVersion2 {
-		return nil, fmt.Errorf("unsupported binary frame version %d", version)
+	if version := body[1]; version != binVersion {
+		return nil, fmt.Errorf("unsupported binary frame version 0x%02x (want 0x%02x)", version, binVersion)
 	}
 	cur := binCursor{b: body[2:]}
 	typ := ""
@@ -285,15 +262,12 @@ func (binaryCodec) DecodeEnvelope(body []byte) (*Envelope, error) {
 	}
 	id := cur.uvarint()
 	env := &Envelope{Type: typ, ID: id, codec: Binary}
-	if version == binVersion2 {
-		env.codec = Binary2
-		flags := cur.byte()
-		if flags&binFlagDeadline != 0 {
-			env.Deadline = cur.varint()
-		}
-		if flags&binFlagFrom != 0 {
-			env.From = cur.string()
-		}
+	flags := cur.byte()
+	if flags&binFlagDeadline != 0 {
+		env.Deadline = cur.varint()
+	}
+	if flags&binFlagFrom != 0 {
+		env.From = cur.string()
 	}
 	if cur.err != nil {
 		return nil, cur.err
@@ -385,14 +359,6 @@ func appendBinPayload(dst []byte, typ string, msg any) ([]byte, error) {
 		return appendBinSpawnPoolReply(dst, &m), nil
 	case *SpawnPoolReply:
 		return appendBinSpawnPoolReply(dst, m), nil
-	case Hello:
-		return appendBinHello(dst, &m), nil
-	case *Hello:
-		return appendBinHello(dst, m), nil
-	case HelloAck:
-		return appendBinHelloAck(dst, &m), nil
-	case *HelloAck:
-		return appendBinHelloAck(dst, m), nil
 	case BusyReply:
 		return appendBinBusyReply(dst, &m), nil
 	case *BusyReply:
@@ -467,28 +433,6 @@ func decodeBinTyped(b []byte, out any) error {
 		if check(pidSpawnPoolReply) {
 			v.Instance = cur.string()
 			v.Addr = cur.string()
-		}
-	case *Hello:
-		if check(pidHello) {
-			v.Codecs = cur.strings()
-			if cur.byte() != 0 {
-				first := &HelloFirst{}
-				first.Type = cur.string()
-				first.ID = cur.uvarint()
-				first.Payload = cur.bytes()
-				if cur.err == nil {
-					v.First = first
-				}
-			}
-		}
-	case *HelloAck:
-		if check(pidHelloAck) {
-			v.Codec = cur.string()
-			// Optional trailing echo byte (see appendBinHelloAck): its
-			// absence means a pre-Hello.First peer.
-			if len(cur.b) > 0 {
-				v.First = cur.byte() != 0
-			}
 		}
 	case *BusyReply:
 		if check(pidBusyReply) {
@@ -618,40 +562,13 @@ func appendBinSpawnPoolReply(dst []byte, m *SpawnPoolReply) []byte {
 	return appendBinString(dst, m.Addr)
 }
 
-func appendBinHello(dst []byte, m *Hello) []byte {
-	dst = append(dst, binPayloadTyped)
-	dst = binary.AppendUvarint(dst, pidHello)
-	dst = appendBinStrings(dst, m.Codecs)
-	if m.First == nil {
-		return append(dst, 0)
-	}
-	dst = append(dst, 1)
-	dst = appendBinString(dst, m.First.Type)
-	dst = binary.AppendUvarint(dst, m.First.ID)
-	return appendBinBytes(dst, m.First.Payload)
-}
-
 // appendBinBusyReply is a typed fast path even though "busy" travels via
-// the inline-string envelope escape: only overload-aware builds ever
-// encode or decode a busy payload, so there is no old decoder to protect.
+// the inline-string envelope escape (the type table predates it).
 func appendBinBusyReply(dst []byte, m *BusyReply) []byte {
 	dst = append(dst, binPayloadTyped)
 	dst = binary.AppendUvarint(dst, pidBusyReply)
 	dst = binary.AppendVarint(dst, m.RetryAfterMS)
 	return appendBinString(dst, m.Reason)
-}
-
-func appendBinHelloAck(dst []byte, m *HelloAck) []byte {
-	dst = append(dst, binPayloadTyped)
-	dst = binary.AppendUvarint(dst, pidHelloAck)
-	dst = appendBinString(dst, m.Codec)
-	if m.First {
-		// Emitted only when echoing a piggybacked request — clients that
-		// never send Hello.First (all older builds) never see this byte,
-		// so their fixed-shape decoders keep working.
-		dst = append(dst, 1)
-	}
-	return dst
 }
 
 func appendBinSelectRequest(dst []byte, m *SelectRequest) []byte {
@@ -664,9 +581,8 @@ func appendBinSelectRequest(dst []byte, m *SelectRequest) []byte {
 	} else {
 		dst = append(dst, 0)
 	}
-	// Optional trailing page offset: omitted when zero so the frame stays
-	// byte-identical to the pre-pagination encoding (old decoders reject
-	// trailing bytes).
+	// Optional trailing page offset: omitted when zero, so an unpaged
+	// request keeps its shorter encoding.
 	if m.Offset > 0 {
 		dst = binary.AppendVarint(dst, int64(m.Offset))
 	}

@@ -267,19 +267,21 @@ func TestParseCodecs(t *testing.T) {
 	}
 	// Compressed variants parse; unknown names and bare algo names fail
 	// with errors that point at the +algo spelling.
-	got, err := ParseCodecs("binary2+flate,json")
+	got, err := ParseCodecs("binary+flate,json")
 	if err != nil {
-		t.Fatalf("binary2+flate,json: %v", err)
+		t.Fatalf("binary+flate,json: %v", err)
 	}
-	if !reflect.DeepEqual(codecNames(got), []string{"binary2+flate", "json"}) {
-		t.Errorf("binary2+flate,json = %v", codecNames(got))
+	if !reflect.DeepEqual(codecNames(got), []string{"binary+flate", "json"}) {
+		t.Errorf("binary+flate,json = %v", codecNames(got))
 	}
 	for spec, hint := range map[string]string{
-		"gzip":         "binary2+flate", // a known algo name is not a codec; suggest the spelling
-		"flate":        "binary2+flate",
-		"binary2+gzip": "flate", // unknown algo on a valid base
-		"bogus":        "+flate",
-		"json+flate":   "binary family", // no payload tag to compress behind
+		"gzip":          "binary+flate", // a known algo name is not a codec; suggest the spelling
+		"flate":         "binary+flate",
+		"binary+gzip":   "flate", // unknown algo on a valid base
+		"bogus":         "binary+flate",
+		"binary2":       "want json, binary",
+		"binary2+flate": "want json, binary",
+		"json+flate":    "binary family", // no payload tag to compress behind
 	} {
 		_, err := ParseCodecs(spec)
 		if err == nil {

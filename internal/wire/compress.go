@@ -1,11 +1,10 @@
 package wire
 
 // Negotiated per-frame compression, layered inside the binary codec
-// family at the payload region. A compressed codec ("binary2+flate")
-// writes the exact binary2 envelope header — frames still open with the
-// 0xAC magic, so the first-byte-sniff rule for the negotiation ack is
-// untouched and the dispatch-relevant fields (type, id, deadline, from)
-// stay readable without inflating anything. Only the payload region
+// family at the payload region. A compressed codec ("binary+flate")
+// writes the exact binary envelope header, so the dispatch-relevant
+// fields (type, id, deadline, from) stay readable without inflating
+// anything. Only the payload region
 // changes, behind the payload tag byte (the "flag"):
 //
 //	0x03 | algo byte | uvarint rawLen | compressed bytes
@@ -16,7 +15,7 @@ package wire
 // compression CPU — as do payloads that fail to shrink.
 //
 // The name travels through the same hello codec-preference list as every
-// other codec, so old peers silently land on an uncompressed codec; and
+// other codec, so a peer that does not offer it lands on plain binary; and
 // because ANY binary-family decoder understands tag 0x03, a decoded
 // compressed payload can be re-framed onto an uncompressed binary
 // connection without re-encoding. Corrupt or truncated compressed input
@@ -41,7 +40,7 @@ const compressMinSize = 512
 const algoFlate = 0x01
 
 // AlgoFlate is the stdlib DEFLATE algorithm, the only one currently
-// registered. The name appears in codec names ("binary2+flate") and in
+// registered. The name appears in codec names ("binary+flate") and in
 // ParseCodecs specs.
 const AlgoFlate = "flate"
 
@@ -54,8 +53,7 @@ func algoByte(algo string) (byte, bool) {
 
 // Compressed wraps a binary-family codec with negotiated per-frame
 // compression under the given algorithm ("flate"). The JSON codec cannot
-// be wrapped: it is the negotiation floor old peers rely on and must stay
-// byte-identical to the pre-codec protocol.
+// be wrapped: it has no payload tag to carry the compressed form.
 func Compressed(inner Codec, algo string) (Codec, error) {
 	if _, ok := algoByte(algo); !ok {
 		return nil, fmt.Errorf("wire: unknown compression algo %q (want %s)", algo, AlgoFlate)
@@ -140,7 +138,7 @@ func inflatePayload(b []byte) ([]byte, error) {
 	return out[:rawLen], nil
 }
 
-// splitCodecName splits "binary2+flate" into base and algo ("" when the
+// splitCodecName splits "binary+flate" into base and algo ("" when the
 // name carries none).
 func splitCodecName(name string) (base, algo string) {
 	if i := strings.IndexByte(name, '+'); i >= 0 {

@@ -12,10 +12,10 @@ import (
 	"time"
 )
 
-// compCodec builds the binary2+flate codec or fails the test.
+// compCodec builds the binary+flate codec or fails the test.
 func compCodec(t *testing.T) Codec {
 	t.Helper()
-	c, err := Compressed(Binary2, AlgoFlate)
+	c, err := Compressed(Binary, AlgoFlate)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func bigToken(n int) string {
 
 func TestCompressedConstruction(t *testing.T) {
 	c := compCodec(t)
-	if c.Name() != "binary2+flate" {
+	if c.Name() != "binary+flate" {
 		t.Errorf("name = %q", c.Name())
 	}
 	if _, err := Compressed(JSON, AlgoFlate); err == nil {
@@ -38,17 +38,17 @@ func TestCompressedConstruction(t *testing.T) {
 	if _, err := Compressed(c, AlgoFlate); err == nil {
 		t.Error("double wrapping should fail")
 	}
-	if _, err := Compressed(Binary2, "zstd"); err == nil {
+	if _, err := Compressed(Binary, "zstd"); err == nil {
 		t.Error("unknown algo should fail")
 	}
-	if _, err := CodecByName("binary2+flate"); err != nil {
+	if _, err := CodecByName("binary+flate"); err != nil {
 		t.Errorf("CodecByName: %v", err)
 	}
 }
 
 // TestCompressedRoundTripShrinks: a compressible payload above the
 // threshold round-trips exactly and costs fewer frame bytes than plain
-// binary2; the v2 envelope extensions survive.
+// binary; the envelope's From and Deadline survive.
 func TestCompressedRoundTripShrinks(t *testing.T) {
 	comp := compCodec(t)
 	env := &Envelope{
@@ -58,7 +58,7 @@ func TestCompressedRoundTripShrinks(t *testing.T) {
 		Deadline: 12345678,
 		Msg:      echoPayload{Token: bigToken(4096)},
 	}
-	plain, err := Binary2.AppendEnvelope(nil, env)
+	plain, err := Binary.AppendEnvelope(nil, env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,12 +86,12 @@ func TestCompressedRoundTripShrinks(t *testing.T) {
 }
 
 // TestCompressThreshold: payloads under compressMinSize (every control
-// frame) encode byte-identically to plain binary2 — zero compression CPU
+// frame) encode byte-identically to plain binary — zero compression CPU
 // and zero format drift for the small-frame hot path.
 func TestCompressThreshold(t *testing.T) {
 	comp := compCodec(t)
 	env := &Envelope{Type: TypePing, ID: 7, Msg: echoPayload{Token: "small"}}
-	plain, err := Binary2.AppendEnvelope(nil, env)
+	plain, err := Binary.AppendEnvelope(nil, env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestCompressThreshold(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(plain, got) {
-		t.Errorf("sub-threshold frame differs from plain binary2:\n%x\n%x", plain, got)
+		t.Errorf("sub-threshold frame differs from plain binary:\n%x\n%x", plain, got)
 	}
 }
 
@@ -143,18 +143,16 @@ func TestUncompressedPeerDecodesCompressedTag(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, dec := range []Codec{Binary, Binary2} {
-		got, err := dec.DecodeEnvelope(body)
-		if err != nil {
-			t.Fatalf("%s: %v", dec.Name(), err)
-		}
-		var p echoPayload
-		if err := dec.DecodePayload(got.Payload, &p); err != nil {
-			t.Fatalf("%s: %v", dec.Name(), err)
-		}
-		if p.Token != bigToken(2048) {
-			t.Errorf("%s: payload corrupted", dec.Name())
-		}
+	got, err := Binary.DecodeEnvelope(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var p echoPayload
+	if err := Binary.DecodePayload(got.Payload, &p); err != nil {
+		t.Fatal(err)
+	}
+	if p.Token != bigToken(2048) {
+		t.Error("payload corrupted")
 	}
 }
 
@@ -184,7 +182,7 @@ func TestCompressedTruncationAlwaysErrors(t *testing.T) {
 	_, payload := compressedBody(t)
 	for n := range payload {
 		var p echoPayload
-		if err := Binary2.DecodePayload(payload[:n], &p); err == nil {
+		if err := Binary.DecodePayload(payload[:n], &p); err == nil {
 			t.Fatalf("prefix of %d/%d bytes decoded", n, len(payload))
 		}
 	}
@@ -201,12 +199,12 @@ func TestCompressedCorruptionNeverPanics(t *testing.T) {
 		for k := 0; k < 1+rng.Intn(4); k++ {
 			corrupt[rng.Intn(len(corrupt))] ^= byte(1 + rng.Intn(255))
 		}
-		env, err := Binary2.DecodeEnvelope(corrupt)
+		env, err := Binary.DecodeEnvelope(corrupt)
 		if err != nil {
 			continue
 		}
 		var p echoPayload
-		_ = Binary2.DecodePayload(env.Payload, &p)
+		_ = Binary.DecodePayload(env.Payload, &p)
 	}
 }
 
@@ -224,24 +222,24 @@ func TestDecompressionBombRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	var p echoPayload
-	if err := Binary2.DecodePayload(mk(MaxFrame+1, inner), &p); err == nil {
+	if err := Binary.DecodePayload(mk(MaxFrame+1, inner), &p); err == nil {
 		t.Error("over-cap raw length accepted")
 	}
-	if err := Binary2.DecodePayload(mk(0, inner), &p); err == nil {
+	if err := Binary.DecodePayload(mk(0, inner), &p); err == nil {
 		t.Error("zero raw length accepted")
 	}
 	// Claimed length smaller than the real stream: over-length must fail.
-	if err := Binary2.DecodePayload(mk(3, inner), &p); err == nil {
+	if err := Binary.DecodePayload(mk(3, inner), &p); err == nil {
 		t.Error("over-length stream accepted")
 	}
 	// Claimed length larger than the real stream: under-length must fail.
-	if err := Binary2.DecodePayload(mk(100000, inner), &p); err == nil {
+	if err := Binary.DecodePayload(mk(100000, inner), &p); err == nil {
 		t.Error("under-length stream accepted")
 	}
 	// Unknown algo byte.
 	bad := mk(14, inner)
 	bad[1] = 0x7f
-	if err := Binary2.DecodePayload(bad, &p); err == nil {
+	if err := Binary.DecodePayload(bad, &p); err == nil {
 		t.Error("unknown algo byte accepted")
 	}
 	// Nested compression: a stream inflating to another 0x03 region.
@@ -250,16 +248,16 @@ func TestDecompressionBombRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	payload := mk(uint64(len(mk(14, inner))), nested)
-	if err := Binary2.DecodePayload(payload, &p); err == nil {
+	if err := Binary.DecodePayload(payload, &p); err == nil {
 		t.Error("nested compression accepted")
 	}
 }
 
-// TestCompressedInteropMixedFleet is the mixed-fleet acceptance sweep,
-// run with concurrent callers so -race covers the compression pools:
-// compressed peers negotiate flate only when both ends offer it, land on
-// plain binary2 against uncompressed peers, and fall to JSON against a
-// pre-codec server — large payloads flow correctly in every pairing.
+// TestCompressedInteropMixedFleet is the codec-pairing sweep, run with
+// concurrent callers so -race covers the compression pools: peers
+// negotiate flate only when both ends offer it, land on plain binary when
+// one end does not, and on JSON when one end offers nothing else — large
+// payloads flow correctly in every pairing.
 func TestCompressedInteropMixedFleet(t *testing.T) {
 	comp := compCodec(t)
 	cases := []struct {
@@ -268,13 +266,13 @@ func TestCompressedInteropMixedFleet(t *testing.T) {
 		client  ClientOptions
 		negName string
 	}{
-		{"both-compressed", ServeOptions{Window: 8, Codecs: []Codec{comp, Binary2, JSON}},
-			ClientOptions{Codecs: []Codec{comp, Binary2, JSON}}, "binary2+flate"},
-		{"old-server-new-client", ServeOptions{Window: 8, Codecs: []Codec{Binary2, Binary, JSON}},
-			ClientOptions{Codecs: []Codec{comp, Binary2, JSON}}, "binary2"},
-		{"new-server-old-client", ServeOptions{Window: 8, Codecs: []Codec{comp, Binary2, JSON}},
-			ClientOptions{Codecs: []Codec{Binary2, JSON}}, "binary2"},
-		{"pre-codec-server", ServeOptions{Window: 8, DisableNegotiation: true},
+		{"both-compressed", ServeOptions{Window: 8, Codecs: []Codec{comp, Binary, JSON}},
+			ClientOptions{Codecs: []Codec{comp, Binary, JSON}}, "binary+flate"},
+		{"binary-server-flate-client", ServeOptions{Window: 8, Codecs: []Codec{Binary, JSON}},
+			ClientOptions{Codecs: []Codec{comp, Binary, JSON}}, "binary"},
+		{"flate-server-binary-client", ServeOptions{Window: 8, Codecs: []Codec{comp, Binary, JSON}},
+			ClientOptions{Codecs: []Codec{Binary, JSON}}, "binary"},
+		{"json-server", ServeOptions{Window: 8, Codecs: []Codec{JSON}},
 			ClientOptions{Codecs: []Codec{comp, JSON}}, "json"},
 	}
 	for _, tc := range cases {
@@ -318,22 +316,9 @@ func TestCorruptCompressedFrameFailsOneMessage(t *testing.T) {
 	}
 	defer conn.Close()
 
-	// Handshake by hand: hello on the JSON floor, ack sniffed.
-	jf := NewFramer(JSON)
-	hello := &Envelope{Type: TypeHello, ID: 1, Msg: Hello{Codecs: []string{comp.Name()}}}
-	if err := jf.WriteFrame(conn, hello); err != nil {
-		t.Fatal(err)
-	}
-	ack, err := readFrameDetect(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chosen, _, err := resolveAck(ack, []Codec{comp, JSON})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if chosen.Name() != comp.Name() {
-		t.Fatalf("negotiated %q", chosen.Name())
+	framer := handshake(t, conn, comp, JSON)
+	if framer.Codec().Name() != comp.Name() {
+		t.Fatalf("negotiated %q", framer.Codec().Name())
 	}
 
 	// A valid compressed frame, truncated inside the flate stream: the
@@ -348,7 +333,6 @@ func TestCorruptCompressedFrameFailsOneMessage(t *testing.T) {
 	if _, err := conn.Write(append(prefix[:], body...)); err != nil {
 		t.Fatal(err)
 	}
-	framer := NewFramer(comp)
 	reply, err := framer.ReadFrame(conn)
 	if err != nil {
 		t.Fatalf("connection died on a corrupt payload: %v", err)

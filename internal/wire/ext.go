@@ -4,12 +4,11 @@ package wire
 // pm-* family) can opt out of the JSON fallback inside binary frames by
 // implementing ExtPayload — a hand-rolled field codec using the same
 // length-prefixed primitives as the built-in fast paths. Such payloads
-// travel under their own tag byte (0x02), so a peer that predates the
-// type fails to decode that one message (an error reply; the connection
-// survives) — the same one-message blast radius as any payload decode
-// failure, and private extensions are only ever spoken between
-// like-versioned stage processes anyway. JSON connections are
-// unaffected: the JSON codec marshals the struct as always.
+// travel under their own tag byte (0x02), so a peer without a decoder for
+// the type fails to decode that one message (an error reply; the
+// connection survives) — the same one-message blast radius as any payload
+// decode failure. JSON connections are unaffected: the JSON codec
+// marshals the struct as always.
 
 import (
 	"encoding/binary"

@@ -45,12 +45,12 @@ func (l Lane) String() string {
 	return "bulk"
 }
 
-// LaneOf is the default classifier: control frames (ping, renew, release,
-// negotiation) above lease traffic (spawn-pool, the stage protocol's pm-*
+// LaneOf is the default classifier: control frames (ping, renew, release)
+// above lease traffic (spawn-pool, the stage protocol's pm-*
 // messages) above bulk (query and everything else).
 func LaneOf(typ string) Lane {
 	switch typ {
-	case TypePing, TypeRenew, TypeRelease, TypeHello, TypeHelloAck:
+	case TypePing, TypeRenew, TypeRelease:
 		return LaneControl
 	case TypeSpawnPool:
 		return LaneLease

@@ -25,10 +25,6 @@ type ServeOptions struct {
 	// Codecs is the negotiation preference, best first (nil means
 	// DefaultCodecs). Offering only JSON pins every connection to JSON.
 	Codecs []Codec
-	// DisableNegotiation serves plain JSON and dispatches hellos to the
-	// handler like any other request — exactly how a pre-codec server
-	// behaves. Tests use it to prove new clients fall back cleanly.
-	DisableNegotiation bool
 	// Overload enables the overload-control dispatch path: decoded
 	// requests route through priority lanes (control > lease > bulk)
 	// with admission and deadline-aware shedding instead of the single
@@ -40,7 +36,7 @@ type ServeOptions struct {
 	// own goroutine, which pushes frames through the connection's writer
 	// until the peer cancels or the connection tears down. Nil serves no
 	// streams; unknown types still reach the regular handler (which
-	// answers with an error reply — the floor old peers rely on).
+	// answers with an error reply).
 	Streams map[string]StreamHandler
 	// Stats, when set, accounts every frame this connection reads and
 	// writes (bytes, frames, compressed-vs-raw) under its codec's name.
@@ -56,14 +52,6 @@ func ServeConn(conn net.Conn, window int, handle Handler) error {
 	return ServeConnOpts(conn, ServeOptions{Window: window}, handle)
 }
 
-// outbound is one frame queued for the writer. switchTo, when set, is the
-// negotiated codec: the writer switches to it before encoding this frame
-// (the hello-ack itself travels in the chosen codec).
-type outbound struct {
-	env      *Envelope
-	switchTo Codec
-}
-
 // workItem is one request handed to a worker; lane is meaningful only on
 // the overload path (goodput accounting).
 type workItem struct {
@@ -77,9 +65,10 @@ type workItem struct {
 // (the envelope id correlates them) and a slow request never blocks
 // service of the requests queued behind it.
 //
-// If the first frame is a hello, the server answers with the best mutual
-// codec and both directions switch to it; any other first frame leaves the
-// connection on JSON, which is how pre-codec clients keep working.
+// The first frame must be a hello at Protocol or above: the server answers
+// with the best mutual codec and both directions switch to it. Any other
+// first frame is refused with one JSON error reply, after which
+// ServeConnOpts closes conn and returns an error wrapping ErrRefused.
 //
 // Backpressure is structural: when all workers are busy the reader blocks
 // handing off the next frame, so at most `window` requests execute
@@ -89,8 +78,8 @@ type workItem struct {
 //
 // ServeConnOpts returns when the connection fails or the peer closes it,
 // after all in-flight handlers finish; the returned error is the terminal
-// read or write failure (io.EOF for a clean peer close). It does not close
-// conn; the caller owns its lifecycle.
+// read or write failure (io.EOF for a clean peer close). Except on a
+// refusal it does not close conn; the caller owns its lifecycle.
 //
 // With Overload set, the reader feeds per-lane queues instead of the
 // FIFO: a dispatcher goroutine pops them strict-control-first (then
@@ -110,12 +99,22 @@ func ServeConnOpts(conn net.Conn, opts ServeOptions, handle Handler) error {
 	if codecs == nil {
 		codecs = DefaultCodecs()
 	}
+	// The handshake runs before any goroutine starts, so the ack is
+	// necessarily the first frame the server writes.
+	chosen, first, err := acceptHello(conn, codecs, opts.Stats)
+	if err != nil {
+		if errors.Is(err, ErrRefused) {
+			_ = conn.Close()
+		}
+		return err
+	}
+	framer := NewFramerStats(chosen, opts.Stats)
 	work := make(chan workItem)
-	replies := make(chan outbound, window)
+	replies := make(chan *Envelope, window)
 	var lanes *Lanes
 	if opts.Overload != nil {
 		lanes = NewLanes(opts.Overload, func(env *Envelope, _ any, busy *BusyReply) {
-			replies <- outbound{env: BusyEnvelope(env.ID, busy)}
+			replies <- BusyEnvelope(env.ID, busy)
 		})
 	}
 	var workers sync.WaitGroup
@@ -124,7 +123,7 @@ func ServeConnOpts(conn net.Conn, opts ServeOptions, handle Handler) error {
 		defer workers.Done()
 		for item := range work {
 			if reply := handle(item.env); reply != nil {
-				replies <- outbound{env: reply}
+				replies <- reply
 			}
 			if lanes != nil {
 				lanes.Done(item.lane)
@@ -171,7 +170,7 @@ func ServeConnOpts(conn net.Conn, opts ServeOptions, handle Handler) error {
 			return false
 		}
 		if !streams.start(env, h, replies) {
-			replies <- outbound{env: ErrorEnvelope(env.ID, errors.New("wire: duplicate stream id"))}
+			replies <- ErrorEnvelope(env.ID, errors.New("wire: duplicate stream id"))
 		}
 		return true
 	}
@@ -196,17 +195,13 @@ func ServeConnOpts(conn net.Conn, opts ServeOptions, handle Handler) error {
 	var writeErr error
 	go func() {
 		defer close(writerDone)
-		framer := NewFramerStats(JSON, opts.Stats)
-		for out := range replies {
-			if out.switchTo != nil {
-				framer = NewFramerStats(out.switchTo, opts.Stats)
-			}
-			err := framer.WriteFrame(conn, out.env)
-			if err != nil && preWire(err) && out.env.Type != TypeError {
+		for env := range replies {
+			err := framer.WriteFrame(conn, env)
+			if err != nil && preWire(err) && env.Type != TypeError {
 				// The reply failed to encode before any byte hit the wire:
 				// the connection is healthy, so degrade to an error reply
 				// for the same id instead of losing the correlation.
-				err = framer.WriteFrame(conn, ErrorEnvelope(out.env.ID, err))
+				err = framer.WriteFrame(conn, ErrorEnvelope(env.ID, err))
 			}
 			if err != nil && !preWire(err) {
 				// The write side failed: close the connection so the
@@ -220,39 +215,17 @@ func ServeConnOpts(conn net.Conn, opts ServeOptions, handle Handler) error {
 			}
 		}
 	}()
+	if first != nil {
+		// The piggybacked first request dispatches like any other frame;
+		// its reply (in the chosen codec) follows the ack.
+		enqueue(&Envelope{Type: first.Type, ID: first.ID, Payload: first.Payload, codec: JSON})
+	}
 	var readErr error
-	framer := NewFramerStats(JSON, opts.Stats)
-	first := true
 	for {
 		env, err := framer.ReadFrame(conn)
 		if err != nil {
 			readErr = err // peer went away or sent garbage
 			break
-		}
-		if first {
-			first = false
-			if !opts.DisableNegotiation && env.Type == TypeHello {
-				chosen := JSON
-				var h Hello
-				if env.Decode(&h) == nil {
-					chosen = pickCodec(codecs, h.Codecs)
-				}
-				// The ack is queued before any request is dispatched, so it
-				// is necessarily the first frame the writer sends.
-				hasFirst := h.First != nil && h.First.Type != ""
-				ack := &Envelope{Type: TypeHelloAck, ID: env.ID, Msg: HelloAck{Codec: chosen.Name(), First: hasFirst}}
-				replies <- outbound{env: ack, switchTo: chosen}
-				framer = NewFramerStats(chosen, opts.Stats)
-				if hasFirst {
-					// The piggybacked first request dispatches like any
-					// other frame; its reply (in the chosen codec) follows
-					// the ack through the writer.
-					piggy := &Envelope{Type: h.First.Type, ID: h.First.ID, Payload: h.First.Payload}
-					piggy.codec = JSON
-					enqueue(piggy)
-				}
-				continue
-			}
 		}
 		if handleStream(env) {
 			continue

@@ -85,6 +85,7 @@ func TestServeConnInterleavesReplies(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
+	framer := handshake(t, conn)
 
 	slow, err := NewEnvelope("echo", 1, echoPayload{Token: "slow", Sleep: 300})
 	if err != nil {
@@ -94,20 +95,20 @@ func TestServeConnInterleavesReplies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteFrame(conn, slow); err != nil {
+	if err := framer.WriteFrame(conn, slow); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteFrame(conn, fast); err != nil {
+	if err := framer.WriteFrame(conn, fast); err != nil {
 		t.Fatal(err)
 	}
-	first, err := ReadFrame(conn)
+	first, err := framer.ReadFrame(conn)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if first.ID != 2 {
 		t.Errorf("first reply id = %d, want 2 (fast request must overtake the slow one)", first.ID)
 	}
-	second, err := ReadFrame(conn)
+	second, err := framer.ReadFrame(conn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,18 +157,19 @@ func TestServeConnWindowBoundsConcurrency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	framer := handshake(t, conn)
 	const n = 20
 	go func() {
 		for i := 1; i <= n; i++ {
 			env, _ := NewEnvelope("echo", uint64(i), echoPayload{Token: "x"})
-			if err := WriteFrame(conn, env); err != nil {
+			if err := framer.WriteFrame(conn, env); err != nil {
 				return
 			}
 		}
 	}()
 	seen := map[uint64]bool{}
 	for i := 0; i < n; i++ {
-		reply, err := ReadFrame(conn)
+		reply, err := framer.ReadFrame(conn)
 		if err != nil {
 			t.Fatal(err)
 		}

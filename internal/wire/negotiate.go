@@ -2,25 +2,36 @@ package wire
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
+
+	"actyp/internal/metrics"
 )
 
-// Codec negotiation is one round trip, spent once per connection:
+// The handshake is one round trip, spent once per connection, and it
+// travels in JSON both ways:
 //
-//	client                                server
-//	  | -- hello {codecs: [binary,json]} -->|   (always JSON)
-//	  |<-- hello-ack {codec: binary} ------ |   (encoded in the chosen codec)
+//	client                                          server
+//	  | -- hello {proto: 1, codecs: [binary,json]} -->|
+//	  |<-- hello-ack {proto: 1, codec: binary} ------ |
 //	  | ==== all further frames in the chosen codec ====
 //
 // The server picks the first codec of its own preference list the client
-// also offered, falling back to JSON. Either side that does not negotiate
-// keeps the whole connection on JSON: an old client's first frame is a
-// regular request (the server serves it and stays on JSON), and an old
-// server answers the hello with an unknown-type error envelope (the client
-// reads it as "no negotiation here" and stays on JSON). Mixed-version
-// fleets therefore interoperate, at worst on the JSON floor.
+// also offered, falling back to JSON. Each side refuses a peer below
+// Protocol: the server answers a bad first frame with one error reply and
+// closes the connection, and the client fails its dial with ErrRefused.
+
+// ErrRefused wraps a handshake that one side refused: the peer sent no
+// hello (or no hello-ack), sent one that does not decode, or speaks a
+// protocol below Protocol. Redialing the same peer cannot help, so a
+// refusal is not Retryable.
+var ErrRefused = errors.New("wire: protocol refused")
+
+func refused(format string, args ...any) error {
+	return fmt.Errorf("%w: "+format, append([]any{ErrRefused}, args...)...)
+}
 
 // pickCodec returns the first of the server's preference list the client
 // also offers, falling back to JSON (always implicitly supported).
@@ -35,88 +46,110 @@ func pickCodec(server []Codec, client []string) Codec {
 	return JSON
 }
 
-// readFrameDetect reads one frame and decodes it by sniffing the codec
-// from the body's first byte: binary bodies open with a magic byte no JSON
-// document can start with. Only the handshake needs this — after it, each
-// side knows its connection's codec.
-func readFrameDetect(r io.Reader) (*Envelope, error) {
+// readHandshake reads one handshake frame. A frame that arrives but is not
+// a JSON envelope is a refusal, not a transport failure.
+func readHandshake(r io.Reader, f *Framer) (*Envelope, error) {
 	bp, body, err := readFrameBody(r)
 	if err != nil {
 		return nil, err
 	}
 	defer putReadBuf(bp)
-	codec := JSON
-	if body[0] == binMagic {
-		codec = Binary
-	}
-	env, err := codec.DecodeEnvelope(body)
+	env, err := f.decode(body)
 	if err != nil {
-		return nil, fmt.Errorf("wire: %w", err)
+		return nil, refused("handshake frame is not JSON: %v", err)
 	}
 	return env, nil
 }
 
-// negotiateClient advertises codecs on a fresh connection and returns the
-// codec the server picked. A server that predates negotiation answers the
-// hello with an error envelope; that downgrades the connection to JSON
-// rather than failing it.
-func negotiateClient(conn net.Conn, codecs []Codec) (Codec, error) {
-	hello := &Envelope{Type: TypeHello, Msg: Hello{Codecs: codecNames(codecs)}}
+// acceptHello runs the server's side of the handshake: it reads the first
+// frame, checks that it is a hello at Protocol or above, and answers with
+// the ack for the codec it picks from codecs. A refusal is answered with
+// one JSON error reply and returned wrapped in ErrRefused.
+func acceptHello(conn net.Conn, codecs []Codec, stats *metrics.WireStats) (Codec, *HelloFirst, error) {
+	framer := NewFramerStats(JSON, stats)
+	env, err := readHandshake(conn, framer)
+	var id uint64
+	var h Hello
+	switch {
+	case errors.Is(err, ErrRefused):
+		err = refused("first frame is not a JSON hello; server requires protocol %d", Protocol)
+	case err != nil:
+		return nil, nil, err
+	case env.Type != TypeHello:
+		id = env.ID
+		err = refused("first frame is %q, not a hello: peer speaks protocol 0, server requires %d", env.Type, Protocol)
+	default:
+		id = env.ID
+		if derr := env.Decode(&h); derr != nil {
+			err = refused("bad hello (server requires protocol %d): %v", Protocol, derr)
+		} else if h.Proto < Protocol {
+			err = refused("peer speaks protocol %d, server requires %d", h.Proto, Protocol)
+		}
+	}
+	if err != nil {
+		_ = framer.WriteFrame(conn, ErrorEnvelope(id, err)) // best effort: the connection closes either way
+		return nil, nil, err
+	}
+	chosen := pickCodec(codecs, h.Codecs)
+	ack := &Envelope{Type: TypeHelloAck, ID: env.ID, Msg: HelloAck{Proto: Protocol, Codec: chosen.Name()}}
+	if err := framer.WriteFrame(conn, ack); err != nil {
+		return nil, nil, err
+	}
+	if h.First == nil || h.First.Type == "" {
+		return chosen, nil, nil
+	}
+	return chosen, h.First, nil
+}
+
+// negotiateClient runs the client's side of the handshake on a fresh
+// connection, optionally piggybacking first, and returns the codec the
+// server picked.
+func negotiateClient(conn net.Conn, codecs []Codec, first *HelloFirst) (Codec, error) {
+	hello := &Envelope{Type: TypeHello, Msg: Hello{Proto: Protocol, Codecs: codecNames(codecs), First: first}}
 	if err := jsonFramer.WriteFrame(conn, hello); err != nil {
 		return nil, err
 	}
-	reply, err := readFrameDetect(conn)
+	server := conn.RemoteAddr()
+	reply, err := readHandshake(conn, jsonFramer)
 	if err != nil {
+		if errors.Is(err, ErrRefused) {
+			return nil, fmt.Errorf("server %s, protocol %d: %w", server, Protocol, err)
+		}
 		return nil, err
 	}
 	if reply.Type != TypeHelloAck {
-		return JSON, nil // old server: the hello bounced as an app-level reply
+		detail := fmt.Sprintf("a %q frame", reply.Type)
+		var e ErrorReply
+		if reply.Type == TypeError && reply.Decode(&e) == nil {
+			detail = fmt.Sprintf("an error: %s", e.Message)
+		}
+		return nil, refused("server %s answered the protocol %d hello with %s", server, Protocol, detail)
 	}
-	// From here the server HAS negotiated and already switched its side to
-	// the acked codec — silently "falling back" to JSON would desync the
-	// two ends, so a bad ack fails the connection instead.
-	chosen, _, err := resolveAck(reply, codecs)
-	return chosen, err
-}
-
-// resolveAck decodes a hello-ack and maps the server's pick back to one
-// of the offered codecs. Shared by the normal handshake and the
-// piggybacked one-shot path so negotiation semantics cannot fork.
-func resolveAck(reply *Envelope, codecs []Codec) (Codec, HelloAck, error) {
 	var ack HelloAck
 	if err := reply.Decode(&ack); err != nil {
-		return nil, ack, fmt.Errorf("bad hello-ack: %w", err)
+		return nil, refused("server %s sent a bad hello-ack (protocol %d): %v", server, Protocol, err)
+	}
+	if ack.Proto < Protocol {
+		return nil, refused("server %s speaks protocol %d, client requires %d", server, ack.Proto, Protocol)
 	}
 	for _, c := range codecs {
 		if c.Name() == ack.Codec {
-			return c, ack, nil
+			return c, nil
 		}
 	}
-	return nil, ack, fmt.Errorf("server picked codec %q, which was not offered", ack.Codec)
+	return nil, fmt.Errorf("server %s picked codec %q, which was not offered", server, ack.Codec)
 }
 
 // CallPiggyback performs a one-shot exchange on a fresh connection: the
 // hello advertises codecs AND carries the first request, so the exchange
 // costs a single round trip — the reply, in the negotiated codec, arrives
 // right behind the hello-ack. This is the path for rare throwaway
-// connections (proxy pool spawns) that previously had to choose between
-// negotiating (an extra round trip) and pinning themselves to the JSON
-// floor.
-//
-// Against a server that does not negotiate (a pre-codec build), the hello
-// bounces as an application-level reply and the embedded request was
-// never seen, so the call transparently re-sends it as a plain JSON frame
-// on the same connection — one extra round trip, exactly the old
-// behaviour. Failures the server reports come back as *RemoteError; the
-// caller owns the connection's lifecycle.
+// connections (proxy pool spawns) that would otherwise pay a round trip
+// for the handshake alone. Failures the server reports come back as
+// *RemoteError; the caller owns the connection's lifecycle.
 func CallPiggyback(conn net.Conn, codecs []Codec, req *Envelope) (*Envelope, error) {
 	if codecs == nil {
 		codecs = DefaultCodecs()
-	}
-	if req.ID == 0 {
-		// The hello itself travels with id 0; the request needs its own id
-		// so the fallback path can tell their replies apart.
-		req.ID = 1
 	}
 	first := &HelloFirst{Type: req.Type, ID: req.ID, Payload: json.RawMessage(req.Payload)}
 	if len(first.Payload) == 0 && req.Msg != nil {
@@ -126,59 +159,16 @@ func CallPiggyback(conn net.Conn, codecs []Codec, req *Envelope) (*Envelope, err
 		}
 		first.Payload = raw
 	}
-	hello := &Envelope{Type: TypeHello, Msg: Hello{Codecs: codecNames(codecs), First: first}}
-	if err := jsonFramer.WriteFrame(conn, hello); err != nil {
-		return nil, err
-	}
-	reply, err := readFrameDetect(conn)
+	chosen, err := negotiateClient(conn, codecs, first)
 	if err != nil {
 		return nil, err
 	}
-	if reply.Type != TypeHelloAck {
-		// Old server: the hello bounced (usually as an error envelope for
-		// the hello's own id) and the piggybacked request was never
-		// dispatched. Fall back to the JSON floor on the same connection.
-		if reply.ID == req.ID {
-			return finishPiggyback(reply)
-		}
-		if err := jsonFramer.WriteFrame(conn, req); err != nil {
-			return nil, err
-		}
-		return awaitPiggyback(jsonFramer, conn, req.ID)
-	}
-	chosen, ack, err := resolveAck(reply, codecs)
+	// The piggybacked request is the only one in flight, so its reply is
+	// the next frame.
+	reply, err := NewFramer(chosen).ReadFrame(conn)
 	if err != nil {
 		return nil, err
 	}
-	f := NewFramer(chosen)
-	if !ack.First {
-		// The server negotiates but predates Hello.First: its decoder
-		// dropped the embedded request without a trace, so waiting for its
-		// reply would hang forever. Re-send as an ordinary frame in the
-		// codec just negotiated.
-		if err := f.WriteFrame(conn, req); err != nil {
-			return nil, err
-		}
-	}
-	return awaitPiggyback(f, conn, req.ID)
-}
-
-// awaitPiggyback reads frames until the one correlated to the piggybacked
-// request arrives.
-func awaitPiggyback(f *Framer, conn net.Conn, id uint64) (*Envelope, error) {
-	for {
-		reply, err := f.ReadFrame(conn)
-		if err != nil {
-			return nil, err
-		}
-		if reply.ID != id {
-			continue // e.g. the old server's error bounce for the hello
-		}
-		return finishPiggyback(reply)
-	}
-}
-
-func finishPiggyback(reply *Envelope) (*Envelope, error) {
 	if reply.Type == TypeError {
 		var e ErrorReply
 		if err := reply.Decode(&e); err != nil {

@@ -1,10 +1,14 @@
 package wire
 
 import (
+	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"os"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -14,10 +18,11 @@ import (
 // for a whole test run, so CI can run the entire wire suite once per
 // codec:
 //
+//	go test -race ./internal/wire -wire-default-codec=binary+flate
 //	go test -race ./internal/wire -wire-default-codec=binary
 //	go test -race ./internal/wire -wire-default-codec=json
 var defaultCodecFlag = flag.String("wire-default-codec", "",
-	"force the default codec preference for this test run: json, binary, binary2, or binary2+flate")
+	"force the default codec preference for this test run: json, binary, or binary+flate")
 
 func TestMain(m *testing.M) {
 	flag.Parse()
@@ -27,15 +32,13 @@ func TestMain(m *testing.M) {
 		defaultCodecs = []Codec{JSON}
 	case "binary":
 		defaultCodecs = []Codec{Binary, JSON}
-	case "binary2":
-		defaultCodecs = []Codec{Binary2, Binary, JSON}
-	case "binary2+flate":
-		comp, err := Compressed(Binary2, AlgoFlate)
+	case "binary+flate":
+		comp, err := Compressed(Binary, AlgoFlate)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "building binary2+flate: %v\n", err)
+			fmt.Fprintf(os.Stderr, "building binary+flate: %v\n", err)
 			os.Exit(2)
 		}
-		defaultCodecs = []Codec{comp, Binary2, Binary, JSON}
+		defaultCodecs = []Codec{comp, Binary, JSON}
 	default:
 		fmt.Fprintf(os.Stderr, "unknown -wire-default-codec %q\n", *defaultCodecFlag)
 		os.Exit(2)
@@ -91,6 +94,21 @@ func startEchoServerOpts(t *testing.T, opts ServeOptions) (addr string, stop fun
 		mu.Unlock()
 		wg.Wait()
 	}
+}
+
+// handshake runs the client's side of the handshake on a raw connection,
+// offering codecs (the default preference when none are given), and
+// returns a framer for the codec the server picked.
+func handshake(t *testing.T, conn net.Conn, codecs ...Codec) *Framer {
+	t.Helper()
+	if len(codecs) == 0 {
+		codecs = DefaultCodecs()
+	}
+	chosen, err := negotiateClient(conn, codecs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return NewFramer(chosen)
 }
 
 // echoDialer builds a client dial function for an echo server address.
@@ -153,63 +171,120 @@ func TestNegotiateJSONOnlyClient(t *testing.T) {
 	}
 }
 
-// TestFallbackOldServer is the mixed-fleet acceptance case: a negotiating
-// client against a server that predates codecs (simulated by disabling
-// negotiation, so the hello bounces as an unknown-type error). The client
-// must settle on JSON and every concurrent call must still correlate —
-// this runs under -race in CI.
-func TestFallbackOldServer(t *testing.T) {
-	addr, stop := startEchoServerOpts(t, ServeOptions{Window: 8, DisableNegotiation: true})
-	defer stop()
-	c := NewClientOpts(echoDialer(addr), ClientOptions{Timeout: 5 * time.Second, Codecs: []Codec{Binary, JSON}})
-	defer c.Close()
-
-	checkEcho(t, c, "fallback-first")
-	if got := c.CodecName(); got != "json" {
-		t.Fatalf("negotiated %q against an old server, want json", got)
+// TestHandshakeRefusesBelowProtocol: every peer below Protocol is
+// refused with an error that says so. Server-side refusals answer one JSON
+// error reply and close the connection; client-side refusals fail Connect
+// with a non-retryable error naming the server and the protocol.
+func TestHandshakeRefusesBelowProtocol(t *testing.T) {
+	// toServer runs send as a raw client against a real server and
+	// returns the error reply the server answered with.
+	toServer := func(send func(conn net.Conn) error) func(t *testing.T) (net.Conn, error) {
+		return func(t *testing.T) (net.Conn, error) {
+			addr, stop := startEchoServerOpts(t, ServeOptions{Window: 2})
+			t.Cleanup(stop)
+			conn := dialEcho(t, addr)
+			if err := send(conn); err != nil {
+				t.Fatal(err)
+			}
+			reply, err := jsonFramer.ReadFrame(conn)
+			if err != nil {
+				t.Fatalf("no error reply before the close: %v", err)
+			}
+			var e ErrorReply
+			if reply.Type != TypeError || reply.Decode(&e) != nil {
+				t.Fatalf("server answered %s, want an error reply", reply.Type)
+			}
+			return conn, errors.New(e.Message)
+		}
 	}
-	const callers, calls = 8, 20
-	var wg sync.WaitGroup
-	for g := 0; g < callers; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < calls; i++ {
-				token := fmt.Sprintf("old-server-%d-%d", g, i)
-				reply, err := c.Call("echo", echoPayload{Token: token})
+	// fromServer runs a real client against a fake server that answers
+	// the hello with answer, and returns the client's Connect error.
+	fromServer := func(answer *Envelope) func(t *testing.T) (net.Conn, error) {
+		return func(t *testing.T) (net.Conn, error) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			served := make(chan error, 1)
+			go func() {
+				conn, err := ln.Accept()
 				if err != nil {
-					t.Errorf("%s: %v", token, err)
+					served <- err
 					return
 				}
-				var p echoPayload
-				if err := reply.Decode(&p); err != nil {
-					t.Errorf("%s: %v", token, err)
+				defer conn.Close()
+				if _, err := jsonFramer.ReadFrame(conn); err != nil {
+					served <- err
 					return
 				}
-				if p.Token != token {
-					t.Errorf("got %q, want %q", p.Token, token)
-					return
+				served <- jsonFramer.WriteFrame(conn, answer)
+			}()
+			c := NewClientOpts(echoDialer(ln.Addr().String()), ClientOptions{Timeout: 5 * time.Second})
+			defer c.Close()
+			err = c.Connect()
+			if serr := <-served; serr != nil {
+				t.Fatal(serr)
+			}
+			if !errors.Is(err, ErrRefused) || Retryable(err) {
+				t.Errorf("Connect err = %v, want a non-retryable ErrRefused", err)
+			}
+			if err != nil && !strings.Contains(err.Error(), ln.Addr().String()) {
+				t.Errorf("Connect err %q does not name the server", err)
+			}
+			return nil, err
+		}
+	}
+	cases := []struct {
+		name string
+		// run provokes the refusal and returns its error, plus the raw
+		// connection when the server refused (nil when the client did).
+		run  func(t *testing.T) (net.Conn, error)
+		want []string
+	}{
+		{"hello-less first frame", toServer(func(conn net.Conn) error {
+			return jsonFramer.WriteFrame(conn, &Envelope{Type: "echo", ID: 1, Msg: echoPayload{Token: "x"}})
+		}), []string{"not a hello", "protocol 0", "requires 1"}},
+		{"undecodable hello", toServer(func(conn net.Conn) error {
+			return jsonFramer.WriteFrame(conn, &Envelope{Type: TypeHello, Payload: json.RawMessage(`"x"`)})
+		}), []string{"bad hello", "protocol 1"}},
+		{"hello at protocol 0", toServer(func(conn net.Conn) error {
+			return jsonFramer.WriteFrame(conn, &Envelope{Type: TypeHello, Msg: Hello{Codecs: []string{"binary"}}})
+		}), []string{"protocol 0", "requires 1"}},
+		{"server bounces the hello", fromServer(ErrorEnvelope(0, errors.New(`core: unknown message type "hello"`))),
+			[]string{"protocol 1", "unknown message type"}},
+		{"ack at protocol 0", fromServer(&Envelope{Type: TypeHelloAck, Msg: HelloAck{Codec: "binary"}}),
+			[]string{"protocol 0", "requires 1"}},
+		{"version 0x01 body", func(t *testing.T) (net.Conn, error) {
+			addr, stop := startEchoServerOpts(t, ServeOptions{Window: 2, Codecs: []Codec{Binary}})
+			t.Cleanup(stop)
+			conn := dialEcho(t, addr)
+			handshake(t, conn, Binary)
+			v1 := []byte{binMagic, 0x01, 4, 1} // a ping, id 1, without the flags byte
+			if _, err := conn.Write(append([]byte{0, 0, 0, byte(len(v1))}, v1...)); err != nil {
+				t.Fatal(err)
+			}
+			_, err := Binary.DecodeEnvelope(v1)
+			return conn, err
+		}, []string{"version 0x01"}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			conn, err := tc.run(t)
+			if err == nil {
+				t.Fatal("no refusal")
+			}
+			for _, w := range tc.want {
+				if !strings.Contains(err.Error(), w) {
+					t.Errorf("error %q does not say %q", err, w)
 				}
 			}
-		}(g)
-	}
-	wg.Wait()
-}
-
-// TestFallbackOldClient is the converse: a client that predates codecs
-// (no hello, plain JSON) against a negotiating server. Its first frame is
-// a regular request, which must be served, leaving the connection on
-// JSON.
-func TestFallbackOldClient(t *testing.T) {
-	addr, stop := startEchoServerOpts(t, ServeOptions{Window: 4, Codecs: []Codec{Binary, JSON}})
-	defer stop()
-	c := NewClientOpts(echoDialer(addr), ClientOptions{Timeout: 5 * time.Second, DisableNegotiation: true})
-	defer c.Close()
-	for i := 0; i < 5; i++ {
-		checkEcho(t, c, fmt.Sprintf("old-client-%d", i))
-	}
-	if got := c.CodecName(); got != "json" {
-		t.Errorf("old client speaks %q, want json", got)
+			if conn != nil {
+				if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
+					t.Errorf("server left the connection open: read err = %v", err)
+				}
+			}
+		})
 	}
 }
 
@@ -266,7 +341,7 @@ func TestNegotiationSurvivesReconnect(t *testing.T) {
 // rejection precedes the wire, so sibling calls and the connection
 // survive.
 func TestOversizedCallIsolationPerCodec(t *testing.T) {
-	for _, name := range []string{"json", "binary", "binary2"} {
+	for _, name := range []string{"json", "binary"} {
 		t.Run(name, func(t *testing.T) {
 			codec, err := CodecByName(name)
 			if err != nil {

@@ -183,7 +183,7 @@ func TestExpiredDeadlineIsShed(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	framer := NewFramer(JSON) // first frame is not a hello, so the connection stays on JSON
+	framer := handshake(t, conn)
 	env := &Envelope{Type: "echo", ID: 7, Msg: echoPayload{Token: "late"}}
 	env.SetDeadline(time.Now().Add(-time.Second))
 	if err := framer.WriteFrame(conn, env); err != nil {
@@ -260,66 +260,6 @@ func TestBusySemantics(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed < retryAfter {
 		t.Errorf("idempotent retry came back in %v, before the %v retry-after hint", elapsed, retryAfter)
-	}
-}
-
-// TestOverloadOldPeerInterop pins the compatibility story: a client
-// pinned to the v1 binary codec (which carries no From or Deadline)
-// works against an overloaded server — its deadlines simply do not
-// propagate — and still decodes Busy replies; and a client preferring
-// binary2 degrades to plain binary against a server that does not offer
-// it.
-func TestOverloadOldPeerInterop(t *testing.T) {
-	var rejectAll atomic.Bool
-	admit := func(env *Envelope) (bool, time.Duration) {
-		if env.Deadline != 0 {
-			t.Errorf("deadline %d leaked through the v1 binary codec", env.Deadline)
-		}
-		if rejectAll.Load() {
-			return false, 20 * time.Millisecond
-		}
-		return true, 0
-	}
-	// Pin the server's codec offer: this test is about cross-version
-	// negotiation, so it must not inherit the -wire-default-codec
-	// suite override (a json-only server would never land on binary).
-	addr, stop := startOverloadServerOpts(t, ServeOptions{
-		Window:   2,
-		Overload: &OverloadPolicy{Admit: admit},
-		Codecs:   []Codec{Binary2, Binary, JSON},
-	})
-	defer stop()
-
-	old := NewClientOpts(echoDialer(addr), ClientOptions{
-		Timeout: 2 * time.Second,
-		Codecs:  []Codec{Binary, JSON},
-		From:    "dropped-on-the-floor",
-	})
-	defer old.Close()
-	checkEcho(t, old, "old-codec-under-overload")
-	if got := old.CodecName(); got != "binary" {
-		t.Fatalf("negotiated %q, want binary", got)
-	}
-	rejectAll.Store(true)
-	_, err := old.Call("echo", echoPayload{Token: "shed-old"})
-	var busy *BusyError
-	if !errors.As(err, &busy) {
-		t.Fatalf("old-codec client err = %v, want *BusyError", err)
-	}
-	rejectAll.Store(false)
-
-	// New client, old server: binary2 is not offered, so negotiation
-	// lands on plain binary and traffic flows.
-	oldAddr, oldStop := startEchoServerOpts(t, ServeOptions{Window: 2, Codecs: []Codec{Binary, JSON}})
-	defer oldStop()
-	fresh := NewClientOpts(echoDialer(oldAddr), ClientOptions{
-		Timeout: 2 * time.Second,
-		Codecs:  []Codec{Binary2, Binary, JSON},
-	})
-	defer fresh.Close()
-	checkEcho(t, fresh, "new-client-old-server")
-	if got := fresh.CodecName(); got != "binary" {
-		t.Fatalf("negotiated %q, want binary fallback", got)
 	}
 }
 

@@ -56,61 +56,6 @@ func TestPiggybackJSONOnlyServer(t *testing.T) {
 	piggyEcho(t, dialEcho(t, addr), []Codec{Binary, JSON}, "piggy-floor")
 }
 
-// TestPiggybackOldServerFallback: a pre-negotiation server bounces the
-// hello without ever seeing the embedded request; the call must resend it
-// on the JSON floor and still succeed.
-func TestPiggybackOldServerFallback(t *testing.T) {
-	addr, stop := startEchoServerOpts(t, ServeOptions{Window: 4, DisableNegotiation: true})
-	defer stop()
-	piggyEcho(t, dialEcho(t, addr), nil, "piggy-old-server")
-}
-
-// TestPiggybackFirstUnawareServer: a server that negotiates codecs but
-// predates Hello.First silently drops the embedded request (its JSON
-// decoder ignores the unknown field) and acks without the First echo —
-// the client must detect the missing echo and re-send the request as an
-// ordinary frame in the negotiated codec instead of hanging forever.
-func TestPiggybackFirstUnawareServer(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	done := make(chan error, 1)
-	go func() {
-		done <- func() error {
-			conn, err := ln.Accept()
-			if err != nil {
-				return err
-			}
-			defer conn.Close()
-			if _, err := ReadFrame(conn); err != nil { // the hello; First dropped
-				return err
-			}
-			bin := NewFramer(Binary)
-			// Ack in the chosen codec with no First echo — the PR 4 shape.
-			ack := &Envelope{Type: TypeHelloAck, Msg: HelloAck{Codec: "binary"}}
-			if err := bin.WriteFrame(conn, ack); err != nil {
-				return err
-			}
-			req, err := bin.ReadFrame(conn) // the client's re-send
-			if err != nil {
-				return err
-			}
-			var p echoPayload
-			if err := req.Decode(&p); err != nil {
-				return err
-			}
-			reply, _ := NewEnvelope("echo", req.ID, p)
-			return bin.WriteFrame(conn, reply)
-		}()
-	}()
-	piggyEcho(t, dialEcho(t, ln.Addr().String()), []Codec{Binary, JSON}, "piggy-first-unaware")
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestPiggybackRemoteError: a server-side failure of the piggybacked
 // request surfaces as *RemoteError, exactly like Client.Call.
 func TestPiggybackRemoteError(t *testing.T) {
@@ -152,43 +97,5 @@ func TestPiggybackAfterFirstFrame(t *testing.T) {
 	}
 	if reply.ID != 7 || p.Token != "framed-after" {
 		t.Fatalf("reply = %d %q", reply.ID, p.Token)
-	}
-}
-
-// TestHelloFirstBinaryRoundTrip pins the binary codec's extended hello
-// encoding against the JSON oracle.
-func TestHelloFirstBinaryRoundTrip(t *testing.T) {
-	for _, hello := range []Hello{
-		{Codecs: []string{"binary", "json"}},
-		{Codecs: []string{"json"}, First: &HelloFirst{Type: "query", ID: 42, Payload: []byte(`{"text":"q"}`)}},
-		{Codecs: nil, First: &HelloFirst{Type: "ping", ID: 1}},
-	} {
-		for _, codec := range []Codec{JSON, Binary} {
-			env := &Envelope{Type: TypeHello, ID: 3, Msg: hello}
-			body, err := codec.AppendEnvelope(nil, env)
-			if err != nil {
-				t.Fatalf("%s: %v", codec.Name(), err)
-			}
-			back, err := codec.DecodeEnvelope(body)
-			if err != nil {
-				t.Fatalf("%s: %v", codec.Name(), err)
-			}
-			var h Hello
-			if err := back.Decode(&h); err != nil {
-				t.Fatalf("%s: %v", codec.Name(), err)
-			}
-			if len(h.Codecs) != len(hello.Codecs) {
-				t.Fatalf("%s: codecs = %v, want %v", codec.Name(), h.Codecs, hello.Codecs)
-			}
-			if (h.First == nil) != (hello.First == nil) {
-				t.Fatalf("%s: first = %+v, want %+v", codec.Name(), h.First, hello.First)
-			}
-			if h.First != nil {
-				if h.First.Type != hello.First.Type || h.First.ID != hello.First.ID ||
-					string(h.First.Payload) != string(hello.First.Payload) {
-					t.Fatalf("%s: first = %+v, want %+v", codec.Name(), h.First, hello.First)
-				}
-			}
-		}
 	}
 }

@@ -20,7 +20,7 @@ func TestReadFrameNeverPanicsProperty(t *testing.T) {
 		}()
 		r := bytes.NewReader(raw)
 		for {
-			_, err := ReadFrame(r)
+			_, err := jsonFramer.ReadFrame(r)
 			if err != nil {
 				return true // io.EOF or a parse error both terminate
 			}
@@ -39,17 +39,17 @@ func TestTruncatedFrameAlwaysErrorsProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 	var full bytes.Buffer
-	if err := WriteFrame(&full, env); err != nil {
+	if err := jsonFramer.WriteFrame(&full, env); err != nil {
 		t.Fatal(err)
 	}
 	raw := full.Bytes()
 	for cut := 0; cut < len(raw); cut++ {
-		if _, err := ReadFrame(bytes.NewReader(raw[:cut])); err == nil {
+		if _, err := jsonFramer.ReadFrame(bytes.NewReader(raw[:cut])); err == nil {
 			t.Fatalf("truncation at %d/%d bytes read a frame", cut, len(raw))
 		}
 	}
 	// The full frame still reads.
-	if _, err := ReadFrame(bytes.NewReader(raw)); err != nil {
+	if _, err := jsonFramer.ReadFrame(bytes.NewReader(raw)); err != nil {
 		t.Fatalf("full frame failed: %v", err)
 	}
 }
@@ -63,7 +63,7 @@ func TestBitFlipRobustness(t *testing.T) {
 		t.Fatal(err)
 	}
 	var full bytes.Buffer
-	if err := WriteFrame(&full, env); err != nil {
+	if err := jsonFramer.WriteFrame(&full, env); err != nil {
 		t.Fatal(err)
 	}
 	raw := full.Bytes()
@@ -73,7 +73,7 @@ func TestBitFlipRobustness(t *testing.T) {
 		i := rng.Intn(len(mut))
 		mut[i] ^= byte(1 << rng.Intn(8))
 		r := bytes.NewReader(mut)
-		got, err := ReadFrame(r)
+		got, err := jsonFramer.ReadFrame(r)
 		if err != nil {
 			continue
 		}
@@ -90,7 +90,7 @@ func TestReaderStateIsolation(t *testing.T) {
 	bad := make([]byte, 8)
 	binary.BigEndian.PutUint32(bad, 4)
 	copy(bad[4:], "!!!!")
-	if _, err := ReadFrame(bytes.NewReader(bad)); err == nil {
+	if _, err := jsonFramer.ReadFrame(bytes.NewReader(bad)); err == nil {
 		t.Fatal("garbage accepted")
 	}
 	env, err := NewEnvelope(TypePing, 1, struct{}{})
@@ -98,13 +98,13 @@ func TestReaderStateIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, env); err != nil {
+	if err := jsonFramer.WriteFrame(&buf, env); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadFrame(&buf); err != nil {
+	if _, err := jsonFramer.ReadFrame(&buf); err != nil {
 		t.Fatalf("fresh frame failed after prior garbage: %v", err)
 	}
-	if _, err := ReadFrame(&buf); err != io.EOF {
+	if _, err := jsonFramer.ReadFrame(&buf); err != io.EOF {
 		t.Fatalf("expected EOF, got %v", err)
 	}
 }

@@ -159,8 +159,7 @@ func (s *ClientStream) Recv(ctx context.Context) (*Envelope, error) {
 }
 
 // Close deregisters the stream and tells the server to stop sending
-// (best effort; a server that predates streams bounces the cancel as an
-// unknown type, which nothing is left listening for).
+// (best effort: nothing is left listening for an answer).
 func (s *ClientStream) Close() error {
 	c := s.c
 	c.mu.Lock()
@@ -200,7 +199,7 @@ type StreamHandler func(env *Envelope, st *ServerStream)
 // subscription cancelled).
 type ServerStream struct {
 	id      uint64
-	replies chan<- outbound
+	replies chan<- *Envelope
 	done    chan struct{}
 	stop    sync.Once
 }
@@ -224,7 +223,7 @@ func (st *ServerStream) Send(env *Envelope) error {
 	default:
 	}
 	select {
-	case st.replies <- outbound{env: env}:
+	case st.replies <- env:
 		return nil
 	case <-st.done:
 		return ErrStreamEnded
@@ -249,7 +248,7 @@ type serverStreams struct {
 // start launches a handler for one subscription; it reports false (and
 // starts nothing) when the id is already subscribed or the connection is
 // tearing down.
-func (ss *serverStreams) start(env *Envelope, h StreamHandler, replies chan<- outbound) bool {
+func (ss *serverStreams) start(env *Envelope, h StreamHandler, replies chan<- *Envelope) bool {
 	ss.mu.Lock()
 	if ss.closing || ss.active[env.ID] != nil {
 		ss.mu.Unlock()

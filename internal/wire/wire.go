@@ -4,8 +4,8 @@
 // length-prefixed envelope bodies; each envelope carries a message type, a
 // correlation id, and a typed payload. The body encoding is pluggable: a
 // Codec (JSON or the compact binary format) is negotiated per connection
-// by the hello/hello-ack handshake, and peers that never negotiate — old
-// builds, UDP datagrams — speak JSON, the compatibility floor.
+// by the hello/hello-ack handshake, which also checks that both ends speak
+// Protocol. UDP datagrams, which carry no handshake, speak JSON.
 package wire
 
 import (
@@ -29,6 +29,11 @@ const MaxFrame = 1 << 20
 // oversized call.
 var ErrFrameTooLarge = errors.New("wire: frame exceeds limit")
 
+// Protocol is the wire protocol version this build speaks. Both sides of
+// the handshake carry it (Hello.Proto, HelloAck.Proto) and refuse a peer
+// below it: there is one protocol, with no compatibility path beneath it.
+const Protocol = 1
+
 // Message types.
 const (
 	TypeQuery     = "query"      // QueryRequest -> QueryReply
@@ -37,8 +42,8 @@ const (
 	TypePing      = "ping"       // empty -> empty (liveness)
 	TypeSpawnPool = "spawn-pool" // SpawnPoolRequest -> SpawnPoolReply (proxy server)
 	TypeError     = "error"      // ErrorReply (any request can fail)
-	TypeHello     = "hello"      // Hello -> HelloAck (codec negotiation, first frame only)
-	TypeHelloAck  = "hello-ack"  // negotiation answer, encoded in the chosen codec
+	TypeHello     = "hello"      // Hello -> HelloAck (handshake, first frame only, JSON)
+	TypeHelloAck  = "hello-ack"  // handshake answer, JSON
 	TypeBusy      = "busy"       // BusyReply (request shed by overload control, never dispatched)
 	TypeSelect    = "select"     // SelectRequest -> SelectReply (machine record batch)
 	TypeRoute     = "route"      // RouteRequest -> RouteReply (domain-ownership table)
@@ -48,10 +53,8 @@ const (
 	// stream and the server then sends watch-events frames carrying the
 	// subscribe envelope's id for as long as the subscription lives.
 	// Like "busy" and "select", both types travel via the inline-string
-	// envelope escape on binary connections, so an old peer decodes the
-	// envelope fine and bounces the unknown type as an ordinary error
-	// reply — which is exactly how a subscriber detects a pre-watch peer
-	// and degrades to the poll fallback.
+	// envelope escape on binary connections (the type table predates
+	// them).
 	TypeWatch        = "watch"         // WatchRequest -> WatchEvents stream (first frame acks)
 	TypeWatchEvents  = "watch-events"  // server->client stream frame
 	TypeStreamCancel = "stream-cancel" // client->server: stop the stream with this id
@@ -66,10 +69,8 @@ const (
 // requesting account or group (the admission-bucket key) and Deadline is
 // the caller's absolute deadline in UnixNano (0 = none; work whose
 // deadline has passed is shed with a Busy reply instead of dispatched).
-// Both are optional JSON fields, so old JSON peers ignore them silently;
-// the v1 binary codec has no room for them and drops both, which is why
-// deadline-aware peers negotiate the "binary2" codec and fall back to
-// no-deadline behaviour against older builds.
+// Both are optional: JSON omits them when unset, and the binary codec
+// marks their presence in its flags byte.
 type Envelope struct {
 	Type     string          `json:"type"`
 	ID       uint64          `json:"id"`
@@ -102,37 +103,34 @@ func (e *Envelope) Expired(now time.Time) bool {
 	return e.Deadline != 0 && now.UnixNano() > e.Deadline
 }
 
-// Hello is the client's codec advertisement, always sent as the first
-// frame of a connection and always encoded in JSON so any server can read
-// it. Codecs are listed in preference order. First, when present,
-// piggybacks the connection's first request on the handshake: the server
-// dispatches it immediately after picking the codec, and the reply (in
-// the chosen codec) follows the hello-ack — a one-shot exchange costs one
-// round trip instead of two. See CallPiggyback.
+// Hello opens every connection: the client's protocol version and codec
+// advertisement, always encoded in JSON. A server refuses a connection
+// whose first frame is not a hello or whose Proto is below Protocol.
+// Codecs are listed in preference order. First, when present, piggybacks
+// the connection's first request on the handshake: the server dispatches
+// it immediately after picking the codec, and the reply (in the chosen
+// codec) follows the hello-ack — a one-shot exchange costs one round trip
+// instead of two. See CallPiggyback.
 type Hello struct {
+	Proto  int         `json:"proto"`
 	Codecs []string    `json:"codecs"`
 	First  *HelloFirst `json:"first,omitempty"`
 }
 
 // HelloFirst is the request embedded in a hello frame. The payload is
-// JSON regardless of the advertised codecs — the hello itself must stay
-// on the floor every server can read.
+// JSON regardless of the advertised codecs, like the hello around it.
 type HelloFirst struct {
 	Type    string          `json:"type"`
 	ID      uint64          `json:"id"`
 	Payload json.RawMessage `json:"payload,omitempty"`
 }
 
-// HelloAck is the server's answer: the codec it picked, encoded in that
-// codec (the client sniffs the body's first byte to read it). First
-// echoes that a piggybacked first request was accepted for dispatch; a
-// First-carrying client that gets an ack without it is talking to a
-// server that negotiates but predates Hello.First (whose JSON decoder
-// silently dropped the field), and must re-send the request as an
-// ordinary frame instead of waiting for a reply that will never come.
+// HelloAck is the server's answer, encoded in JSON: its protocol version
+// and the codec it picked, in which every later frame on the connection
+// travels. A client refuses an ack whose Proto is below Protocol.
 type HelloAck struct {
+	Proto int    `json:"proto"`
 	Codec string `json:"codec"`
-	First bool   `json:"first,omitempty"`
 }
 
 // QueryRequest submits a (possibly composite) query in a named language.
@@ -190,9 +188,7 @@ type SpawnPoolReply struct {
 // SelectRequest asks the registry endpoint for the machine records
 // matching a basic query — the record-batch building block for resync,
 // white-pages delegation, and fleet inspection. Like "busy", "select"
-// travels via the inline-string envelope escape: an old binary peer
-// decodes the envelope fine and bounces the unknown type as an ordinary
-// error reply, so mixed fleets stay healthy.
+// travels via the inline-string envelope escape.
 type SelectRequest struct {
 	// Text is the basic query in the native language; "" selects every
 	// record.
@@ -203,10 +199,7 @@ type SelectRequest struct {
 	// Offset skips that many matching records (in the registry's sorted
 	// name order) before Limit applies, so a fleet whose full record
 	// batch would exceed MaxFrame is fetched in pages. Encoded on binary
-	// connections as an optional trailing field only when non-zero: an
-	// old peer decodes an offset-less first page fine and bounces a
-	// paged request as a decode error — which only arises against
-	// fleets too large for that peer to serve in one frame anyway.
+	// connections as an optional trailing field, only when non-zero.
 	Offset int `json:"offset,omitempty"`
 	// Full pins the reply's record batch to the full per-record encoding
 	// instead of the delta batch — the on-wire differential oracle, and
@@ -233,8 +226,8 @@ type RecordSet struct {
 	Full bool
 }
 
-// MarshalJSON encodes just the machine array, so JSON peers (including
-// pre-select builds inspecting frames) see a plain record list.
+// MarshalJSON encodes just the machine array, so JSON peers see a plain
+// record list.
 func (r RecordSet) MarshalJSON() ([]byte, error) {
 	return json.Marshal(r.Machines)
 }
@@ -263,8 +256,7 @@ type WatchRequest struct {
 // assignments and rendezvous node set it routes by, plus — when Domains
 // is set — the resolved owner of each named domain. Like "select", the
 // type travels via the inline-string envelope escape on binary
-// connections, so a pre-partition peer decodes the envelope fine and
-// bounces the unknown type as an ordinary error reply.
+// connections.
 type RouteRequest struct {
 	Domains []string `json:"domains,omitempty"`
 }
@@ -328,8 +320,7 @@ type ErrorReply struct {
 // before any worker touched it — the admission bucket was empty, the lane
 // queue was full, or the deadline had already expired. RetryAfterMS hints
 // when capacity should exist again; clients back off at least that long
-// (with jitter) before retrying. Old peers see an unknown "busy" message
-// type and surface it as an ordinary call failure.
+// (with jitter) before retrying.
 type BusyReply struct {
 	RetryAfterMS int64  `json:"retryAfterMs,omitempty"`
 	Reason       string `json:"reason,omitempty"`

@@ -17,10 +17,10 @@ func TestFrameRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteFrame(&buf, env); err != nil {
+	if err := jsonFramer.WriteFrame(&buf, env); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadFrame(&buf)
+	got, err := jsonFramer.ReadFrame(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,12 +43,12 @@ func TestFrameStream(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := WriteFrame(&buf, env); err != nil {
+		if err := jsonFramer.WriteFrame(&buf, env); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := uint64(0); i < 5; i++ {
-		env, err := ReadFrame(&buf)
+		env, err := jsonFramer.ReadFrame(&buf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,7 +56,7 @@ func TestFrameStream(t *testing.T) {
 			t.Errorf("frame %d out of order: id %d", i, env.ID)
 		}
 	}
-	if _, err := ReadFrame(&buf); err != io.EOF {
+	if _, err := jsonFramer.ReadFrame(&buf); err != io.EOF {
 		t.Errorf("exhausted stream should EOF, got %v", err)
 	}
 }
@@ -65,7 +65,7 @@ func TestReadFrameRejectsBadLengths(t *testing.T) {
 	// Zero length.
 	var zero bytes.Buffer
 	zero.Write([]byte{0, 0, 0, 0})
-	if _, err := ReadFrame(&zero); err == nil {
+	if _, err := jsonFramer.ReadFrame(&zero); err == nil {
 		t.Error("zero-length frame should fail")
 	}
 	// Oversized length.
@@ -73,7 +73,7 @@ func TestReadFrameRejectsBadLengths(t *testing.T) {
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], MaxFrame+1)
 	huge.Write(hdr[:])
-	if _, err := ReadFrame(&huge); err == nil {
+	if _, err := jsonFramer.ReadFrame(&huge); err == nil {
 		t.Error("oversized frame should fail")
 	}
 	// Truncated body.
@@ -81,7 +81,7 @@ func TestReadFrameRejectsBadLengths(t *testing.T) {
 	binary.BigEndian.PutUint32(hdr[:], 100)
 	trunc.Write(hdr[:])
 	trunc.WriteString("short")
-	if _, err := ReadFrame(&trunc); err == nil {
+	if _, err := jsonFramer.ReadFrame(&trunc); err == nil {
 		t.Error("truncated body should fail")
 	}
 	// Valid length, invalid JSON.
@@ -90,7 +90,7 @@ func TestReadFrameRejectsBadLengths(t *testing.T) {
 	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
 	garbage.Write(hdr[:])
 	garbage.Write(body)
-	if _, err := ReadFrame(&garbage); err == nil {
+	if _, err := jsonFramer.ReadFrame(&garbage); err == nil {
 		t.Error("garbage JSON should fail")
 	}
 	// Envelope without a type.
@@ -99,7 +99,7 @@ func TestReadFrameRejectsBadLengths(t *testing.T) {
 	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
 	untyped.Write(hdr[:])
 	untyped.Write(body)
-	if _, err := ReadFrame(&untyped); err == nil || !strings.Contains(err.Error(), "without type") {
+	if _, err := jsonFramer.ReadFrame(&untyped); err == nil || !strings.Contains(err.Error(), "without type") {
 		t.Errorf("untyped envelope err = %v", err)
 	}
 }
@@ -111,7 +111,7 @@ func TestWriteFrameRejectsOversized(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, env); err == nil {
+	if err := jsonFramer.WriteFrame(&buf, env); err == nil {
 		t.Error("oversized frame should fail to write")
 	}
 }
@@ -135,10 +135,10 @@ func TestQueryReplyCarriesLease(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, env); err != nil {
+	if err := jsonFramer.WriteFrame(&buf, env); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadFrame(&buf)
+	got, err := jsonFramer.ReadFrame(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,10 +159,10 @@ func TestFrameRoundTripProperty(t *testing.T) {
 			return false
 		}
 		var buf bytes.Buffer
-		if err := WriteFrame(&buf, env); err != nil {
+		if err := jsonFramer.WriteFrame(&buf, env); err != nil {
 			return false
 		}
-		got, err := ReadFrame(&buf)
+		got, err := jsonFramer.ReadFrame(&buf)
 		if err != nil {
 			return false
 		}
