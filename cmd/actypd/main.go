@@ -12,9 +12,10 @@
 // synthetic fleet of -machines machines is generated. The -profile flag
 // injects LAN- or WAN-like latency for controlled experiments. The wire
 // codec is negotiated per connection (-wire-codec pins the preference),
-// and the daemon can additionally host a UDP endpoint (-udp-addr), a
-// pool-manager stage endpoint (-stage-addr), and a pool-spawning proxy
-// endpoint (-proxy-addr), each with its own in-flight window knob.
+// and the daemon can additionally host a UDP endpoint (-udp-addr, window
+// -udp-window), a pool-manager stage endpoint (-stage-addr), and a
+// pool-spawning proxy endpoint (-proxy-addr); -conn-window sets the
+// in-flight window of every TCP endpoint.
 package main
 
 import (
@@ -64,9 +65,7 @@ type daemonConfig struct {
 	udpWindow   int
 	udpSockets  int
 	stageAddr   string
-	stageWin    int
 	proxyAddr   string
-	proxyWin    int
 	peerAddrs   string
 	fanout      int
 	hedgeDelay  time.Duration
@@ -92,19 +91,17 @@ func main() {
 	flag.IntVar(&cfg.warm, "warm", 0, "pre-stripe machines across N pools and pre-create them")
 	flag.BoolVar(&cfg.firstMatch, "first-match", false, "return the first composite fragment instead of reintegrating all")
 	flag.DurationVar(&cfg.leaseTTL, "lease-ttl", 0, "reclaim leases not renewed within this lifetime (0 disables)")
-	flag.IntVar(&cfg.connWindow, "conn-window", wire.DefaultWindow, "per-connection in-flight request window (1 serializes each connection)")
+	flag.IntVar(&cfg.connWindow, "conn-window", wire.DefaultWindow, "per-connection in-flight request window of every TCP endpoint: client, stage and proxy (1 serializes each connection)")
 	flag.StringVar(&cfg.wireCodec, "wire-codec", "auto", "wire codec preference: auto (negotiate binary, JSON floor), binary, json, binary+flate, or a comma list in preference order")
 	flag.StringVar(&cfg.laneWeights, "lane-weights", "lease=4,bulk=1", "priority-lane round-robin weights for overloaded dispatch, e.g. lease=4,bulk=1 (control is always first); \"off\" restores plain FIFO dispatch")
 	flag.Float64Var(&cfg.admitRate, "admit-rate", 0, "default per-account admission rate in requests/s; over-limit requests are shed with Busy (0 disables admission)")
 	flag.Float64Var(&cfg.admitBurst, "admit-burst", 0, "default admission burst capacity in tokens (0: same as -admit-rate)")
 	flag.StringVar(&cfg.admitKeys, "admit-keys", "", "per-account admission overrides as key=rate[:burst] pairs, e.g. alice=100:200,batch=10")
 	flag.StringVar(&cfg.udpAddr, "udp-addr", "", "also serve the service over UDP on this address")
-	flag.IntVar(&cfg.udpWindow, "udp-window", wire.DefaultWindow, "UDP in-flight dispatch window (bounds datagram fan-out)")
+	flag.IntVar(&cfg.udpWindow, "udp-window", wire.DefaultWindow, "UDP in-flight dispatch window (bounds datagram fan-out; 1 serializes dispatch)")
 	flag.IntVar(&cfg.udpSockets, "udp-sockets", 0, "UDP reply socket pool size (0: GOMAXPROCS, capped at 16; 1: single shared socket)")
 	flag.StringVar(&cfg.stageAddr, "stage-addr", "", "also expose the first pool manager as a stage endpoint on this address")
-	flag.IntVar(&cfg.stageWin, "stage-window", wire.DefaultWindow, "stage endpoint per-connection in-flight window")
 	flag.StringVar(&cfg.proxyAddr, "proxy-addr", "", "also run a pool-spawning proxy server on this address")
-	flag.IntVar(&cfg.proxyWin, "proxy-window", wire.DefaultWindow, "proxy endpoint per-connection in-flight window")
 	flag.StringVar(&cfg.peerAddrs, "peer-addrs", "", "comma-separated stage endpoints of federation peers; local misses delegate to them")
 	flag.IntVar(&cfg.fanout, "fanout", 0, "peer delegation width: peers contacted concurrently on a local miss (<=1 keeps the serial walk)")
 	flag.DurationVar(&cfg.hedgeDelay, "hedge-delay", 0, "stagger between delegation fan-out branches, e.g. 10ms (0 races the full width at once)")
@@ -116,22 +113,28 @@ func main() {
 	flag.DurationVar(&cfg.snapEvery, "snapshot-interval", time.Minute, "journal snapshot (and compaction) period; 0 snapshots only on shutdown and watch-ring resync")
 	flag.Parse()
 
-	// A negative window was historically folded into "serial" silently,
-	// which hid sign bugs in wrapper scripts; reject it outright (0 or 1
-	// still mean serial dispatch, as they always did).
-	if cfg.connWindow < 0 {
-		log.Fatalf("actypd: -conn-window %d: want 0 or a positive window (1 serializes each connection)", cfg.connWindow)
-	}
-	if cfg.udpWindow < 0 {
-		log.Fatalf("actypd: -udp-window %d: want 0 or a positive window (1 serializes dispatch)", cfg.udpWindow)
-	}
-
 	if err := run(cfg); err != nil {
 		log.Fatalf("actypd: %v", err)
 	}
 }
 
+// checkWindows rejects a window flag below 1. The daemon's flags default
+// to wire.DefaultWindow, so 0 can only be a typo or a sign bug in a
+// wrapper script, not a request for the default.
+func checkWindows(cfg daemonConfig) error {
+	if cfg.connWindow < 1 {
+		return fmt.Errorf("-conn-window %d: want a window of 1 or more (1 serializes each connection)", cfg.connWindow)
+	}
+	if cfg.udpWindow < 1 {
+		return fmt.Errorf("-udp-window %d: want a window of 1 or more (1 serializes dispatch)", cfg.udpWindow)
+	}
+	return nil
+}
+
 func run(cfg daemonConfig) error {
+	if err := checkWindows(cfg); err != nil {
+		return err
+	}
 	db := registry.NewDB()
 	profile, err := profileByName(cfg.profile)
 	if err != nil {
@@ -390,22 +393,20 @@ func run(cfg daemonConfig) error {
 		return err
 	}
 
-	if cfg.connWindow < 1 {
-		cfg.connWindow = -1 // 0 means serial, as it always did (negatives are rejected in main)
-	}
-	srv, err := core.ServeOpts(svc, cfg.addr, profile, core.ServeConfig{Window: cfg.connWindow, Codecs: codecs, Overload: overload, Stats: wireStats})
+	// One set of transport options serves every TCP endpoint; overload
+	// control is the client listener's alone.
+	serveOpts := wire.ServeOptions{Window: cfg.connWindow, Codecs: codecs, Stats: wireStats, Logf: log.Printf}
+	clientOpts := serveOpts
+	clientOpts.Overload = overload
+	srv, err := core.ServeOpts(svc, cfg.addr, profile, clientOpts)
 	if err != nil {
 		return err
 	}
 	defer srv.Close()
-	srv.Logf = log.Printf
 	log.Printf("actypd: serving on %s (profile %s, conn window %d, codecs %s)",
 		srv.Addr(), cfg.profile, cfg.connWindow, cfg.wireCodec)
 
 	if cfg.udpAddr != "" {
-		if cfg.udpWindow < 1 {
-			cfg.udpWindow = -1 // 0 means serial, as it always did (negatives are rejected in main)
-		}
 		udp, err := core.ServeUDPOpts(svc, cfg.udpAddr, core.UDPOptions{Window: cfg.udpWindow, Sockets: cfg.udpSockets, Overload: overload})
 		if err != nil {
 			return err
@@ -418,20 +419,20 @@ func run(cfg daemonConfig) error {
 		if len(pms) == 0 {
 			return fmt.Errorf("no pool manager to expose on -stage-addr")
 		}
-		st, err := stage.ServeOpts(pms[0], cfg.stageAddr, profile, stage.ServerOptions{Window: cfg.stageWin, Codecs: codecs, Stats: wireStats})
+		st, err := stage.ServeOpts(pms[0], cfg.stageAddr, profile, serveOpts)
 		if err != nil {
 			return err
 		}
 		defer st.Close()
-		log.Printf("actypd: stage endpoint on %s (window %d)", st.Addr(), cfg.stageWin)
+		log.Printf("actypd: stage endpoint on %s", st.Addr())
 	}
 	if cfg.proxyAddr != "" {
-		px, err := proxy.StartOpts(db, cfg.proxyAddr, profile, proxy.ServerOptions{Window: cfg.proxyWin, Codecs: codecs, Stats: wireStats})
+		px, err := proxy.StartOpts(db, cfg.proxyAddr, profile, serveOpts)
 		if err != nil {
 			return err
 		}
 		defer px.Close()
-		log.Printf("actypd: proxy endpoint on %s (window %d)", px.Addr(), cfg.proxyWin)
+		log.Printf("actypd: proxy endpoint on %s", px.Addr())
 	}
 
 	sig := make(chan os.Signal, 1)

@@ -2,7 +2,12 @@ package main
 
 import (
 	"context"
+	"fmt"
+	"net"
 	"runtime"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -78,7 +83,7 @@ func TestRemoteWatchLinkUsesDaemonCodecs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := core.ServeOpts(svc, "127.0.0.1:0", netsim.Local(), core.ServeConfig{Codecs: peerCodecs})
+	srv, err := core.ServeOpts(svc, "127.0.0.1:0", netsim.Local(), wire.ServeOptions{Codecs: peerCodecs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,4 +119,97 @@ func TestRemoteWatchLinkUsesDaemonCodecs(t *testing.T) {
 	if link.RawIn <= link.BytesIn {
 		t.Errorf("baseline select arrived uncompressed: %d raw bytes over %d wire bytes", link.RawIn, link.BytesIn)
 	}
+}
+
+// TestWindowFlags: -conn-window and -udp-window follow one rule. A value
+// below 1 fails run before anything is served, with a message naming 1 as
+// the serializing window; an accepted value reaches the wire unchanged
+// (1 serializes each connection); and no value is clamped behind the
+// operator's back.
+func TestWindowFlags(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		conn, udp int
+		wantErr   string // "" accepts
+	}{
+		{"conn 0", 0, wire.DefaultWindow, "-conn-window 0"},
+		{"conn -1", -1, wire.DefaultWindow, "-conn-window -1"},
+		{"udp 0", wire.DefaultWindow, 0, "-udp-window 0"},
+		{"udp -1", wire.DefaultWindow, -1, "-udp-window -1"},
+		{"1 serializes", 1, 1, ""},
+		{"default overlaps", wire.DefaultWindow, wire.DefaultWindow, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := daemonConfig{connWindow: tc.conn, udpWindow: tc.udp}
+			if tc.wantErr != "" {
+				err := run(cfg)
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) || !strings.Contains(err.Error(), "1 serializes") {
+					t.Fatalf("run = %v, want an error naming %q and that 1 serializes", err, tc.wantErr)
+				}
+				return
+			}
+			if err := checkWindows(cfg); err != nil {
+				t.Fatal(err)
+			}
+			peak, logged := serveConcurrentPings(t, wire.ServeOptions{Window: cfg.connWindow}, 4)
+			if tc.conn == 1 && peak != 1 {
+				t.Errorf("window 1 ran %d requests at once, want 1", peak)
+			}
+			if tc.conn > 1 && peak < 2 {
+				t.Errorf("window %d ran %d requests at once, want overlap", tc.conn, peak)
+			}
+			for _, line := range logged {
+				if strings.Contains(line, "clamped") {
+					t.Errorf("window %d logged %q", tc.conn, line)
+				}
+			}
+		})
+	}
+}
+
+// serveConcurrentPings serves opts with a handler that holds each request
+// for a moment, sends n concurrent pings on one connection, and reports
+// the most requests the handler ran at once and every line opts.Logf saw.
+func serveConcurrentPings(t *testing.T, opts wire.ServeOptions, n int) (peak int, logged []string) {
+	t.Helper()
+	var mu sync.Mutex
+	opts.Logf = func(format string, args ...any) {
+		mu.Lock()
+		logged = append(logged, fmt.Sprintf(format, args...))
+		mu.Unlock()
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var inFlight atomic.Int32
+	srv, err := wire.NewServer(ln, opts, func(env *wire.Envelope) *wire.Envelope {
+		now := int(inFlight.Add(1))
+		mu.Lock()
+		peak = max(peak, now)
+		mu.Unlock()
+		time.Sleep(20 * time.Millisecond)
+		inFlight.Add(-1)
+		return &wire.Envelope{Type: wire.TypePing, ID: env.ID}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := wire.NewClient(func() (net.Conn, error) { return net.Dial("tcp", srv.Addr()) }, 5*time.Second)
+	var wg sync.WaitGroup
+	for range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := c.Call(wire.TypePing, nil); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	_ = c.Close()
+	srv.Close()
+	mu.Lock()
+	defer mu.Unlock()
+	return peak, logged
 }

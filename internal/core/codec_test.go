@@ -11,7 +11,7 @@ import (
 
 // startCodecServer builds a small service and serves it with the given
 // transport configuration.
-func startCodecServer(t *testing.T, machines int, cfg ServeConfig) *Server {
+func startCodecServer(t *testing.T, machines int, cfg wire.ServeOptions) *Server {
 	t.Helper()
 	db := registry.NewDB()
 	if err := registry.DefaultFleetSpec(machines).Populate(db, time.Unix(0, 0)); err != nil {
@@ -53,7 +53,7 @@ func lifecycle(t *testing.T, c *Client) {
 // TestServiceNegotiatesBinary: the default client/server pair lands on
 // the binary codec and the full lease lifecycle works over it.
 func TestServiceNegotiatesBinary(t *testing.T) {
-	srv := startCodecServer(t, 16, ServeConfig{Codecs: []wire.Codec{wire.Binary, wire.JSON}})
+	srv := startCodecServer(t, 16, wire.ServeOptions{Codecs: []wire.Codec{wire.Binary, wire.JSON}})
 	c, err := DialOpts(srv.Addr(), netsim.Local(), DialConfig{Codecs: []wire.Codec{wire.Binary, wire.JSON}})
 	if err != nil {
 		t.Fatal(err)
@@ -69,7 +69,7 @@ func TestServiceNegotiatesBinary(t *testing.T) {
 // deployment) pulls negotiating clients to the floor with no behaviour
 // change.
 func TestServiceForcedJSON(t *testing.T) {
-	srv := startCodecServer(t, 16, ServeConfig{Codecs: []wire.Codec{wire.JSON}})
+	srv := startCodecServer(t, 16, wire.ServeOptions{Codecs: []wire.Codec{wire.JSON}})
 	c, err := Dial(srv.Addr(), netsim.Local())
 	if err != nil {
 		t.Fatal(err)

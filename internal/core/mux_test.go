@@ -7,6 +7,7 @@ import (
 
 	"actyp/internal/netsim"
 	"actyp/internal/registry"
+	"actyp/internal/wire"
 )
 
 // TestOneConnectionConcurrentInFlight is the -race stress of the
@@ -143,7 +144,7 @@ func TestServeWindowOneSerializes(t *testing.T) {
 	if err := svc.Precreate("punch.rsrc.arch = sun"); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := ServeWindow(svc, "127.0.0.1:0", netsim.Local(), 1)
+	srv, err := ServeOpts(svc, "127.0.0.1:0", netsim.Local(), wire.ServeOptions{Window: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

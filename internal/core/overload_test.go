@@ -38,7 +38,7 @@ func TestServerAdmissionByFromKey(t *testing.T) {
 	admitter := policy.NewAdmitter(policy.AdmitLimit{Rate: 0.001, Burst: 1}, map[string]policy.AdmitLimit{
 		"calm": {Rate: 1000, Burst: 1000},
 	})
-	srv, err := ServeOpts(svc, "127.0.0.1:0", netsim.Local(), ServeConfig{
+	srv, err := ServeOpts(svc, "127.0.0.1:0", netsim.Local(), wire.ServeOptions{
 		Window:   4,
 		Overload: &wire.OverloadPolicy{Admit: AdmitFrom(admitter)},
 	})

@@ -45,7 +45,7 @@ func TestSelectAcrossCodecs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := ServeOpts(svc, "127.0.0.1:0", netsim.Local(), ServeConfig{
+	srv, err := ServeOpts(svc, "127.0.0.1:0", netsim.Local(), wire.ServeOptions{
 		Codecs: []wire.Codec{comp, wire.Binary, wire.JSON},
 	})
 	if err != nil {
@@ -149,7 +149,7 @@ func TestSelectWireStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	serverStats := &metrics.WireStats{}
-	srv, err := ServeOpts(svc, "127.0.0.1:0", netsim.Local(), ServeConfig{
+	srv, err := ServeOpts(svc, "127.0.0.1:0", netsim.Local(), wire.ServeOptions{
 		// The compressed codec is opt-in on both sides: a server that does
 		// not offer it negotiates down to plain binary or JSON.
 		Codecs: []wire.Codec{comp, wire.Binary, wire.JSON},

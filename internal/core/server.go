@@ -4,10 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sort"
-	"sync"
 	"time"
 
 	"actyp/internal/metrics"
@@ -19,48 +17,15 @@ import (
 
 // Server exposes a Service over TCP using the wire protocol, so clients
 // (network desktops) and remote pipeline stages can reach it across a LAN
-// or WAN. Each connection is multiplexed: a reader goroutine feeds decoded
-// frames to a bounded worker pool and a writer goroutine drains the
-// replies, so one desktop can keep up to `window` requests in flight on a
-// single connection and a slow query never blocks the renewals, releases,
-// and pings queued behind it.
-type Server struct {
-	svc *Service
-	ln  net.Listener
-	cfg ServeConfig
+// or WAN. Each connection is multiplexed (see wire.ServeConnOpts): one
+// desktop can keep up to a window of requests in flight on a single
+// connection, and a slow query never blocks the renewals, releases, and
+// pings queued behind it.
+type Server = wire.Server
 
-	mu     sync.Mutex
-	closed bool
-	conns  map[net.Conn]struct{}
-	wg     sync.WaitGroup
-
-	// clampOnce makes the window-clamp diagnostic fire once per listener,
-	// not once per connection.
-	clampOnce sync.Once
-
-	// Logf, when set, receives connection-level errors (default: drop).
-	Logf func(format string, args ...any)
-}
-
-// ServeConfig tunes a Server's per-connection transport.
-type ServeConfig struct {
-	// Window is the per-connection in-flight window: how many requests
-	// one connection may have executing concurrently. Zero means
-	// wire.DefaultWindow; negative (or explicit 1) serializes each
-	// connection, the pre-multiplexing behaviour.
-	Window int
-	// Codecs is the wire-codec negotiation preference (nil means
-	// wire.DefaultCodecs: binary preferred, JSON floor). Offering only
-	// wire.JSON pins every connection to JSON.
-	Codecs []wire.Codec
-	// Overload, when set, enables overload control on every connection:
-	// priority-lane dispatch, admission, and deadline-aware shedding.
-	// See wire.OverloadPolicy.
-	Overload *wire.OverloadPolicy
-	// Stats, when set, accounts every frame served (bytes, frames,
-	// compressed-vs-raw) per codec. See metrics.WireStats.
-	Stats *metrics.WireStats
-}
+// ServeConfig is the options type of ServeOpts. It is an alias of
+// wire.ServeOptions kept only because the benchmark module names it.
+type ServeConfig = wire.ServeOptions
 
 // AdmitFrom adapts a policy.Admitter into the wire-layer admission hook:
 // each lease or bulk request spends a token from the bucket keyed by the
@@ -76,108 +41,20 @@ func AdmitFrom(a *policy.Admitter) wire.AdmitFunc {
 // the given network profile applied to every connection and the default
 // transport configuration.
 func Serve(svc *Service, addr string, profile netsim.Profile) (*Server, error) {
-	return ServeOpts(svc, addr, profile, ServeConfig{})
+	return ServeOpts(svc, addr, profile, wire.ServeOptions{})
 }
 
-// ServeWindow is Serve with an explicit per-connection in-flight window
-// (values below 1 mean serial service, the pre-multiplexing behaviour).
-func ServeWindow(svc *Service, addr string, profile netsim.Profile, window int) (*Server, error) {
-	if window < 1 {
-		window = -1 // explicit serial; ServeConfig treats 0 as the default
-	}
-	return ServeOpts(svc, addr, profile, ServeConfig{Window: window})
-}
-
-// ServeOpts is Serve with an explicit transport configuration.
-func ServeOpts(svc *Service, addr string, profile netsim.Profile, cfg ServeConfig) (*Server, error) {
-	if cfg.Window == 0 {
-		cfg.Window = wire.DefaultWindow
-	}
+// ServeOpts is Serve with an explicit transport configuration. The server
+// adds the watch stream handler to opts.Streams.
+func ServeOpts(svc *Service, addr string, profile netsim.Profile, opts wire.ServeOptions) (*Server, error) {
 	ln, err := netsim.Listen(addr, profile)
 	if err != nil {
 		return nil, fmt.Errorf("core: listen %s: %w", addr, err)
 	}
-	s := &Server{svc: svc, ln: ln, cfg: cfg, conns: make(map[net.Conn]struct{})}
-	s.wg.Add(1)
-	go s.acceptLoop()
-	return s, nil
-}
-
-// Addr returns the listening address.
-func (s *Server) Addr() string { return s.ln.Addr().String() }
-
-// Close stops accepting, closes every live connection, and waits for the
-// handler goroutines to finish.
-func (s *Server) Close() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.closed = true
-	conns := make([]net.Conn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
-	s.mu.Unlock()
-	_ = s.ln.Close()
-	for _, c := range conns {
-		_ = c.Close()
-	}
-	s.wg.Wait()
-}
-
-func (s *Server) logf(format string, args ...any) {
-	if s.Logf != nil {
-		s.Logf(format, args...)
-	}
-}
-
-func (s *Server) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			_ = conn.Close()
-			return
-		}
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go s.handle(conn)
-	}
-}
-
-func (s *Server) handle(conn net.Conn) {
-	defer s.wg.Done()
-	defer func() {
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-		_ = conn.Close()
-	}()
-	err := wire.ServeConnOpts(conn, wire.ServeOptions{
-		Window:   s.cfg.Window,
-		Codecs:   s.cfg.Codecs,
-		Overload: s.cfg.Overload,
-		Streams:  map[string]wire.StreamHandler{wire.TypeWatch: s.serveWatch},
-		Stats:    s.cfg.Stats,
-		Logf: func(format string, args ...any) {
-			// A negative window is a misconfiguration the wire layer
-			// clamps; surface it once per listener, not per connection.
-			s.clampOnce.Do(func() { s.logf(format, args...) })
-		},
-	}, func(env *wire.Envelope) *wire.Envelope {
-		return serveEnvelope(s.svc, env)
+	opts.Streams = map[string]wire.StreamHandler{wire.TypeWatch: svc.serveWatch}
+	return wire.NewServer(ln, opts, func(env *wire.Envelope) *wire.Envelope {
+		return serveEnvelope(svc, env)
 	})
-	if err != nil && !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
-		s.logf("core: server conn %s: %v", conn.RemoteAddr(), err)
-	}
 }
 
 // serveEnvelope dispatches one request envelope against the service and

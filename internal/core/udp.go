@@ -42,8 +42,8 @@ type UDPOptions struct {
 	// Window is the in-flight dispatch window: at most this many datagrams
 	// are served concurrently. Beyond it the read loop stops draining the
 	// socket, so a flood backs up into the kernel buffer and drops there.
-	// Zero means wire.DefaultWindow; negative (or explicit 1) serializes
-	// dispatch.
+	// The rule is wire.ResolveWindow's: 0 means wire.DefaultWindow, 1
+	// serializes dispatch, negative is an error.
 	Window int
 	// Sockets sizes the reply socket pool (the request socket is member
 	// zero). Zero picks GOMAXPROCS, capped at 16; one restores the single
@@ -62,17 +62,13 @@ func ServeUDP(svc *Service, addr string) (*UDPServer, error) {
 	return ServeUDPOpts(svc, addr, UDPOptions{})
 }
 
-// ServeUDPWindow is ServeUDP with an explicit in-flight dispatch window
-// (values below 1 serialize dispatch, as they always did here).
-func ServeUDPWindow(svc *Service, addr string, window int) (*UDPServer, error) {
-	if window < 1 {
-		window = -1 // sub-1 means serial; UDPOptions treats 0 as the default
-	}
-	return ServeUDPOpts(svc, addr, UDPOptions{Window: window})
-}
-
 // ServeUDPOpts is ServeUDP with explicit options.
 func ServeUDPOpts(svc *Service, addr string, opts UDPOptions) (*UDPServer, error) {
+	window, err := wire.ResolveWindow(opts.Window)
+	if err != nil {
+		return nil, err
+	}
+	opts.Window = window
 	udpAddr, err := net.ResolveUDPAddr("udp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("core: resolve %s: %w", addr, err)
@@ -80,12 +76,6 @@ func ServeUDPOpts(svc *Service, addr string, opts UDPOptions) (*UDPServer, error
 	conn, err := net.ListenUDP("udp", udpAddr)
 	if err != nil {
 		return nil, fmt.Errorf("core: listen udp %s: %w", addr, err)
-	}
-	if opts.Window == 0 {
-		opts.Window = wire.DefaultWindow
-	}
-	if opts.Window < 1 {
-		opts.Window = 1
 	}
 	if opts.Sockets <= 0 {
 		opts.Sockets = min(runtime.GOMAXPROCS(0), 16)

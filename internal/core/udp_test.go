@@ -98,7 +98,7 @@ func startSlowUDP(t *testing.T, window int) *UDPServer {
 	if err := svc.Precreate("punch.rsrc.arch = sun"); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := ServeUDPWindow(svc, "127.0.0.1:0", window)
+	srv, err := ServeUDPOpts(svc, "127.0.0.1:0", UDPOptions{Window: window})
 	if err != nil {
 		t.Fatal(err)
 	}

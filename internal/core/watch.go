@@ -30,7 +30,7 @@ const watchChunk = 1024
 // serveWatch runs one watch subscription on a server connection. env is
 // the subscribing watch request; the handler streams until the peer
 // cancels, the connection tears down, or a send fails.
-func (s *Server) serveWatch(env *wire.Envelope, st *wire.ServerStream) {
+func (svc *Service) serveWatch(env *wire.Envelope, st *wire.ServerStream) {
 	var req wire.WatchRequest
 	if err := env.Decode(&req); err != nil {
 		_ = st.Send(wire.ErrorEnvelope(st.ID(), err))
@@ -45,7 +45,7 @@ func (s *Server) serveWatch(env *wire.Envelope, st *wire.ServerStream) {
 		}
 		conds = query.CompileRsrc(q)
 	}
-	db := s.svc.DB()
+	db := svc.DB()
 	sub := db.Watch(req.Ring)
 	defer sub.Close()
 

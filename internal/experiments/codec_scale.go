@@ -101,7 +101,7 @@ func codecOpsPoint(cfg CodecConfig, codec wire.Codec, pad int) (float64, error) 
 	if err := svc.Precreate(criteria); err != nil {
 		return 0, err
 	}
-	srv, err := core.ServeOpts(svc, "127.0.0.1:0", cfg.Profile, core.ServeConfig{Codecs: []wire.Codec{codec}})
+	srv, err := core.ServeOpts(svc, "127.0.0.1:0", cfg.Profile, wire.ServeOptions{Codecs: []wire.Codec{codec}})
 	if err != nil {
 		return 0, err
 	}

@@ -172,7 +172,7 @@ func overloadPoint(cfg OverloadConfig, mode string, load int) (overloadSample, e
 		return out, err
 	}
 
-	serveCfg := core.ServeConfig{Window: cfg.Window, Codecs: WireCodecs()}
+	serveCfg := wire.ServeOptions{Window: cfg.Window, Codecs: WireCodecs()}
 	var stats *metrics.OverloadStats
 	if mode == "lanes" {
 		stats = metrics.NewOverloadStats()

@@ -39,6 +39,7 @@ import (
 	"actyp/internal/registry"
 	"actyp/internal/route"
 	"actyp/internal/stage"
+	"actyp/internal/wire"
 )
 
 // PartitionConfig parameterizes the three sweeps.
@@ -339,7 +340,7 @@ func partitionResolveMesh(cfg PartitionConfig, peers int, directed bool) (*resol
 			return fail(err)
 		}
 		mgrs[i] = m
-		srv, err := stage.ServeOpts(m, "127.0.0.1:0", profile, stage.ServerOptions{Window: cfg.Window})
+		srv, err := stage.ServeOpts(m, "127.0.0.1:0", profile, wire.ServeOptions{Window: cfg.Window})
 		if err != nil {
 			return fail(err)
 		}

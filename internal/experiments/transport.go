@@ -7,6 +7,7 @@ import (
 	"actyp/internal/core"
 	"actyp/internal/metrics"
 	"actyp/internal/netsim"
+	"actyp/internal/wire"
 )
 
 // TransportConfig parameterizes the multiplexed-transport experiment: one
@@ -59,11 +60,7 @@ func TransportScale(cfg TransportConfig) ([]metrics.Series, error) {
 				svc.Close()
 				return out, err
 			}
-			win := window
-			if win == 0 {
-				win = -1 // explicit serial; ServeConfig treats 0 as default
-			}
-			srv, err := core.ServeOpts(svc, "127.0.0.1:0", cfg.Profile, core.ServeConfig{Window: win, Codecs: WireCodecs()})
+			srv, err := core.ServeOpts(svc, "127.0.0.1:0", cfg.Profile, wire.ServeOptions{Window: window, Codecs: WireCodecs()})
 			if err != nil {
 				svc.Close()
 				return out, err

@@ -175,7 +175,7 @@ func wanPoint(cfg WanConfig, profile netsim.Profile, leg WanLeg, batch int) (flo
 		return 0, 0, err
 	}
 	defer svc.Close()
-	srv, err := core.ServeOpts(svc, "127.0.0.1:0", profile, core.ServeConfig{Codecs: []wire.Codec{codec}})
+	srv, err := core.ServeOpts(svc, "127.0.0.1:0", profile, wire.ServeOptions{Codecs: []wire.Codec{codec}})
 	if err != nil {
 		return 0, 0, err
 	}

@@ -222,7 +222,7 @@ func TestMixedFleetInterop(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv, err := stage.ServeOpts(legacy.PoolManagers()[0], "127.0.0.1:0", netsim.Local(),
-		stage.ServerOptions{Codecs: codecs})
+		wire.ServeOptions{Codecs: codecs})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 	"actyp/internal/netsim"
 	"actyp/internal/pool"
 	"actyp/internal/registry"
+	"actyp/internal/wire"
 )
 
 // svcSource adapts core.Service's paging select to a SnapshotSource —
@@ -83,7 +84,7 @@ func TestKillAndRestartUnderLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv1, err := core.ServeOpts(svc1, "127.0.0.1:0", prof, core.ServeConfig{})
+	srv1, err := core.ServeOpts(svc1, "127.0.0.1:0", prof, wire.ServeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +208,7 @@ func TestKillAndRestartUnderLoad(t *testing.T) {
 	var srv2 *core.Server
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		srv2, err = core.ServeOpts(svc2, addr, prof, core.ServeConfig{})
+		srv2, err = core.ServeOpts(svc2, addr, prof, wire.ServeOptions{})
 		if err == nil {
 			break
 		}

@@ -11,10 +11,8 @@ package proxy
 
 import (
 	"fmt"
-	"net"
 	"sync"
 
-	"actyp/internal/metrics"
 	"actyp/internal/netsim"
 	"actyp/internal/pool"
 	"actyp/internal/query"
@@ -42,144 +40,95 @@ type releaseRequest struct {
 	LeaseID string `json:"leaseId"`
 }
 
-// ServerOptions tunes a proxy server's per-connection transport.
-type ServerOptions struct {
-	// Window is the per-connection in-flight window for both the control
-	// port and every spawned pool's endpoint (0 means wire.DefaultWindow;
-	// values below 0 serialize).
-	Window int
-	// Codecs is the wire-codec negotiation preference (nil means
-	// wire.DefaultCodecs).
-	Codecs []wire.Codec
-	// Stats, when set, accounts every frame served per codec, across the
-	// control port and every spawned pool endpoint.
-	Stats *metrics.WireStats
-}
-
 // Server is one machine's proxy: it spawns pools and serves them.
 type Server struct {
-	db      *registry.DB
-	profile netsim.Profile
-	ln      net.Listener
-	opts    ServerOptions
+	*wire.Server // the control port
+	db           *registry.DB
+	profile      netsim.Profile
+	opts         wire.ServeOptions
 
-	mu     sync.Mutex
-	closed bool
-	pools  map[string]*pool.Pool // instance id -> pool
-	lns    []net.Listener        // per-pool listeners
-	wg     sync.WaitGroup
+	mu    sync.Mutex
+	pools []*pool.Pool
+	eps   []*wire.Server // one endpoint per spawned pool
 }
 
 // Start launches a proxy server for the machine hosting db with the
 // default transport configuration.
 func Start(db *registry.DB, addr string, profile netsim.Profile) (*Server, error) {
-	return StartOpts(db, addr, profile, ServerOptions{})
+	return StartOpts(db, addr, profile, wire.ServeOptions{})
 }
 
-// StartOpts is Start with an explicit transport configuration.
-func StartOpts(db *registry.DB, addr string, profile netsim.Profile, opts ServerOptions) (*Server, error) {
+// StartOpts is Start with an explicit transport configuration, shared by
+// the control port and every spawned pool's endpoint. Spawn requests on
+// one control connection dispatch through the multiplexer and overlap.
+func StartOpts(db *registry.DB, addr string, profile netsim.Profile, opts wire.ServeOptions) (*Server, error) {
 	if db == nil {
 		return nil, fmt.Errorf("proxy: server needs a database")
-	}
-	if opts.Window == 0 {
-		opts.Window = wire.DefaultWindow
 	}
 	ln, err := netsim.Listen(addr, profile)
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{db: db, profile: profile, ln: ln, opts: opts, pools: make(map[string]*pool.Pool)}
-	s.wg.Add(1)
-	go s.acceptLoop()
+	s := &Server{db: db, profile: profile, opts: opts}
+	if s.Server, err = wire.NewServer(ln, opts, s.control); err != nil {
+		return nil, err
+	}
 	return s, nil
 }
-
-// serveOptions is the wire-level translation of the server's transport
-// configuration, shared by the control and pool connection handlers.
-func (s *Server) serveOptions() wire.ServeOptions {
-	return wire.ServeOptions{Window: s.opts.Window, Codecs: s.opts.Codecs, Stats: s.opts.Stats}
-}
-
-// Addr returns the proxy's control address.
-func (s *Server) Addr() string { return s.ln.Addr().String() }
 
 // Pools returns the ids of pools this proxy spawned, for observability.
 func (s *Server) Pools() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make([]string, 0, len(s.pools))
-	for id := range s.pools {
-		out = append(out, id)
+	for _, p := range s.pools {
+		out = append(out, p.ID())
 	}
 	return out
 }
 
-// Close shuts the proxy and every spawned pool down.
+// Close shuts the control port, every spawned pool's endpoint, and then
+// the pools down.
 func (s *Server) Close() {
+	// Once the control port is closed no spawn is in flight, so the lists
+	// are final.
+	s.Server.Close()
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.closed = true
-	lns := append([]net.Listener(nil), s.lns...)
-	pools := make([]*pool.Pool, 0, len(s.pools))
-	for _, p := range s.pools {
-		pools = append(pools, p)
-	}
+	eps, pools := s.eps, s.pools
 	s.mu.Unlock()
-	_ = s.ln.Close()
-	for _, l := range lns {
-		_ = l.Close()
+	for _, ep := range eps {
+		ep.Close()
 	}
-	s.wg.Wait()
 	for _, p := range pools {
 		p.Close()
 	}
 }
 
-func (s *Server) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			return
+// control answers spawn requests on the proxy's control port.
+func (s *Server) control(env *wire.Envelope) *wire.Envelope {
+	switch env.Type {
+	case wire.TypePing:
+		return &wire.Envelope{Type: wire.TypePing, ID: env.ID}
+	case wire.TypeSpawnPool:
+		var req wire.SpawnPoolRequest
+		if err := env.Decode(&req); err != nil {
+			return wire.ErrorEnvelope(env.ID, err)
 		}
-		s.wg.Add(1)
-		go s.handleControl(conn)
+		sp, err := s.spawn(req)
+		if err != nil {
+			return wire.ErrorEnvelope(env.ID, err)
+		}
+		reply, err := wire.NewEnvelope(wire.TypeSpawnPool, env.ID, sp)
+		if err != nil {
+			return wire.ErrorEnvelope(env.ID, err)
+		}
+		return reply
+	default:
+		return wire.ErrorEnvelope(env.ID, fmt.Errorf("proxy: unknown message %q", env.Type))
 	}
 }
 
-// handleControl processes spawn requests on the proxy's control port,
-// multiplexing so concurrent spawns on one connection overlap.
-func (s *Server) handleControl(conn net.Conn) {
-	defer s.wg.Done()
-	defer conn.Close()
-	wire.ServeConnOpts(conn, s.serveOptions(), func(env *wire.Envelope) *wire.Envelope {
-		switch env.Type {
-		case wire.TypePing:
-			return &wire.Envelope{Type: wire.TypePing, ID: env.ID}
-		case wire.TypeSpawnPool:
-			var req wire.SpawnPoolRequest
-			if err := env.Decode(&req); err != nil {
-				return wire.ErrorEnvelope(env.ID, err)
-			}
-			sp, err := s.spawn(req)
-			if err != nil {
-				return wire.ErrorEnvelope(env.ID, err)
-			}
-			reply, err := wire.NewEnvelope(wire.TypeSpawnPool, env.ID, sp)
-			if err != nil {
-				return wire.ErrorEnvelope(env.ID, err)
-			}
-			return reply
-		default:
-			return wire.ErrorEnvelope(env.ID, fmt.Errorf("proxy: unknown message %q", env.Type))
-		}
-	})
-}
-
-// spawn creates a pool and a dedicated listener serving its allocations.
+// spawn creates a pool and a dedicated endpoint serving its allocations.
 func (s *Server) spawn(req wire.SpawnPoolRequest) (*wire.SpawnPoolReply, error) {
 	obj, err := schedule.ByName(req.Objective)
 	if err != nil {
@@ -200,75 +149,54 @@ func (s *Server) spawn(req wire.SpawnPoolRequest) (*wire.SpawnPoolReply, error) 
 		p.Close()
 		return nil, err
 	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		_ = ln.Close()
+	ep, err := wire.NewServer(ln, s.opts, func(env *wire.Envelope) *wire.Envelope { return servePool(p, env) })
+	if err != nil {
 		p.Close()
-		return nil, fmt.Errorf("proxy: server closed")
+		return nil, err
 	}
-	s.pools[p.ID()] = p
-	s.lns = append(s.lns, ln)
+	s.mu.Lock()
+	s.pools = append(s.pools, p)
+	s.eps = append(s.eps, ep)
 	s.mu.Unlock()
-
-	s.wg.Add(1)
-	go s.servePool(ln, p)
-	return &wire.SpawnPoolReply{Instance: p.ID(), Addr: ln.Addr().String()}, nil
+	return &wire.SpawnPoolReply{Instance: p.ID(), Addr: ep.Addr()}, nil
 }
 
-func (s *Server) servePool(ln net.Listener, p *pool.Pool) {
-	defer s.wg.Done()
-	for {
-		conn, err := ln.Accept()
+// servePool answers one allocation request against a spawned pool. The
+// pool is concurrency-safe, so requests on one connection overlap.
+func servePool(p *pool.Pool, env *wire.Envelope) *wire.Envelope {
+	switch env.Type {
+	case typeAlloc:
+		var req allocRequest
+		if err := env.Decode(&req); err != nil {
+			return wire.ErrorEnvelope(env.ID, err)
+		}
+		q, err := query.ParseBasic(req.Query)
 		if err != nil {
-			return
+			return wire.ErrorEnvelope(env.ID, err)
 		}
-		s.wg.Add(1)
-		go s.handlePool(conn, p)
+		lease, err := p.Allocate(q)
+		if err != nil {
+			return wire.ErrorEnvelope(env.ID, err)
+		}
+		reply, err := wire.NewEnvelope(typeAlloc, env.ID, allocReply{Lease: lease})
+		if err != nil {
+			return wire.ErrorEnvelope(env.ID, err)
+		}
+		return reply
+	case typeRelease:
+		var req releaseRequest
+		if err := env.Decode(&req); err != nil {
+			return wire.ErrorEnvelope(env.ID, err)
+		}
+		if err := p.Release(req.LeaseID); err != nil {
+			return wire.ErrorEnvelope(env.ID, err)
+		}
+		reply, err := wire.NewEnvelope(typeRelease, env.ID, struct{}{})
+		if err != nil {
+			return wire.ErrorEnvelope(env.ID, err)
+		}
+		return reply
+	default:
+		return wire.ErrorEnvelope(env.ID, fmt.Errorf("proxy: unknown pool message %q", env.Type))
 	}
-}
-
-// handlePool serves one connection's allocation traffic against a spawned
-// pool. The pool is concurrency-safe, so requests on one connection
-// dispatch through the multiplexer and overlap.
-func (s *Server) handlePool(conn net.Conn, p *pool.Pool) {
-	defer s.wg.Done()
-	defer conn.Close()
-	wire.ServeConnOpts(conn, s.serveOptions(), func(env *wire.Envelope) *wire.Envelope {
-		switch env.Type {
-		case typeAlloc:
-			var req allocRequest
-			if err := env.Decode(&req); err != nil {
-				return wire.ErrorEnvelope(env.ID, err)
-			}
-			q, err := query.ParseBasic(req.Query)
-			if err != nil {
-				return wire.ErrorEnvelope(env.ID, err)
-			}
-			lease, err := p.Allocate(q)
-			if err != nil {
-				return wire.ErrorEnvelope(env.ID, err)
-			}
-			reply, err := wire.NewEnvelope(typeAlloc, env.ID, allocReply{Lease: lease})
-			if err != nil {
-				return wire.ErrorEnvelope(env.ID, err)
-			}
-			return reply
-		case typeRelease:
-			var req releaseRequest
-			if err := env.Decode(&req); err != nil {
-				return wire.ErrorEnvelope(env.ID, err)
-			}
-			if err := p.Release(req.LeaseID); err != nil {
-				return wire.ErrorEnvelope(env.ID, err)
-			}
-			reply, err := wire.NewEnvelope(typeRelease, env.ID, struct{}{})
-			if err != nil {
-				return wire.ErrorEnvelope(env.ID, err)
-			}
-			return reply
-		default:
-			return wire.ErrorEnvelope(env.ID, fmt.Errorf("proxy: unknown pool message %q", env.Type))
-		}
-	})
 }

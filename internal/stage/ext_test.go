@@ -93,7 +93,7 @@ func TestExtPayloadTruncation(t *testing.T) {
 // that never negotiate a binary codec.
 func TestStageJSONInterop(t *testing.T) {
 	pm, _, _ := newPM(t, "pm-json", []string{"sun"}, 4)
-	srv, err := ServeOpts(pm, "127.0.0.1:0", netsim.Local(), ServerOptions{Codecs: []wire.Codec{wire.JSON}})
+	srv, err := ServeOpts(pm, "127.0.0.1:0", netsim.Local(), wire.ServeOptions{Codecs: []wire.Codec{wire.JSON}})
 	if err != nil {
 		t.Fatal(err)
 	}

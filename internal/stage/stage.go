@@ -16,9 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sync"
 
-	"actyp/internal/metrics"
 	"actyp/internal/netsim"
 	"actyp/internal/pool"
 	"actyp/internal/poolmgr"
@@ -106,92 +104,36 @@ func (m *nameReply) DecodeExt(cur *wire.Cursor) error {
 	return cur.Err()
 }
 
-// ServerOptions tunes a stage server's per-connection transport.
-type ServerOptions struct {
-	// Window is the per-connection in-flight window (0 means
-	// wire.DefaultWindow; values below 0 serialize). Stage fan-in from
-	// many query managers can be tuned per deployment with it.
-	Window int
-	// Codecs is the wire-codec negotiation preference (nil means
-	// wire.DefaultCodecs).
-	Codecs []wire.Codec
-	// Stats, when set, accounts every frame served per codec.
-	Stats *metrics.WireStats
-}
+// ServerOptions is the options type of ServeOpts. It is an alias of
+// wire.ServeOptions kept only because the benchmark module names it.
+type ServerOptions = wire.ServeOptions
 
 // Server exposes a pool manager over TCP.
-type Server struct {
-	pm   *poolmgr.Manager
-	ln   net.Listener
-	opts ServerOptions
-
-	mu     sync.Mutex
-	closed bool
-	wg     sync.WaitGroup
-}
+type Server = wire.Server
 
 // Serve starts a stage server for pm on addr with the given network
 // profile and the default transport configuration.
 func Serve(pm *poolmgr.Manager, addr string, profile netsim.Profile) (*Server, error) {
-	return ServeOpts(pm, addr, profile, ServerOptions{})
+	return ServeOpts(pm, addr, profile, wire.ServeOptions{})
 }
 
-// ServeOpts is Serve with an explicit transport configuration.
-func ServeOpts(pm *poolmgr.Manager, addr string, profile netsim.Profile, opts ServerOptions) (*Server, error) {
+// ServeOpts is Serve with an explicit transport configuration. The pool
+// manager is concurrency-safe, so one connection's requests dispatch
+// through the multiplexer and overlap; a delegated Resolve that fans out
+// across peers does not block the releases behind it.
+func ServeOpts(pm *poolmgr.Manager, addr string, profile netsim.Profile, opts wire.ServeOptions) (*Server, error) {
 	if pm == nil {
 		return nil, fmt.Errorf("stage: server needs a pool manager")
-	}
-	if opts.Window == 0 {
-		opts.Window = wire.DefaultWindow
 	}
 	ln, err := netsim.Listen(addr, profile)
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{pm: pm, ln: ln, opts: opts}
-	s.wg.Add(1)
-	go s.acceptLoop()
-	return s, nil
+	return wire.NewServer(ln, opts, func(env *wire.Envelope) *wire.Envelope { return dispatch(pm, env) })
 }
 
-// Addr returns the listening address.
-func (s *Server) Addr() string { return s.ln.Addr().String() }
-
-// Close stops the server and waits for handlers.
-func (s *Server) Close() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.closed = true
-	s.mu.Unlock()
-	_ = s.ln.Close()
-	s.wg.Wait()
-}
-
-func (s *Server) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			return
-		}
-		s.wg.Add(1)
-		go s.handle(conn)
-	}
-}
-
-func (s *Server) handle(conn net.Conn) {
-	defer s.wg.Done()
-	defer conn.Close()
-	// The pool manager is concurrency-safe, so one connection's requests
-	// dispatch through the multiplexer and overlap; a delegated Resolve
-	// that fans out across peers no longer blocks the releases behind it.
-	wire.ServeConnOpts(conn, wire.ServeOptions{Window: s.opts.Window, Codecs: s.opts.Codecs, Stats: s.opts.Stats}, s.dispatch)
-}
-
-func (s *Server) dispatch(env *wire.Envelope) *wire.Envelope {
+// dispatch answers one stage request against pm.
+func dispatch(pm *poolmgr.Manager, env *wire.Envelope) *wire.Envelope {
 	fail := func(err error) *wire.Envelope { return wire.ErrorEnvelope(env.ID, err) }
 	switch env.Type {
 	case wire.TypePing:
@@ -200,7 +142,7 @@ func (s *Server) dispatch(env *wire.Envelope) *wire.Envelope {
 		// Payloads pass as pointers: only the pointer types carry the full
 		// wire.ExtPayload method set, which is what routes them through the
 		// binary extension tag.
-		reply, err := wire.NewEnvelope(typeName, env.ID, &nameReply{Name: s.pm.Name()})
+		reply, err := wire.NewEnvelope(typeName, env.ID, &nameReply{Name: pm.Name()})
 		if err != nil {
 			return fail(err)
 		}
@@ -214,7 +156,7 @@ func (s *Server) dispatch(env *wire.Envelope) *wire.Envelope {
 		if err != nil {
 			return fail(err)
 		}
-		lease, err := s.pm.Forward(q, req.TTL, req.Visited)
+		lease, err := pm.Forward(q, req.TTL, req.Visited)
 		if err != nil {
 			return fail(err)
 		}
@@ -228,7 +170,7 @@ func (s *Server) dispatch(env *wire.Envelope) *wire.Envelope {
 		if err := env.Decode(&req); err != nil {
 			return fail(err)
 		}
-		if err := s.pm.Release(&req.Lease); err != nil {
+		if err := pm.Release(&req.Lease); err != nil {
 			return fail(err)
 		}
 		reply, err := wire.NewEnvelope(typeRelease, env.ID, struct{}{})

@@ -1,7 +1,10 @@
 package stage
 
 import (
+	"fmt"
+	"net"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -11,6 +14,7 @@ import (
 	"actyp/internal/query"
 	"actyp/internal/querymgr"
 	"actyp/internal/registry"
+	"actyp/internal/wire"
 )
 
 func newPM(t testing.TB, name string, archs []string, n int) (*poolmgr.Manager, *directory.Service, *poolmgr.LocalFactory) {
@@ -193,5 +197,40 @@ func TestRemoteTTLExpiryOverWire(t *testing.T) {
 	_, err = remote.Forward(basic(t, "punch.rsrc.arch = sun"), 3, []string{"pm"})
 	if err == nil || !strings.Contains(err.Error(), "visited") {
 		t.Errorf("err = %v", err)
+	}
+}
+
+// TestHellolessClientLogsRefusal: a stage listener reports a peer below
+// wire.Protocol through Logf — one line naming the refusal per refused
+// connection — instead of dropping the error silently.
+func TestHellolessClientLogsRefusal(t *testing.T) {
+	pm, _, _ := newPM(t, "pm-refuse", []string{"sun"}, 4)
+	var mu sync.Mutex
+	var lines []string
+	srv, err := ServeOpts(pm, "127.0.0.1:0", netsim.Local(), wire.ServeOptions{Logf: func(format string, args ...any) {
+		mu.Lock()
+		lines = append(lines, fmt.Sprintf(format, args...))
+		mu.Unlock()
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	framer := wire.NewFramer(wire.JSON)
+	if err := framer.WriteFrame(conn, &wire.Envelope{Type: wire.TypePing, ID: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if reply, err := framer.ReadFrame(conn); err != nil || reply.Type != wire.TypeError {
+		t.Fatalf("hello-less ping got %+v, %v; want one error reply", reply, err)
+	}
+	srv.Close() // waits for the connection handler, and with it the log line
+	mu.Lock()
+	defer mu.Unlock()
+	if len(lines) != 1 || !strings.Contains(lines[0], "protocol refused") {
+		t.Fatalf("Logf lines %q, want exactly one naming the refusal", lines)
 	}
 }

@@ -17,10 +17,12 @@ const DefaultWindow = 32
 // envelope; nil means the request produces no reply.
 type Handler func(*Envelope) *Envelope
 
-// ServeOptions configures one connection's server side.
+// ServeOptions configures the server side of a TCP endpoint and of each
+// connection it serves.
 type ServeOptions struct {
-	// Window is the in-flight request window; values below 1 serialize
-	// the connection (the pre-multiplexing behaviour).
+	// Window is the per-connection in-flight request window, under the
+	// rule of ResolveWindow: 0 means DefaultWindow, 1 serializes the
+	// connection (the pre-multiplexing behaviour), negative is an error.
 	Window int
 	// Codecs is the negotiation preference, best first (nil means
 	// DefaultCodecs). Offering only JSON pins every connection to JSON.
@@ -41,15 +43,10 @@ type ServeOptions struct {
 	// Stats, when set, accounts every frame this connection reads and
 	// writes (bytes, frames, compressed-vs-raw) under its codec's name.
 	Stats *metrics.WireStats
-	// Logf receives rare serve-side diagnostics (a negative Window being
-	// clamped); nil discards them.
+	// Logf receives a Server's per-connection terminal errors (protocol
+	// refusals among them) other than io.EOF and net.ErrClosed; nil
+	// discards them.
 	Logf func(format string, args ...any)
-}
-
-// ServeConn multiplexes one connection with the default codec preference;
-// see ServeConnOpts.
-func ServeConn(conn net.Conn, window int, handle Handler) error {
-	return ServeConnOpts(conn, ServeOptions{Window: window}, handle)
 }
 
 // workItem is one request handed to a worker; lane is meaningful only on
@@ -79,7 +76,8 @@ type workItem struct {
 // ServeConnOpts returns when the connection fails or the peer closes it,
 // after all in-flight handlers finish; the returned error is the terminal
 // read or write failure (io.EOF for a clean peer close). Except on a
-// refusal it does not close conn; the caller owns its lifecycle.
+// refusal it does not close conn; the caller owns its lifecycle. A
+// negative opts.Window fails before the handshake.
 //
 // With Overload set, the reader feeds per-lane queues instead of the
 // FIFO: a dispatcher goroutine pops them strict-control-first (then
@@ -88,12 +86,9 @@ type workItem struct {
 // queue-full, and expired requests are answered with a cheap Busy reply
 // from the read side without ever occupying a worker.
 func ServeConnOpts(conn net.Conn, opts ServeOptions, handle Handler) error {
-	window := opts.Window
-	if window < 1 {
-		if window < 0 && opts.Logf != nil {
-			opts.Logf("wire: connection window %d clamped to 1 (serialized dispatch)", window)
-		}
-		window = 1
+	window, err := ResolveWindow(opts.Window)
+	if err != nil {
+		return err
 	}
 	codecs := opts.Codecs
 	if codecs == nil {

@@ -18,60 +18,9 @@ type echoPayload struct {
 	Sleep int    `json:"sleepMs,omitempty"`
 }
 
-// startEchoServer serves every accepted connection through ServeConn with
-// a handler that echoes the payload after an optional per-request delay.
+// startEchoServer is startEchoServerOpts with only a window.
 func startEchoServer(t *testing.T, window int) (addr string, stop func()) {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var conns []net.Conn
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			mu.Lock()
-			conns = append(conns, conn)
-			mu.Unlock()
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer conn.Close()
-				ServeConn(conn, window, func(env *Envelope) *Envelope {
-					var p echoPayload
-					if err := env.Decode(&p); err != nil {
-						bad, _ := NewEnvelope(TypeError, env.ID, ErrorReply{Message: err.Error()})
-						return bad
-					}
-					if p.Sleep > 0 {
-						time.Sleep(time.Duration(p.Sleep) * time.Millisecond)
-					}
-					reply, err := NewEnvelope("echo", env.ID, p)
-					if err != nil {
-						bad, _ := NewEnvelope(TypeError, env.ID, ErrorReply{Message: err.Error()})
-						return bad
-					}
-					return reply
-				})
-			}()
-		}
-	}()
-	return ln.Addr().String(), func() {
-		_ = ln.Close()
-		mu.Lock()
-		for _, c := range conns {
-			_ = c.Close()
-		}
-		mu.Unlock()
-		wg.Wait()
-	}
+	return startEchoServerOpts(t, ServeOptions{Window: window})
 }
 
 // TestServeConnInterleavesReplies proves out-of-order service on one raw
@@ -138,7 +87,7 @@ func TestServeConnWindowBoundsConcurrency(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		ServeConn(conn, window, func(env *Envelope) *Envelope {
+		ServeConnOpts(conn, ServeOptions{Window: window}, func(env *Envelope) *Envelope {
 			mu.Lock()
 			inFlight++
 			if inFlight > peak {
@@ -308,7 +257,7 @@ func TestClientReconnectsAfterServerRestart(t *testing.T) {
 			}
 			go func() {
 				defer conn.Close()
-				ServeConn(conn, 4, func(env *Envelope) *Envelope {
+				ServeConnOpts(conn, ServeOptions{Window: 4}, func(env *Envelope) *Envelope {
 					var p echoPayload
 					_ = env.Decode(&p)
 					reply, _ := NewEnvelope("echo", env.ID, p)

@@ -9,7 +9,6 @@ import (
 	"net"
 	"os"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
@@ -46,54 +45,29 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// startEchoServerOpts is startEchoServer with explicit serve options.
+// startEchoServerOpts serves opts on a Server whose handler echoes each
+// payload after its optional delay.
 func startEchoServerOpts(t *testing.T, opts ServeOptions) (addr string, stop func()) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var conns []net.Conn
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			mu.Lock()
-			conns = append(conns, conn)
-			mu.Unlock()
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer conn.Close()
-				ServeConnOpts(conn, opts, func(env *Envelope) *Envelope {
-					var p echoPayload
-					if err := env.Decode(&p); err != nil {
-						return ErrorEnvelope(env.ID, err)
-					}
-					if p.Sleep > 0 {
-						time.Sleep(time.Duration(p.Sleep) * time.Millisecond)
-					}
-					reply, _ := NewEnvelope("echo", env.ID, p)
-					return reply
-				})
-			}()
+	srv, err := NewServer(ln, opts, func(env *Envelope) *Envelope {
+		var p echoPayload
+		if err := env.Decode(&p); err != nil {
+			return ErrorEnvelope(env.ID, err)
 		}
-	}()
-	return ln.Addr().String(), func() {
-		_ = ln.Close()
-		mu.Lock()
-		for _, c := range conns {
-			_ = c.Close()
+		if p.Sleep > 0 {
+			time.Sleep(time.Duration(p.Sleep) * time.Millisecond)
 		}
-		mu.Unlock()
-		wg.Wait()
+		reply, _ := NewEnvelope("echo", env.ID, p)
+		return reply
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+	return srv.Addr(), srv.Close
 }
 
 // handshake runs the client's side of the handshake on a raw connection,

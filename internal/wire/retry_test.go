@@ -58,7 +58,7 @@ func (s *restartableEchoServer) start(ln net.Listener) {
 			go func() {
 				defer s.wg.Done()
 				defer conn.Close()
-				ServeConn(conn, 8, func(env *Envelope) *Envelope {
+				ServeConnOpts(conn, ServeOptions{Window: 8}, func(env *Envelope) *Envelope {
 					if s.failN.Add(-1) >= 0 {
 						s.fails.Add(1)
 						return ErrorEnvelope(env.ID, errors.New("injected failure"))

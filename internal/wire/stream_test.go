@@ -213,7 +213,7 @@ func TestStreamUnknownTypeBounces(t *testing.T) {
 				defer conn.Close()
 				// No Streams configured: a real dispatcher answers types it
 				// does not know with an error reply.
-				ServeConn(conn, 4, func(env *Envelope) *Envelope {
+				ServeConnOpts(conn, ServeOptions{Window: 4}, func(env *Envelope) *Envelope {
 					return ErrorEnvelope(env.ID, fmt.Errorf("unknown message type %q", env.Type))
 				})
 			}()

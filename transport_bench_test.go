@@ -6,6 +6,7 @@ import (
 
 	"actyp/internal/core"
 	"actyp/internal/netsim"
+	"actyp/internal/wire"
 )
 
 // BenchmarkTransport* measure single-connection wire throughput on a
@@ -26,7 +27,7 @@ func benchTransport(b *testing.B, callers, window int) {
 		b.Fatal(err)
 	}
 	profile := netsim.LAN()
-	srv, err := core.ServeWindow(svc, "127.0.0.1:0", profile, window)
+	srv, err := core.ServeOpts(svc, "127.0.0.1:0", profile, wire.ServeOptions{Window: window})
 	if err != nil {
 		b.Fatal(err)
 	}
