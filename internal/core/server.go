@@ -52,95 +52,57 @@ func ServeOpts(svc *Service, addr string, profile netsim.Profile, opts wire.Serv
 		return nil, fmt.Errorf("core: listen %s: %w", addr, err)
 	}
 	opts.Streams = map[string]wire.StreamHandler{wire.TypeWatch: svc.serveWatch}
-	return wire.NewServer(ln, opts, func(env *wire.Envelope) *wire.Envelope {
-		return serveEnvelope(svc, env)
-	})
+	return wire.NewServer(ln, opts, newMux(svc).Serve)
 }
 
-// serveEnvelope dispatches one request envelope against the service and
-// returns the reply envelope. It is shared by the TCP and UDP endpoints,
-// which differ only in framing.
-func serveEnvelope(svc *Service, env *wire.Envelope) *wire.Envelope {
-	reply, err := dispatchEnvelope(svc, env)
-	if err != nil {
-		return wire.ErrorEnvelope(env.ID, err)
-	}
-	return reply
-}
-
-func dispatchEnvelope(svc *Service, env *wire.Envelope) (*wire.Envelope, error) {
-	switch env.Type {
-	case wire.TypePing:
-		return &wire.Envelope{Type: wire.TypePing, ID: env.ID}, nil
-	case wire.TypeQuery:
-		var req wire.QueryRequest
-		if err := env.Decode(&req); err != nil {
-			return nil, err
-		}
+// newMux serves the client protocol against svc. The TCP and UDP
+// endpoints share it; they differ only in framing.
+func newMux(svc *Service) *wire.Mux {
+	mux := wire.NewMux()
+	wire.Handle(mux, wire.Query, func(req *wire.QueryRequest) (*wire.QueryReply, error) {
 		grant, err := svc.RequestLang(req.Lang, req.Text)
 		if err != nil {
 			return nil, err
 		}
-		reply := wire.QueryReply{
+		return &wire.QueryReply{
 			Lease:     grant.Lease,
 			Fragments: grant.Fragments,
 			Succeeded: grant.Succeeded,
 			ElapsedNS: grant.Elapsed.Nanoseconds(),
 			Shadow:    &grant.Shadow,
-		}
-		return wire.NewEnvelope(wire.TypeQuery, env.ID, reply)
-	case wire.TypeRelease:
-		var req wire.ReleaseRequest
-		if err := env.Decode(&req); err != nil {
-			return nil, err
-		}
+		}, nil
+	})
+	wire.Handle(mux, wire.Release, func(req *wire.ReleaseRequest) (*wire.ReleaseReply, error) {
 		g := &Grant{Lease: &req.Lease}
 		if req.Shadow != nil {
 			g.Shadow = *req.Shadow
 		}
-		if err := svc.Release(g); err != nil {
-			return nil, err
-		}
-		return wire.NewEnvelope(wire.TypeRelease, env.ID, wire.ReleaseReply{})
-	case wire.TypeRenew:
-		var req wire.RenewRequest
-		if err := env.Decode(&req); err != nil {
-			return nil, err
-		}
-		if err := svc.Renew(&Grant{Lease: &req.Lease}); err != nil {
-			return nil, err
-		}
-		return wire.NewEnvelope(wire.TypeRenew, env.ID, wire.RenewReply{})
-	case wire.TypeSelect:
-		var req wire.SelectRequest
-		if err := env.Decode(&req); err != nil {
-			return nil, err
-		}
+		return &wire.ReleaseReply{}, svc.Release(g)
+	})
+	wire.Handle(mux, wire.Renew, func(req *wire.RenewRequest) (*wire.RenewReply, error) {
+		return &wire.RenewReply{}, svc.Renew(&Grant{Lease: &req.Lease})
+	})
+	wire.Handle(mux, wire.Select, func(req *wire.SelectRequest) (*wire.SelectReply, error) {
 		ms, total, err := svc.SelectMachines(req.Text, req.Limit, req.Offset)
 		if err != nil {
 			return nil, err
 		}
-		reply := wire.SelectReply{Total: total, Records: wire.RecordSet{Machines: ms, Full: req.Full}}
-		return wire.NewEnvelope(wire.TypeSelect, env.ID, reply)
-	case wire.TypeRoute:
-		var req wire.RouteRequest
-		if err := env.Decode(&req); err != nil {
-			return nil, err
-		}
-		return wire.NewEnvelope(wire.TypeRoute, env.ID, routeReply(svc, &req))
-	default:
-		return nil, fmt.Errorf("core: unknown message type %q", env.Type)
-	}
+		return &wire.SelectReply{Total: total, Records: wire.RecordSet{Machines: ms, Full: req.Full}}, nil
+	})
+	wire.Handle(mux, wire.Route, func(req *wire.RouteRequest) (*wire.RouteReply, error) {
+		return routeReply(svc, req), nil
+	})
+	return mux
 }
 
 // routeReply renders the service's ownership table for the wire: static
 // assignments first, then the resolved owner of every requested domain.
-func routeReply(svc *Service, req *wire.RouteRequest) wire.RouteReply {
+func routeReply(svc *Service, req *wire.RouteRequest) *wire.RouteReply {
 	rt := svc.Routes()
 	if rt == nil {
-		return wire.RouteReply{}
+		return &wire.RouteReply{}
 	}
-	reply := wire.RouteReply{Enabled: rt.Partitioned(), Node: rt.Local(), Nodes: rt.Nodes()}
+	reply := &wire.RouteReply{Enabled: rt.Partitioned(), Node: rt.Local(), Nodes: rt.Nodes()}
 	static := rt.Static()
 	seen := make(map[string]bool, len(static))
 	for d, owner := range static {
@@ -212,31 +174,15 @@ func (c *Client) CodecName() string { return c.c.CodecName() }
 // Close closes the connection.
 func (c *Client) Close() error { return c.c.Close() }
 
-// call round-trips one request, translating server-side failures into the
-// historical "core: server: ..." form. idempotent requests (Ping, Renew)
-// transparently retry across connection loss with backoff.
-func (c *Client) call(ctx context.Context, typ string, payload any) (*wire.Envelope, error) {
-	reply, err := c.c.CallContext(ctx, typ, payload)
-	return c.finish(typ, reply, err)
-}
-
-func (c *Client) callIdempotent(ctx context.Context, typ string, payload any) (*wire.Envelope, error) {
-	reply, err := c.c.CallIdempotent(ctx, typ, payload)
-	return c.finish(typ, reply, err)
-}
-
-func (c *Client) finish(typ string, reply *wire.Envelope, err error) (*wire.Envelope, error) {
-	if err != nil {
-		var remote *wire.RemoteError
-		if errors.As(err, &remote) {
-			return nil, fmt.Errorf("core: server: %s", remote.Message)
-		}
-		return nil, err
+// serverErr gives a failure the server reported the historical
+// "core: server: ..." prefix; errors.As still reaches the
+// *wire.RemoteError. Transport failures pass through unchanged.
+func serverErr(err error) error {
+	var remote *wire.RemoteError
+	if errors.As(err, &remote) {
+		return fmt.Errorf("core: server: %w", err)
 	}
-	if reply.Type != typ {
-		return nil, fmt.Errorf("core: %s got %q", typ, reply.Type)
-	}
-	return reply, nil
+	return err
 }
 
 // Ping round-trips a liveness probe.
@@ -246,8 +192,8 @@ func (c *Client) Ping() error { return c.PingContext(context.Background()) }
 // that dies with its connection retries transparently — a heartbeat rides
 // out a server restart without a caller-visible error.
 func (c *Client) PingContext(ctx context.Context) error {
-	_, err := c.callIdempotent(ctx, wire.TypePing, nil)
-	return err
+	_, err := wire.Ping.Call(ctx, c.c, &wire.None{})
+	return serverErr(err)
 }
 
 // Request submits a query text and returns the grant.
@@ -260,13 +206,9 @@ func (c *Client) RequestLang(lang, text string) (*Grant, error) {
 
 // RequestContext submits a query with cancellation.
 func (c *Client) RequestContext(ctx context.Context, lang, text string) (*Grant, error) {
-	env, err := c.call(ctx, wire.TypeQuery, wire.QueryRequest{Lang: lang, Text: text})
+	reply, err := wire.Query.Call(ctx, c.c, &wire.QueryRequest{Lang: lang, Text: text})
 	if err != nil {
-		return nil, err
-	}
-	var reply wire.QueryReply
-	if err := env.Decode(&reply); err != nil {
-		return nil, err
+		return nil, serverErr(err)
 	}
 	if reply.Lease == nil {
 		return nil, errors.New("core: server granted no lease")
@@ -287,13 +229,13 @@ func (c *Client) Release(g *Grant) error {
 	if g == nil || g.Lease == nil {
 		return errors.New("core: nil grant")
 	}
-	req := wire.ReleaseRequest{Lease: *g.Lease}
+	req := &wire.ReleaseRequest{Lease: *g.Lease}
 	if g.Shadow.User != "" {
 		sh := g.Shadow
 		req.Shadow = &sh
 	}
-	_, err := c.call(context.Background(), wire.TypeRelease, req)
-	return err
+	_, err := wire.Release.Call(context.Background(), c.c, req)
+	return serverErr(err)
 }
 
 // Renew heartbeats a grant on a TTL-enabled service. Renewals are
@@ -303,8 +245,8 @@ func (c *Client) Renew(g *Grant) error {
 	if g == nil || g.Lease == nil {
 		return errors.New("core: nil grant")
 	}
-	_, err := c.callIdempotent(context.Background(), wire.TypeRenew, wire.RenewRequest{Lease: *g.Lease})
-	return err
+	_, err := wire.Renew.Call(context.Background(), c.c, &wire.RenewRequest{Lease: *g.Lease})
+	return serverErr(err)
 }
 
 // Select fetches the machine records matching a basic query text (""
@@ -324,13 +266,9 @@ func (c *Client) SelectContext(ctx context.Context, text string, limit int, full
 // SelectPage is SelectContext with a page offset: offset matching records
 // (in the registry's sorted name order) are skipped before limit applies.
 func (c *Client) SelectPage(ctx context.Context, text string, limit, offset int, full bool) ([]*registry.Machine, int, error) {
-	env, err := c.call(ctx, wire.TypeSelect, wire.SelectRequest{Text: text, Limit: limit, Offset: offset, Full: full})
+	reply, err := wire.Select.Call(ctx, c.c, &wire.SelectRequest{Text: text, Limit: limit, Offset: offset, Full: full})
 	if err != nil {
-		return nil, 0, err
-	}
-	var reply wire.SelectReply
-	if err := env.Decode(&reply); err != nil {
-		return nil, 0, err
+		return nil, 0, serverErr(err)
 	}
 	return reply.Records.Machines, reply.Total, nil
 }
@@ -339,13 +277,6 @@ func (c *Client) SelectPage(ctx context.Context, text string, limit, offset int,
 // of any named domains along the way. An unpartitioned server answers with
 // Enabled false.
 func (c *Client) Route(ctx context.Context, domains ...string) (*wire.RouteReply, error) {
-	env, err := c.call(ctx, wire.TypeRoute, wire.RouteRequest{Domains: domains})
-	if err != nil {
-		return nil, err
-	}
-	var reply wire.RouteReply
-	if err := env.Decode(&reply); err != nil {
-		return nil, err
-	}
-	return &reply, nil
+	reply, err := wire.Route.Call(ctx, c.c, &wire.RouteRequest{Domains: domains})
+	return reply, serverErr(err)
 }

@@ -418,20 +418,21 @@ func (s *Service) Release(g *Grant) error {
 // Renew extends a grant's lease lifetime on TTL-enabled services. Clients
 // running long jobs heartbeat with it so the reaper does not reclaim their
 // machines. On services without a TTL it is a validity check: it fails for
-// unknown leases and succeeds for live ones.
+// unknown leases and succeeds for live ones. A lease won through a peer is
+// renewed through the pool manager that holds its route, back at the
+// grantor; any other lease renews at its local pool instance.
 func (s *Service) Renew(g *Grant) error {
 	if g == nil || g.Lease == nil {
 		return fmt.Errorf("core: nil grant")
 	}
-	ref, ok := s.dir.ByInstance(g.Lease.Pool)
-	if !ok {
-		return fmt.Errorf("core: unknown pool instance %s", g.Lease.Pool)
+	pm := s.pms[0] // the managers share one directory
+	for _, m := range s.pms {
+		if m.Delegated(g.Lease.ID) {
+			pm = m
+			break
+		}
 	}
-	p, ok := ref.Local.(*pool.Pool)
-	if !ok {
-		return fmt.Errorf("core: instance %s does not support renewal", g.Lease.Pool)
-	}
-	return p.Renew(g.Lease.ID)
+	return pm.Renew(g.Lease)
 }
 
 // pickQM round-robins across query-manager replicas, lock-free.

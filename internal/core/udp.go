@@ -25,7 +25,7 @@ import (
 // Clients must therefore correlate replies by envelope id, not by source
 // port (UDPClient does; see its doc for the NAT caveat).
 type UDPServer struct {
-	svc     *Service
+	handle  wire.Handler
 	conn    *net.UDPConn   // request socket, also replies[0]
 	replies []*net.UDPConn // reply socket pool, round-robin
 	next    atomic.Uint64
@@ -80,7 +80,7 @@ func ServeUDPOpts(svc *Service, addr string, opts UDPOptions) (*UDPServer, error
 	if opts.Sockets <= 0 {
 		opts.Sockets = min(runtime.GOMAXPROCS(0), 16)
 	}
-	s := &UDPServer{svc: svc, conn: conn, sem: make(chan struct{}, opts.Window)}
+	s := &UDPServer{handle: newMux(svc).Serve, conn: conn, sem: make(chan struct{}, opts.Window)}
 	s.replies = append(s.replies, conn)
 	for len(s.replies) < opts.Sockets {
 		// Extra reply sockets bind the same interface on ephemeral ports;
@@ -163,9 +163,9 @@ func (s *UDPServer) loop() {
 				<-s.sem
 				s.wg.Done()
 			}()
-			// serveEnvelope is the same dispatcher the TCP server uses;
-			// only the framing differs (one datagram per envelope).
-			reply := serveEnvelope(s.svc, env)
+			// The mux is the same one the TCP server serves; only the
+			// framing differs (one datagram per envelope).
+			reply := s.handle(env)
 			if reply == nil {
 				return
 			}
@@ -183,7 +183,7 @@ func (s *UDPServer) laneWorker() {
 		if !ok {
 			return // closed and drained
 		}
-		reply := serveEnvelope(s.svc, env)
+		reply := s.handle(env)
 		s.lanes.Done(lane)
 		if reply != nil {
 			s.sendReply(reply, meta.(*net.UDPAddr))

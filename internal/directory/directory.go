@@ -65,6 +65,13 @@ type LeaseReleaser interface {
 	Release(lease *pool.Lease) error
 }
 
+// LeaseRenewer is the renewal counterpart of LeaseReleaser: a peer that
+// implements it extends the lifetime of a lease it granted, which is how
+// a lease won through the peer is heartbeated.
+type LeaseRenewer interface {
+	Renew(lease *pool.Lease) error
+}
+
 // snapshot is one immutable view of the directory. Readers load it with a
 // single atomic pointer read and walk it without locking or copying;
 // mutations build a replacement under the write lock. The slices and maps

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"net"
 	"strings"
@@ -121,19 +122,14 @@ func codecOpsPoint(cfg CodecConfig, codec wire.Codec, pad int) (float64, error) 
 	rec := metrics.NewRecorder()
 	start := time.Now()
 	err = closedLoop(cfg.Clients, cfg.OpsPerClient, rec, func(client, iter int) error {
-		reply, err := cli.Call(wire.TypeQuery, req)
+		qr, err := wire.Query.Call(context.Background(), cli, &req)
 		if err != nil {
-			return err
-		}
-		var qr wire.QueryReply
-		if err := reply.Decode(&qr); err != nil {
 			return err
 		}
 		if qr.Lease == nil {
 			return fmt.Errorf("no lease granted")
 		}
-		rel := wire.ReleaseRequest{Lease: *qr.Lease, Shadow: qr.Shadow}
-		_, err = cli.Call(wire.TypeRelease, rel)
+		_, err = wire.Release.Call(context.Background(), cli, &wire.ReleaseRequest{Lease: *qr.Lease, Shadow: qr.Shadow})
 		return err
 	})
 	elapsed := time.Since(start)

@@ -68,11 +68,12 @@ func closeEndpoints(t *testing.T) []closeEndpoint {
 	}
 }
 
-// TestEndpointCloseWithLivePeer: every TCP endpoint kind closes within a
-// second while a negotiated client still holds a connection to it, and
-// the client's next call then fails with a transport error instead of
-// hanging. The stage and proxy endpoints used to wait for their peers to
-// hang up, so a daemon with a connected federation peer ignored SIGTERM.
+// TestEndpointCloseWithLivePeer: every TCP endpoint kind answers ping and
+// refuses an unknown message type with the same error, then closes within
+// a second while a negotiated client still holds a connection to it, and
+// the client's next call fails with a transport error instead of hanging.
+// The stage and proxy endpoints used to wait for their peers to hang up,
+// so a daemon with a connected federation peer ignored SIGTERM.
 func TestEndpointCloseWithLivePeer(t *testing.T) {
 	for _, ep := range closeEndpoints(t) {
 		t.Run(ep.name, func(t *testing.T) {
@@ -82,10 +83,16 @@ func TestEndpointCloseWithLivePeer(t *testing.T) {
 			}
 			c := wire.NewClient(func() (net.Conn, error) { return net.Dial("tcp", addr) }, 2*time.Second)
 			defer c.Close()
-			// A pool endpoint answers a ping with an error reply; either
-			// way the round trip proves the connection is live.
-			if _, err := c.Call(wire.TypePing, nil); err != nil && !isRemote(err) {
+			reply, err := c.Call(wire.TypePing, nil)
+			if err != nil {
 				t.Fatalf("ping before close: %v", err)
+			}
+			if reply.Type != wire.TypePing || len(reply.Payload) != 0 {
+				t.Fatalf("ping reply = %s with %d payload bytes, want a bare ping", reply.Type, len(reply.Payload))
+			}
+			_, err = c.Call("no-such-method", nil)
+			if want := `wire: unknown message type "no-such-method"`; !isRemote(err) || err.Error() != want {
+				t.Fatalf("unknown type: err = %v, want the error reply %q", err, want)
 			}
 
 			closed := make(chan struct{})

@@ -56,9 +56,9 @@ func extendVisited(visited []string, name string) []string {
 // back correctly even after the domain changes hands: the release goes to
 // the domain's *current* owner per the route table, falling back to the
 // recorded grantor for unroutable leases. Entries are evicted on release
-// and, as a backstop against clients that never release, lazily after
-// delegatedTTL — by then the grantor's reaper has reclaimed the machine
-// anyway. Deliberately NOT a captured Forwarder handle: a handle pins the
+// and, as a backstop against clients that never release, lazily
+// delegatedTTL after the win or the last renewal — by then the grantor's
+// reaper has reclaimed the machine anyway. Deliberately NOT a captured Forwarder handle: a handle pins the
 // stale grantor across ownership-table reloads.
 type delegatedLease struct {
 	peerName string // grantor at win time
@@ -106,6 +106,28 @@ func (m *Manager) takeDelegated(id string) (peerName, domain string, ok bool) {
 	return d.peerName, d.domain, found
 }
 
+// touchDelegated looks a lease up in the delegated table without removing
+// it and refreshes the entry's age.
+func (m *Manager) touchDelegated(id string) (peerName, domain string, ok bool) {
+	m.delegatedMu.Lock()
+	defer m.delegatedMu.Unlock()
+	d, ok := m.delegated[id]
+	if ok {
+		d.at = time.Now()
+		m.delegated[id] = d
+	}
+	return d.peerName, d.domain, ok
+}
+
+// Delegated reports whether the lease was won through a peer, so its
+// renewal and release route back through this manager.
+func (m *Manager) Delegated(id string) bool {
+	m.delegatedMu.Lock()
+	defer m.delegatedMu.Unlock()
+	_, ok := m.delegated[id]
+	return ok
+}
+
 // peerByName finds the directory peer carrying the name, nil when absent.
 func (m *Manager) peerByName(name string) directory.Forwarder {
 	if name == "" {
@@ -119,13 +141,14 @@ func (m *Manager) peerByName(name string) directory.Forwarder {
 	return nil
 }
 
-// releaseRemote routes a delegated lease's release. Target selection is
-// the (peer, domain) rule: the domain's current owner per the route table
-// when the lease carries a routable domain — the grantor may have handed
-// the domain off since the win — otherwise the recorded grantor. When the
-// current owner is this very node (the domain migrated home and the lease
-// was re-adopted into a local pool), the release lands locally.
-func (m *Manager) releaseRemote(peerName, domain string, lease *pool.Lease) error {
+// delegatedRoute picks the peer a delegated lease's release or renewal
+// goes to, by the (peer, domain) rule: the domain's current owner per the
+// route table when the lease carries a routable domain — the grantor may
+// have handed the domain off since the win — otherwise the recorded
+// grantor. A current owner that is not a dialed peer falls back to the
+// grantor. A nil peer with a nil error means the owner is this very node:
+// the domain migrated home and the lease was re-adopted into a local pool.
+func (m *Manager) delegatedRoute(peerName, domain string, lease *pool.Lease) (directory.Forwarder, error) {
 	target := peerName
 	if m.routes != nil && domain != "" {
 		if owner, ok := m.routes.Owner(domain); ok {
@@ -133,25 +156,52 @@ func (m *Manager) releaseRemote(peerName, domain string, lease *pool.Lease) erro
 		}
 	}
 	if target == m.name {
-		if ref, ok := m.dir.ByInstance(lease.Pool); ok && ref.Local != nil {
-			return ref.Local.Release(lease.ID)
-		}
-		return fmt.Errorf("poolmgr %s: domain %s migrated home but lease %s has no local pool %s",
-			m.name, domain, lease.ID, lease.Pool)
+		return nil, nil
 	}
 	peer := m.peerByName(target)
 	if peer == nil && target != peerName {
-		// The current owner is not a dialed peer; fall back to the grantor.
 		peer = m.peerByName(peerName)
 	}
 	if peer == nil {
-		return fmt.Errorf("poolmgr %s: no peer %s to take lease %s back", m.name, target, lease.ID)
+		return nil, fmt.Errorf("poolmgr %s: no peer %s to take lease %s back", m.name, target, lease.ID)
+	}
+	return peer, nil
+}
+
+// releaseRemote routes a delegated lease's release (see delegatedRoute).
+func (m *Manager) releaseRemote(peerName, domain string, lease *pool.Lease) error {
+	peer, err := m.delegatedRoute(peerName, domain, lease)
+	switch {
+	case err != nil:
+		return err
+	case peer == nil:
+		return m.releaseLocal(lease)
 	}
 	rel, ok := peer.(directory.LeaseReleaser)
 	if !ok {
 		return fmt.Errorf("poolmgr %s: peer %s cannot take lease %s back", m.name, peer.Name(), lease.ID)
 	}
 	return rel.Release(lease)
+}
+
+// renewRemote routes a delegated lease's renewal the way its release
+// goes.
+func (m *Manager) renewRemote(peerName, domain string, lease *pool.Lease) error {
+	peer, err := m.delegatedRoute(peerName, domain, lease)
+	switch {
+	case err != nil:
+		return err
+	case peer == nil:
+		return m.renewLocal(lease)
+	}
+	ren, ok := peer.(directory.LeaseRenewer)
+	if !ok {
+		return fmt.Errorf("poolmgr %s: peer %s cannot renew lease %s", m.name, peer.Name(), lease.ID)
+	}
+	if err := ren.Renew(lease); err != nil {
+		return fmt.Errorf("poolmgr %s: renew lease %s through peer %s: %w", m.name, lease.ID, peer.Name(), err)
+	}
+	return nil
 }
 
 // RestoreDelegated re-installs a delegated-lease route from a journal

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -19,15 +20,17 @@ import (
 // every lease it granted and every one released back, so tests can assert
 // the first-win race never leaks loser capacity.
 type fakePeer struct {
-	name  string
-	delay time.Duration
-	grant bool
-	err   error
+	name     string
+	delay    time.Duration
+	grant    bool
+	err      error
+	renewErr error // scripted Renew failure (a dead grantor)
 
 	mu       sync.Mutex
 	seq      int
 	granted  []*pool.Lease
 	released []*pool.Lease
+	renewed  []*pool.Lease
 	visited  [][]string // copy of each visited list seen
 }
 
@@ -59,6 +62,22 @@ func (p *fakePeer) Release(l *pool.Lease) error {
 	defer p.mu.Unlock()
 	p.released = append(p.released, l)
 	return nil
+}
+
+func (p *fakePeer) Renew(l *pool.Lease) error {
+	if p.renewErr != nil {
+		return p.renewErr
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.renewed = append(p.renewed, l)
+	return nil
+}
+
+func (p *fakePeer) renewals() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.renewed)
 }
 
 func (p *fakePeer) counts() (granted, released int) {
@@ -192,6 +211,166 @@ func TestDelegatedLeaseReleasesThroughGrantor(t *testing.T) {
 				t.Error("second release should fail: the routing entry is consumed")
 			}
 		})
+	}
+}
+
+// TestDelegatedLeaseRenewsThroughGrantor: a lease won through a peer
+// renews through that peer, because no local pool instance knows it. The
+// renewal leaves the routing entry in place, so renewing twice works and
+// the release still routes back afterwards. Covers both the serial walk
+// and the fan-out race.
+func TestDelegatedLeaseRenewsThroughGrantor(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		fanout int
+	}{
+		{"serial", 1},
+		{"fanout", 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			peer := &fakePeer{name: "pm-peer", grant: true, delay: time.Millisecond}
+			other := &fakePeer{name: "pm-other", delay: time.Millisecond} // never grants
+			m := fanoutManager(t, tc.fanout, 0, nil, peer, other)
+
+			lease, err := m.Resolve(basicQuery(t, "punch.rsrc.arch = sun"))
+			if err != nil {
+				t.Fatalf("resolve: %v", err)
+			}
+			if !m.Delegated(lease.ID) {
+				t.Fatal("a lease won through a peer is not in the delegated table")
+			}
+			for i := 0; i < 2; i++ {
+				if err := m.Renew(lease); err != nil {
+					t.Fatalf("renew %d of delegated lease: %v", i, err)
+				}
+			}
+			if n := peer.renewals(); n != 2 {
+				t.Errorf("grantor renewed %d times, want 2", n)
+			}
+			if n := other.renewals(); n != 0 {
+				t.Errorf("non-grantor renewed %d times, want 0", n)
+			}
+			if err := m.Release(lease); err != nil {
+				t.Fatalf("release after renew: %v", err)
+			}
+			if _, rel := peer.counts(); rel != 1 {
+				t.Errorf("grantor released %d leases, want 1", rel)
+			}
+			if err := m.Renew(lease); err == nil {
+				t.Error("renew after release should fail: the lease is neither delegated nor local")
+			}
+		})
+	}
+}
+
+// TestDelegatedRenewDeadGrantor: a renewal the grantor cannot take fails
+// with an error naming the peer and keeps the routing entry, so the
+// release still goes back through the grantor.
+func TestDelegatedRenewDeadGrantor(t *testing.T) {
+	down := errors.New("connection refused")
+	peer := &fakePeer{name: "pm-peer", grant: true, renewErr: down}
+	m := fanoutManager(t, 1, 0, nil, peer)
+
+	lease, err := m.Resolve(basicQuery(t, "punch.rsrc.arch = sun"))
+	if err != nil {
+		t.Fatalf("resolve: %v", err)
+	}
+	err = m.Renew(lease)
+	if err == nil || !strings.Contains(err.Error(), "pm-peer") || !errors.Is(err, down) {
+		t.Fatalf("renew through a dead grantor = %v, want an error naming pm-peer and wrapping the cause", err)
+	}
+	if !m.Delegated(lease.ID) {
+		t.Fatal("a failed renewal dropped the routing entry")
+	}
+	if err := m.Release(lease); err != nil {
+		t.Fatalf("release after failed renew: %v", err)
+	}
+	if _, rel := peer.counts(); rel != 1 {
+		t.Errorf("grantor released %d leases, want 1", rel)
+	}
+}
+
+// TestRenewedDelegationOutlivesTTL: an entry older than delegatedTTL is
+// swept by the next rememberDelegated, unless a renewal refreshed it —
+// a lease that keeps renewing stays releasable through its grantor.
+func TestRenewedDelegationOutlivesTTL(t *testing.T) {
+	peer := &fakePeer{name: "pm-peer", grant: true}
+	m := fanoutManager(t, 1, 0, nil, peer)
+	renewed, err := m.Resolve(basicQuery(t, "punch.rsrc.arch = sun"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale, err := m.Resolve(basicQuery(t, "punch.rsrc.arch = sun"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	backdate := func(id string) {
+		m.delegatedMu.Lock()
+		d := m.delegated[id]
+		d.at = time.Now().Add(-2 * delegatedTTL)
+		m.delegated[id] = d
+		m.delegatedMu.Unlock()
+	}
+	backdate(renewed.ID)
+	backdate(stale.ID)
+	if err := m.Renew(renewed); err != nil {
+		t.Fatalf("renew: %v", err)
+	}
+	// The next win sweeps the table.
+	if _, err := m.Resolve(basicQuery(t, "punch.rsrc.arch = sun")); err != nil {
+		t.Fatal(err)
+	}
+	if m.Delegated(stale.ID) {
+		t.Error("an unrenewed entry past delegatedTTL survived the sweep")
+	}
+	if !m.Delegated(renewed.ID) {
+		t.Fatal("a renewed entry was swept as if it had aged out")
+	}
+	if err := m.Release(renewed); err != nil {
+		t.Fatalf("release of the renewed lease: %v", err)
+	}
+}
+
+// TestDelegatedRenewReleaseRace races renewals against the release of one
+// delegated lease (run under -race): exactly one release reaches the
+// grantor, and every renewal either reaches it or fails cleanly once the
+// entry is gone.
+func TestDelegatedRenewReleaseRace(t *testing.T) {
+	peer := &fakePeer{name: "pm-peer", grant: true}
+	m := fanoutManager(t, 1, 0, nil, peer)
+	lease, err := m.Resolve(basicQuery(t, "punch.rsrc.arch = sun"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	var releases sync.Map
+	for i := 0; i < 8; i++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			_ = m.Renew(lease)
+		}()
+		go func(i int) {
+			defer wg.Done()
+			releases.Store(i, m.Release(lease))
+		}(i)
+	}
+	wg.Wait()
+	ok := 0
+	releases.Range(func(_, v any) bool {
+		if v == nil {
+			ok++
+		}
+		return true
+	})
+	if ok != 1 {
+		t.Errorf("%d releases succeeded, want exactly 1", ok)
+	}
+	if _, rel := peer.counts(); rel != 1 {
+		t.Errorf("grantor got %d releases, want 1", rel)
+	}
+	if m.Delegated(lease.ID) {
+		t.Error("the routing entry survived the release")
 	}
 }
 

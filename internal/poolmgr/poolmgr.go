@@ -301,19 +301,60 @@ func (m *Manager) Release(lease *pool.Lease) error {
 	// pool instance names are query signatures, so the grantor's instance
 	// and a local instance collide on name, and the local release would
 	// hit "unknown lease" while the peer's capacity leaks. The owner is
-	// re-resolved at release time (see releaseRemote) — the grantor
+	// re-resolved at release time (see delegatedRoute) — the grantor
 	// recorded at win time may have handed the domain off since.
 	if peerName, domain, ok := m.takeDelegated(lease.ID); ok {
 		return m.releaseRemote(peerName, domain, lease)
 	}
+	return m.releaseLocal(lease)
+}
+
+// Renew extends a lease's lifetime at the pool that granted it. A lease
+// won through a peer is renewed along the route its release would take,
+// and the renewal refreshes the lease's routing entry, so a lease that
+// keeps renewing stays releasable past delegatedTTL. A renewal that
+// cannot reach the peer fails naming it and keeps the entry, so a retry
+// or the eventual release still routes.
+func (m *Manager) Renew(lease *pool.Lease) error {
+	if lease == nil {
+		return fmt.Errorf("poolmgr %s: nil lease", m.name)
+	}
+	if peerName, domain, ok := m.touchDelegated(lease.ID); ok {
+		return m.renewRemote(peerName, domain, lease)
+	}
+	return m.renewLocal(lease)
+}
+
+// localPool finds the local instance that granted lease.
+func (m *Manager) localPool(lease *pool.Lease) (directory.Allocator, error) {
 	ref, ok := m.dir.ByInstance(lease.Pool)
 	if !ok {
-		return fmt.Errorf("poolmgr %s: unknown pool instance %s", m.name, lease.Pool)
+		return nil, fmt.Errorf("poolmgr %s: unknown pool instance %s", m.name, lease.Pool)
 	}
 	if ref.Local == nil {
-		return fmt.Errorf("poolmgr %s: instance %s has no local handle", m.name, lease.Pool)
+		return nil, fmt.Errorf("poolmgr %s: instance %s has no local handle", m.name, lease.Pool)
 	}
-	return ref.Local.Release(lease.ID)
+	return ref.Local, nil
+}
+
+func (m *Manager) releaseLocal(lease *pool.Lease) error {
+	p, err := m.localPool(lease)
+	if err != nil {
+		return err
+	}
+	return p.Release(lease.ID)
+}
+
+func (m *Manager) renewLocal(lease *pool.Lease) error {
+	p, err := m.localPool(lease)
+	if err != nil {
+		return err
+	}
+	r, ok := p.(interface{ Renew(leaseID string) error })
+	if !ok {
+		return fmt.Errorf("poolmgr %s: instance %s does not support renewal", m.name, lease.Pool)
+	}
+	return r.Renew(lease.ID)
 }
 
 // Stats returns counters: locally resolved queries, pools created,

@@ -152,6 +152,39 @@ func TestDelegatedReleaseReroutesAfterReload(t *testing.T) {
 	}
 }
 
+// TestDelegatedRenewReroutesAfterReload: a renewal follows the same
+// (peer, domain) rule as a release — after a reload it reaches the
+// domain's current owner, and the routing entry stays for the release.
+func TestDelegatedRenewReroutesAfterReload(t *testing.T) {
+	oldOwner := &fakePeer{name: "pm-old", grant: true}
+	newOwner := &fakePeer{name: "pm-new", grant: true}
+	rt := route.New("pm-home")
+	rt.Reload(map[string]string{"upc": "pm-old"}, []string{"pm-home", "pm-old", "pm-new"})
+	m := routedManager(t, rt, 1, nil, oldOwner, newOwner)
+
+	lease, err := m.Resolve(basicQuery(t, "punch.rsrc.domain = upc"))
+	if err != nil {
+		t.Fatalf("resolve: %v", err)
+	}
+	rt.Reload(map[string]string{"upc": "pm-new"}, []string{"pm-home", "pm-old", "pm-new"})
+
+	if err := m.Renew(lease); err != nil {
+		t.Fatalf("renew after reload: %v", err)
+	}
+	if n := oldOwner.renewals(); n != 0 {
+		t.Errorf("stale grantor got %d renewals, want 0", n)
+	}
+	if n := newOwner.renewals(); n != 1 {
+		t.Errorf("current owner got %d renewals, want 1", n)
+	}
+	if err := m.Release(lease); err != nil {
+		t.Fatalf("release after renew: %v", err)
+	}
+	if _, rel := newOwner.counts(); rel != 1 {
+		t.Errorf("current owner got %d releases, want 1", rel)
+	}
+}
+
 // TestDelegatedReleaseUnroutableKeepsGrantor: a lease won for a query with
 // no domain predicate records domain "" and must keep releasing through
 // the recorded grantor regardless of table reloads — there is no domain to

@@ -1,6 +1,7 @@
 package proxy
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -69,30 +70,12 @@ func (r *RemotePool) Addr() string { return r.addr }
 // Close drops the connection.
 func (r *RemotePool) Close() error { return r.c.Close() }
 
-// call round-trips one request, translating server-reported failures into
-// the historical "proxy: remote pool: ..." form.
-func (r *RemotePool) call(typ string, payload any) (*wire.Envelope, error) {
-	reply, err := r.c.Call(typ, payload)
-	if err != nil {
-		var remote *wire.RemoteError
-		if errors.As(err, &remote) {
-			return nil, fmt.Errorf("proxy: remote pool: %s", remote.Message)
-		}
-		return nil, err
-	}
-	return reply, nil
-}
-
 // Allocate implements the Allocator contract over the wire: the basic
 // query travels in its textual form, which round-trips losslessly.
 func (r *RemotePool) Allocate(q *query.Query) (*pool.Lease, error) {
-	reply, err := r.call(typeAlloc, allocRequest{Query: q.String()})
+	ar, err := methodAlloc.Call(context.Background(), r.c, &allocRequest{Query: q.String()})
 	if err != nil {
-		return nil, err
-	}
-	var ar allocReply
-	if err := reply.Decode(&ar); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("proxy: remote pool: %w", err)
 	}
 	if ar.Lease == nil {
 		return nil, fmt.Errorf("proxy: remote pool returned no lease")
@@ -102,6 +85,8 @@ func (r *RemotePool) Allocate(q *query.Query) (*pool.Lease, error) {
 
 // Release implements the Allocator contract.
 func (r *RemotePool) Release(leaseID string) error {
-	_, err := r.call(typeRelease, releaseRequest{LeaseID: leaseID})
-	return err
+	if _, err := methodRelease.Call(context.Background(), r.c, &releaseRequest{LeaseID: leaseID}); err != nil {
+		return fmt.Errorf("proxy: remote pool: %w", err)
+	}
+	return nil
 }

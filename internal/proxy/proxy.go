@@ -21,10 +21,11 @@ import (
 	"actyp/internal/wire"
 )
 
-// Wire message types private to the pool endpoints.
-const (
-	typeAlloc   = "pool-alloc"
-	typeRelease = "pool-release"
+// The pool endpoints' methods. A release rides the control lane beside
+// the other releases; an allocation acquires a lease.
+var (
+	methodAlloc   = wire.NewMethod[allocRequest, allocReply]("pool-alloc", wire.LaneLease, false)
+	methodRelease = wire.NewMethod[releaseRequest, struct{}]("pool-release", wire.LaneControl, false)
 )
 
 // allocRequest carries a basic query in its textual form.
@@ -70,7 +71,9 @@ func StartOpts(db *registry.DB, addr string, profile netsim.Profile, opts wire.S
 		return nil, err
 	}
 	s := &Server{db: db, profile: profile, opts: opts}
-	if s.Server, err = wire.NewServer(ln, opts, s.control); err != nil {
+	mux := wire.NewMux()
+	wire.Handle(mux, wire.SpawnPool, s.spawn)
+	if s.Server, err = wire.NewServer(ln, opts, mux.Serve); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -104,32 +107,8 @@ func (s *Server) Close() {
 	}
 }
 
-// control answers spawn requests on the proxy's control port.
-func (s *Server) control(env *wire.Envelope) *wire.Envelope {
-	switch env.Type {
-	case wire.TypePing:
-		return &wire.Envelope{Type: wire.TypePing, ID: env.ID}
-	case wire.TypeSpawnPool:
-		var req wire.SpawnPoolRequest
-		if err := env.Decode(&req); err != nil {
-			return wire.ErrorEnvelope(env.ID, err)
-		}
-		sp, err := s.spawn(req)
-		if err != nil {
-			return wire.ErrorEnvelope(env.ID, err)
-		}
-		reply, err := wire.NewEnvelope(wire.TypeSpawnPool, env.ID, sp)
-		if err != nil {
-			return wire.ErrorEnvelope(env.ID, err)
-		}
-		return reply
-	default:
-		return wire.ErrorEnvelope(env.ID, fmt.Errorf("proxy: unknown message %q", env.Type))
-	}
-}
-
 // spawn creates a pool and a dedicated endpoint serving its allocations.
-func (s *Server) spawn(req wire.SpawnPoolRequest) (*wire.SpawnPoolReply, error) {
+func (s *Server) spawn(req *wire.SpawnPoolRequest) (*wire.SpawnPoolReply, error) {
 	obj, err := schedule.ByName(req.Objective)
 	if err != nil {
 		return nil, err
@@ -149,7 +128,7 @@ func (s *Server) spawn(req wire.SpawnPoolRequest) (*wire.SpawnPoolReply, error) 
 		p.Close()
 		return nil, err
 	}
-	ep, err := wire.NewServer(ln, s.opts, func(env *wire.Envelope) *wire.Envelope { return servePool(p, env) })
+	ep, err := wire.NewServer(ln, s.opts, poolMux(p).Serve)
 	if err != nil {
 		p.Close()
 		return nil, err
@@ -161,42 +140,20 @@ func (s *Server) spawn(req wire.SpawnPoolRequest) (*wire.SpawnPoolReply, error) 
 	return &wire.SpawnPoolReply{Instance: p.ID(), Addr: ep.Addr()}, nil
 }
 
-// servePool answers one allocation request against a spawned pool. The
-// pool is concurrency-safe, so requests on one connection overlap.
-func servePool(p *pool.Pool, env *wire.Envelope) *wire.Envelope {
-	switch env.Type {
-	case typeAlloc:
-		var req allocRequest
-		if err := env.Decode(&req); err != nil {
-			return wire.ErrorEnvelope(env.ID, err)
-		}
+// poolMux serves a spawned pool's allocations. The pool is
+// concurrency-safe, so requests on one connection overlap.
+func poolMux(p *pool.Pool) *wire.Mux {
+	mux := wire.NewMux()
+	wire.Handle(mux, methodAlloc, func(req *allocRequest) (*allocReply, error) {
 		q, err := query.ParseBasic(req.Query)
 		if err != nil {
-			return wire.ErrorEnvelope(env.ID, err)
+			return nil, err
 		}
 		lease, err := p.Allocate(q)
-		if err != nil {
-			return wire.ErrorEnvelope(env.ID, err)
-		}
-		reply, err := wire.NewEnvelope(typeAlloc, env.ID, allocReply{Lease: lease})
-		if err != nil {
-			return wire.ErrorEnvelope(env.ID, err)
-		}
-		return reply
-	case typeRelease:
-		var req releaseRequest
-		if err := env.Decode(&req); err != nil {
-			return wire.ErrorEnvelope(env.ID, err)
-		}
-		if err := p.Release(req.LeaseID); err != nil {
-			return wire.ErrorEnvelope(env.ID, err)
-		}
-		reply, err := wire.NewEnvelope(typeRelease, env.ID, struct{}{})
-		if err != nil {
-			return wire.ErrorEnvelope(env.ID, err)
-		}
-		return reply
-	default:
-		return wire.ErrorEnvelope(env.ID, fmt.Errorf("proxy: unknown pool message %q", env.Type))
-	}
+		return &allocReply{Lease: lease}, err
+	})
+	wire.Handle(mux, methodRelease, func(req *releaseRequest) (*struct{}, error) {
+		return &struct{}{}, p.Release(req.LeaseID)
+	})
+	return mux
 }

@@ -37,7 +37,7 @@ func TestExtPayloadRoundTrip(t *testing.T) {
 		{"resolveRequest/empty", &resolveRequest{}, &resolveRequest{}},
 		{"resolveReply", &resolveReply{Lease: &lease}, &resolveReply{}},
 		{"resolveReply/nil-lease", &resolveReply{}, &resolveReply{Lease: &pool.Lease{}}},
-		{"releaseRequest", &releaseRequest{Lease: lease}, &releaseRequest{}},
+		{"leaseRequest", &leaseRequest{Lease: lease}, &leaseRequest{}},
 		{"nameReply", &nameReply{Name: "pm-侍"}, &nameReply{}},
 	}
 	for _, codec := range []wire.Codec{wire.Binary} {
@@ -46,7 +46,7 @@ func TestExtPayloadRoundTrip(t *testing.T) {
 				if _, ok := tc.in.(wire.ExtPayload); !ok {
 					t.Fatalf("%T does not implement wire.ExtPayload", tc.in)
 				}
-				env := &wire.Envelope{Type: typeResolve, ID: 7, Msg: tc.in}
+				env := &wire.Envelope{Type: "pm-resolve", ID: 7, Msg: tc.in}
 				buf, err := codec.AppendEnvelope(nil, env)
 				if err != nil {
 					t.Fatal(err)
@@ -71,7 +71,7 @@ func TestExtPayloadRoundTrip(t *testing.T) {
 // fields.
 func TestExtPayloadTruncation(t *testing.T) {
 	lease := testLease()
-	env := &wire.Envelope{Type: typeResolve, ID: 1, Msg: &resolveReply{Lease: &lease}}
+	env := &wire.Envelope{Type: "pm-resolve", ID: 1, Msg: &resolveReply{Lease: &lease}}
 	buf, err := wire.Binary.AppendEnvelope(nil, env)
 	if err != nil {
 		t.Fatal(err)

@@ -43,15 +43,20 @@ func stageFrames() []stageFrame {
 			out: func() any { return &resolveReply{} }},
 		{name: "pm-resolve-reply-nil", env: &wire.Envelope{Type: "pm-resolve", ID: 3, Msg: &resolveReply{}},
 			out: func() any { return &resolveReply{} }},
-		{name: "pm-release", env: &wire.Envelope{Type: "pm-release", ID: 4, Msg: &releaseRequest{Lease: lease}},
-			out: func() any { return &releaseRequest{} }},
+		{name: "pm-release", env: &wire.Envelope{Type: "pm-release", ID: 4, Msg: &leaseRequest{Lease: lease}},
+			out: func() any { return &leaseRequest{} }},
 		{name: "pm-release-reply", env: &wire.Envelope{Type: "pm-release", ID: 4, Msg: struct{}{}},
+			out: func() any { return &struct{}{} }},
+		{name: "pm-renew", env: &wire.Envelope{Type: "pm-renew", ID: 5, Msg: &leaseRequest{Lease: lease}},
+			out: func() any { return &leaseRequest{} }},
+		{name: "pm-renew-reply", env: &wire.Envelope{Type: "pm-renew", ID: 5, Msg: struct{}{}},
 			out: func() any { return &struct{}{} }},
 	}
 }
 
 // stageHex holds each frame's body as wire.Binary wrote it before the
-// stage protocol moved onto declared methods.
+// stage protocol moved onto declared methods; the pm-renew pair, which
+// came with them, shares pm-release's payloads.
 var stageHex = map[string]string{
 	"pm-name":       "ac020007706d2d6e616d650100",
 	"pm-name-reply": "ac020007706d2d6e616d6501000204706d2d61",
@@ -63,6 +68,9 @@ var stageHex = map[string]string{
 	"pm-release": "ac02000a706d2d72656c65617365040002086c656173652d3432056d30372e640831302e302e302e37d28c01d48c01" +
 		"0b6b2dcf83cf872dceb2cebb0b70756e63682f73756e3a31018080cec7c294d7e92f",
 	"pm-release-reply": "ac02000a706d2d72656c656173650400007b7d",
+	"pm-renew": "ac020008706d2d72656e6577050002086c656173652d3432056d30372e640831302e302e302e37d28c01d48c010b6b" +
+		"2dcf83cf872dceb2cebb0b70756e63682f73756e3a31018080cec7c294d7e92f",
+	"pm-renew-reply": "ac020008706d2d72656e65770500007b7d",
 }
 
 // goldenPayload returns the payload region of the named golden frame as a
@@ -178,6 +186,7 @@ func TestRemotePayloadsMatchGoldens(t *testing.T) {
 		"pm-name":    &nameReply{Name: "pm-a"},
 		"pm-resolve": &resolveReply{Lease: &lease},
 		"pm-release": struct{}{},
+		"pm-renew":   struct{}{},
 	})
 	remote, err := DialRemote(addr, netsim.Local(), 0)
 	if err != nil {
@@ -191,10 +200,13 @@ func TestRemotePayloadsMatchGoldens(t *testing.T) {
 	if !reflect.DeepEqual(*got, lease) {
 		t.Errorf("Forward returned %+v, want %+v", *got, lease)
 	}
+	if err := remote.Renew(&lease); err != nil {
+		t.Fatal(err)
+	}
 	if err := remote.Release(&lease); err != nil {
 		t.Fatal(err)
 	}
-	for _, typ := range []string{"pm-name", "pm-resolve", "pm-release"} {
+	for _, typ := range []string{"pm-name", "pm-resolve", "pm-renew", "pm-release"} {
 		p, ok := rs.payload(typ)
 		if !ok {
 			t.Errorf("%s never reached the server", typ)
@@ -230,7 +242,14 @@ func TestRemotePayloadsMatchGoldens(t *testing.T) {
 	if err := res.Decode(&rr); err != nil || rr.Lease == nil {
 		t.Fatalf("pm-resolve reply decodes to %+v, %v", rr, err)
 	}
-	rel, err := c.Call("pm-release", &releaseRequest{Lease: *rr.Lease})
+	renew, err := c.Call("pm-renew", &leaseRequest{Lease: *rr.Lease})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := goldenPayload(t, stageHex, "pm-renew-reply"); !bytes.Equal(renew.Payload, want) {
+		t.Errorf("pm-renew reply payload\n%x\nwant\n%x", renew.Payload, want)
+	}
+	rel, err := c.Call("pm-release", &leaseRequest{Lease: *rr.Lease})
 	if err != nil {
 		t.Fatal(err)
 	}

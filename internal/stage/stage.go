@@ -13,7 +13,6 @@ package stage
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net"
 
@@ -24,11 +23,15 @@ import (
 	"actyp/internal/wire"
 )
 
-// Message types private to the pool-manager stage endpoints.
-const (
-	typeResolve = "pm-resolve"
-	typeRelease = "pm-release"
-	typeName    = "pm-name"
+// The stage protocol's methods. A peer's release and renew ride the
+// control lane beside the client-facing ones; resolve acquires a lease.
+// pm-renew is idempotent (extending a lease twice is harmless), so it
+// retries across connection loss.
+var (
+	methodName    = wire.NewMethod[wire.None, nameReply]("pm-name", wire.LaneControl, false)
+	methodResolve = wire.NewMethod[resolveRequest, resolveReply]("pm-resolve", wire.LaneLease, false)
+	methodRelease = wire.NewMethod[leaseRequest, struct{}]("pm-release", wire.LaneControl, false)
+	methodRenew   = wire.NewMethod[leaseRequest, struct{}]("pm-renew", wire.LaneControl, true)
 )
 
 type resolveRequest struct {
@@ -41,7 +44,8 @@ type resolveReply struct {
 	Lease *pool.Lease `json:"lease"`
 }
 
-type releaseRequest struct {
+// leaseRequest names the lease a pm-release or pm-renew acts on.
+type leaseRequest struct {
 	Lease pool.Lease `json:"lease"`
 }
 
@@ -86,11 +90,11 @@ func (m *resolveReply) DecodeExt(cur *wire.Cursor) error {
 	return cur.Err()
 }
 
-func (m releaseRequest) AppendExt(dst []byte) []byte {
+func (m leaseRequest) AppendExt(dst []byte) []byte {
 	return wire.AppendLease(dst, m.Lease)
 }
 
-func (m *releaseRequest) DecodeExt(cur *wire.Cursor) error {
+func (m *leaseRequest) DecodeExt(cur *wire.Cursor) error {
 	m.Lease = cur.Lease()
 	return cur.Err()
 }
@@ -129,68 +133,34 @@ func ServeOpts(pm *poolmgr.Manager, addr string, profile netsim.Profile, opts wi
 	if err != nil {
 		return nil, err
 	}
-	return wire.NewServer(ln, opts, func(env *wire.Envelope) *wire.Envelope { return dispatch(pm, env) })
-}
-
-// dispatch answers one stage request against pm.
-func dispatch(pm *poolmgr.Manager, env *wire.Envelope) *wire.Envelope {
-	fail := func(err error) *wire.Envelope { return wire.ErrorEnvelope(env.ID, err) }
-	switch env.Type {
-	case wire.TypePing:
-		return &wire.Envelope{Type: wire.TypePing, ID: env.ID}
-	case typeName:
-		// Payloads pass as pointers: only the pointer types carry the full
-		// wire.ExtPayload method set, which is what routes them through the
-		// binary extension tag.
-		reply, err := wire.NewEnvelope(typeName, env.ID, &nameReply{Name: pm.Name()})
-		if err != nil {
-			return fail(err)
-		}
-		return reply
-	case typeResolve:
-		var req resolveRequest
-		if err := env.Decode(&req); err != nil {
-			return fail(err)
-		}
+	mux := wire.NewMux()
+	wire.Handle(mux, methodName, func(*wire.None) (*nameReply, error) {
+		return &nameReply{Name: pm.Name()}, nil
+	})
+	wire.Handle(mux, methodResolve, func(req *resolveRequest) (*resolveReply, error) {
 		q, err := query.ParseBasic(req.Query)
 		if err != nil {
-			return fail(err)
+			return nil, err
 		}
 		lease, err := pm.Forward(q, req.TTL, req.Visited)
-		if err != nil {
-			return fail(err)
-		}
-		reply, err := wire.NewEnvelope(typeResolve, env.ID, &resolveReply{Lease: lease})
-		if err != nil {
-			return fail(err)
-		}
-		return reply
-	case typeRelease:
-		var req releaseRequest
-		if err := env.Decode(&req); err != nil {
-			return fail(err)
-		}
-		if err := pm.Release(&req.Lease); err != nil {
-			return fail(err)
-		}
-		reply, err := wire.NewEnvelope(typeRelease, env.ID, struct{}{})
-		if err != nil {
-			return fail(err)
-		}
-		return reply
-	default:
-		return fail(fmt.Errorf("stage: unknown message %q", env.Type))
-	}
+		return &resolveReply{Lease: lease}, err
+	})
+	wire.Handle(mux, methodRelease, func(req *leaseRequest) (*struct{}, error) {
+		return &struct{}{}, pm.Release(&req.Lease)
+	})
+	wire.Handle(mux, methodRenew, func(req *leaseRequest) (*struct{}, error) {
+		return &struct{}{}, pm.Renew(&req.Lease)
+	})
+	return wire.NewServer(ln, opts, mux.Serve)
 }
 
 // Remote is the client stub for a remote pool manager. It satisfies
-// querymgr.ResourceManager (Name/Resolve/Release) and directory.Forwarder
-// (Name/Forward), so it slots into both stages' wiring. Calls multiplex
-// over one connection: concurrent fragments routed to the same remote
-// manager keep their requests in flight together, and a dropped connection
-// is redialed on the next call.
+// querymgr.ResourceManager (Name/Resolve/Release), directory.Forwarder
+// (Name/Forward) and directory.LeaseRenewer, so it slots into both
+// stages' wiring. Calls multiplex over one connection: concurrent
+// fragments routed to the same remote manager keep their requests in
+// flight together, and a dropped connection is redialed on the next call.
 type Remote struct {
-	addr string
 	c    *wire.Client
 	name string
 	ttl  int
@@ -205,19 +175,12 @@ func DialRemote(addr string, profile netsim.Profile, ttl int) (*Remote, error) {
 	c := wire.NewClient(func() (net.Conn, error) {
 		return (netsim.Dialer{Profile: profile}).Dial(addr)
 	}, 0)
-	r := &Remote{addr: addr, c: c, ttl: ttl}
-	reply, err := r.call(typeName, nil)
+	nr, err := methodName.Call(context.Background(), c, &wire.None{})
 	if err != nil {
 		_ = c.Close()
 		return nil, fmt.Errorf("stage: dial %s: %w", addr, err)
 	}
-	var nr nameReply
-	if err := reply.Decode(&nr); err != nil {
-		_ = c.Close()
-		return nil, err
-	}
-	r.name = nr.Name
-	return r, nil
+	return &Remote{c: c, name: nr.Name, ttl: ttl}, nil
 }
 
 // Name implements ResourceManager and Forwarder.
@@ -234,15 +197,11 @@ func (r *Remote) Resolve(q *query.Query) (*pool.Lease, error) {
 // Forward implements directory.Forwarder: the TTL and visited list travel
 // in the wire message.
 func (r *Remote) Forward(q *query.Query, ttl int, visited []string) (*pool.Lease, error) {
-	reply, err := r.call(typeResolve, &resolveRequest{
+	rr, err := methodResolve.Call(context.Background(), r.c, &resolveRequest{
 		Query: q.String(), TTL: ttl, Visited: visited,
 	})
 	if err != nil {
-		return nil, err
-	}
-	var rr resolveReply
-	if err := reply.Decode(&rr); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("stage: %s: %w", r.name, err)
 	}
 	if rr.Lease == nil {
 		return nil, fmt.Errorf("stage: remote %s returned no lease", r.name)
@@ -286,20 +245,20 @@ func (r *Remote) Release(lease *pool.Lease) error {
 	if lease == nil {
 		return fmt.Errorf("stage: nil lease")
 	}
-	_, err := r.call(typeRelease, &releaseRequest{Lease: *lease})
-	return err
+	if _, err := methodRelease.Call(context.Background(), r.c, &leaseRequest{Lease: *lease}); err != nil {
+		return fmt.Errorf("stage: %s: %w", r.name, err)
+	}
+	return nil
 }
 
-// call round-trips one request, translating server-reported failures into
-// the historical "stage: <name>: ..." form.
-func (r *Remote) call(typ string, payload any) (*wire.Envelope, error) {
-	reply, err := r.c.Call(typ, payload)
-	if err != nil {
-		var remote *wire.RemoteError
-		if errors.As(err, &remote) {
-			return nil, fmt.Errorf("stage: %s: %s", r.name, remote.Message)
-		}
-		return nil, err
+// Renew implements directory.LeaseRenewer: it extends a lease the remote
+// manager's side granted.
+func (r *Remote) Renew(lease *pool.Lease) error {
+	if lease == nil {
+		return fmt.Errorf("stage: nil lease")
 	}
-	return reply, nil
+	if _, err := methodRenew.Call(context.Background(), r.c, &leaseRequest{Lease: *lease}); err != nil {
+		return fmt.Errorf("stage: %s: %w", r.name, err)
+	}
+	return nil
 }

@@ -1,9 +1,9 @@
 package wire
 
-// Extension payloads: private protocol messages (the stage protocol's
-// pm-* family) can opt out of the JSON fallback inside binary frames by
-// implementing ExtPayload — a hand-rolled field codec using the same
-// length-prefixed primitives as the built-in fast paths. Such payloads
+// Extension payloads: the payloads of methods declared outside this
+// package (the stage protocol's) can opt out of the JSON fallback inside
+// binary frames by implementing ExtPayload — a hand-rolled field codec
+// using the same length-prefixed primitives as the built-in fast paths. Such payloads
 // travel under their own tag byte (0x02), so a peer without a decoder for
 // the type fails to decode that one message (an error reply; the
 // connection survives) — the same one-message blast radius as any payload

@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"strings"
 	"sync"
 	"time"
 
@@ -23,11 +22,11 @@ type Lane int
 
 const (
 	// LaneControl carries the cheap frames that keep the system alive:
-	// liveness pings, lease renewals and releases, codec negotiation.
+	// liveness pings, lease renewals and releases on every protocol.
 	// Control frames are never shed and always dispatch first.
 	LaneControl Lane = iota
-	// LaneLease carries lease acquisition: proxy pool spawns and the
-	// stage-protocol (pm-*) resolve/release traffic.
+	// LaneLease carries lease acquisition: proxy pool spawns and
+	// allocations, and the stage protocol's resolve.
 	LaneLease
 	// LaneBulk carries queries and everything unclassified.
 	LaneBulk
@@ -43,22 +42,6 @@ func (l Lane) String() string {
 		return "lease"
 	}
 	return "bulk"
-}
-
-// LaneOf is the default classifier: control frames (ping, renew, release)
-// above lease traffic (spawn-pool, the stage protocol's pm-*
-// messages) above bulk (query and everything else).
-func LaneOf(typ string) Lane {
-	switch typ {
-	case TypePing, TypeRenew, TypeRelease:
-		return LaneControl
-	case TypeSpawnPool:
-		return LaneLease
-	}
-	if strings.HasPrefix(typ, "pm-") {
-		return LaneLease
-	}
-	return LaneBulk
 }
 
 // AdmitFunc decides whether a decoded request may occupy a queue slot.
@@ -82,8 +65,6 @@ const (
 // OverloadPolicy configures the overload-control dispatch path. A nil
 // policy on ServeOptions keeps the original single-FIFO behaviour.
 type OverloadPolicy struct {
-	// Classify maps an envelope type to a lane; nil means LaneOf.
-	Classify func(typ string) Lane
 	// LeaseWeight and BulkWeight set the round-robin shares between the
 	// lease and bulk lanes; values below 1 take the defaults (4 and 1).
 	LeaseWeight int
@@ -103,16 +84,6 @@ type OverloadPolicy struct {
 	Stats *metrics.OverloadStats
 	// Now is the clock (tests inject one); nil means time.Now.
 	Now func() time.Time
-}
-
-func (p *OverloadPolicy) classify(typ string) Lane {
-	if p.Classify != nil {
-		if l := p.Classify(typ); l >= LaneControl && l < numLanes {
-			return l
-		}
-		return LaneBulk
-	}
-	return LaneOf(typ)
 }
 
 func (p *OverloadPolicy) now() time.Time {
@@ -189,7 +160,7 @@ func NewLanes(policy *OverloadPolicy, shed func(env *Envelope, meta any, busy *B
 // caller until space frees, and only a closed lane set drops them
 // (the connection is dying; no reply can be delivered anyway).
 func (l *Lanes) Offer(env *Envelope, meta any) bool {
-	lane := l.policy.classify(env.Type)
+	lane := LaneOf(env.Type)
 	stats := l.policy.Stats
 	if lane != LaneControl {
 		if env.Expired(l.policy.now()) {
