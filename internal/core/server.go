@@ -178,6 +178,9 @@ func (c *Client) Close() error { return c.c.Close() }
 // "core: server: ..." prefix; errors.As still reaches the
 // *wire.RemoteError. Transport failures pass through unchanged.
 func serverErr(err error) error {
+	if err == nil {
+		return nil
+	}
 	var remote *wire.RemoteError
 	if errors.As(err, &remote) {
 		return fmt.Errorf("core: server: %w", err)

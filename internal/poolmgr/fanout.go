@@ -58,8 +58,9 @@ func extendVisited(visited []string, name string) []string {
 // recorded grantor for unroutable leases. Entries are evicted on release
 // and, as a backstop against clients that never release, lazily
 // delegatedTTL after the win or the last renewal — by then the grantor's
-// reaper has reclaimed the machine anyway. Deliberately NOT a captured Forwarder handle: a handle pins the
-// stale grantor across ownership-table reloads.
+// reaper has reclaimed the machine anyway. Deliberately NOT a captured
+// Forwarder handle: a handle pins the stale grantor across
+// ownership-table reloads.
 type delegatedLease struct {
 	peerName string // grantor at win time
 	domain   string // domain the query pinned; "" when unroutable

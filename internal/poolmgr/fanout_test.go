@@ -263,6 +263,45 @@ func TestDelegatedLeaseRenewsThroughGrantor(t *testing.T) {
 	}
 }
 
+// TestDelegatedRenewTwoHops: a lease won over two delegation hops
+// (pm-a -> pm-b -> pm-c, machines only at pm-c) renews hop by hop back to
+// the pool that granted it, and still releases the same way.
+func TestDelegatedRenewTwoHops(t *testing.T) {
+	c, _, f := newManager(t, "pm-c", fleetDB(t, 8))
+	defer f.CloseAll()
+	chain := func(name string, peer directory.Forwarder) *Manager {
+		dir := directory.New()
+		dir.AddPeer(peer)
+		m, err := New(Config{Name: name, Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	b := chain("pm-b", c)
+	a := chain("pm-a", b)
+
+	lease, err := a.Resolve(basicQuery(t, "punch.rsrc.arch = sun"))
+	if err != nil {
+		t.Fatalf("resolve over two hops: %v", err)
+	}
+	if !a.Delegated(lease.ID) || !b.Delegated(lease.ID) {
+		t.Fatalf("delegated at pm-a %v, at pm-b %v; want both", a.Delegated(lease.ID), b.Delegated(lease.ID))
+	}
+	if err := a.Renew(lease); err != nil {
+		t.Fatalf("renew over two hops: %v", err)
+	}
+	if err := a.Release(lease); err != nil {
+		t.Fatalf("release over two hops: %v", err)
+	}
+	if a.Delegated(lease.ID) || b.Delegated(lease.ID) {
+		t.Error("a routing entry survived the release")
+	}
+	if err := c.Renew(lease); err == nil {
+		t.Error("the granting pool still renews a released lease")
+	}
+}
+
 // TestDelegatedRenewDeadGrantor: a renewal the grantor cannot take fails
 // with an error naming the peer and keeps the routing entry, so the
 // release still goes back through the grantor.

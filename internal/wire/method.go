@@ -3,6 +3,7 @@ package wire
 import (
 	"context"
 	"fmt"
+	"reflect"
 )
 
 // Messages: every request/reply pair is declared once, as a Method value
@@ -66,6 +67,10 @@ func bare(p any) bool {
 	return ok
 }
 
+// empty reports whether T has no fields: a payload of T carries nothing
+// to decode (None, and the release and renew replies).
+func empty[T any]() bool { return reflect.TypeFor[T]().Size() == 0 }
+
 // Call round-trips one request through c: CallIdempotent when the method
 // is idempotent, CallContext otherwise. The request goes out as the
 // pointer it is — the pointer types are the ones that carry a payload's
@@ -88,7 +93,7 @@ func (m Method[Req, Rep]) Call(ctx context.Context, c *Client, req *Req) (*Rep, 
 		return nil, fmt.Errorf("wire: %s got %q", m.Name, env.Type)
 	}
 	rep := new(Rep)
-	if !bare(rep) {
+	if !empty[Rep]() {
 		if err := env.Decode(rep); err != nil {
 			return nil, err
 		}
@@ -116,7 +121,7 @@ func NewMux() *Mux {
 func Handle[Req, Rep any](mux *Mux, m Method[Req, Rep], h func(*Req) (*Rep, error)) {
 	mux.handlers[m.Name] = func(env *Envelope) (any, error) {
 		req := new(Req)
-		if !bare(req) {
+		if !empty[Req]() {
 			if err := env.Decode(req); err != nil {
 				return nil, err
 			}
