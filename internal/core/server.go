@@ -174,9 +174,9 @@ func (c *Client) CodecName() string { return c.c.CodecName() }
 // Close closes the connection.
 func (c *Client) Close() error { return c.c.Close() }
 
-// serverErr gives a failure the server reported the historical
-// "core: server: ..." prefix; errors.As still reaches the
-// *wire.RemoteError. Transport failures pass through unchanged.
+// serverErr prefixes a failure the server reported with "core: server: ";
+// errors.As still reaches the *wire.RemoteError. Transport failures pass
+// through unchanged.
 func serverErr(err error) error {
 	if err == nil {
 		return nil
