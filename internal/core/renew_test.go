@@ -89,3 +89,45 @@ func TestRenewOverTCP(t *testing.T) {
 		t.Error("nil grant should fail")
 	}
 }
+
+// TestRequestRenewReleaseAllocs pins the allocations of one lease cycle
+// through the service: a one-fragment query resolves on the caller's
+// goroutine, its pool name is derived without splitting keys, and a query
+// resolved where it was submitted builds no visited set. The cycle took 53
+// allocations when every query ran on a fragment goroutine.
+func TestRequestRenewReleaseAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	db := registry.NewDB()
+	if err := registry.HomogeneousFleetSpec(16).Populate(db, time.Unix(0, 0)); err != nil {
+		t.Fatal(err)
+	}
+	svc, err := New(Options{DB: db, LeaseTTL: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	var cycleErr error
+	cycle := func() {
+		g, err := svc.Request("punch.rsrc.arch = sun")
+		if err == nil {
+			err = svc.Renew(g)
+			if rerr := svc.Release(g); err == nil {
+				err = rerr
+			}
+		}
+		if err != nil && cycleErr == nil {
+			cycleErr = err
+		}
+	}
+	allocs := testing.AllocsPerRun(200, cycle)
+	if cycleErr != nil {
+		t.Fatal(cycleErr)
+	}
+	const want = 31
+	if allocs > want {
+		t.Errorf("Request+Renew+Release: %.0f allocations, want at most %d", allocs, want)
+	}
+	t.Logf("Request+Renew+Release: %.0f allocations", allocs)
+}

@@ -9,9 +9,9 @@ import (
 // fakeClock is a manually-advanced clock for deterministic bucket tests.
 type fakeClock struct{ t time.Time }
 
-func (c *fakeClock) now() time.Time              { return c.t }
-func (c *fakeClock) advance(d time.Duration)     { c.t = c.t.Add(d) }
-func newFakeClock() *fakeClock                   { return &fakeClock{t: time.Unix(1000, 0)} }
+func (c *fakeClock) now() time.Time          { return c.t }
+func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
+func newFakeClock() *fakeClock               { return &fakeClock{t: time.Unix(1000, 0)} }
 func withClock(a *Admitter, c *fakeClock) *Admitter {
 	a.SetClock(c.now)
 	return a

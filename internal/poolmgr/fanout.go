@@ -30,7 +30,13 @@ import (
 // linear scans made the hot path O(visited²) once fleets grew.
 type stringSet map[string]struct{}
 
+// newStringSet returns nil for an empty list: a query resolved where it
+// was submitted carries no visited list, and a nil set answers has without
+// allocating.
 func newStringSet(items []string) stringSet {
+	if len(items) == 0 {
+		return nil
+	}
 	s := make(stringSet, len(items)+1)
 	for _, it := range items {
 		s[it] = struct{}{}
@@ -39,6 +45,14 @@ func newStringSet(items []string) stringSet {
 }
 
 func (s stringSet) has(name string) bool { _, ok := s[name]; return ok }
+
+// add inserts name, allocating the set on first use.
+func (s *stringSet) add(name string) {
+	if *s == nil {
+		*s = make(stringSet, 2)
+	}
+	(*s)[name] = struct{}{}
+}
 
 // extendVisited returns visited plus name in a freshly allocated slice.
 // Appending in place is unsafe twice over: the caller's slice may alias an
@@ -275,7 +289,7 @@ func (m *Manager) ForwardContext(ctx context.Context, q *query.Query, ttl int, v
 						return nil, ctx.Err()
 					}
 					visited = extendVisited(visited, owner)
-					vset[owner] = struct{}{}
+					vset.add(owner)
 				}
 			}
 		}
@@ -290,7 +304,7 @@ func (m *Manager) ForwardContext(ctx context.Context, q *query.Query, ttl int, v
 	// Local resolution failed: attach our name, decrement the TTL, and
 	// delegate to the unvisited peers listed in the directory.
 	visited = extendVisited(visited, m.name)
-	vset[m.name] = struct{}{}
+	vset.add(m.name)
 	ttl--
 	var peers []directory.Forwarder
 	for _, peer := range m.dir.Peers() {

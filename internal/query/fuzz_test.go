@@ -4,22 +4,25 @@ import (
 	"testing"
 )
 
-// FuzzParse checks the query parser never panics and that everything it
+// parseSeeds is FuzzParse's seed corpus.
+var parseSeeds = []string{
+	"punch.rsrc.arch = sun",
+	"punch.rsrc.arch = sun | hp\npunch.rsrc.memory = >=10",
+	"punch.rsrc.cpus = 2..8",
+	"punch.rsrc.cms = sge,pbs",
+	"punch.rsrc.ostype = *",
+	"# comment\n\npunch.user.login = kapadia",
+	"punch.rsrc.memory = >=",
+	"a.b.c = | |",
+	"punch.rsrc.arch == ==sun",
+}
+
+// FuzzParse checks the query parser never panics, that everything it
 // accepts survives the String -> Parse round trip (fragments of accepted
-// queries must themselves be accepted).
+// queries must themselves be accepted), and that each fragment's pool
+// name matches the ClassKeys-based oracle.
 func FuzzParse(f *testing.F) {
-	seeds := []string{
-		"punch.rsrc.arch = sun",
-		"punch.rsrc.arch = sun | hp\npunch.rsrc.memory = >=10",
-		"punch.rsrc.cpus = 2..8",
-		"punch.rsrc.cms = sge,pbs",
-		"punch.rsrc.ostype = *",
-		"# comment\n\npunch.user.login = kapadia",
-		"punch.rsrc.memory = >=",
-		"a.b.c = | |",
-		"punch.rsrc.arch == ==sun",
-	}
-	for _, s := range seeds {
+	for _, s := range parseSeeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, text string) {
@@ -28,6 +31,9 @@ func FuzzParse(f *testing.F) {
 			return // rejected input is fine; panics are not
 		}
 		for _, q := range c.Decompose() {
+			if got, want := Name(q), oracleName(q); got != want {
+				t.Fatalf("Name(%q) = %+v, oracle %+v", q.String(), got, want)
+			}
 			rendered := q.String()
 			back, err := ParseBasic(rendered)
 			if err != nil {

@@ -66,8 +66,8 @@ func TestParseComposite(t *testing.T) {
 	}
 }
 
-func TestParseOperatorsAndForms(t *testing.T) {
-	c, err := Parse(`
+// formsQuery spells every operator form once.
+const formsQuery = `
 # comment line
 punch.rsrc.memory = >=128
 punch.rsrc.swap = <=4096
@@ -77,7 +77,10 @@ punch.rsrc.arch = !=hp
 punch.rsrc.cpus = 2..8
 punch.rsrc.cms = sge,pbs
 punch.rsrc.ostype = *
-`)
+`
+
+func TestParseOperatorsAndForms(t *testing.T) {
+	c, err := Parse(formsQuery)
 	if err != nil {
 		t.Fatal(err)
 	}

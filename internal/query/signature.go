@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -26,28 +27,61 @@ func (n PoolName) IsZero() bool { return n.Signature == "" && n.Identifier == ""
 // keys with the "don't care" wildcard are excluded, matching the paper's
 // default semantics (an unspecified key does not constrain the pool).
 // A query with no effective rsrc constraints maps to the catch-all name
-// "any,*" / "*".
+// "any,*" / "*". Keys sort by name, ties (the same name in two families)
+// by the full dotted key, so the name is a function of the query alone.
+//
+// Name runs on every request, so it derives the name in one pass over
+// q.Fields into a stack buffer and builds both components in one string.
 func Name(q *Query) PoolName {
-	keys := q.ClassKeys(ClassRsrc)
-	names := make([]string, 0, len(keys))
-	ops := make([]string, 0, len(keys))
-	vals := make([]string, 0, len(keys))
-	for _, k := range keys {
-		cond := q.Fields[k.String()]
+	var stack [8]nameField
+	fields := stack[:0]
+	for key, cond := range q.Fields {
 		if cond.Op == OpAny {
 			continue
 		}
-		names = append(names, k.Name)
-		ops = append(ops, cond.Op.String())
-		vals = append(vals, cond.Operand())
+		if k, err := ParseKey(key); err == nil && k.Class == ClassRsrc {
+			fields = append(fields, nameField{name: k.Name, key: key, cond: cond})
+		}
 	}
-	if len(names) == 0 {
+	if len(fields) == 0 {
 		return PoolName{Signature: "any,*", Identifier: "*"}
 	}
-	return PoolName{
-		Signature:  strings.Join(names, ":") + "," + strings.Join(ops, ":"),
-		Identifier: strings.Join(vals, ":"),
+	slices.SortFunc(fields, func(a, b nameField) int {
+		if c := strings.Compare(a.name, b.name); c != 0 {
+			return c
+		}
+		return strings.Compare(a.key, b.key)
+	})
+	buf := make([]byte, 0, 128)
+	for i := range fields {
+		if i > 0 {
+			buf = append(buf, ':')
+		}
+		buf = append(buf, fields[i].name...)
 	}
+	buf = append(buf, ',')
+	for i := range fields {
+		if i > 0 {
+			buf = append(buf, ':')
+		}
+		buf = append(buf, fields[i].cond.Op.String()...)
+	}
+	sig := len(buf)
+	for i := range fields {
+		if i > 0 {
+			buf = append(buf, ':')
+		}
+		buf = fields[i].cond.appendOperand(buf)
+	}
+	s := string(buf)
+	return PoolName{Signature: s[:sig], Identifier: s[sig:]}
+}
+
+// nameField is one constrained rsrc key of a query being named.
+type nameField struct {
+	name string // the key's last component
+	key  string // the full dotted key, the tie-break
+	cond Condition
 }
 
 // ParsePoolName splits a "signature/identifier" string back into a PoolName.

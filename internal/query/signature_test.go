@@ -1,6 +1,8 @@
 package query
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -153,5 +155,111 @@ func TestNameOrderInvarianceProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// oracleName is the derivation Name replaced: the parsed rsrc keys from
+// ClassKeys, then per-key slices joined with strings.Join, with operands
+// rendered by oracleOperand. Name must match it byte for byte.
+func oracleName(q *Query) PoolName {
+	keys := q.ClassKeys(ClassRsrc)
+	names := make([]string, 0, len(keys))
+	ops := make([]string, 0, len(keys))
+	vals := make([]string, 0, len(keys))
+	for _, k := range keys {
+		cond := q.Fields[k.String()]
+		if cond.Op == OpAny {
+			continue
+		}
+		names = append(names, k.Name)
+		ops = append(ops, cond.Op.String())
+		vals = append(vals, oracleOperand(cond))
+	}
+	if len(names) == 0 {
+		return PoolName{Signature: "any,*", Identifier: "*"}
+	}
+	return PoolName{
+		Signature:  strings.Join(names, ":") + "," + strings.Join(ops, ":"),
+		Identifier: strings.Join(vals, ":"),
+	}
+}
+
+// oracleOperand is Condition.Operand as it was before it shared its
+// rendering with Name.
+func oracleOperand(c Condition) string {
+	switch c.Op {
+	case OpAny:
+		return "*"
+	case OpRange:
+		return FormatNum(c.Lo) + ".." + FormatNum(c.Hi)
+	case OpIn:
+		return strings.Join(c.Set, ",")
+	default:
+		if c.IsNum {
+			return FormatNum(c.Num)
+		}
+		return c.Str
+	}
+}
+
+// TestNameMatchesOracle compares Name with oracleName on every query the
+// package's parse corpus and condition tables produce.
+func TestNameMatchesOracle(t *testing.T) {
+	var qs []*Query
+	texts := append([]string{paperQuery, formsQuery, "punch.rsrc.arch == sun"}, parseSeeds...)
+	for _, text := range texts {
+		c, err := Parse(text)
+		if err != nil {
+			continue
+		}
+		qs = append(qs, c.Decompose()...)
+	}
+	conds := []Condition{
+		Eq("sun"), Ge(10), Lt(2.5), Between(1, 3), In("a", "b"), Any(), Ne("hp"),
+		EqNum(1000), Eq("5"), Gt(-0.25), Le(1e6), Between(0.5, 2.25), In("x"),
+	}
+	all := New()
+	for i, c := range conds {
+		key := fmt.Sprintf("punch.rsrc.k%02d", i)
+		qs = append(qs, New().Set(key, c))
+		all.Set(key, c)
+	}
+	qs = append(qs, all, New(),
+		New().
+			Set("punch.rsrc.arch", Eq("sun")).
+			Set("punch.rsrc.ostype", Any()).
+			Set("punch.appl.expectedcpuuse", EqNum(1000)).
+			Set("punch.user.login", Eq("kapadia")),
+		// Keys ParseKey rejects take no part in the name.
+		New().
+			Set("punch.rsrc.arch", Eq("sun")).
+			Set("notakey", Eq("x")).
+			Set("punch.rsrc", Eq("x")).
+			Set("punch.bogus.arch", Eq("x")).
+			Set("punch.rsrc.arch.x", Eq("x")).
+			Set(".rsrc.mem", Eq("x")).
+			Set("punch..mem", Eq("x")).
+			Set("punch.rsrc.", Eq("x")),
+		New().
+			Set("punch.rsrc.arch", Eq("sun")).
+			Set("condor.rsrc.arch", Eq("x86")).
+			Set("condor.rsrc.memory", Ge(64)))
+	for _, q := range qs {
+		if got, want := Name(q), oracleName(q); got != want {
+			t.Errorf("Name(%q) = %+v, oracle %+v", q.String(), got, want)
+		}
+	}
+}
+
+// TestNameMixedFamiliesDeterministic: keys of two families that share an
+// attribute name order by their full key, so a query has one name. Sorting
+// by attribute name alone left their order to map iteration.
+func TestNameMixedFamiliesDeterministic(t *testing.T) {
+	q := New().Set("punch.rsrc.arch", Eq("sun")).Set("condor.rsrc.arch", Eq("x86"))
+	want := PoolName{Signature: "arch:arch,==:==", Identifier: "x86:sun"}
+	for i := 0; i < 200; i++ {
+		if got := Name(q); got != want {
+			t.Fatalf("call %d: Name = %+v, want %+v", i, got, want)
+		}
 	}
 }

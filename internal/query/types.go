@@ -89,23 +89,24 @@ func (k Key) String() string {
 }
 
 // ParseKey splits a dotted key into its three components.
+// It allocates nothing for a well-formed key: pool naming and schema
+// validation parse every key of every request.
 func ParseKey(s string) (Key, error) {
-	parts := strings.Split(s, ".")
-	if len(parts) != 3 {
+	family, rest, ok := strings.Cut(s, ".")
+	class, name, ok2 := strings.Cut(rest, ".")
+	if !ok || !ok2 || strings.IndexByte(name, '.') >= 0 {
 		return Key{}, fmt.Errorf("query: key %q must have form family.class.name", s)
 	}
-	for _, p := range parts {
-		if p == "" {
-			return Key{}, fmt.Errorf("query: key %q has an empty component", s)
-		}
+	if family == "" || class == "" || name == "" {
+		return Key{}, fmt.Errorf("query: key %q has an empty component", s)
 	}
-	c := Class(parts[1])
+	c := Class(class)
 	switch c {
 	case ClassRsrc, ClassAppl, ClassUser:
 	default:
-		return Key{}, fmt.Errorf("query: key %q has unknown class %q", s, parts[1])
+		return Key{}, fmt.Errorf("query: key %q has unknown class %q", s, class)
 	}
-	return Key{Family: parts[0], Class: c, Name: parts[2]}, nil
+	return Key{Family: family, Class: c, Name: name}, nil
 }
 
 // Condition is an operator applied to an operand. Numeric operands are kept
@@ -172,18 +173,35 @@ func Any() Condition { return Condition{Op: OpAny, Str: "*"} }
 // Operand renders the condition's operand in canonical string form, used in
 // pool identifiers.
 func (c Condition) Operand() string {
+	if c.Op != OpAny && c.Op != OpRange && c.Op != OpIn && !c.IsNum {
+		return c.Str // already canonical: no copy
+	}
+	var buf [32]byte
+	return string(c.appendOperand(buf[:0]))
+}
+
+// appendOperand appends c.Operand() to dst.
+func (c Condition) appendOperand(dst []byte) []byte {
 	switch c.Op {
 	case OpAny:
-		return "*"
+		return append(dst, '*')
 	case OpRange:
-		return FormatNum(c.Lo) + ".." + FormatNum(c.Hi)
+		dst = appendNum(dst, c.Lo)
+		dst = append(dst, ".."...)
+		return appendNum(dst, c.Hi)
 	case OpIn:
-		return strings.Join(c.Set, ",")
+		for i, v := range c.Set {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = append(dst, v...)
+		}
+		return dst
 	default:
 		if c.IsNum {
-			return FormatNum(c.Num)
+			return appendNum(dst, c.Num)
 		}
-		return c.Str
+		return append(dst, c.Str...)
 	}
 }
 
@@ -282,7 +300,7 @@ func (q *Query) Keys() []string {
 }
 
 // ClassKeys returns the parsed keys belonging to the given class, sorted by
-// name. Keys that fail to parse are skipped.
+// name and then by the full dotted key. Keys that fail to parse are skipped.
 func (q *Query) ClassKeys(class Class) []Key {
 	var out []Key
 	for ks := range q.Fields {
@@ -294,7 +312,12 @@ func (q *Query) ClassKeys(class Class) []Key {
 			out = append(out, k)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Name != out[j].Name {
+			return out[i].Name < out[j].Name
+		}
+		return out[i].String() < out[j].String()
+	})
 	return out
 }
 

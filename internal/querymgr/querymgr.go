@@ -11,7 +11,7 @@ package querymgr
 import (
 	"errors"
 	"fmt"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"actyp/internal/pool"
@@ -104,10 +104,9 @@ type Manager struct {
 	redundancy  int
 	clock       func() time.Time
 
-	statMu     sync.Mutex
-	submitted  int
-	fragments  int
-	reassembly int
+	submitted  atomic.Int64
+	fragments  atomic.Int64
+	reassembly atomic.Int64
 }
 
 // New creates a query manager.
@@ -181,33 +180,47 @@ func (m *Manager) SubmitText(lang, text string) (*Response, error) {
 }
 
 // Submit validates, decomposes, routes, and reintegrates a composite
-// query, returning a machine lease.
+// query, returning a machine lease. Only a composite or redundant query
+// runs its fragments concurrently; a query that is one fragment sent to
+// one manager resolves on the caller's goroutine.
 func (m *Manager) Submit(c *query.Composite) (*Response, error) {
+	return m.submit(c, true)
+}
+
+// submit is Submit; inline=false sends even a lone fragment through the
+// reintegrator, the reference the inline path is tested against.
+func (m *Manager) submit(c *query.Composite, inline bool) (*Response, error) {
 	start := m.clock()
 	if err := m.schemas.Validate(c); err != nil {
 		return nil, err
 	}
 	basics := c.Decompose()
+	m.submitted.Add(1)
+	m.fragments.Add(int64(len(basics)))
 
-	m.statMu.Lock()
-	m.submitted++
-	m.fragments += len(basics)
-	m.statMu.Unlock()
-
-	re := newReintegrator(len(basics)*m.redundancy, m.mode)
-	for i, q := range basics {
-		for _, mgr := range m.pickManagers(q) {
-			go func(idx int, q *query.Query, mgr ResourceManager) {
-				lease, err := mgr.Resolve(q)
-				re.deliver(fragment{index: idx, lease: lease, err: err, mgr: mgr})
-			}(i, q, mgr)
+	var winner fragment
+	var succeeded int
+	if inline && len(basics)*m.redundancy == 1 {
+		// Nothing runs beside the one fragment and nothing needs
+		// reintegrating.
+		q := basics[0]
+		lease, err := m.selector.Select(q, m.managers).Resolve(q)
+		if err == nil && lease != nil {
+			winner.lease, succeeded = lease, 1
 		}
+	} else {
+		re := newReintegrator(len(basics)*m.redundancy, m.mode)
+		for i, q := range basics {
+			for _, mgr := range m.pickManagers(q) {
+				go func(idx int, q *query.Query, mgr ResourceManager) {
+					lease, err := mgr.Resolve(q)
+					re.deliver(fragment{index: idx, lease: lease, err: err, mgr: mgr})
+				}(i, q, mgr)
+			}
+		}
+		winner, succeeded = re.wait()
 	}
-	winner, succeeded := re.wait()
-
-	m.statMu.Lock()
-	m.reassembly++
-	m.statMu.Unlock()
+	m.reassembly.Add(1)
 
 	resp := &Response{
 		Fragments: len(basics),
@@ -258,9 +271,7 @@ func (m *Manager) Release(lease *pool.Lease) error {
 // Stats returns counters: composite queries submitted, basic fragments
 // produced, and reassemblies completed.
 func (m *Manager) Stats() (submitted, fragments, reassembled int) {
-	m.statMu.Lock()
-	defer m.statMu.Unlock()
-	return m.submitted, m.fragments, m.reassembly
+	return int(m.submitted.Load()), int(m.fragments.Load()), int(m.reassembly.Load())
 }
 
 // fragment is one basic-query result flowing back to the reintegration

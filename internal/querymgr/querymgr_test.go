@@ -3,6 +3,7 @@ package querymgr
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -94,6 +95,64 @@ func TestSubmitBasicQuery(t *testing.T) {
 	submitted, fragments, reassembled := m.Stats()
 	if submitted != 1 || fragments != 1 || reassembled != 1 {
 		t.Errorf("stats = %d/%d/%d", submitted, fragments, reassembled)
+	}
+}
+
+// scriptedRM answers every Resolve with one fixed lease and error.
+type scriptedRM struct {
+	lease *pool.Lease
+	err   error
+}
+
+func (s scriptedRM) Name() string                              { return "pm" }
+func (s scriptedRM) Resolve(*query.Query) (*pool.Lease, error) { return s.lease, s.err }
+func (s scriptedRM) Release(*pool.Lease) error                 { return nil }
+
+// TestSubmitInlineMatchesFragmentPath: a one-fragment query resolved on
+// the caller's goroutine returns the Response, error and Stats the
+// reintegrator returns for it, under both QoS modes, for a grant, a
+// Resolve error and a (nil, nil) answer.
+func TestSubmitInlineMatchesFragmentPath(t *testing.T) {
+	c, err := query.Parse("punch.rsrc.arch = sun")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lease := &pool.Lease{ID: "l-1", Machine: "m", Pool: "pm"}
+	answers := []struct {
+		name string
+		rm   scriptedRM
+	}{
+		{"grant", scriptedRM{lease: lease}},
+		{"error", scriptedRM{err: pool.ErrExhausted}},
+		{"nil-nil", scriptedRM{}},
+	}
+	epoch := time.Unix(0, 0)
+	for _, mode := range []QoS{WaitAll, FirstMatch} {
+		for _, a := range answers {
+			rm := a.rm
+			t.Run(fmt.Sprintf("mode=%d/%s", mode, a.name), func(t *testing.T) {
+				type outcome struct {
+					resp                              *Response
+					err                               error
+					submitted, fragments, reassembled int
+				}
+				run := func(inline bool) outcome {
+					m, err := New(Config{Name: "qm", Managers: []ResourceManager{rm}, Mode: mode,
+						Clock: func() time.Time { return epoch }})
+					if err != nil {
+						t.Fatal(err)
+					}
+					var o outcome
+					o.resp, o.err = m.submit(c, inline)
+					o.submitted, o.fragments, o.reassembled = m.Stats()
+					return o
+				}
+				got, want := run(true), run(false)
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("inline %+v (resp %+v), fragment path %+v (resp %+v)", got, got.resp, want, want.resp)
+				}
+			})
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -386,8 +387,9 @@ func (c *Client) installConnLocked(conn net.Conn, framer *Framer) {
 
 // readLoop demultiplexes replies on one connection until it fails.
 func (c *Client) readLoop(conn net.Conn, framer *Framer) {
+	br := bufio.NewReader(conn) // the handshake before it read unbuffered
 	for {
-		env, err := framer.ReadFrame(conn)
+		env, err := framer.ReadFrame(br)
 		if err != nil {
 			c.connFailed(conn, err)
 			return

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"errors"
 	"net"
 	"sync"
@@ -215,9 +216,13 @@ func ServeConnOpts(conn net.Conn, opts ServeOptions, handle Handler) error {
 		// its reply (in the chosen codec) follows the ack.
 		enqueue(&Envelope{Type: first.Type, ID: first.ID, Payload: first.Payload, codec: JSON})
 	}
+	// The handshake read conn unbuffered, so nothing is lost by buffering
+	// from here on: a frame's header and body, and frames the peer
+	// pipelined behind it, arrive in one read.
+	br := bufio.NewReader(conn)
 	var readErr error
 	for {
-		env, err := framer.ReadFrame(conn)
+		env, err := framer.ReadFrame(br)
 		if err != nil {
 			readErr = err // peer went away or sent garbage
 			break

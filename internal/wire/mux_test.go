@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -286,5 +287,69 @@ func TestClientReconnectsAfterServerRestart(t *testing.T) {
 			t.Fatalf("client never reconnected: %v", err)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// readCountingConn counts the Read calls made on a connection.
+type readCountingConn struct {
+	net.Conn
+	mu    sync.Mutex
+	reads int
+}
+
+func (c *readCountingConn) Read(p []byte) (int, error) {
+	c.mu.Lock()
+	c.reads++
+	c.mu.Unlock()
+	return c.Conn.Read(p)
+}
+
+// TestServeConnReadsBurstInFewReads: frames a client pipelines in one
+// write reach the server in a handful of reads, not a header read and a
+// body read per frame.
+func TestServeConnReadsBurstInFewReads(t *testing.T) {
+	const frames = 64
+	cli, srv := net.Pipe()
+	counted := &readCountingConn{Conn: srv}
+	served := make(chan error, 1)
+	go func() {
+		served <- ServeConnOpts(counted, ServeOptions{Window: 4}, func(env *Envelope) *Envelope {
+			return &Envelope{Type: TypePing, ID: env.ID}
+		})
+	}()
+	framer := handshake(t, cli)
+
+	var burst bytes.Buffer
+	for i := 1; i <= frames; i++ {
+		if err := framer.WriteFrame(&burst, &Envelope{Type: TypePing, ID: uint64(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wrote := make(chan error, 1)
+	go func() {
+		_, err := cli.Write(burst.Bytes())
+		wrote <- err
+	}()
+	seen := make(map[uint64]bool, frames)
+	for len(seen) < frames {
+		reply, err := framer.ReadFrame(cli)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen[reply.ID] = true
+	}
+	if err := <-wrote; err != nil {
+		t.Fatal(err)
+	}
+	cli.Close()
+	<-served
+
+	counted.mu.Lock()
+	reads := counted.reads
+	counted.mu.Unlock()
+	// Two unbuffered handshake reads, the burst, and the read that sees
+	// the close; reading each frame's header and body apart takes 2*frames.
+	if reads > frames/8 {
+		t.Errorf("%d frames in one write took %d reads, want at most %d", frames, reads, frames/8)
 	}
 }
