@@ -312,7 +312,6 @@ func run(cfg daemonConfig) error {
 	}
 	if jnl != nil {
 		opts.LeaseLog = jnl
-		opts.DelegationLog = jnl
 	}
 	svc, err := core.New(opts)
 	if err != nil {
@@ -328,15 +327,15 @@ func run(cfg daemonConfig) error {
 	if jstate != nil && len(jstate.Leases) > 0 {
 		recovered := make([]core.RecoveredLease, 0, len(jstate.Leases))
 		for _, lr := range jstate.Leases {
-			recovered = append(recovered, core.RecoveredLease{Lease: lr.Lease, Expires: lr.Expires, Peer: lr.Peer, Domain: lr.Domain})
+			recovered = append(recovered, core.RecoveredLease{Lease: lr.Lease, Expires: lr.Expires})
 		}
 		rep, err := svc.Recover(recovered, core.RecoverOptions{Logf: log.Printf})
 		if err != nil {
 			return err
 		}
-		journStats.Recovered(rep.Restored+rep.DelegatedRestored, rep.Reaped)
-		log.Printf("actypd: recovery: %d leases restored across %d pools, %d reaped, %d dropped, delegated %d restored / %d dropped",
-			rep.Restored, rep.PoolsAdopted, rep.Reaped, rep.Dropped, rep.DelegatedRestored, rep.DelegatedDropped)
+		journStats.Recovered(rep.Restored, rep.Reaped)
+		log.Printf("actypd: recovery: %d leases restored across %d pools, %d reaped, %d dropped",
+			rep.Restored, rep.PoolsAdopted, rep.Reaped, rep.Dropped)
 	}
 
 	// Federation: delegate local misses to peer pool managers over their

@@ -17,11 +17,11 @@ package core
 //      the domain resolves to the destination.
 //   4. The source DropDomains the export: its pools shed the domain, the
 //      records leave its white pages, and its journal (whose replay is
-//      domain-filtered on boot) forgets the domain with them. Every live
-//      lease the drop releases locally is re-registered as a delegated
-//      lease pointing at the domain's new owner, so a release or renewal
-//      arriving at the source afterwards routes onward through the
-//      (peer, domain) rule in poolmgr.releaseRemote instead of failing.
+//      domain-filtered on boot) forgets the domain with them. Nothing is
+//      installed for the leases it held: a release or renewal arriving at
+//      the source afterwards finds no local lease and goes on to the
+//      domain's new owner, the one owner hop every pool manager takes
+//      for a lease it does not hold (poolmgr.Manager.Release, rule 3).
 //
 // Between steps 2 and 4 both nodes can answer for the domain — duplicate
 // answers, never lost ones.
@@ -232,12 +232,11 @@ func (s *Service) adoptInstance(inst string, ls []RecoveredLease) (*pool.Pool, e
 // its white-pages claims, then the records leave the database. It returns
 // how many records were removed.
 //
-// Leases the drop releases on exported machines are re-registered in
-// every pool manager as delegated leases pointing at the domain's new
-// owner (resolved from the reloaded route table), so a holder that still
-// releases or renews through this node is forwarded instead of told
-// "unknown pool". Without a route table (or while this node still owns
-// the domain) no forwarding is installed.
+// A holder that still releases or renews through this node afterwards is
+// forwarded by the pool managers' routing, not by state left here: the
+// local pool no longer holds the lease, so the call goes once to the
+// domain's owner in the route table, which step 3 reloaded. Without a
+// route table the call fails with "unknown lease".
 //
 // A pool whose members span the migrated domain and others is closed
 // whole: its foreign-domain machines return to the free list and the next
@@ -246,12 +245,6 @@ func (s *Service) adoptInstance(inst string, ls []RecoveredLease) (*pool.Pool, e
 func (s *Service) DropDomain(exp *DomainExport) int {
 	if exp == nil {
 		return 0
-	}
-	forward := ""
-	if rt := s.opts.Routes; rt != nil {
-		if owner, ok := rt.Owner(exp.Domain); ok && owner != rt.Local() {
-			forward = owner
-		}
 	}
 	names := make(map[string]bool, len(exp.Machines))
 	for _, m := range exp.Machines {
@@ -268,22 +261,10 @@ func (s *Service) DropDomain(exp *DomainExport) int {
 		if !touched {
 			continue
 		}
-		var migrated []pool.Lease
 		for _, li := range p.Leases() {
-			if forward != "" && names[li.Machine] {
-				migrated = append(migrated, pool.Lease{ID: li.ID, Machine: li.Machine, Pool: p.ID()})
-			}
 			_ = p.Release(li.ID)
 		}
 		p.Close()
-		// Forward entries are installed AFTER the releases: the journal's
-		// lease mirror is keyed by ID, and the release above would delete
-		// the fresh opDelegated record before it ever hit a snapshot.
-		for i := range migrated {
-			for _, pm := range s.pms {
-				pm.RestoreDelegated(&migrated[i], forward, exp.Domain)
-			}
-		}
 	}
 	dropped := 0
 	for name := range names {

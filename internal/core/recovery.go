@@ -14,15 +14,11 @@ import (
 )
 
 // RecoveredLease is one lease the durability journal replayed: the full
-// lease, its last known deadline, and — for leases won through a
-// federation peer — the peer that granted it. core deliberately does not
-// import the journal package; the daemon converts journal records into
-// these.
+// lease and its last known deadline. core deliberately does not import
+// the journal package; the daemon converts journal records into these.
 type RecoveredLease struct {
 	Lease   pool.Lease
 	Expires time.Time
-	Peer    string // "" for locally-granted leases
-	Domain  string // domain the delegated query pinned; "" when unroutable
 }
 
 // RecoverOptions tunes crash-recovery reconciliation.
@@ -32,11 +28,11 @@ type RecoverOptions struct {
 	// full TTL to heartbeat again before the reaper considers them dead.
 	// Zero defaults to the service's LeaseTTL.
 	Grace time.Duration
-	// Probe, when set, is asked whether each locally-granted lease's
-	// holder is still alive; dead holders' leases are released instead of
-	// restored. Nil restores every lease and leaves liveness to the TTL
-	// reaper — the daemon's real liveness signal is renewals, and a holder
-	// that never renews is reaped after Grace anyway.
+	// Probe, when set, is asked whether each lease's holder is still
+	// alive; dead holders' leases are released instead of restored. Nil
+	// restores every lease and leaves liveness to the TTL reaper — the
+	// daemon's real liveness signal is renewals, and a holder that never
+	// renews is reaped after Grace anyway.
 	Probe func(ctx context.Context, l *pool.Lease) bool
 	// ProbeConcurrency bounds concurrent probes (default 16).
 	ProbeConcurrency int
@@ -48,19 +44,17 @@ type RecoverOptions struct {
 
 // RecoveryReport summarizes what Recover did.
 type RecoveryReport struct {
-	Restored          int // local leases re-adopted into rebuilt pools
-	Reaped            int // local leases whose holders failed the probe
-	Dropped           int // local leases dropped (pool unreconstructable or adoption conflict)
-	DelegatedRestored int // peer-granted leases whose release route was re-installed
-	DelegatedDropped  int // peer-granted leases whose peer is gone
-	PoolsAdopted      int // pool instances rebuilt from taken marks
+	Restored     int // leases re-adopted into rebuilt pools
+	Reaped       int // leases whose holders failed the probe
+	Dropped      int // leases dropped (pool unreconstructable or adoption conflict)
+	PoolsAdopted int // pool instances rebuilt from taken marks
 }
 
 // Recover reconciles replayed journal state with reality: probe the
-// holders of locally-granted leases (dead ones are released), rebuild the
-// pool instances the surviving leases and the registry's taken marks
-// imply, re-adopt the surviving leases into those pools, and re-install
-// the release routes of peer-granted (delegated) leases. It must run
+// holders of the leases (dead ones are released), rebuild the pool
+// instances the surviving leases and the registry's taken marks imply,
+// and re-adopt the surviving leases into those pools. Leases this node
+// won through a peer need nothing: their ids carry the route. It must run
 // after New and before the service starts taking traffic.
 //
 // The registry behind the service must already hold the replayed records;
@@ -81,25 +75,16 @@ func (s *Service) Recover(leases []RecoveredLease, opts RecoverOptions) (Recover
 		logf = func(string, ...any) {}
 	}
 
-	var local, delegated []RecoveredLease
-	for _, rl := range leases {
-		if rl.Peer != "" {
-			delegated = append(delegated, rl)
-		} else {
-			local = append(local, rl)
-		}
-	}
-
-	// Probe sweep: bounded-concurrency liveness checks on the holders of
-	// locally-granted leases. A dead holder's lease is released — taken
-	// mark cleared, journal told — so the machine goes back into
-	// circulation immediately instead of after a reap cycle.
-	alive := local
-	if opts.Probe != nil && len(local) > 0 {
-		verdicts := make([]bool, len(local))
+	// Probe sweep: bounded-concurrency liveness checks on the lease
+	// holders. A dead holder's lease is released — taken mark cleared,
+	// journal told — so the machine goes back into circulation
+	// immediately instead of after a reap cycle.
+	alive := leases
+	if opts.Probe != nil && len(leases) > 0 {
+		verdicts := make([]bool, len(leases))
 		sem := make(chan struct{}, opts.ProbeConcurrency)
 		var wg sync.WaitGroup
-		for i := range local {
+		for i := range leases {
 			wg.Add(1)
 			sem <- struct{}{}
 			go func(i int) {
@@ -107,12 +92,12 @@ func (s *Service) Recover(leases []RecoveredLease, opts RecoverOptions) (Recover
 				defer func() { <-sem }()
 				ctx, cancel := context.WithTimeout(context.Background(), opts.ProbeTimeout)
 				defer cancel()
-				verdicts[i] = opts.Probe(ctx, &local[i].Lease)
+				verdicts[i] = opts.Probe(ctx, &leases[i].Lease)
 			}(i)
 		}
 		wg.Wait()
-		alive = alive[:0]
-		for i, rl := range local {
+		alive = make([]RecoveredLease, 0, len(leases))
+		for i, rl := range leases {
 			if verdicts[i] {
 				alive = append(alive, rl)
 				continue
@@ -160,7 +145,7 @@ func (s *Service) Recover(leases []RecoveredLease, opts RecoverOptions) (Recover
 	}
 
 	now := time.Now()
-	recoveredIDs := make([]string, 0, len(alive)+len(delegated))
+	recoveredIDs := make([]string, 0, len(alive))
 	for _, inst := range instances {
 		ls := byInstance[inst]
 		name, num, err := parsePoolInstance(inst)
@@ -217,31 +202,6 @@ func (s *Service) Recover(leases []RecoveredLease, opts RecoverOptions) (Recover
 			recoveredIDs = append(recoveredIDs, rl.Lease.ID)
 			rep.Restored++
 		}
-	}
-
-	// Delegated leases: re-install the release route through the granting
-	// peer in every pool manager (whichever one later receives the release
-	// must find it). A peer that left the mesh makes the lease
-	// unreleasable from here — drop it and let the grantor's own reaper
-	// reclaim the machine once renewals stop.
-	for _, rl := range delegated {
-		lease := rl.Lease
-		restored := false
-		for _, pm := range s.pms {
-			if pm.RestoreDelegated(&lease, rl.Peer, rl.Domain) {
-				restored = true
-			}
-		}
-		if restored {
-			recoveredIDs = append(recoveredIDs, rl.Lease.ID)
-			rep.DelegatedRestored++
-			continue
-		}
-		if s.opts.DelegationLog != nil {
-			s.opts.DelegationLog.DelegationDone(rl.Lease.ID)
-		}
-		logf("recover: peer %s of delegated lease %s is gone; dropped", rl.Peer, rl.Lease.ID)
-		rep.DelegatedDropped++
 	}
 
 	// Shadow accounts are session-scoped and not journaled: the manager

@@ -118,14 +118,15 @@ type Options struct {
 	// release, renewal) — the durability journal's feed. See
 	// pool.Config.Log.
 	LeaseLog pool.LeaseLog
-	// DelegationLog, when set, receives delegated-lease table transitions
-	// from every pool manager — the journal's federation feed. See
-	// poolmgr.Config.Delegations.
-	DelegationLog poolmgr.DelegationLog
+	// DelegationLog is ignored. Leases won through a peer carry their
+	// route in their id, so there is nothing to journal for them; the
+	// field stays only because the benchmark module still sets it.
+	DelegationLog any
 	// Routes, when set, is the domain-ownership table shared by every pool
 	// manager: queries pinning a remotely-owned domain take a single
 	// directed hop to the owner instead of the local-scan-then-fan-out
-	// path, and delegated releases re-resolve the domain's current owner.
+	// path, and a release or renewal no hop can carry goes to the
+	// domain's current owner.
 	// Nil keeps pre-partition behaviour. See route.Table.
 	Routes *route.Table
 }
@@ -279,16 +280,15 @@ func New(opts Options) (*Service, error) {
 	}
 	for i := 0; i < opts.PoolManagers; i++ {
 		pm, err := poolmgr.New(poolmgr.Config{
-			Name:        fmt.Sprintf("%s-%d", opts.NodeName, i),
-			Dir:         s.dir,
-			Factory:     s.factory,
-			Seed:        opts.Seed + int64(i),
-			TTL:         opts.TTL,
-			Fanout:      opts.Fanout,
-			HedgeDelay:  opts.HedgeDelay,
-			Stats:       opts.FederationStats,
-			Delegations: opts.DelegationLog,
-			Routes:      opts.Routes,
+			Name:       fmt.Sprintf("%s-%d", opts.NodeName, i),
+			Dir:        s.dir,
+			Factory:    s.factory,
+			Seed:       opts.Seed + int64(i),
+			TTL:        opts.TTL,
+			Fanout:     opts.Fanout,
+			HedgeDelay: opts.HedgeDelay,
+			Stats:      opts.FederationStats,
+			Routes:     opts.Routes,
 		})
 		if err != nil {
 			return nil, err
@@ -418,21 +418,13 @@ func (s *Service) Release(g *Grant) error {
 // Renew extends a grant's lease lifetime on TTL-enabled services. Clients
 // running long jobs heartbeat with it so the reaper does not reclaim their
 // machines. On services without a TTL it is a validity check: it fails for
-// unknown leases and succeeds for live ones. A lease won through a peer is
-// renewed through the pool manager that holds its route, back at the
-// grantor; any other lease renews at its local pool instance.
+// unknown leases and succeeds for live ones. A lease won through a peer
+// renews back at the grantor its id names (see poolmgr.Manager.Renew).
 func (s *Service) Renew(g *Grant) error {
 	if g == nil || g.Lease == nil {
 		return fmt.Errorf("core: nil grant")
 	}
-	pm := s.pms[0] // the managers share one directory
-	for _, m := range s.pms {
-		if m.Delegated(g.Lease.ID) {
-			pm = m
-			break
-		}
-	}
-	return pm.Renew(g.Lease)
+	return s.pms[0].Renew(g.Lease) // the managers share one directory
 }
 
 // pickQM round-robins across query-manager replicas, lock-free.

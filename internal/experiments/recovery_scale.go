@@ -231,7 +231,7 @@ func recoveryPoint(cfg RecoveryConfig, size int) (recoverySample, error) {
 		return out, err
 	}
 	svc, err := core.New(core.Options{
-		DB: db, Seed: cfg.Seed, LeaseTTL: time.Minute, LeaseLog: jnl, DelegationLog: jnl,
+		DB: db, Seed: cfg.Seed, LeaseTTL: time.Minute, LeaseLog: jnl,
 		PoolEngine: PoolEngine(), RefreshMode: RefreshMode(),
 	})
 	if err != nil {
@@ -240,7 +240,7 @@ func recoveryPoint(cfg RecoveryConfig, size int) (recoverySample, error) {
 	defer svc.Close()
 	recovered := make([]core.RecoveredLease, 0, len(st.Leases))
 	for _, lr := range st.Leases {
-		recovered = append(recovered, core.RecoveredLease{Lease: lr.Lease, Expires: lr.Expires, Peer: lr.Peer})
+		recovered = append(recovered, core.RecoveredLease{Lease: lr.Lease, Expires: lr.Expires})
 	}
 	rep, err := svc.Recover(recovered, core.RecoverOptions{})
 	if err != nil {

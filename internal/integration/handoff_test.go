@@ -169,15 +169,14 @@ func TestOwnershipHandoffPreservesState(t *testing.T) {
 		t.Errorf("record count changed across migration: %d -> %d", totalBefore, total)
 	}
 
-	// The delegated lease releases at the node that held it: the ownership
-	// reload re-targets its (peer, domain) route to the new owner, which
-	// is now local.
+	// The delegated lease releases at the node that held it: the new owner
+	// adopted it into a local pool, so the release never leaves the node.
 	if err := nb.svc.Release(remoteGrant); err != nil {
 		t.Errorf("release of migrated delegated lease: %v", err)
 	}
-	// The source-held lease releases THROUGH the source: the drop installed
-	// a forward entry, so the release routes to the new owner over the wire
-	// instead of failing against the closed local pool.
+	// The source-held lease releases THROUGH the source: its pool no
+	// longer holds the lease, so the release goes once to the domain's
+	// new owner over the wire instead of failing against the closed pool.
 	if err := na.svc.Release(localGrant); err != nil {
 		t.Errorf("release through the old owner after handoff: %v", err)
 	}
@@ -199,6 +198,53 @@ func TestOwnershipHandoffPreservesState(t *testing.T) {
 
 	if !na.svc.Drain(time.Second) || !nb.svc.Drain(time.Second) {
 		t.Error("leases leaked across the handoff")
+	}
+}
+
+// TestForwarderRestartKeepsRoute: a node that won a lease through its
+// peer keeps no record of it, so a rebuilt node with an empty state (no
+// journal) still renews and releases the lease by its id alone. The
+// grant carries only the lease: shadow accounts are session-scoped and
+// not journaled.
+func TestForwarderRestartKeepsRoute(t *testing.T) {
+	na, nb := startPartitionedPair(t, 32)
+	g, err := nb.svc.Request("punch.rsrc.domain = upc")
+	if err != nil {
+		t.Fatalf("request through the peer: %v", err)
+	}
+
+	// Rebuild nb from its own records, with no journal, and re-dial na.
+	db := registry.NewDB()
+	nb.svc.DB().Walk(func(m *registry.Machine) bool {
+		if err := db.Add(m.Clone()); err != nil {
+			t.Fatal(err)
+		}
+		return true
+	})
+	nb.svc.Close()
+	fresh, err := core.New(core.Options{DB: db, NodeName: "nb", Routes: nb.rt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(fresh.Close)
+	remA, err := stage.DialRemote(na.srv.Addr(), netsim.Local(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { remA.Close() })
+	fresh.Directory().AddPeer(remA)
+
+	held := &core.Grant{Lease: g.Lease}
+	for i := 0; i < 2; i++ {
+		if err := fresh.Renew(held); err != nil {
+			t.Fatalf("renew %d through the rebuilt forwarder: %v", i, err)
+		}
+	}
+	if err := fresh.Release(held); err != nil {
+		t.Fatalf("release through the rebuilt forwarder: %v", err)
+	}
+	if !na.svc.Drain(time.Second) {
+		t.Error("the grantor still holds the lease")
 	}
 }
 

@@ -61,9 +61,9 @@ type Config struct {
 }
 
 // Journal is the write-ahead log: registry events drained off a watch
-// subscription plus lease ops pushed through the pool.LeaseLog and
-// poolmgr.DelegationLog hooks, framed into CRC-checked segment files with
-// periodic snapshots and compaction.
+// subscription plus lease ops pushed through the pool.LeaseLog hook,
+// framed into CRC-checked segment files with periodic snapshots and
+// compaction.
 //
 // Open replays whatever the directory holds and returns the reconstructed
 // State alongside the journal; Attach then wires the live registry in.
@@ -576,37 +576,6 @@ func (j *Journal) LeaseRenewed(leaseID string, expires time.Time) {
 	})
 	if err != nil {
 		j.cfg.Logf("journal: renew %s: %v", leaseID, err)
-		return
-	}
-	j.stats.LeaseOp()
-}
-
-// --- poolmgr.DelegationLog ---
-
-// DelegationWon journals a lease won through a federation peer. No local
-// pool hook fires for these (the machine lives on the peer), so the whole
-// lease rides in the record.
-func (j *Journal) DelegationWon(l *pool.Lease, peerName, domain string) {
-	if l == nil {
-		return
-	}
-	rec := LeaseRecord{Lease: *l, Peer: peerName, Domain: domain}
-	payload := appendLeaseOp(nil, leaseOp{op: opDelegated, rec: rec})
-	err := j.append(recLease, payload, func() { j.leases[l.ID] = rec })
-	if err != nil {
-		j.cfg.Logf("journal: delegated %s: %v", l.ID, err)
-		return
-	}
-	j.stats.LeaseOp()
-}
-
-// DelegationDone journals a delegated lease leaving the table (released
-// or expired).
-func (j *Journal) DelegationDone(leaseID string) {
-	payload := appendLeaseOp(nil, leaseOp{op: opDelegatedDone, id: leaseID})
-	err := j.append(recLease, payload, func() { delete(j.leases, leaseID) })
-	if err != nil {
-		j.cfg.Logf("journal: delegated done %s: %v", leaseID, err)
 		return
 	}
 	j.stats.LeaseOp()

@@ -1,6 +1,7 @@
 package journal
 
 import (
+	"encoding/hex"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -123,19 +124,17 @@ func TestLeaseOpRoundTrip(t *testing.T) {
 		{op: opGrant, rec: LeaseRecord{Lease: *testLease("l2", "m0002")}}, // no expiry
 		{op: opRelease, id: "l1"},
 		{op: opRenew, id: "l2", rec: LeaseRecord{Expires: exp}},
-		{op: opDelegated, rec: LeaseRecord{Lease: *testLease("l3", "m0003"), Peer: "site-b"}},
-		{op: opDelegatedDone, id: "l3"},
 	}
 	for _, want := range ops {
 		got, err := decodeLeaseOp(appendLeaseOp(nil, want))
 		if err != nil {
 			t.Fatalf("op 0x%02x: %v", want.op, err)
 		}
-		if got.op != want.op || got.rec.Peer != want.rec.Peer {
+		if got.op != want.op {
 			t.Errorf("op 0x%02x: decoded %+v", want.op, got)
 		}
 		switch want.op {
-		case opGrant, opDelegated:
+		case opGrant:
 			if got.id != want.rec.Lease.ID {
 				t.Errorf("op 0x%02x: id = %q", want.op, got.id)
 			}
@@ -258,8 +257,6 @@ func TestLeaseHooksMirrorAndReplay(t *testing.T) {
 	j.LeaseGranted(l2, exp)
 	j.LeaseRenewed(l2.ID, time.Unix(2000, 0))
 	j.LeaseReleased(l1.ID)
-	j.DelegationWon(testLease("peer:3:cc", "remote-m"), "site-b", "upc")
-	j.DelegationDone("peer:3:cc")
 	if got := j.Leases(); len(got) != 1 || got[0].Lease.ID != l2.ID || !got[0].Expires.Equal(time.Unix(2000, 0)) {
 		t.Fatalf("mirror = %+v", got)
 	}
@@ -275,51 +272,75 @@ func TestLeaseHooksMirrorAndReplay(t *testing.T) {
 		t.Fatalf("replayed leases = %+v", st.Leases)
 	}
 	lr := st.Leases[0]
-	if lr.Lease != *l2 || !lr.Expires.Equal(time.Unix(2000, 0)) || lr.Peer != "" {
+	if lr.Lease != *l2 || !lr.Expires.Equal(time.Unix(2000, 0)) {
 		t.Errorf("lease = %+v", lr)
 	}
 }
 
-func TestDelegatedLeaseSurvivesReplay(t *testing.T) {
-	dir := t.TempDir()
-	j, _, err := Open(Config{Dir: dir, Fsync: FsyncAlways})
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.DelegationWon(testLease("peer:9:dd", "remote-m"), "site-c", "upc")
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	_, st, err := Open(Config{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(st.Leases) != 1 || st.Leases[0].Peer != "site-c" || st.Leases[0].Domain != "upc" {
-		t.Fatalf("leases = %+v", st.Leases)
-	}
-}
+// Golden journal bytes written by the last version that journaled the
+// routes of leases won through a peer. The segment holds, in order: a
+// grant of p#0:1:aa; an opDelegated for peer:3:cc with domain upc; one for
+// peer:5:ee with domain purdue; one for peer:4:dd in the older format
+// without a domain; and an opDelegatedDone for peer:3:cc. The snapshot
+// holds a grant of p#0:1:aa and an opDelegated for peer:4:dd, and its
+// footer counts both.
+const (
+	goldenDelegatedSegment = "41435459504a4c310100000000000000025d01087023303a313a6161056d303030310d6d303030312e6578616d706c65" +
+		"d073d2730c6b65792d7023303a313a61611f70756e63682e727372632e617263683d3d73756e2f617263683d73756e23" +
+		"300190a3b787e9050180c0a8ca9a3a9c8ece29026a0409706565723a333a63630872656d6f74652d611072656d6f7465" +
+		"2d612e6578616d706c65d073d2730d6b65792d706565723a333a63631f70756e63682e727372632e617263683d3d7375" +
+		"6e2f617263683d73756e23300190a3b787e9050006736974652d620375706316edfba6026d0409706565723a353a6565" +
+		"0872656d6f74652d631072656d6f74652d632e6578616d706c65d073d2730d6b65792d706565723a353a65651f70756e" +
+		"63682e727372632e617263683d3d73756e2f617263683d73756e23300190a3b787e9050006736974652d640670757264" +
+		"75653af34ac6026d0409706565723a343a64640872656d6f74652d621072656d6f74652d622e6578616d706c65d073d2" +
+		"730d6b65792d706565723a343a64641f70756e63682e727372632e617263683d3d73756e2f617263683d73756e233001" +
+		"90a3b787e9050180c0f9decfae0106736974652d630875d449020b0509706565723a333a636365edacde"
+	goldenDelegatedSnapshot = "4143545950534e310700000000000000125d01087023303a313a6161056d303030310d6d303030312e6578616d706c65" +
+		"d073d2730c6b65792d7023303a313a61611f70756e63682e727372632e617263683d3d73756e2f617263683d73756e23" +
+		"300190a3b787e9050180c0a8ca9a3a198b5bf9126a0409706565723a343a64640872656d6f74652d621072656d6f7465" +
+		"2d622e6578616d706c65d073d2730d6b65792d706565723a343a64641f70756e63682e727372632e617263683d3d7375" +
+		"6e2f617263683d73756e23300190a3b787e9050006736974652d6303757063bcacfa761f020002972db4c4"
+)
 
-// Pre-partition journals end an opDelegated payload at the peer name; the
-// domain string this version appends must stay optional on decode or old
-// journals stop replaying.
-func TestDelegatedOpDecodesWithoutDomain(t *testing.T) {
-	rec := LeaseRecord{Lease: *testLease("peer:9:dd", "remote-m"), Peer: "site-c"}
-	payload := appendLeaseOp(nil, leaseOp{op: opDelegated, rec: rec})
-	// Strip the trailing empty-domain string (a single 0-length uvarint
-	// byte) to reproduce the old wire format exactly.
-	old := payload[:len(payload)-1]
-	op, err := decodeLeaseOp(old)
+// TestOldDelegatedRecordsSkipped: journals written before lease ids
+// carried their route still replay. The delegated records are skipped
+// whole, in segments and in snapshots alike; the local lease is restored.
+func TestOldDelegatedRecordsSkipped(t *testing.T) {
+	seg, err := hex.DecodeString(goldenDelegatedSegment)
 	if err != nil {
-		t.Fatalf("old-format opDelegated: %v", err)
+		t.Fatal(err)
 	}
-	if op.rec.Peer != "site-c" || op.rec.Domain != "" || op.rec.Lease.ID != "peer:9:dd" {
-		t.Fatalf("decoded = %+v", op.rec)
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, segmentName(1)), seg, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	// And the new format round-trips the domain.
-	rec.Domain = "upc"
-	op, err = decodeLeaseOp(appendLeaseOp(nil, leaseOp{op: opDelegated, rec: rec}))
-	if err != nil || op.rec.Domain != "upc" {
-		t.Fatalf("new-format opDelegated: %+v, %v", op.rec, err)
+	j, st, err := Open(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if st.Records != 5 || st.Corrupt != 0 || st.Torn != 0 {
+		t.Errorf("replay read %d records (%d corrupt, %d torn), want 5 clean", st.Records, st.Corrupt, st.Torn)
+	}
+	want := testLease("p#0:1:aa", "m0001")
+	if len(st.Leases) != 1 || st.Leases[0].Lease != *want || !st.Leases[0].Expires.Equal(time.Unix(1000, 0)) {
+		t.Fatalf("replayed leases = %+v, want only %s", st.Leases, want.ID)
+	}
+
+	snap, err := hex.DecodeString(goldenDelegatedSnapshot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "old.snap")
+	if err := os.WriteFile(path, snap, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, leases, err := ReadSnapshotFile(path)
+	if err != nil {
+		t.Fatalf("old snapshot: %v", err)
+	}
+	if len(leases) != 1 || leases[0].Lease != *want {
+		t.Fatalf("snapshot leases = %+v, want only %s", leases, want.ID)
 	}
 }
 

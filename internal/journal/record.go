@@ -23,17 +23,21 @@ const (
 	recResync byte = 0x03 // watch ring overflowed: events were lost here
 
 	recSnapMachines byte = 0x11 // payload: registry.AppendBatch page
-	recSnapLease    byte = 0x12 // payload: lease op (opGrant/opDelegated)
+	recSnapLease    byte = 0x12 // payload: lease op (opGrant)
 	recSnapFooter   byte = 0x1f // payload: machine count, lease count — completeness marker
 )
 
 // Lease ops inside recLease / recSnapLease payloads.
 const (
-	opGrant         byte = 0x01 // full lease + expiry
-	opRelease       byte = 0x02 // lease id (explicit release or reap)
-	opRenew         byte = 0x03 // lease id + new expiry
-	opDelegated     byte = 0x04 // full lease + expiry + granting peer name
-	opDelegatedDone byte = 0x05 // lease id left the delegated table
+	opGrant   byte = 0x01 // full lease + expiry
+	opRelease byte = 0x02 // lease id (explicit release or reap)
+	opRenew   byte = 0x03 // lease id + new expiry
+
+	// Reserved: older versions journaled the route of every lease won
+	// through a peer. The route now rides in the lease id, so nothing
+	// writes these and replay skips them; the bytes stay taken.
+	opDelegated     byte = 0x04
+	opDelegatedDone byte = 0x05
 )
 
 const maxRecordPayload = 64 << 20 // frame sanity bound; no real record approaches it
@@ -81,22 +85,18 @@ func scanRecords(b []byte, fn func(kind byte, payload []byte)) (n, off int, err 
 	return n, off, nil
 }
 
-// LeaseRecord is one live lease as the journal tracks it: the full lease,
-// its deadline (zero: no expiry), and — for leases won through a
-// federation peer — the peer that granted it, through which the eventual
-// release must route.
+// LeaseRecord is one live lease as the journal tracks it: the full lease
+// and its deadline (zero: no expiry).
 type LeaseRecord struct {
 	Lease   pool.Lease
 	Expires time.Time
-	Peer    string // "" for locally-granted leases
-	Domain  string // domain the delegated query pinned; "" when unroutable
 }
 
 // leaseOp is one decoded lease-op payload.
 type leaseOp struct {
 	op  byte
-	id  string      // opRelease/opRenew/opDelegatedDone
-	rec LeaseRecord // opGrant/opDelegated
+	id  string      // opRelease/opRenew
+	rec LeaseRecord // opGrant
 }
 
 // appendLeaseOp encodes a lease op. Grant-shaped ops carry the whole
@@ -105,7 +105,7 @@ type leaseOp struct {
 func appendLeaseOp(dst []byte, op leaseOp) []byte {
 	dst = append(dst, op.op)
 	switch op.op {
-	case opGrant, opDelegated:
+	case opGrant:
 		l := &op.rec.Lease
 		dst = appendString(dst, l.ID)
 		dst = appendString(dst, l.Machine)
@@ -116,14 +116,10 @@ func appendLeaseOp(dst []byte, op leaseOp) []byte {
 		dst = appendString(dst, l.Pool)
 		dst = appendTime(dst, l.Granted)
 		dst = appendTime(dst, op.rec.Expires)
-		if op.op == opDelegated {
-			dst = appendString(dst, op.rec.Peer)
-			dst = appendString(dst, op.rec.Domain)
-		}
 	case opRenew:
 		dst = appendString(dst, op.id)
 		dst = appendTime(dst, op.rec.Expires)
-	default: // opRelease, opDelegatedDone
+	default: // opRelease
 		dst = appendString(dst, op.id)
 	}
 	return dst
@@ -135,7 +131,7 @@ func decodeLeaseOp(b []byte) (leaseOp, error) {
 	var op leaseOp
 	op.op = d.byte()
 	switch op.op {
-	case opGrant, opDelegated:
+	case opGrant:
 		l := &op.rec.Lease
 		l.ID = d.string()
 		l.Machine = d.string()
@@ -146,20 +142,14 @@ func decodeLeaseOp(b []byte) (leaseOp, error) {
 		l.Pool = d.string()
 		l.Granted = d.time()
 		op.rec.Expires = d.time()
-		if op.op == opDelegated {
-			op.rec.Peer = d.string()
-			// Pre-partition journals end the op at the peer name; the
-			// domain string is only present when written by this version.
-			if d.err == nil && d.off < len(d.b) {
-				op.rec.Domain = d.string()
-			}
-		}
 		op.id = l.ID
 	case opRenew:
 		op.id = d.string()
 		op.rec.Expires = d.time()
-	case opRelease, opDelegatedDone:
+	case opRelease:
 		op.id = d.string()
+	case opDelegated, opDelegatedDone:
+		return op, nil // reserved: skipped whole, callers ignore the op
 	default:
 		return op, fmt.Errorf("journal: unknown lease op 0x%02x", op.op)
 	}

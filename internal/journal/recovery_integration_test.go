@@ -80,7 +80,7 @@ func TestKillAndRestartUnderLoad(t *testing.T) {
 		t.Fatalf("fresh journal replayed %+v", st)
 	}
 	db1 := testFleet(t, 32)
-	svc1, err := core.New(core.Options{DB: db1, LeaseTTL: time.Minute, LeaseLog: jnl1, DelegationLog: jnl1})
+	svc1, err := core.New(core.Options{DB: db1, LeaseTTL: time.Minute, LeaseLog: jnl1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestKillAndRestartUnderLoad(t *testing.T) {
 	if err := st2.RestoreDB(db2); err != nil {
 		t.Fatal(err)
 	}
-	svc2, err := core.New(core.Options{DB: db2, LeaseTTL: time.Minute, LeaseLog: jnl2, DelegationLog: jnl2})
+	svc2, err := core.New(core.Options{DB: db2, LeaseTTL: time.Minute, LeaseLog: jnl2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestKillAndRestartUnderLoad(t *testing.T) {
 
 	recovered := make([]core.RecoveredLease, 0, len(st2.Leases))
 	for _, lr := range st2.Leases {
-		recovered = append(recovered, core.RecoveredLease{Lease: lr.Lease, Expires: lr.Expires, Peer: lr.Peer})
+		recovered = append(recovered, core.RecoveredLease{Lease: lr.Lease, Expires: lr.Expires})
 	}
 	rep, err := svc2.Recover(recovered, core.RecoverOptions{
 		Probe: func(ctx context.Context, l *pool.Lease) bool {

@@ -15,7 +15,7 @@ import (
 // records as of the crash (taken marks included) and the leases that were
 // live, ready to be loaded into a fresh registry and re-adopted into
 // pools. Replay itself is purely file-level — the recovery policy (probe
-// the holders, rebuild the pools, re-route delegations) lives in
+// the holders, rebuild the pools) lives in
 // core.Recover, which consumes a State.
 type State struct {
 	// Machines holds the replayed registry records in name order.
@@ -61,10 +61,9 @@ func (s *State) RestoreDB(db *registry.DB) error {
 // Filter prunes the replayed state to the machines keep accepts — the
 // domain-scoped replay a partitioned daemon runs on boot, so a journal
 // written before an ownership change (or copied from a peer) loads only
-// the domains this node now owns. Locally-granted leases on dropped
-// machines go with them (their pools cannot be rebuilt here); delegated
-// leases stay — they live on their granting peer, not in local records.
-// It returns how many machines were dropped.
+// the domains this node now owns. Leases on dropped machines go with them
+// (their pools cannot be rebuilt here). It returns how many machines were
+// dropped.
 func (s *State) Filter(keep func(*registry.Machine) bool) int {
 	if s == nil || keep == nil {
 		return 0
@@ -83,7 +82,7 @@ func (s *State) Filter(keep func(*registry.Machine) bool) int {
 	if dropped > 0 {
 		leases := s.Leases[:0]
 		for _, lr := range s.Leases {
-			if lr.Peer == "" && gone[lr.Lease.Machine] {
+			if gone[lr.Lease.Machine] {
 				continue
 			}
 			leases = append(leases, lr)
@@ -227,9 +226,9 @@ func applyRecord(db *registry.DB, leases map[string]LeaseRecord, st *State, kind
 			return
 		}
 		switch op.op {
-		case opGrant, opDelegated:
+		case opGrant:
 			leases[op.id] = op.rec
-		case opRelease, opDelegatedDone:
+		case opRelease:
 			delete(leases, op.id)
 		case opRenew:
 			if lr, ok := leases[op.id]; ok {

@@ -91,11 +91,7 @@ func writeSnapshotAt(dir string, seq uint64, source SnapshotSource, page int, le
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Lease.ID < sorted[j].Lease.ID })
 	var opPayload []byte
 	for _, lr := range sorted {
-		op := leaseOp{op: opGrant, rec: lr}
-		if lr.Peer != "" {
-			op.op = opDelegated
-		}
-		opPayload = appendLeaseOp(opPayload[:0], op)
+		opPayload = appendLeaseOp(opPayload[:0], leaseOp{op: opGrant, rec: lr})
 		buf = appendRecord(buf, recSnapLease, opPayload)
 	}
 
@@ -143,6 +139,7 @@ func readSnapshot(dir string, seq uint64) ([]*registry.Machine, []LeaseRecord, e
 		order    []string
 		byName   = map[string]*registry.Machine{}
 		leases   []LeaseRecord
+		skipped  int
 		footerOK bool
 		wantM    uint64
 		wantL    uint64
@@ -175,11 +172,14 @@ func readSnapshot(dir string, seq uint64) ([]*registry.Machine, []LeaseRecord, e
 				decErr = err
 				return
 			}
-			if op.op != opGrant && op.op != opDelegated {
+			switch op.op {
+			case opGrant:
+				leases = append(leases, op.rec)
+			case opDelegated:
+				skipped++ // an older writer's peer-won lease; the footer counts it
+			default:
 				decErr = fmt.Errorf("journal: snapshot %d: unexpected lease op 0x%02x", seq, op.op)
-				return
 			}
-			leases = append(leases, op.rec)
 		case recSnapFooter:
 			d := &opDec{b: payload}
 			wantM = d.uvarint()
@@ -205,7 +205,7 @@ func readSnapshot(dir string, seq uint64) ([]*registry.Machine, []LeaseRecord, e
 	}
 	// The machine count may legitimately exceed the distinct count when
 	// paging raced a mutation; require only that nothing is missing.
-	if uint64(len(byName)) > wantM || uint64(len(leases)) != wantL {
+	if uint64(len(byName)) > wantM || uint64(len(leases)+skipped) != wantL {
 		return nil, nil, fmt.Errorf("journal: snapshot %d: footer counts %d/%d do not cover %d/%d decoded",
 			seq, wantM, wantL, len(byName), len(leases))
 	}

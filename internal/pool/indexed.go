@@ -402,7 +402,7 @@ func (x *indexedAlloc) Release(leaseID string) error {
 	}
 	x.leaseMu.Unlock()
 	if !ok {
-		return fmt.Errorf("pool %s: unknown lease %s", x.cfg.poolID, leaseID)
+		return fmt.Errorf("pool %s: %w %s", x.cfg.poolID, ErrUnknownLease, leaseID)
 	}
 	x.releaseEntry(e)
 	return nil
@@ -425,7 +425,7 @@ func (x *indexedAlloc) Renew(leaseID string, expires time.Time) error {
 	defer x.leaseMu.Unlock()
 	e, ok := x.leases[leaseID]
 	if !ok {
-		return fmt.Errorf("pool %s: unknown lease %s", x.cfg.poolID, leaseID)
+		return fmt.Errorf("pool %s: %w %s", x.cfg.poolID, ErrUnknownLease, leaseID)
 	}
 	if !expires.IsZero() {
 		e.expires = expires

@@ -1,6 +1,7 @@
 package pool
 
 import (
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -195,5 +196,31 @@ func TestExpiredMachineIsReallocatable(t *testing.T) {
 	}
 	if l1.ID == l2.ID {
 		t.Error("lease ids must differ")
+	}
+}
+
+// TestUnknownLeaseIsSentinel: both engines wrap ErrUnknownLease in
+// Release and Renew of a lease they do not hold, with the error text the
+// engines have always printed.
+func TestUnknownLeaseIsSentinel(t *testing.T) {
+	for _, engine := range []string{EngineOracle, EngineIndexed} {
+		for _, op := range []struct {
+			name string
+			call func(p *Pool, id string) error
+		}{
+			{"release", (*Pool).Release},
+			{"renew", (*Pool).Renew},
+		} {
+			t.Run(engine+"/"+op.name, func(t *testing.T) {
+				p := newSunPool(t, fleetDB(t, 1), func(c *Config) { c.Engine = engine })
+				err := op.call(p, "ghost")
+				if !errors.Is(err, ErrUnknownLease) {
+					t.Fatalf("%s of an unknown lease = %v, want ErrUnknownLease", op.name, err)
+				}
+				if want := "pool " + p.ID() + ": unknown lease ghost"; err.Error() != want {
+					t.Errorf("error text = %q, want %q", err, want)
+				}
+			})
+		}
 	}
 }

@@ -169,7 +169,7 @@ func (o *oracleAlloc) Release(leaseID string) error {
 	defer o.mu.Unlock()
 	e, ok := o.leases[leaseID]
 	if !ok {
-		return fmt.Errorf("pool %s: unknown lease %s", o.cfg.poolID, leaseID)
+		return fmt.Errorf("pool %s: %w %s", o.cfg.poolID, ErrUnknownLease, leaseID)
 	}
 	delete(o.leases, leaseID)
 	releaseEntryLocked(e)
@@ -189,7 +189,7 @@ func (o *oracleAlloc) Renew(leaseID string, expires time.Time) error {
 	defer o.mu.Unlock()
 	e, ok := o.leases[leaseID]
 	if !ok {
-		return fmt.Errorf("pool %s: unknown lease %s", o.cfg.poolID, leaseID)
+		return fmt.Errorf("pool %s: %w %s", o.cfg.poolID, ErrUnknownLease, leaseID)
 	}
 	if !expires.IsZero() {
 		e.expires = expires

@@ -14,6 +14,7 @@ package pool
 import (
 	"crypto/rand"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -43,6 +44,11 @@ type Lease struct {
 // ErrExhausted is returned when every machine in the pool is busy or
 // filtered out for the requesting user.
 var ErrExhausted = fmt.Errorf("pool: no machine available")
+
+// ErrUnknownLease is wrapped by Release and Renew when the pool holds no
+// lease by that id (never granted here, released, or reaped). The pool
+// manager reads it as "not held here" and routes the call onward.
+var ErrUnknownLease = errors.New("unknown lease")
 
 // Config describes a pool to create.
 type Config struct {

@@ -65,188 +65,12 @@ func extendVisited(visited []string, name string) []string {
 	return out
 }
 
-// delegatedLease records which peer granted a lease that this manager
-// handed upward, keyed (peer, domain) so the eventual Release can route
-// back correctly even after the domain changes hands: the release goes to
-// the domain's *current* owner per the route table, falling back to the
-// recorded grantor for unroutable leases. Entries are evicted on release
-// and, as a backstop against clients that never release, lazily
-// delegatedTTL after the win or the last renewal — by then the grantor's
-// reaper has reclaimed the machine anyway. Deliberately NOT a captured
-// Forwarder handle: a handle pins the stale grantor across
-// ownership-table reloads.
-type delegatedLease struct {
-	peerName string // grantor at win time
-	domain   string // domain the query pinned; "" when unroutable
-	at       time.Time
-}
-
-const delegatedTTL = time.Hour
-
-// rememberDelegated notes that lease was granted through the named peer
-// for a query pinning domain ("" when unroutable). Called on every
-// delegation win before the lease is returned upward.
-func (m *Manager) rememberDelegated(lease *pool.Lease, peerName, domain string) {
-	if lease == nil {
-		return
-	}
-	now := time.Now()
-	m.delegatedMu.Lock()
-	defer m.delegatedMu.Unlock()
-	if m.delegated == nil {
-		m.delegated = make(map[string]delegatedLease)
-	}
-	for id, d := range m.delegated {
-		if now.Sub(d.at) > delegatedTTL {
-			delete(m.delegated, id)
-		}
-	}
-	m.delegated[lease.ID] = delegatedLease{peerName: peerName, domain: domain, at: now}
-	if m.delegations != nil {
-		m.delegations.DelegationWon(lease, peerName, domain)
-	}
-}
-
-// takeDelegated looks a lease up in the delegated table and removes it.
-func (m *Manager) takeDelegated(id string) (peerName, domain string, ok bool) {
-	m.delegatedMu.Lock()
-	d, found := m.delegated[id]
-	if found {
-		delete(m.delegated, id)
-	}
-	m.delegatedMu.Unlock()
-	if found && m.delegations != nil {
-		m.delegations.DelegationDone(id)
-	}
-	return d.peerName, d.domain, found
-}
-
-// touchDelegated looks a lease up in the delegated table without removing
-// it and refreshes the entry's age.
-func (m *Manager) touchDelegated(id string) (peerName, domain string, ok bool) {
-	m.delegatedMu.Lock()
-	defer m.delegatedMu.Unlock()
-	d, ok := m.delegated[id]
-	if ok {
-		d.at = time.Now()
-		m.delegated[id] = d
-	}
-	return d.peerName, d.domain, ok
-}
-
-// Delegated reports whether the lease was won through a peer, so its
-// renewal and release route back through this manager.
-func (m *Manager) Delegated(id string) bool {
-	m.delegatedMu.Lock()
-	defer m.delegatedMu.Unlock()
-	_, ok := m.delegated[id]
-	return ok
-}
-
-// peerByName finds the directory peer carrying the name, nil when absent.
-func (m *Manager) peerByName(name string) directory.Forwarder {
-	if name == "" {
-		return nil
-	}
-	for _, peer := range m.dir.Peers() {
-		if peer.Name() == name {
-			return peer
-		}
-	}
-	return nil
-}
-
-// delegatedRoute picks the peer a delegated lease's release or renewal
-// goes to, by the (peer, domain) rule: the domain's current owner per the
-// route table when the lease carries a routable domain — the grantor may
-// have handed the domain off since the win — otherwise the recorded
-// grantor. A current owner that is not a dialed peer falls back to the
-// grantor. A nil peer with a nil error means the owner is this very node:
-// the domain migrated home and the lease was re-adopted into a local pool.
-func (m *Manager) delegatedRoute(peerName, domain string, lease *pool.Lease) (directory.Forwarder, error) {
-	target := peerName
-	if m.routes != nil && domain != "" {
-		if owner, ok := m.routes.Owner(domain); ok {
-			target = owner
-		}
-	}
-	if target == m.name {
-		return nil, nil
-	}
-	peer := m.peerByName(target)
-	if peer == nil && target != peerName {
-		peer = m.peerByName(peerName)
-	}
-	if peer == nil {
-		return nil, fmt.Errorf("poolmgr %s: no peer %s to take lease %s back", m.name, target, lease.ID)
-	}
-	return peer, nil
-}
-
-// releaseRemote routes a delegated lease's release (see delegatedRoute).
-func (m *Manager) releaseRemote(peerName, domain string, lease *pool.Lease) error {
-	peer, err := m.delegatedRoute(peerName, domain, lease)
-	switch {
-	case err != nil:
-		return err
-	case peer == nil:
-		return m.releaseLocal(lease)
-	}
-	rel, ok := peer.(directory.LeaseReleaser)
-	if !ok {
-		return fmt.Errorf("poolmgr %s: peer %s cannot take lease %s back", m.name, peer.Name(), lease.ID)
-	}
-	return rel.Release(lease)
-}
-
-// renewRemote routes a delegated lease's renewal the way its release
-// goes.
-func (m *Manager) renewRemote(peerName, domain string, lease *pool.Lease) error {
-	peer, err := m.delegatedRoute(peerName, domain, lease)
-	switch {
-	case err != nil:
-		return err
-	case peer == nil:
-		return m.renewLocal(lease)
-	}
-	ren, ok := peer.(directory.LeaseRenewer)
-	if !ok {
-		return fmt.Errorf("poolmgr %s: peer %s cannot renew lease %s", m.name, peer.Name(), lease.ID)
-	}
-	if err := ren.Renew(lease); err != nil {
-		return fmt.Errorf("poolmgr %s: renew lease %s through peer %s: %w", m.name, lease.ID, peer.Name(), err)
-	}
-	return nil
-}
-
-// RestoreDelegated re-installs a delegated-lease route from a journal
-// replay: the lease was won through the named peer (for a query pinning
-// domain, "" when unroutable) before the crash, so its eventual Release
-// must route back again. It reports false when neither the recorded
-// grantor nor the domain's current owner is reachable (the mesh changed
-// across the restart); the caller then drops the lease — the grantor's
-// own reaper reclaims the machine once renewals stop arriving.
-func (m *Manager) RestoreDelegated(lease *pool.Lease, peerName, domain string) bool {
-	if lease == nil || peerName == "" {
-		return false
-	}
-	reachable := m.peerByName(peerName) != nil
-	if !reachable && m.routes != nil && domain != "" {
-		if owner, ok := m.routes.Owner(domain); ok {
-			reachable = owner == m.name || m.peerByName(owner) != nil
-		}
-	}
-	if !reachable {
-		return false
-	}
-	m.rememberDelegated(lease, peerName, domain)
-	return true
-}
-
 // ForwardContext is Forward with cancellation; it implements
 // directory.ContextForwarder. Cancelling ctx abandons the resolution
 // (in-flight delegation branches are called off where the peer supports
 // it, and any lease that lands after the cancel is released, not leaked).
+// A lease won through a peer comes back as a copy whose id names the peer
+// as its last hop (see leaseroute.go).
 func (m *Manager) ForwardContext(ctx context.Context, q *query.Query, ttl int, visited []string) (*pool.Lease, error) {
 	if ttl <= 0 {
 		m.failed.Add(1)
@@ -266,9 +90,8 @@ func (m *Manager) ForwardContext(ctx context.Context, q *query.Query, ttl int, v
 	// not dialed) falls back to the pre-partition path — local resolve,
 	// then fan-out over the remaining peers — with the owner marked
 	// visited so no branch retries it.
-	domain, routable := "", false
 	if m.routes != nil {
-		if domain, routable = route.DomainOf(q); routable {
+		if domain, routable := route.DomainOf(q); routable {
 			if owner, ok := m.routes.Owner(domain); ok && owner != m.name && !vset.has(owner) {
 				if peer := m.peerByName(owner); peer != nil {
 					m.forwarded.Add(1)
@@ -276,8 +99,7 @@ func (m *Manager) ForwardContext(ctx context.Context, q *query.Query, ttl int, v
 					lease, err := forwardPeer(ctx, peer, q, ttl-1, extendVisited(visited, m.name))
 					if err == nil {
 						m.fstats.DirectedWin(owner)
-						m.rememberDelegated(lease, owner, domain)
-						return lease, nil
+						return viaPeer(lease, owner), nil
 					}
 					m.fstats.DirectedMiss(owner)
 					if errors.Is(err, ErrTTLExpired) {
@@ -321,23 +143,22 @@ func (m *Manager) ForwardContext(ctx context.Context, q *query.Query, ttl int, v
 		return nil, ErrUnresolvable
 	}
 	if m.fanout <= 1 || len(peers) == 1 {
-		return m.delegateSerial(ctx, q, domain, ttl, visited, peers)
+		return m.delegateSerial(ctx, q, ttl, visited, peers)
 	}
-	return m.delegateFanout(ctx, q, domain, ttl, visited, peers)
+	return m.delegateFanout(ctx, q, ttl, visited, peers)
 }
 
 // delegateSerial walks the candidate peers one at a time — the paper's
 // policy, kept bit-for-bit for fanout<=1 (and as the differential
 // baseline the benchmark measures the fan-out against).
-func (m *Manager) delegateSerial(ctx context.Context, q *query.Query, domain string, ttl int, visited []string, peers []directory.Forwarder) (*pool.Lease, error) {
+func (m *Manager) delegateSerial(ctx context.Context, q *query.Query, ttl int, visited []string, peers []directory.Forwarder) (*pool.Lease, error) {
 	for _, peer := range peers {
 		m.forwarded.Add(1)
 		m.fstats.Forwarded(peer.Name())
 		lease, err := forwardPeer(ctx, peer, q, ttl, visited)
 		if err == nil {
 			m.fstats.Win(peer.Name())
-			m.rememberDelegated(lease, peer.Name(), domain)
-			return lease, nil
+			return viaPeer(lease, peer.Name()), nil
 		}
 		m.fstats.Failure(peer.Name())
 		if errors.Is(err, ErrTTLExpired) {
@@ -371,7 +192,7 @@ type fanResult struct {
 // m.hedgeDelay (zero launches the full width at once), and a failed
 // branch is replaced by the next candidate immediately, so the width
 // bounds concurrency, not attempts.
-func (m *Manager) delegateFanout(ctx context.Context, q *query.Query, domain string, ttl int, visited []string, peers []directory.Forwarder) (*pool.Lease, error) {
+func (m *Manager) delegateFanout(ctx context.Context, q *query.Query, ttl int, visited []string, peers []directory.Forwarder) (*pool.Lease, error) {
 	ctx, cancel := context.WithCancel(ctx)
 	m.fstats.Fanout()
 	width := min(m.fanout, len(peers))
@@ -409,7 +230,7 @@ func (m *Manager) delegateFanout(ctx context.Context, q *query.Query, domain str
 	finish := func(lease *pool.Lease, err error) (*pool.Lease, error) {
 		cancel()
 		if inflight > 0 {
-			go m.drainLosers(domain, results, inflight)
+			go m.drainLosers(results, inflight)
 		}
 		return lease, err
 	}
@@ -419,8 +240,7 @@ func (m *Manager) delegateFanout(ctx context.Context, q *query.Query, domain str
 			inflight--
 			if r.err == nil {
 				m.fstats.Win(r.peer.Name())
-				m.rememberDelegated(r.lease, r.peer.Name(), domain)
-				return finish(r.lease, nil)
+				return finish(viaPeer(r.lease, r.peer.Name()), nil)
 			}
 			m.fstats.Failure(r.peer.Name())
 			if errors.Is(r.err, ErrTTLExpired) {
@@ -460,15 +280,15 @@ func (m *Manager) delegateFanout(ctx context.Context, q *query.Query, domain str
 // drainLosers reaps the branches still in flight after the race settled:
 // each one either failed (nothing to do) or granted a lease on its peer,
 // which must go back — a lease nobody will use is leaked remote capacity.
-// Releases route through the (peer, domain) rule like any delegated
-// release, so a loser lease in a domain that just changed hands still
-// reaches the instance that holds it.
-func (m *Manager) drainLosers(domain string, results <-chan fanResult, inflight int) {
+// Releases route like any lease won through the peer (see routeLease), so
+// a loser lease in a domain that just changed hands still reaches the
+// instance that holds it.
+func (m *Manager) drainLosers(results <-chan fanResult, inflight int) {
 	for i := 0; i < inflight; i++ {
 		r := <-results
 		m.fstats.LoserCancelled(r.peer.Name())
 		if r.err == nil && r.lease != nil {
-			_ = m.releaseRemote(r.peer.Name(), domain, r.lease)
+			_ = m.Release(viaPeer(r.lease, r.peer.Name()))
 		}
 	}
 }

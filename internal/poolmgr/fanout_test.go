@@ -18,7 +18,9 @@ import (
 // fakePeer is a scripted remote pool manager: it answers Forward after a
 // fixed delay with either a fresh lease or a scripted error, and records
 // every lease it granted and every one released back, so tests can assert
-// the first-win race never leaks loser capacity.
+// the first-win race never leaks loser capacity. Like a real pool, it
+// refuses to release or renew a lease it did not grant or already took
+// back, so "exactly one release succeeds" holds at the grantor.
 type fakePeer struct {
 	name     string
 	delay    time.Duration
@@ -60,6 +62,9 @@ func (p *fakePeer) Forward(q *query.Query, ttl int, visited []string) (*pool.Lea
 func (p *fakePeer) Release(l *pool.Lease) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	if !p.holdsLocked(l.ID) {
+		return fmt.Errorf("%s: unknown lease %s", p.name, l.ID)
+	}
 	p.released = append(p.released, l)
 	return nil
 }
@@ -70,8 +75,27 @@ func (p *fakePeer) Renew(l *pool.Lease) error {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	if !p.holdsLocked(l.ID) {
+		return fmt.Errorf("%s: unknown lease %s", p.name, l.ID)
+	}
 	p.renewed = append(p.renewed, l)
 	return nil
+}
+
+// holdsLocked reports whether the peer granted id and has not taken it
+// back. The caller holds p.mu.
+func (p *fakePeer) holdsLocked(id string) bool {
+	for _, l := range p.released {
+		if l.ID == id {
+			return false
+		}
+	}
+	for _, l := range p.granted {
+		if l.ID == id {
+			return true
+		}
+	}
+	return false
 }
 
 func (p *fakePeer) renewals() int {
@@ -182,8 +206,8 @@ func TestFanoutFirstWinReleasesLosers(t *testing.T) {
 // are query signatures, so the grantor's instance and a local one
 // collide on name, and a local release would report "unknown lease"
 // while the peer's machine stays leased forever. Covers both the serial
-// walk and the fan-out race, and checks the routing entry is consumed
-// (a second release no longer finds it).
+// walk and the fan-out race, and checks the grantor refuses a second
+// release.
 func TestDelegatedLeaseReleasesThroughGrantor(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -208,17 +232,16 @@ func TestDelegatedLeaseReleasesThroughGrantor(t *testing.T) {
 				t.Errorf("grantor: granted=%d released=%d, want 1/1", g, rel)
 			}
 			if err := m.Release(lease); err == nil {
-				t.Error("second release should fail: the routing entry is consumed")
+				t.Error("second release should fail: the grantor already took the lease back")
 			}
 		})
 	}
 }
 
 // TestDelegatedLeaseRenewsThroughGrantor: a lease won through a peer
-// renews through that peer, because no local pool instance knows it. The
-// renewal leaves the routing entry in place, so renewing twice works and
-// the release still routes back afterwards. Covers both the serial walk
-// and the fan-out race.
+// renews through that peer, because no local pool instance knows it. Its
+// id names the peer, so renewing twice works and the release still routes
+// back afterwards. Covers both the serial walk and the fan-out race.
 func TestDelegatedLeaseRenewsThroughGrantor(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -236,8 +259,8 @@ func TestDelegatedLeaseRenewsThroughGrantor(t *testing.T) {
 			if err != nil {
 				t.Fatalf("resolve: %v", err)
 			}
-			if !m.Delegated(lease.ID) {
-				t.Fatal("a lease won through a peer is not in the delegated table")
+			if want := "|pm-peer"; !strings.HasSuffix(lease.ID, want) {
+				t.Fatalf("lease id %q does not end in its grantor hop %q", lease.ID, want)
 			}
 			for i := 0; i < 2; i++ {
 				if err := m.Renew(lease); err != nil {
@@ -257,7 +280,7 @@ func TestDelegatedLeaseRenewsThroughGrantor(t *testing.T) {
 				t.Errorf("grantor released %d leases, want 1", rel)
 			}
 			if err := m.Renew(lease); err == nil {
-				t.Error("renew after release should fail: the lease is neither delegated nor local")
+				t.Error("renew after release should fail: the grantor no longer holds the lease")
 			}
 		})
 	}
@@ -285,8 +308,8 @@ func TestDelegatedRenewTwoHops(t *testing.T) {
 	if err != nil {
 		t.Fatalf("resolve over two hops: %v", err)
 	}
-	if !a.Delegated(lease.ID) || !b.Delegated(lease.ID) {
-		t.Fatalf("delegated at pm-a %v, at pm-b %v; want both", a.Delegated(lease.ID), b.Delegated(lease.ID))
+	if want := "|pm-c|pm-b"; !strings.HasSuffix(lease.ID, want) {
+		t.Fatalf("lease id %q does not end in its route %q", lease.ID, want)
 	}
 	if err := a.Renew(lease); err != nil {
 		t.Fatalf("renew over two hops: %v", err)
@@ -294,8 +317,8 @@ func TestDelegatedRenewTwoHops(t *testing.T) {
 	if err := a.Release(lease); err != nil {
 		t.Fatalf("release over two hops: %v", err)
 	}
-	if a.Delegated(lease.ID) || b.Delegated(lease.ID) {
-		t.Error("a routing entry survived the release")
+	if err := a.Release(lease); err == nil {
+		t.Error("a second release over two hops succeeded")
 	}
 	if err := c.Renew(lease); err == nil {
 		t.Error("the granting pool still renews a released lease")
@@ -303,8 +326,8 @@ func TestDelegatedRenewTwoHops(t *testing.T) {
 }
 
 // TestDelegatedRenewDeadGrantor: a renewal the grantor cannot take fails
-// with an error naming the peer and keeps the routing entry, so the
-// release still goes back through the grantor.
+// with an error naming the peer, and the release still goes back through
+// the grantor.
 func TestDelegatedRenewDeadGrantor(t *testing.T) {
 	down := errors.New("connection refused")
 	peer := &fakePeer{name: "pm-peer", grant: true, renewErr: down}
@@ -318,9 +341,6 @@ func TestDelegatedRenewDeadGrantor(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "pm-peer") || !errors.Is(err, down) {
 		t.Fatalf("renew through a dead grantor = %v, want an error naming pm-peer and wrapping the cause", err)
 	}
-	if !m.Delegated(lease.ID) {
-		t.Fatal("a failed renewal dropped the routing entry")
-	}
 	if err := m.Release(lease); err != nil {
 		t.Fatalf("release after failed renew: %v", err)
 	}
@@ -329,51 +349,10 @@ func TestDelegatedRenewDeadGrantor(t *testing.T) {
 	}
 }
 
-// TestRenewedDelegationOutlivesTTL: an entry older than delegatedTTL is
-// swept by the next rememberDelegated, unless a renewal refreshed it —
-// a lease that keeps renewing stays releasable through its grantor.
-func TestRenewedDelegationOutlivesTTL(t *testing.T) {
-	peer := &fakePeer{name: "pm-peer", grant: true}
-	m := fanoutManager(t, 1, 0, nil, peer)
-	renewed, err := m.Resolve(basicQuery(t, "punch.rsrc.arch = sun"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	stale, err := m.Resolve(basicQuery(t, "punch.rsrc.arch = sun"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	backdate := func(id string) {
-		m.delegatedMu.Lock()
-		d := m.delegated[id]
-		d.at = time.Now().Add(-2 * delegatedTTL)
-		m.delegated[id] = d
-		m.delegatedMu.Unlock()
-	}
-	backdate(renewed.ID)
-	backdate(stale.ID)
-	if err := m.Renew(renewed); err != nil {
-		t.Fatalf("renew: %v", err)
-	}
-	// The next win sweeps the table.
-	if _, err := m.Resolve(basicQuery(t, "punch.rsrc.arch = sun")); err != nil {
-		t.Fatal(err)
-	}
-	if m.Delegated(stale.ID) {
-		t.Error("an unrenewed entry past delegatedTTL survived the sweep")
-	}
-	if !m.Delegated(renewed.ID) {
-		t.Fatal("a renewed entry was swept as if it had aged out")
-	}
-	if err := m.Release(renewed); err != nil {
-		t.Fatalf("release of the renewed lease: %v", err)
-	}
-}
-
 // TestDelegatedRenewReleaseRace races renewals against the release of one
 // delegated lease (run under -race): exactly one release reaches the
 // grantor, and every renewal either reaches it or fails cleanly once the
-// entry is gone.
+// grantor has taken the lease back.
 func TestDelegatedRenewReleaseRace(t *testing.T) {
 	peer := &fakePeer{name: "pm-peer", grant: true}
 	m := fanoutManager(t, 1, 0, nil, peer)
@@ -407,9 +386,6 @@ func TestDelegatedRenewReleaseRace(t *testing.T) {
 	}
 	if _, rel := peer.counts(); rel != 1 {
 		t.Errorf("grantor got %d releases, want 1", rel)
-	}
-	if m.Delegated(lease.ID) {
-		t.Error("the routing entry survived the release")
 	}
 }
 

@@ -75,31 +75,12 @@ type Config struct {
 	// Stats, when set, counts fan-outs, per-peer wins and failures,
 	// hedges fired, and cancelled losers. Nil disables the accounting.
 	Stats *metrics.FederationStats
-	// Delegations, when set, observes the delegated-lease table: every
-	// lease won through a peer and every routed-back release — the
-	// durability journal's feed for leases no local pool ever sees.
-	Delegations DelegationLog
 	// Routes, when set, is the domain-ownership table: a query pinning a
 	// domain owned by a remote peer skips the local scan and the fan-out
-	// race for a single directed hop to the owner, and delegated-lease
-	// releases re-resolve the domain's *current* owner instead of trusting
-	// the peer recorded at grant time. Nil keeps pre-partition behaviour.
+	// race for a single directed hop to the owner, and a release or
+	// renewal no hop can carry goes to the domain's current owner (see
+	// routeLease). Nil keeps pre-partition behaviour.
 	Routes *route.Table
-}
-
-// DelegationLog observes the delegated-lease table. Unlike pool.LeaseLog,
-// the won hook carries the full lease: a delegated grant was minted by
-// the peer's pool, so no local hook ever fired for it and the journal
-// must capture the whole record plus the routing peer here.
-type DelegationLog interface {
-	// DelegationWon records a lease won through the named peer, with the
-	// administrative domain the query pinned ("" for unroutable queries) —
-	// recovery needs it to re-resolve the release route after an
-	// ownership change.
-	DelegationWon(lease *pool.Lease, peer, domain string)
-	// DelegationDone records that the delegated lease left the table
-	// (released back through its peer, or dropped by recovery).
-	DelegationDone(leaseID string)
 }
 
 // Manager is one pool-manager stage instance.
@@ -122,12 +103,6 @@ type Manager struct {
 	createMu sync.Mutex
 	creating map[string]*createCall
 
-	// delegatedMu guards the won-through-a-peer lease table; see
-	// rememberDelegated in fanout.go.
-	delegatedMu sync.Mutex
-	delegated   map[string]delegatedLease
-	delegations DelegationLog // non-nil: table changes are journaled
-
 	resolved  atomic.Int64
 	created   atomic.Int64
 	forwarded atomic.Int64
@@ -144,8 +119,8 @@ type createCall struct {
 
 // New creates a pool manager.
 func New(cfg Config) (*Manager, error) {
-	if cfg.Name == "" {
-		return nil, fmt.Errorf("poolmgr: config needs a name")
+	if err := CheckNodeName(cfg.Name); err != nil {
+		return nil, err
 	}
 	if cfg.Dir == nil {
 		return nil, fmt.Errorf("poolmgr: config needs a directory service")
@@ -158,17 +133,16 @@ func New(cfg Config) (*Manager, error) {
 		seed = 1
 	}
 	return &Manager{
-		name:        cfg.Name,
-		dir:         cfg.Dir,
-		factory:     cfg.Factory,
-		ttl:         cfg.TTL,
-		fanout:      cfg.Fanout,
-		hedgeDelay:  cfg.HedgeDelay,
-		fstats:      cfg.Stats,
-		routes:      cfg.Routes,
-		delegations: cfg.Delegations,
-		seed:        uint64(seed),
-		creating:    make(map[string]*createCall),
+		name:       cfg.Name,
+		dir:        cfg.Dir,
+		factory:    cfg.Factory,
+		ttl:        cfg.TTL,
+		fanout:     cfg.Fanout,
+		hedgeDelay: cfg.HedgeDelay,
+		fstats:     cfg.Stats,
+		routes:     cfg.Routes,
+		seed:       uint64(seed),
+		creating:   make(map[string]*createCall),
 	}, nil
 }
 
@@ -290,71 +264,6 @@ func (m *Manager) buildPool(name query.PoolName) (directory.PoolRef, error) {
 	}
 	m.created.Add(1)
 	return ref, nil
-}
-
-// Release routes a lease release to the instance that granted it.
-func (m *Manager) Release(lease *pool.Lease) error {
-	if lease == nil {
-		return fmt.Errorf("poolmgr %s: nil lease", m.name)
-	}
-	// A lease won through a peer must go back through the domain's owner:
-	// pool instance names are query signatures, so the grantor's instance
-	// and a local instance collide on name, and the local release would
-	// hit "unknown lease" while the peer's capacity leaks. The owner is
-	// re-resolved at release time (see delegatedRoute) — the grantor
-	// recorded at win time may have handed the domain off since.
-	if peerName, domain, ok := m.takeDelegated(lease.ID); ok {
-		return m.releaseRemote(peerName, domain, lease)
-	}
-	return m.releaseLocal(lease)
-}
-
-// Renew extends a lease's lifetime at the pool that granted it. A lease
-// won through a peer is renewed along the route its release would take,
-// and the renewal refreshes the lease's routing entry, so a lease that
-// keeps renewing stays releasable past delegatedTTL. A renewal that
-// cannot reach the peer fails naming it and keeps the entry, so a retry
-// or the eventual release still routes.
-func (m *Manager) Renew(lease *pool.Lease) error {
-	if lease == nil {
-		return fmt.Errorf("poolmgr %s: nil lease", m.name)
-	}
-	if peerName, domain, ok := m.touchDelegated(lease.ID); ok {
-		return m.renewRemote(peerName, domain, lease)
-	}
-	return m.renewLocal(lease)
-}
-
-// localPool finds the local instance that granted lease.
-func (m *Manager) localPool(lease *pool.Lease) (directory.Allocator, error) {
-	ref, ok := m.dir.ByInstance(lease.Pool)
-	if !ok {
-		return nil, fmt.Errorf("poolmgr %s: unknown pool instance %s", m.name, lease.Pool)
-	}
-	if ref.Local == nil {
-		return nil, fmt.Errorf("poolmgr %s: instance %s has no local handle", m.name, lease.Pool)
-	}
-	return ref.Local, nil
-}
-
-func (m *Manager) releaseLocal(lease *pool.Lease) error {
-	p, err := m.localPool(lease)
-	if err != nil {
-		return err
-	}
-	return p.Release(lease.ID)
-}
-
-func (m *Manager) renewLocal(lease *pool.Lease) error {
-	p, err := m.localPool(lease)
-	if err != nil {
-		return err
-	}
-	r, ok := p.(interface{ Renew(leaseID string) error })
-	if !ok {
-		return fmt.Errorf("poolmgr %s: instance %s does not support renewal", m.name, lease.Pool)
-	}
-	return r.Renew(lease.ID)
 }
 
 // Stats returns counters: locally resolved queries, pools created,

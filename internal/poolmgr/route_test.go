@@ -1,11 +1,14 @@
 package poolmgr
 
 import (
+	"strings"
 	"testing"
 	"time"
 
 	"actyp/internal/directory"
 	"actyp/internal/metrics"
+	"actyp/internal/pool"
+	"actyp/internal/query"
 	"actyp/internal/route"
 )
 
@@ -115,80 +118,204 @@ func TestUnroutableQuerySkipsDirectedHop(t *testing.T) {
 	}
 }
 
-// TestDelegatedReleaseReroutesAfterReload is the (peer, domain) regression:
-// a delegated lease won in domain B must release through B's CURRENT owner
-// after an ownership-table reload, not through the stale granting peer —
-// the grantor handed the domain (records, pools, leases) off in the
-// meantime, so only the new owner can still find the lease.
-func TestDelegatedReleaseReroutesAfterReload(t *testing.T) {
-	oldOwner := &fakePeer{name: "pm-old", grant: true}
-	newOwner := &fakePeer{name: "pm-new", grant: true}
+// TestFallbackGrantRoutesToGrantor: when the directed hop to the domain's
+// owner misses and a fan-out peer grants the lease, the renewal and the
+// release reach that grantor. The owner, which never held the lease, sees
+// neither.
+func TestFallbackGrantRoutesToGrantor(t *testing.T) {
+	owner := &fakePeer{name: "pm-owner"} // never grants
+	other := &fakePeer{name: "pm-other", grant: true}
 	rt := route.New("pm-home")
-	rt.Reload(map[string]string{"upc": "pm-old"}, []string{"pm-home", "pm-old", "pm-new"})
-	m := routedManager(t, rt, 1, nil, oldOwner, newOwner)
+	rt.Reload(map[string]string{"upc": "pm-owner"}, []string{"pm-home", "pm-owner", "pm-other"})
+	m := routedManager(t, rt, 2, nil, owner, other)
 
 	lease, err := m.Resolve(basicQuery(t, "punch.rsrc.domain = upc"))
 	if err != nil {
-		t.Fatalf("resolve: %v", err)
+		t.Fatalf("resolve after directed miss: %v", err)
 	}
-	if lease.Machine != "m-pm-old" {
-		t.Fatalf("lease from %q, want the pre-reload owner", lease.Machine)
+	if err := m.Renew(lease); err != nil {
+		t.Fatalf("renew: %v", err)
 	}
-
-	// The domain changes hands between grant and release.
-	rt.Reload(map[string]string{"upc": "pm-new"}, []string{"pm-home", "pm-old", "pm-new"})
-
 	if err := m.Release(lease); err != nil {
-		t.Fatalf("release after reload: %v", err)
+		t.Fatalf("release: %v", err)
 	}
-	if _, rel := oldOwner.counts(); rel != 0 {
-		t.Errorf("stale grantor got %d releases, want 0", rel)
+	if n := other.renewals(); n != 1 {
+		t.Errorf("grantor got %d renewals, want 1", n)
 	}
-	if _, rel := newOwner.counts(); rel != 1 {
-		t.Errorf("current owner got %d releases, want 1", rel)
+	if _, rel := other.counts(); rel != 1 {
+		t.Errorf("grantor got %d releases, want 1", rel)
 	}
-	if err := m.Release(lease); err == nil {
-		t.Error("second release should fail: the routing entry is consumed")
+	if n := owner.renewals(); n != 0 {
+		t.Errorf("owner got %d renewals, want 0", n)
+	}
+	if _, rel := owner.counts(); rel != 0 {
+		t.Errorf("owner got %d releases, want 0", rel)
 	}
 }
 
-// TestDelegatedRenewReroutesAfterReload: a renewal follows the same
-// (peer, domain) rule as a release — after a reload it reaches the
-// domain's current owner, and the routing entry stays for the release.
-func TestDelegatedRenewReroutesAfterReload(t *testing.T) {
-	oldOwner := &fakePeer{name: "pm-old", grant: true}
-	newOwner := &fakePeer{name: "pm-new", grant: true}
-	rt := route.New("pm-home")
-	rt.Reload(map[string]string{"upc": "pm-old"}, []string{"pm-home", "pm-old", "pm-new"})
-	m := routedManager(t, rt, 1, nil, oldOwner, newOwner)
+// handoff is a three-manager mesh in which domain upc moved from pm-old to
+// pm-new after pm-home won a lease in it through pm-old.
+type handoff struct {
+	home, newOwner *Manager
+	oldPool        *pool.Pool // pm-old's upc instance, closed by the drop
+	newPool        *pool.Pool // pm-new's rebuilt upc instance
+	lease          *pool.Lease
+	inner          string // the id pm-old's pool minted
+}
 
-	lease, err := m.Resolve(basicQuery(t, "punch.rsrc.domain = upc"))
+// startHandoff wires real managers over one white pages: pm-old owns upc
+// and grants pm-home a lease through a directed hop. The domain then
+// moves the way core's migration moves it: pm-old releases its leases and
+// closes its pool, pm-new rebuilds the instance and adopts the lease
+// (deadline in the past, so a renewal shows), and every table reloads.
+func startHandoff(t *testing.T) *handoff {
+	t.Helper()
+	db := fleetDB(t, 8)
+	nodes := []string{"pm-home", "pm-old", "pm-new"}
+	var tables []*route.Table
+	mgr := func(name string, f *LocalFactory, peers ...directory.Forwarder) (*Manager, *directory.Service) {
+		rt := route.New(name)
+		rt.Reload(map[string]string{"upc": "pm-old"}, nodes)
+		tables = append(tables, rt)
+		dir := directory.New()
+		for _, p := range peers {
+			dir.AddPeer(p)
+		}
+		cfg := Config{Name: name, Dir: dir, Routes: rt}
+		if f != nil {
+			cfg.Factory = f
+		}
+		m, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m, dir
+	}
+	newF := &LocalFactory{DB: db, LeaseTTL: time.Minute}
+	newOwner, newDir := mgr("pm-new", newF)
+	oldOwner, oldDir := mgr("pm-old", &LocalFactory{DB: db}, newOwner)
+	home, _ := mgr("pm-home", nil, oldOwner, newOwner)
+
+	lease, err := home.Resolve(basicQuery(t, "punch.rsrc.domain = upc"))
 	if err != nil {
 		t.Fatalf("resolve: %v", err)
 	}
-	rt.Reload(map[string]string{"upc": "pm-new"}, []string{"pm-home", "pm-old", "pm-new"})
+	inner, ok := strings.CutSuffix(lease.ID, "|pm-old")
+	if !ok {
+		t.Fatalf("lease id %q does not name its grantor pm-old", lease.ID)
+	}
+	ref, ok := oldDir.ByInstance(lease.Pool)
+	if !ok {
+		t.Fatalf("grantor has no instance %s", lease.Pool)
+	}
+	oldPool := ref.Local.(*pool.Pool)
 
-	if err := m.Renew(lease); err != nil {
-		t.Fatalf("renew after reload: %v", err)
+	if err := oldPool.Release(inner); err != nil {
+		t.Fatal(err)
 	}
-	if n := oldOwner.renewals(); n != 0 {
-		t.Errorf("stale grantor got %d renewals, want 0", n)
+	oldPool.Close()
+	sig, _, _ := strings.Cut(lease.Pool, "#")
+	name, err := query.ParsePoolName(sig)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if n := newOwner.renewals(); n != 1 {
-		t.Errorf("current owner got %d renewals, want 1", n)
+	ref, err = newF.Adopt(name, 0, []string{lease.Machine}, false)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := m.Release(lease); err != nil {
-		t.Fatalf("release after renew: %v", err)
+	if err := newDir.Register(ref); err != nil {
+		t.Fatal(err)
 	}
-	if _, rel := newOwner.counts(); rel != 1 {
-		t.Errorf("current owner got %d releases, want 1", rel)
+	newPool := ref.Local.(*pool.Pool)
+	if err := newPool.AdoptLease(withID(lease, inner), time.Unix(1, 0)); err != nil {
+		t.Fatal(err)
+	}
+	for _, rt := range tables {
+		rt.Reload(map[string]string{"upc": "pm-new"}, nodes)
+	}
+	return &handoff{home: home, newOwner: newOwner, oldPool: oldPool, newPool: newPool, lease: lease, inner: inner}
+}
+
+// forwarderWithout builds a fresh pm-home that dialed only pm-new: the
+// forwarder came back after the old owner left the mesh.
+func (h *handoff) forwarderWithout(t *testing.T) *Manager {
+	t.Helper()
+	rt := route.New("pm-home")
+	rt.Reload(map[string]string{"upc": "pm-new"}, []string{"pm-home", "pm-new"})
+	return routedManager(t, rt, 1, nil, h.newOwner)
+}
+
+// TestDelegatedReleaseReroutesAfterReload: a lease won through the old
+// owner of a domain releases at the domain's current owner after a
+// handoff. The id names the old owner, which no longer holds the lease
+// and forwards once to the new owner; with the old owner gone, the
+// forwarder goes to the new owner itself. The stale grantor holds
+// nothing, and a second release fails.
+func TestDelegatedReleaseReroutesAfterReload(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		oldGone bool
+	}{{"through-old-owner", false}, {"old-owner-gone", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := startHandoff(t)
+			m := h.home
+			if tc.oldGone {
+				m = h.forwarderWithout(t)
+			}
+			if err := m.Release(h.lease); err != nil {
+				t.Fatalf("release after the handoff: %v", err)
+			}
+			if n := len(h.newPool.Leases()); n != 0 {
+				t.Errorf("current owner still holds %d leases, want 0", n)
+			}
+			if n := len(h.oldPool.Leases()); n != 0 {
+				t.Errorf("stale grantor holds %d leases, want 0", n)
+			}
+			if err := m.Release(h.lease); err == nil {
+				t.Error("second release should fail: the current owner took the lease back")
+			}
+		})
+	}
+}
+
+// TestDelegatedRenewReroutesAfterReload: a renewal takes the release's
+// route after a handoff. It reaches the current owner (the adopted
+// lease's past deadline moves into the future), and the lease then still
+// releases there.
+func TestDelegatedRenewReroutesAfterReload(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		oldGone bool
+	}{{"through-old-owner", false}, {"old-owner-gone", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := startHandoff(t)
+			m := h.home
+			if tc.oldGone {
+				m = h.forwarderWithout(t)
+			}
+			if err := m.Renew(h.lease); err != nil {
+				t.Fatalf("renew after the handoff: %v", err)
+			}
+			ls := h.newPool.Leases()
+			if len(ls) != 1 || ls[0].ID != h.inner || !ls[0].Expires.After(time.Now()) {
+				t.Errorf("current owner's leases = %+v, want %s renewed into the future", ls, h.inner)
+			}
+			if n := len(h.oldPool.Leases()); n != 0 {
+				t.Errorf("stale grantor holds %d leases, want 0", n)
+			}
+			if err := m.Release(h.lease); err != nil {
+				t.Fatalf("release after renew: %v", err)
+			}
+			if n := len(h.newPool.Leases()); n != 0 {
+				t.Errorf("current owner still holds %d leases after the release", n)
+			}
+		})
 	}
 }
 
 // TestDelegatedReleaseUnroutableKeepsGrantor: a lease won for a query with
-// no domain predicate records domain "" and must keep releasing through
-// the recorded grantor regardless of table reloads — there is no domain to
-// re-resolve.
+// no domain predicate keeps releasing through the grantor its id names,
+// whatever the table says after a reload — there is no domain to resolve.
 func TestDelegatedReleaseUnroutableKeepsGrantor(t *testing.T) {
 	grantor := &fakePeer{name: "pm-grantor", grant: true}
 	bystander := &fakePeer{name: "pm-bystander", grant: true}
@@ -213,8 +340,8 @@ func TestDelegatedReleaseUnroutableKeepsGrantor(t *testing.T) {
 }
 
 // TestReleaseRemoteFallsBackWhenOwnerNotDialed: when the reload points a
-// domain at a node this manager has no connection to, the release falls
-// back to the recorded grantor rather than failing outright.
+// domain at a node this manager has no connection to, the release still
+// reaches the grantor its id names rather than failing outright.
 func TestReleaseRemoteFallsBackWhenOwnerNotDialed(t *testing.T) {
 	grantor := &fakePeer{name: "pm-grantor", grant: true}
 	rt := route.New("pm-home")

@@ -10,8 +10,8 @@ import (
 // DomainSelector pins every domain-routable basic query to one pool
 // manager, chosen by hashing the query's domain over the manager slice.
 // On a partitioned node this keeps all traffic for one domain flowing
-// through the same pool manager, so that manager's pool cache and
-// delegated-lease table stay hot for the domains the node owns — the
+// through the same pool manager, so that manager's pool cache stays hot
+// for the domains the node owns — the
 // intra-node counterpart of the inter-node ownership routing done by
 // route.Table. Queries without a routable domain predicate fall through
 // to the wrapped selector, so mixed workloads keep their old spread.

@@ -187,6 +187,26 @@ func DomainOf(q *query.Query) (string, bool) {
 	return c.Str, true
 }
 
+// PoolDomain is DomainOf for a pool instance id ("sig/ident#N"): the pool
+// name encodes the criteria of the queries it serves, so it pins the same
+// domain they did.
+func PoolDomain(instance string) (string, bool) {
+	i := strings.LastIndexByte(instance, '#')
+	if i < 0 {
+		return "", false
+	}
+	name, err := query.ParsePoolName(instance[:i])
+	if err != nil {
+		return "", false
+	}
+	family, _, _ := strings.Cut(DomainKey, ".")
+	q, err := name.Criteria(family)
+	if err != nil {
+		return "", false
+	}
+	return DomainOf(q)
+}
+
 // MachineDomain extracts a machine record's administrative domain ("" when
 // the record carries none).
 func MachineDomain(m *registry.Machine) string {

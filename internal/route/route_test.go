@@ -119,6 +119,31 @@ func TestDomainOf(t *testing.T) {
 	}
 }
 
+// TestPoolDomain: the domain a pool instance id pins is the domain of the
+// queries the pool was named after.
+func TestPoolDomain(t *testing.T) {
+	for text, want := range map[string]string{
+		"punch.rsrc.domain = upc":                           "upc",
+		"punch.rsrc.arch = sun\npunch.rsrc.domain = purdue": "purdue",
+		"punch.rsrc.arch = sun":                             "",
+		"punch.rsrc.domain = purdue,upc":                    "",
+	} {
+		q, err := query.ParseBasic(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inst := query.Name(q).String() + "#3"
+		if d, ok := PoolDomain(inst); d != want || ok != (want != "") {
+			t.Errorf("PoolDomain(%q) = %q,%v, want %q", inst, d, ok, want)
+		}
+	}
+	for _, bad := range []string{"", "no-instance", "sig-only#0", "domain,==/upc"} {
+		if d, ok := PoolDomain(bad); ok {
+			t.Errorf("PoolDomain(%q) routed to %q", bad, d)
+		}
+	}
+}
+
 func TestFilterRoundTrips(t *testing.T) {
 	q, err := query.ParseBasic(Filter("upc"))
 	if err != nil {

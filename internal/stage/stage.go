@@ -180,6 +180,11 @@ func DialRemote(addr string, profile netsim.Profile, ttl int) (*Remote, error) {
 		_ = c.Close()
 		return nil, fmt.Errorf("stage: dial %s: %w", addr, err)
 	}
+	// The name becomes a hop in the ids of leases won through this peer.
+	if err := poolmgr.CheckNodeName(nr.Name); err != nil {
+		_ = c.Close()
+		return nil, fmt.Errorf("stage: dial %s: %w", addr, err)
+	}
 	return &Remote{c: c, name: nr.Name, ttl: ttl}, nil
 }
 

@@ -59,6 +59,31 @@ func TestServeValidation(t *testing.T) {
 	}
 }
 
+// TestDialRemoteRejectsHopUnsafeName: a peer's name becomes a hop in the
+// ids of leases won through it, so a pm-name reply that could not be
+// parsed back out of an id fails the dial.
+func TestDialRemoteRejectsHopUnsafeName(t *testing.T) {
+	for _, name := range []string{"a|b", "node:7:deadbeef", ""} {
+		ln, err := netsim.Listen("127.0.0.1:0", netsim.Local())
+		if err != nil {
+			t.Fatal(err)
+		}
+		mux := wire.NewMux()
+		wire.Handle(mux, methodName, func(*wire.None) (*nameReply, error) {
+			return &nameReply{Name: name}, nil
+		})
+		srv, err := wire.NewServer(ln, wire.ServeOptions{}, mux.Serve)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r, err := DialRemote(srv.Addr(), netsim.Local(), 0); err == nil {
+			r.Close()
+			t.Errorf("DialRemote accepted peer name %q", name)
+		}
+		srv.Close()
+	}
+}
+
 func TestRemoteResolveRelease(t *testing.T) {
 	pm, _, _ := newPM(t, "pm-remote", []string{"sun"}, 8)
 	srv := startStage(t, pm)
