@@ -144,6 +144,11 @@ func (m *Manager) routeLease(lease *pool.Lease, renew bool) error {
 	if held {
 		return err
 	}
+	if err == nil {
+		// Built only here, not in leaseLocal: a lease forwarded by its
+		// id misses locally on every call, and the text is usually moot.
+		err = fmt.Errorf("poolmgr %s: unknown pool instance %s", m.name, lease.Pool)
+	}
 	rest, hop, hasHop := splitHop(lease.ID)
 	if hasHop && hop != "" {
 		if peer := m.peerByName(hop); peer != nil {
@@ -168,12 +173,12 @@ func (m *Manager) routeLease(lease *pool.Lease, renew bool) error {
 }
 
 // leaseLocal releases or renews id at this node's instance. held is false
-// when the instance is unknown here or does not hold the lease; err then
-// says which, for routeLease to return if no route leads further.
+// when the instance is unknown here (err is nil) or does not hold the
+// lease (err wraps pool.ErrUnknownLease).
 func (m *Manager) leaseLocal(instance, id string, renew bool) (held bool, err error) {
 	ref, ok := m.dir.ByInstance(instance)
 	if !ok {
-		return false, fmt.Errorf("poolmgr %s: unknown pool instance %s", m.name, instance)
+		return false, nil
 	}
 	if ref.Local == nil {
 		return true, fmt.Errorf("poolmgr %s: instance %s has no local handle", m.name, instance)
