@@ -144,11 +144,6 @@ func (m *Manager) routeLease(lease *pool.Lease, renew bool) error {
 	if held {
 		return err
 	}
-	if err == nil {
-		// Built only here, not in leaseLocal: a lease forwarded by its
-		// id misses locally on every call, and the text is usually moot.
-		err = fmt.Errorf("poolmgr %s: unknown pool instance %s", m.name, lease.Pool)
-	}
 	rest, hop, hasHop := splitHop(lease.ID)
 	if hasHop && hop != "" {
 		if peer := m.peerByName(hop); peer != nil {
@@ -168,6 +163,11 @@ func (m *Manager) routeLease(lease *pool.Lease, renew bool) error {
 				}
 			}
 		}
+	}
+	if err == nil {
+		// Built only here, not in leaseLocal: a lease forwarded by its id
+		// misses locally on every call, and the text is then moot.
+		err = fmt.Errorf("poolmgr %s: unknown pool instance %s", m.name, lease.Pool)
 	}
 	return err
 }

@@ -1,9 +1,13 @@
 package poolmgr
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"actyp/internal/directory"
+	"actyp/internal/pool"
+	"actyp/internal/route"
 )
 
 // TestLeaseRouteParse pins the id grammar: pool-minted ids carry no hops
@@ -43,6 +47,58 @@ func TestLeaseRouteParse(t *testing.T) {
 	}
 	if _, err := New(Config{Name: "a|b", Dir: directory.New()}); err == nil {
 		t.Error("New accepted a node name containing '|'")
+	}
+}
+
+// recordingPeer is a fakePeer that also records the id of every release
+// it is asked for, taken or refused.
+type recordingPeer struct {
+	fakePeer
+	asked []string
+}
+
+func (p *recordingPeer) Release(l *pool.Lease) error {
+	p.mu.Lock()
+	p.asked = append(p.asked, l.ID)
+	p.mu.Unlock()
+	return p.fakePeer.Release(l)
+}
+
+// TestRouteLeaseMisses: a lease no route leads to fails with the local
+// error; an unmarked id goes to its domain's owner once, marked; and a
+// marked id is not forwarded again — which is what bounds every chain.
+func TestRouteLeaseMisses(t *testing.T) {
+	owner := &recordingPeer{fakePeer: fakePeer{name: "pm-owner"}}
+	rt := route.New("pm-home")
+	rt.Reload(map[string]string{"upc": "pm-owner"}, []string{"pm-home", "pm-owner"})
+	m := routedManager(t, rt, 1, nil, owner)
+
+	ghost := &pool.Lease{ID: "nowhere#0:1:00000000", Pool: "nowhere#0"}
+	if err := m.Release(ghost); err == nil || !strings.Contains(err.Error(), "unknown pool instance nowhere#0") {
+		t.Errorf("release of a lease on an unknown instance = %v", err)
+	}
+	const id = "domain,==/upc#0:1:00000000"
+	if err := m.Release(&pool.Lease{ID: id + "|", Pool: "domain,==/upc#0"}); err == nil {
+		t.Error("release of a marked id nobody holds succeeded")
+	}
+	if err := m.Release(&pool.Lease{ID: id, Pool: "domain,==/upc#0"}); err == nil {
+		t.Error("release of an id the owner never granted succeeded")
+	}
+	if want := []string{id + "|"}; len(owner.asked) != 1 || owner.asked[0] != want[0] {
+		t.Errorf("owner asked to release %q, want %q", owner.asked, want)
+	}
+
+	local, _, f := newManager(t, "pm-local", fleetDB(t, 4))
+	defer f.CloseAll()
+	l, err := local.Resolve(basicQuery(t, "punch.rsrc.arch = sun"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := local.Release(l); err != nil {
+		t.Fatal(err)
+	}
+	if err := local.Renew(l); !errors.Is(err, pool.ErrUnknownLease) {
+		t.Errorf("renew of a released local lease = %v, want ErrUnknownLease", err)
 	}
 }
 
