@@ -148,8 +148,7 @@ func (m *Manager) routeLease(lease *pool.Lease, renew bool) error {
 	if hasHop && hop != "" {
 		if peer := m.peerByName(hop); peer != nil {
 			perr := m.leasePeer(peer, withID(lease, rest), renew)
-			var answered *wire.RemoteError
-			if perr == nil || errors.As(perr, &answered) {
+			if perr == nil || answered(perr) {
 				return perr
 			}
 			err = perr
@@ -170,6 +169,13 @@ func (m *Manager) routeLease(lease *pool.Lease, renew bool) error {
 		err = fmt.Errorf("poolmgr %s: unknown pool instance %s", m.name, lease.Pool)
 	}
 	return err
+}
+
+// answered reports whether a peer replied with err, as opposed to the
+// call failing in transport.
+func answered(err error) bool {
+	var remote *wire.RemoteError
+	return errors.As(err, &remote)
 }
 
 // leaseLocal releases or renews id at this node's instance. held is false
