@@ -1,6 +1,7 @@
 package journal
 
 import (
+	"bytes"
 	"encoding/hex"
 	"encoding/json"
 	"os"
@@ -302,10 +303,10 @@ const (
 		"6e2f617263683d73756e23300190a3b787e9050006736974652d6303757063bcacfa761f020002972db4c4"
 )
 
-// TestOldDelegatedRecordsSkipped: journals written before lease ids
+// TestDelegatedLeaseSurvivesReplay: journals written before lease ids
 // carried their route still replay. The delegated records are skipped
 // whole, in segments and in snapshots alike; the local lease is restored.
-func TestOldDelegatedRecordsSkipped(t *testing.T) {
+func TestDelegatedLeaseSurvivesReplay(t *testing.T) {
 	seg, err := hex.DecodeString(goldenDelegatedSegment)
 	if err != nil {
 		t.Fatal(err)
@@ -341,6 +342,36 @@ func TestOldDelegatedRecordsSkipped(t *testing.T) {
 	}
 	if len(leases) != 1 || leases[0].Lease != *want {
 		t.Fatalf("snapshot leases = %+v, want only %s", leases, want.ID)
+	}
+}
+
+// TestDelegatedOpDecodesWithoutDomain: every lease op of the golden
+// segment decodes, the opDelegated written before it carried a domain
+// among them. A decode error here would stop old journals replaying.
+func TestDelegatedOpDecodesWithoutDomain(t *testing.T) {
+	seg, err := hex.DecodeString(goldenDelegatedSegment)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ops []byte
+	_, _, serr := scanRecords(seg[headerLen:], func(kind byte, payload []byte) {
+		if kind != recLease {
+			t.Errorf("record kind 0x%02x, want only lease records", kind)
+			return
+		}
+		op, err := decodeLeaseOp(payload)
+		if err != nil {
+			t.Errorf("lease op 0x%02x: %v", payload[0], err)
+			return
+		}
+		ops = append(ops, op.op)
+	})
+	if serr != nil {
+		t.Fatal(serr)
+	}
+	want := []byte{opGrant, opDelegated, opDelegated, opDelegated, opDelegatedDone}
+	if !bytes.Equal(ops, want) {
+		t.Fatalf("decoded ops = %x, want %x", ops, want)
 	}
 }
 
