@@ -409,7 +409,9 @@ func (s *Service) Release(g *Grant) error {
 			}
 		}
 	}
-	if err := s.pickQM().Release(g.Lease); err != nil && firstErr == nil {
+	// Every pool manager shares one directory and routes by the lease id
+	// alone, so any one of them reaches the grantor; see Renew.
+	if err := s.pms[0].Release(g.Lease); err != nil && firstErr == nil {
 		firstErr = err
 	}
 	return firstErr

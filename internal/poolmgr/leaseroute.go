@@ -67,17 +67,30 @@ func splitHop(id string) (inner, hop string, ok bool) {
 	return id[:i], id[i+1:], true
 }
 
-// innermostID strips every hop (and the owner mark): the id the granting
-// pool minted.
-func innermostID(id string) string {
-	for {
-		inner, _, ok := splitHop(id)
-		if !ok {
-			return id
+// innermostID strips every hop (and the owner mark) and returns the id
+// the granting pool minted. ok is false when the id carries more than
+// max hops; peeling stops there.
+func innermostID(id string, max int) (inner string, ok bool) {
+	for hops := 0; ; hops++ {
+		in, _, more := splitHop(id)
+		if !more {
+			return id, true
 		}
-		id = inner
+		if hops == max {
+			return id, false
+		}
+		id = in
 	}
 }
+
+// maxHops is the most hops a lease id may carry at this manager. A win
+// through peers spends one TTL unit per hop, so a lease won under a TTL
+// of T carries at most T-1 hops (or just the owner mark); the bound
+// leaves room for peers whose TTL exceeds this manager's by up to two.
+// An id past it was written by a client or peer, not by a win, and is
+// refused before any hop is tried: forwarding it would nest one
+// synchronous call per hop across the stage connections.
+func (m *Manager) maxHops() int { return m.ttl + 1 }
 
 // CheckNodeName rejects a pool-manager name that could not be told apart
 // from the rest of a lease id once appended as a hop: an empty name, one
@@ -134,12 +147,16 @@ func (m *Manager) Renew(lease *pool.Lease) error {
 //     innermost id, marked.
 //
 // Every chain is bounded by its hop count plus one, so a double release
-// or a release after a reap cannot loop.
+// or a release after a reap cannot loop; the hop count itself is bounded
+// by maxHops, checked before any rule runs.
 func (m *Manager) routeLease(lease *pool.Lease, renew bool) error {
 	if lease == nil {
 		return fmt.Errorf("poolmgr %s: nil lease", m.name)
 	}
-	inner := innermostID(lease.ID)
+	inner, ok := innermostID(lease.ID, m.maxHops())
+	if !ok {
+		return fmt.Errorf("poolmgr %s: lease on %s carries more than %d hops", m.name, lease.Pool, m.maxHops())
+	}
 	held, err := m.leaseLocal(lease.Pool, inner, renew)
 	if held {
 		return err

@@ -3,6 +3,7 @@ package poolmgr
 import (
 	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"actyp/internal/directory"
@@ -32,8 +33,11 @@ func TestLeaseRouteParse(t *testing.T) {
 			t.Errorf("splitHop(%q) = %q, %q, %v; want %q, %q, %v", tc.id, inner, hop, ok, tc.inner, tc.hop, tc.ok)
 		}
 	}
-	if got := innermostID(minted + "|nc-0|nb-0"); got != minted {
-		t.Errorf("innermostID = %q, want %q", got, minted)
+	if got, ok := innermostID(minted+"|nc-0|nb-0", 2); got != minted || !ok {
+		t.Errorf("innermostID = %q, %v; want %q, true", got, ok, minted)
+	}
+	if _, ok := innermostID(minted+"|nc-0|nb-0|", 2); ok {
+		t.Error("innermostID accepted three hops under a bound of two")
 	}
 	for _, bad := range []string{"", "a|b", "|", "node:7:deadbeef", ":1:00000000"} {
 		if CheckNodeName(bad) == nil {
@@ -102,6 +106,70 @@ func TestRouteLeaseMisses(t *testing.T) {
 	}
 }
 
+// countingPeer is a manager seen as a peer, counting the releases and
+// renewals sent to it.
+type countingPeer struct {
+	*Manager
+	calls atomic.Int64
+}
+
+func (p *countingPeer) Release(l *pool.Lease) error {
+	p.calls.Add(1)
+	return p.Manager.Release(l)
+}
+
+func (p *countingPeer) Renew(l *pool.Lease) error {
+	p.calls.Add(1)
+	return p.Manager.Renew(l)
+}
+
+// TestForgedHopChainRefused: two managers that peer with each other pass
+// an alternating hop chain back and forth, one nested call per hop. A
+// chain within the hop bound ends after one call per hop; a longer one,
+// which no win produces, is refused at once without a single call.
+func TestForgedHopChainRefused(t *testing.T) {
+	na, err := New(Config{Name: "na-0", Dir: directory.New()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nb, err := New(Config{Name: "nb-0", Dir: directory.New()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pa, pb := &countingPeer{Manager: na}, &countingPeer{Manager: nb}
+	na.dir.AddPeer(pb)
+	nb.dir.AddPeer(pa)
+	chain := func(hops int) *pool.Lease {
+		id := "x"
+		for i := hops; i > 0; i-- {
+			id += "|" + []string{"na-0", "nb-0"}[i%2]
+		}
+		return &pool.Lease{ID: id, Pool: "nowhere#0"}
+	}
+	calls := func() int64 { return pa.calls.Swap(0) + pb.calls.Swap(0) }
+
+	bound := na.maxHops()
+	for _, renew := range []bool{false, true} {
+		op := na.Release
+		if renew {
+			op = na.Renew
+		}
+		if err := op(chain(bound)); err == nil {
+			t.Errorf("renew=%v: a chain of %d hops to nowhere succeeded", renew, bound)
+		}
+		if got := calls(); got != int64(bound) {
+			t.Errorf("renew=%v: a chain of %d hops made %d peer calls, want %d", renew, bound, got, bound)
+		}
+		err := op(chain(66))
+		if err == nil || !strings.Contains(err.Error(), "hops") {
+			t.Errorf("renew=%v: a forged chain of 66 hops = %v, want a hop-bound error", renew, err)
+		}
+		if got := calls(); got != 0 {
+			t.Errorf("renew=%v: a forged chain made %d peer calls, want 0", renew, got)
+		}
+	}
+}
+
 // FuzzLeaseRoute: lease ids arrive from clients and peers, so the route
 // parser must never panic, and appending a valid node name to any id must
 // parse back to exactly that name and that id.
@@ -119,7 +187,7 @@ func FuzzLeaseRoute(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, id, name string) {
 		splitHop(id)
-		if inner := innermostID(id); len(inner) > len(id) {
+		if inner, _ := innermostID(id, len(id)); len(inner) > len(id) {
 			t.Fatalf("innermostID(%q) grew to %q", id, inner)
 		}
 		if CheckNodeName(name) != nil {
