@@ -69,14 +69,14 @@ func splitHop(id string) (inner, hop string, ok bool) {
 
 // innermostID strips every hop (and the owner mark) and returns the id
 // the granting pool minted. ok is false when the id carries more than
-// max hops; peeling stops there.
-func innermostID(id string, max int) (inner string, ok bool) {
+// limit hops; peeling stops there.
+func innermostID(id string, limit int) (inner string, ok bool) {
 	for hops := 0; ; hops++ {
 		in, _, more := splitHop(id)
 		if !more {
 			return id, true
 		}
-		if hops == max {
+		if hops == limit {
 			return id, false
 		}
 		id = in
