@@ -375,13 +375,7 @@ func run(cfg daemonConfig) error {
 	// initial snapshot baselines everything above (population, recovery,
 	// warm pools) before the first event is drained.
 	if jnl != nil {
-		source := func(limit, offset int) ([]*registry.Machine, int, error) {
-			return svc.SelectMachines("", limit, offset)
-		}
-		if routes != nil {
-			source = ownedSnapshotSource(svc, routes)
-		}
-		if err := jnl.Attach(db, source, cfg.snapEvery); err != nil {
+		if err := jnl.Attach(db, ownedSnapshotSource(db, routes), cfg.snapEvery); err != nil {
 			return err
 		}
 		log.Printf("actypd: journaling to %s (fsync %s, snapshots every %s)", cfg.journalDir, cfg.journalSync, cfg.snapEvery)
@@ -564,34 +558,16 @@ func pruneForeign(db *registry.DB, routes *route.Table) int {
 	return pruned
 }
 
-// ownedSnapshotSource builds a journal snapshot source that pages only the
-// records the ownership table keeps local, so snapshots (the dominant term
-// in steady-state journal size) scale with the owned domains and never
-// re-persist cross-domain watch replicas. Snapshot paging is monotone from
-// offset 0 under the journal's snapshot mutex, so the source cuts a fresh
-// filtered slice (one pass over the registry, resumed by last name)
-// whenever a pass restarts at offset 0, serves the rest of that pass from
-// it, and lets it go with the last page.
-func ownedSnapshotSource(svc *core.Service, routes *route.Table) journal.SnapshotSource {
-	var cut journal.SnapshotSource
-	return func(limit, offset int) ([]*registry.Machine, int, error) {
-		if offset == 0 || cut == nil {
-			var owned []*registry.Machine
-			svc.DB().EachPage(nil, registry.Cursor{Limit: limit}, func(page []*registry.Machine) {
-				for _, m := range page {
-					if routes.KeepMachine(m) {
-						owned = append(owned, m)
-					}
-				}
-			})
-			cut = journal.SliceSource(owned)
-		}
-		page, total, err := cut(limit, offset)
-		if offset+len(page) >= total {
-			cut = nil // the pass is over: do not hold its copies until the next one
-		}
-		return page, total, err
+// ownedSnapshotSource is the daemon's journal snapshot source: views of
+// the records the ownership table keeps local (all of them without a
+// table), so snapshots (the dominant term in steady-state journal size)
+// scale with the owned domains, never re-persist cross-domain watch
+// replicas, and never deep-copy a record.
+func ownedSnapshotSource(db *registry.DB, routes *route.Table) journal.SnapshotSource {
+	if routes == nil {
+		return journal.ViewSource(db, nil)
 	}
+	return journal.ViewSource(db, routes.KeepMachine)
 }
 
 func profileByName(name string) (netsim.Profile, error) {

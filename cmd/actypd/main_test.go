@@ -2,9 +2,11 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"net"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -12,6 +14,7 @@ import (
 	"time"
 
 	"actyp/internal/core"
+	"actyp/internal/journal"
 	"actyp/internal/metrics"
 	"actyp/internal/netsim"
 	"actyp/internal/registry"
@@ -212,4 +215,182 @@ func serveConcurrentPings(t *testing.T, opts wire.ServeOptions, n int) (peak int
 	mu.Lock()
 	defer mu.Unlock()
 	return peak, logged
+}
+
+// snapshotPass pages source the way a journal snapshot does, limit records
+// at a time from offset 0, and returns the names in the order served.
+func snapshotPass(t *testing.T, source journal.SnapshotSource, limit int, keep func(*registry.Machine) bool) []string {
+	t.Helper()
+	var names []string
+	for offset := 0; ; {
+		page, total, err := source(limit, offset)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range page {
+			if !keep(m) {
+				t.Fatalf("the pass served %s, which the table does not keep", m.Static.Name)
+			}
+			names = append(names, m.Static.Name)
+		}
+		offset += len(page)
+		if len(page) == 0 || offset >= total {
+			return names
+		}
+	}
+}
+
+// TestOwnedSnapshotSource: the daemon's snapshot source serves each record
+// it keeps (every record without an ownership table) exactly once a pass,
+// in name order, also while the registry churns under it; and a journal
+// that snapshots through it during the churn replays, snapshot plus tail,
+// to the live registry.
+func TestOwnedSnapshotSource(t *testing.T) {
+	const fleet, limit = 2000, 300
+	static, err := route.ParseStatic("na-0", "upc,purdue=nb-0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	owned := route.New("na-0")
+	owned.Reload(static, []string{"na-0", "nb-0"})
+	for _, tc := range []struct {
+		name   string
+		routes *route.Table
+	}{{"no table", nil}, {"owned domains", owned}} {
+		t.Run(tc.name, func(t *testing.T) {
+			keep := func(m *registry.Machine) bool { return tc.routes == nil || tc.routes.KeepMachine(m) }
+			db := registry.NewDB()
+			if err := registry.DefaultFleetSpec(fleet).Populate(db, time.Unix(0, 0)); err != nil {
+				t.Fatal(err)
+			}
+			kept := func() []string {
+				var names []string
+				db.EachPage(nil, registry.Cursor{Limit: limit, Shared: true}, func(page []*registry.Machine) {
+					for _, m := range page {
+						if keep(m) {
+							names = append(names, m.Static.Name)
+						}
+					}
+				})
+				return names
+			}
+			source := ownedSnapshotSource(db, tc.routes)
+			want := kept()
+			if got := snapshotPass(t, source, limit, keep); !slices.Equal(got, want) {
+				t.Fatalf("a quiescent pass served %d records, want the %d kept, in name order", len(got), len(want))
+			}
+
+			// Churn every tenth record: dynamic updates, and removals each
+			// followed by the record's return.
+			var churned []*registry.Machine
+			stable := map[string]bool{}
+			for i, name := range db.Names() {
+				m, err := db.Get(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if i%10 == 0 {
+					churned = append(churned, m)
+				} else if keep(m) {
+					stable[name] = true
+				}
+			}
+			jnl, _, err := journal.Open(journal.Config{Dir: t.TempDir(), Fsync: journal.FsyncOff})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := jnl.Attach(db, ownedSnapshotSource(db, tc.routes), 0); err != nil {
+				t.Fatal(err)
+			}
+			stop := make(chan struct{})
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for round := 1; ; round++ {
+					for i, m := range churned {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						name := m.Static.Name
+						switch (round + i) % 3 {
+						case 0:
+							if err := db.Remove(name); err == nil {
+								if err := db.Add(m); err != nil {
+									t.Error(err)
+									return
+								}
+							}
+						default:
+							if err := db.UpdateDynamic(name, registry.Dynamic{Load: float64(round), LastUpdate: time.Unix(int64(round), 0)}); err != nil {
+								t.Error(err)
+								return
+							}
+						}
+					}
+				}
+			}()
+			for range 3 {
+				got := snapshotPass(t, source, limit, keep)
+				seen := 0
+				for i, name := range got {
+					if i > 0 && name <= got[i-1] {
+						t.Fatalf("a pass under churn served %s after %s", name, got[i-1])
+					}
+					if stable[name] {
+						seen++
+					}
+				}
+				if seen != len(stable) {
+					t.Fatalf("a pass under churn served %d of the %d stable kept records", seen, len(stable))
+				}
+				if err := jnl.Snapshot(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			close(stop)
+			wg.Wait()
+			if err := jnl.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			dir := jnl.Dir()
+			jnl.Crash()
+
+			reopened, st, err := journal.Open(journal.Config{Dir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer reopened.Close()
+			st.Filter(keep)
+			live := map[string]string{}
+			for _, name := range kept() {
+				m, err := db.Get(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				live[name] = machineJSON(t, m)
+			}
+			if len(st.Machines) != len(live) {
+				t.Fatalf("replay holds %d kept records, the live registry %d", len(st.Machines), len(live))
+			}
+			for _, m := range st.Machines {
+				if got, want := machineJSON(t, m), live[m.Static.Name]; got != want {
+					t.Fatalf("replay of %s:\n got  %s\n want %s", m.Static.Name, got, want)
+				}
+			}
+		})
+	}
+}
+
+// machineJSON is a record's comparable form: JSON drops the monotonic
+// clock reading, which replay never restores.
+func machineJSON(t *testing.T, m *registry.Machine) string {
+	t.Helper()
+	b, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }

@@ -75,7 +75,7 @@ func (s *Service) ExportDomain(domain string, pageSize int) (*DomainExport, erro
 				continue
 			}
 			lease := pool.Lease{ID: li.ID, Machine: li.Machine, Pool: p.ID()}
-			if m, err := s.db.Get(li.Machine); err == nil {
+			if m, err := s.db.View(li.Machine); err == nil {
 				lease.Addr = m.Access.Addr
 				lease.ExecUnitPort = m.Access.ExecUnitPort
 				lease.MountMgrPort = m.Access.MountMgrPort

@@ -257,6 +257,9 @@ func (c *Client) Renew(g *Grant) error {
 // reply's total reports the uncapped match count. On binary connections
 // the batch travels delta-encoded; pass full=true to pin the full
 // per-record encoding (the differential oracle and benchmark baseline).
+// The returned records are read-only: decoded from a delta batch, they may
+// share their slices and maps with each other, so Clone one before
+// writing to it.
 func (c *Client) Select(text string, limit int, full bool) ([]*registry.Machine, int, error) {
 	return c.SelectContext(context.Background(), text, limit, full)
 }
@@ -268,6 +271,7 @@ func (c *Client) SelectContext(ctx context.Context, text string, limit int, full
 
 // SelectPage is SelectContext with a page offset: offset matching records
 // (in the registry's sorted name order) are skipped before limit applies.
+// The records are read-only, as Select's are.
 func (c *Client) SelectPage(ctx context.Context, text string, limit, offset int, full bool) ([]*registry.Machine, int, error) {
 	reply, err := wire.Select.Call(ctx, c.c, &wire.SelectRequest{Text: text, Limit: limit, Offset: offset, Full: full})
 	if err != nil {

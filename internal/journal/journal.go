@@ -73,13 +73,18 @@ type Journal struct {
 	cfg   Config
 	stats *metrics.JournalStats
 
-	// mu orders every append and guards the writer and the lease mirror;
-	// lease hooks update the mirror inside the append critical section, so
-	// mirror order always equals record order.
+	// mu orders every append and guards the writer, the lease mirror and
+	// opBuf; lease hooks update the mirror inside the append critical
+	// section, so mirror order always equals record order.
 	mu     sync.Mutex
 	seg    *segmentWriter
 	segSeq uint64
 	leases map[string]LeaseRecord
+	opBuf  []byte // lease-op payload, encoded in place for each append
+
+	// evBuf is the event-batch payload, reused across drains; only the
+	// drain (its loop, then Close after the loop stopped) touches it.
+	evBuf []byte
 
 	// snapMu serializes snapshot writes (ticker vs resync vs Close).
 	snapMu sync.Mutex
@@ -220,7 +225,7 @@ func (j *Journal) drainEvents() {
 	evs, resync := j.sub.Poll()
 	if resync {
 		j.stats.Resync()
-		if err := j.append(recResync, nil, nil); err != nil {
+		if err := j.append(recResync, nil); err != nil {
 			j.cfg.Logf("journal: resync marker: %v", err)
 		}
 		if err := j.Snapshot(); err != nil {
@@ -231,8 +236,8 @@ func (j *Journal) drainEvents() {
 		return
 	}
 	wire := registry.ResolveEvents(j.db, evs, nil)
-	payload := registry.AppendEventBatch(nil, wire)
-	if err := j.append(recEvents, payload, nil); err != nil {
+	j.evBuf = registry.AppendEventBatch(j.evBuf[:0], wire)
+	if err := j.append(recEvents, j.evBuf); err != nil {
 		j.cfg.Logf("journal: event batch: %v", err)
 		return
 	}
@@ -276,13 +281,27 @@ func (j *Journal) tickLoop(snapshotEvery time.Duration) {
 	}
 }
 
-// append frames one record into the active segment. then, when non-nil,
-// runs inside the append critical section — the lease hooks use it to
-// update the mirror in exactly record order, which is what makes the
-// mirror (and therefore every snapshot) agree with the log.
-func (j *Journal) append(kind byte, payload []byte, then func()) error {
+// append frames one record into the active segment.
+func (j *Journal) append(kind byte, payload []byte) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	return j.appendLocked(kind, payload, leaseOp{})
+}
+
+// appendLease journals one lease op, encoded into the journal's own
+// buffer, so a transition allocates nothing here.
+func (j *Journal) appendLease(op leaseOp) error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.opBuf = appendLeaseOp(j.opBuf[:0], op)
+	return j.appendLocked(recLease, j.opBuf, op)
+}
+
+// appendLocked writes one record and applies op (the zero op: none) to
+// the lease mirror inside the same critical section, in exactly record
+// order, which is what makes the mirror (and therefore every snapshot)
+// agree with the log. Callers hold j.mu.
+func (j *Journal) appendLocked(kind byte, payload []byte, op leaseOp) error {
 	if j.seg == nil {
 		return fmt.Errorf("journal: closed")
 	}
@@ -291,9 +310,7 @@ func (j *Journal) append(kind byte, payload []byte, then func()) error {
 		return err
 	}
 	j.stats.Appended(n)
-	if then != nil {
-		then()
-	}
+	op.apply(j.leases)
 	if j.cfg.Fsync == FsyncAlways {
 		d, err := j.seg.sync()
 		if err != nil {
@@ -544,9 +561,7 @@ func (j *Journal) LeaseGranted(l *pool.Lease, expires time.Time) {
 	if l == nil {
 		return
 	}
-	rec := LeaseRecord{Lease: *l, Expires: expires}
-	payload := appendLeaseOp(nil, leaseOp{op: opGrant, rec: rec})
-	err := j.append(recLease, payload, func() { j.leases[l.ID] = rec })
+	err := j.appendLease(leaseOp{op: opGrant, rec: LeaseRecord{Lease: *l, Expires: expires}})
 	if err != nil {
 		j.cfg.Logf("journal: grant %s: %v", l.ID, err)
 		return
@@ -556,8 +571,7 @@ func (j *Journal) LeaseGranted(l *pool.Lease, expires time.Time) {
 
 // LeaseReleased journals a release (explicit or reaped).
 func (j *Journal) LeaseReleased(leaseID string) {
-	payload := appendLeaseOp(nil, leaseOp{op: opRelease, id: leaseID})
-	err := j.append(recLease, payload, func() { delete(j.leases, leaseID) })
+	err := j.appendLease(leaseOp{op: opRelease, id: leaseID})
 	if err != nil {
 		j.cfg.Logf("journal: release %s: %v", leaseID, err)
 		return
@@ -567,13 +581,7 @@ func (j *Journal) LeaseReleased(leaseID string) {
 
 // LeaseRenewed journals a renewal's new deadline.
 func (j *Journal) LeaseRenewed(leaseID string, expires time.Time) {
-	payload := appendLeaseOp(nil, leaseOp{op: opRenew, id: leaseID, rec: LeaseRecord{Expires: expires}})
-	err := j.append(recLease, payload, func() {
-		if lr, ok := j.leases[leaseID]; ok {
-			lr.Expires = expires
-			j.leases[leaseID] = lr
-		}
-	})
+	err := j.appendLease(leaseOp{op: opRenew, id: leaseID, rec: LeaseRecord{Expires: expires}})
 	if err != nil {
 		j.cfg.Logf("journal: renew %s: %v", leaseID, err)
 		return

@@ -99,6 +99,23 @@ type leaseOp struct {
 	rec LeaseRecord // opGrant
 }
 
+// apply folds the op into a live-lease table: the journal's mirror as it
+// appends, the replayed table as it reads. Reserved and zero ops change
+// nothing.
+func (op leaseOp) apply(leases map[string]LeaseRecord) {
+	switch op.op {
+	case opGrant:
+		leases[op.rec.Lease.ID] = op.rec
+	case opRelease:
+		delete(leases, op.id)
+	case opRenew:
+		if lr, ok := leases[op.id]; ok {
+			lr.Expires = op.rec.Expires
+			leases[op.id] = lr
+		}
+	}
+}
+
 // appendLeaseOp encodes a lease op. Grant-shaped ops carry the whole
 // record; id-shaped ops carry only the lease id (plus the new expiry for
 // renewals).

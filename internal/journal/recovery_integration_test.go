@@ -13,8 +13,8 @@ import (
 	"actyp/internal/wire"
 )
 
-// svcSource adapts core.Service's paging select to a SnapshotSource —
-// the same wiring the daemon uses.
+// svcSource adapts core.Service's paging select to a SnapshotSource: the
+// clone path the daemon's view source replaced, kept as its oracle.
 func svcSource(svc *core.Service) SnapshotSource {
 	return func(limit, offset int) ([]*registry.Machine, int, error) {
 		return svc.SelectMachines("", limit, offset)
@@ -88,7 +88,7 @@ func TestKillAndRestartUnderLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := jnl1.Attach(db1, svcSource(svc1), 0); err != nil {
+	if err := jnl1.Attach(db1, ViewSource(db1, nil), 0); err != nil {
 		t.Fatal(err)
 	}
 	addr := srv1.Addr()
@@ -218,7 +218,7 @@ func TestKillAndRestartUnderLoad(t *testing.T) {
 		time.Sleep(50 * time.Millisecond)
 	}
 	defer srv2.Close()
-	if err := jnl2.Attach(db2, svcSource(svc2), 0); err != nil {
+	if err := jnl2.Attach(db2, ViewSource(db2, nil), 0); err != nil {
 		t.Fatal(err)
 	}
 	recoveredAt := time.Now()

@@ -225,17 +225,7 @@ func applyRecord(db *registry.DB, leases map[string]LeaseRecord, st *State, kind
 			st.Corrupt++
 			return
 		}
-		switch op.op {
-		case opGrant:
-			leases[op.id] = op.rec
-		case opRelease:
-			delete(leases, op.id)
-		case opRenew:
-			if lr, ok := leases[op.id]; ok {
-				lr.Expires = op.rec.Expires
-				leases[op.id] = lr
-			}
-		}
+		op.apply(leases)
 	case recResync:
 		st.Resyncs++
 	default:

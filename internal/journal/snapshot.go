@@ -4,22 +4,22 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
+	"strings"
 
 	"actyp/internal/registry"
 )
 
 // SnapshotSource pages machine records out of the live registry: it
 // returns up to limit records starting at offset (in the registry's
-// sorted name order) plus the total match count. core.Service's
-// SelectMachines("" ...) is the canonical implementation — paging keeps
+// sorted name order) plus the total match count. A snapshot calls it with
+// offset 0 and then with each next offset until the pass is done; it only
+// reads the records (encodes them), so a source may hand out views (see
+// registry.Backend.View). ViewSource is the daemon's. Paging keeps
 // snapshotting from ever stop-the-worlding the registry, at the cost of
 // pages that are not a single point-in-time cut (replay converges anyway:
 // every mutation between pages is also in the tail segment, and event
-// application is idempotent). On that implementation a page clones the
-// limit records it returns and nothing else; stepping to offset costs
-// offset+limit names per registry shard, no record copies, so a snapshot
-// pass clones each machine once.
+// application is idempotent).
 type SnapshotSource func(limit, offset int) ([]*registry.Machine, int, error)
 
 // SliceSource adapts an in-memory record slice to a SnapshotSource (for
@@ -38,13 +38,44 @@ func SliceSource(ms []*registry.Machine) SnapshotSource {
 	}
 }
 
+// ViewSource is the snapshot source of a live registry: the records keep
+// accepts (every record when keep is nil), read as views. A pass starts
+// at offset 0, where the source reads the registry in one EachPage pass,
+// limit views a page, resumed by name, so each record present for the
+// whole pass is read exactly once, in name order; the rest of the pass is
+// served from that cut, which is let go with the last page. A view copies
+// the record's header and shares its cold part with the store, so a pass
+// costs one header copy per record and never a deep copy. A source serves
+// one pass at a time; a Journal calls its source under its snapshot lock.
+func ViewSource(db *registry.DB, keep func(*registry.Machine) bool) SnapshotSource {
+	var cut SnapshotSource
+	return func(limit, offset int) ([]*registry.Machine, int, error) {
+		if offset == 0 || cut == nil {
+			var kept []*registry.Machine
+			db.EachPage(nil, registry.Cursor{Limit: limit, Shared: true}, func(page []*registry.Machine) {
+				for _, m := range page {
+					if keep == nil || keep(m) {
+						kept = append(kept, m)
+					}
+				}
+			})
+			cut = SliceSource(kept)
+		}
+		page, total, err := cut(limit, offset)
+		if offset+len(page) >= total {
+			cut = nil // the pass is over: do not hold its views until the next one
+		}
+		return page, total, err
+	}
+}
+
 // DefaultSnapshotPage is the machines-per-page default for snapshots.
 const DefaultSnapshotPage = 2048
 
 // writeSnapshotAt writes a complete snapshot file (atomically: tmp file,
 // fsync, rename) with the given sequence number. Machine pages stream
-// through the source; leases are written sorted by id so identical states
-// produce identical files.
+// through the source; leases are sorted by id in place and written in that
+// order, so identical states produce identical files.
 func writeSnapshotAt(dir string, seq uint64, source SnapshotSource, page int, leases []LeaseRecord) (machines int, err error) {
 	if source == nil {
 		return 0, fmt.Errorf("journal: snapshot needs a source")
@@ -87,10 +118,9 @@ func writeSnapshotAt(dir string, seq uint64, source SnapshotSource, page int, le
 		}
 	}
 
-	sorted := append([]LeaseRecord(nil), leases...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Lease.ID < sorted[j].Lease.ID })
+	slices.SortFunc(leases, func(a, b LeaseRecord) int { return strings.Compare(a.Lease.ID, b.Lease.ID) })
 	var opPayload []byte
-	for _, lr := range sorted {
+	for _, lr := range leases {
 		opPayload = appendLeaseOp(opPayload[:0], leaseOp{op: opGrant, rec: lr})
 		buf = appendRecord(buf, recSnapLease, opPayload)
 	}
@@ -100,7 +130,7 @@ func writeSnapshotAt(dir string, seq uint64, source SnapshotSource, page int, le
 	// the next-older snapshot is used instead.
 	var footer []byte
 	footer = appendUvarint(footer, uint64(machines))
-	footer = appendUvarint(footer, uint64(len(sorted)))
+	footer = appendUvarint(footer, uint64(len(leases)))
 	buf = appendRecord(buf, recSnapFooter, footer)
 	if _, err = f.Write(buf); err != nil {
 		return 0, err
@@ -224,7 +254,7 @@ func WriteSnapshotFile(path string, source SnapshotSource, leases []LeaseRecord)
 	if _, ok := parseSeq(base, "snapshot-", ".snap"); ok {
 		return 0, fmt.Errorf("journal: %q collides with the journal's own snapshot naming; pick another name", base)
 	}
-	n, err := writeSnapshotAt(dir, 0, source, 0, leases)
+	n, err := writeSnapshotAt(dir, 0, source, 0, slices.Clone(leases))
 	if err != nil {
 		return 0, err
 	}

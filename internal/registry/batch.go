@@ -29,7 +29,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"actyp/internal/query"
@@ -86,6 +86,11 @@ func AppendBatch(dst []byte, ms []*Machine) []byte {
 
 // DecodeBatch decodes a batch produced by AppendBatch. Corrupt or
 // truncated input fails with an error; it never panics or over-allocates.
+// Records of one batch share the slices and maps each carries over from
+// the record before it, so decoding costs what the input holds: a copy
+// would make a one-byte record pay for everything it carries, and tens of
+// kilobytes claim gigabytes. Callers read decoded records or copy them
+// (every Backend.Add does); none writes their cold part in place.
 func DecodeBatch(b []byte) ([]*Machine, error) {
 	d := &batchDec{b: b}
 	if v := d.byte(); d.err == nil && v != batchVersion {
@@ -120,6 +125,7 @@ func DecodeBatch(b []byte) ([]*Machine, error) {
 type batchEnc struct {
 	dst  []byte
 	dict map[string]uint64
+	keys []string // attrSet's sort buffer, reused record to record
 }
 
 func (e *batchEnc) record(m, prev *Machine) {
@@ -326,12 +332,12 @@ func (e *batchEnc) attrSet(s query.AttrSet) {
 		return
 	}
 	e.dst = binary.AppendUvarint(e.dst, uint64(len(s))+1)
-	keys := make([]string, 0, len(s))
+	e.keys = e.keys[:0]
 	for k := range s {
-		keys = append(keys, k)
+		e.keys = append(e.keys, k)
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
+	slices.Sort(e.keys)
+	for _, k := range e.keys {
 		e.string(k)
 		e.attr(s[k])
 	}
@@ -501,13 +507,10 @@ func (d *batchDec) attrSet() query.AttrSet {
 	return out
 }
 
-// record decodes one machine: prev's fields carried over (with slices and
-// maps copied, preserving nil-ness) and the masked fields overwritten.
+// record decodes one machine: prev's fields carried over (slices and maps
+// shared, see DecodeBatch) and the masked fields overwritten.
 func (d *batchDec) record(prev *Machine) *Machine {
 	m := *prev
-	m.Policy.UserGroups = cloneStrings(prev.Policy.UserGroups)
-	m.Policy.ToolGroups = cloneStrings(prev.Policy.ToolGroups)
-	m.Policy.Params = cloneAttrSet(prev.Policy.Params)
 	mask := d.uvarint()
 	if mask&batchState != 0 {
 		m.State = State(d.varint())
@@ -615,25 +618,4 @@ func attrSetEqual(a, b query.AttrSet) bool {
 		}
 	}
 	return true
-}
-
-func cloneStrings(ss []string) []string {
-	if ss == nil {
-		return nil
-	}
-	out := make([]string, len(ss))
-	copy(out, ss)
-	return out
-}
-
-func cloneAttrSet(s query.AttrSet) query.AttrSet {
-	if s == nil {
-		return nil
-	}
-	out := make(query.AttrSet, len(s))
-	for k, v := range s {
-		v.List = cloneStrings(v.List)
-		out[k] = v
-	}
-	return out
 }

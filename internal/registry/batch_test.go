@@ -2,8 +2,10 @@ package registry
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"math/rand"
+	"strconv"
 	"testing"
 	"time"
 
@@ -175,5 +177,58 @@ func TestBatchBadInputs(t *testing.T) {
 	enc := AppendBatch(nil, []*Machine{{Static: Static{Name: "m"}}})
 	if _, err := DecodeBatch(append(enc, 0x00)); err == nil {
 		t.Error("trailing bytes should fail")
+	}
+}
+
+// TestDecodeCarryIsLinear: a record that changes nothing costs one byte,
+// and carries over every list and parameter of the record before it. The
+// decoders used to copy what a record carried, so a few kilobytes of such
+// records claimed tens of megabytes (63 MB for this 4 KB batch); they now
+// share it, and allocate in proportion to the input.
+func TestDecodeCarryIsLinear(t *testing.T) {
+	const carried, records = 2000, 2000
+	groups := binary.AppendUvarint(nil, batchUserGroups)
+	groups = binary.AppendUvarint(groups, carried+1)
+	groups = append(groups, 0, 1, 'g') // a new dictionary entry, then references to it
+	for i := 1; i < carried; i++ {
+		groups = append(groups, 1)
+	}
+	params := binary.AppendUvarint(nil, batchParams)
+	params = binary.AppendUvarint(params, carried+1)
+	for i := range carried {
+		key := strconv.Itoa(i)
+		params = append(params, 0, byte(len(key)))
+		params = append(params, key...)
+		params = append(params, 0, 1) // attr flags, then the string token of dictionary entry 0
+	}
+	for name, first := range map[string][]byte{"groups": groups, "params": params} {
+		batch := binary.AppendUvarint([]byte{batchVersion}, records)
+		batch = append(batch, first...)
+		events := binary.AppendUvarint([]byte{eventBatchVersion}, records)
+		events = append(events, byte(EventAdded), 0, 1, 'm', 1)
+		events = append(events, first...)
+		for range records - 1 {
+			batch = append(batch, 0)
+			events = append(events, byte(EventAdded), 1, 1, 0)
+		}
+		for _, tc := range []struct {
+			decoder string
+			in      []byte
+			decode  func([]byte) (int, error)
+		}{
+			{"DecodeBatch", batch, func(b []byte) (int, error) { ms, err := DecodeBatch(b); return len(ms), err }},
+			{"DecodeEventBatch", events, func(b []byte) (int, error) { evs, err := DecodeEventBatch(b); return len(evs), err }},
+		} {
+			var n int
+			var err error
+			_, bytes := perRun(1, func() { n, err = tc.decode(tc.in) })
+			if err != nil || n != records {
+				t.Fatalf("%s of %s: %d records, %v", tc.decoder, name, n, err)
+			}
+			t.Logf("%s of %s: %d input bytes, %.0f allocated", tc.decoder, name, len(tc.in), bytes)
+			if bytes > 1024*float64(len(tc.in)) {
+				t.Errorf("%s of %s: %d input bytes allocated %.0f, want under 1 KB an input byte", tc.decoder, name, len(tc.in), bytes)
+			}
+		}
 	}
 }

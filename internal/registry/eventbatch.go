@@ -42,10 +42,12 @@ type WireEvent struct {
 	Name string    `json:"name"`
 	// Dynamic carries the monitor snapshot for EventDynamicUpdated.
 	Dynamic Dynamic `json:"dynamic"`
-	// Machine is the full record snapshot, read at encode time, for every
-	// kind except EventRemoved (and except unfiltered dynamic updates,
-	// which need only Dynamic). Nil means the record vanished between the
-	// event and the encode — the consumer treats it as a removal.
+	// Machine is the full record, read at encode time, for every kind
+	// except EventRemoved (and except unfiltered dynamic updates, which
+	// need only Dynamic). ResolveEvents attaches a view (see
+	// Backend.View): read-only, its cold part shared with the store. Nil
+	// means the record vanished between the event and the encode — the
+	// consumer treats it as a removal.
 	Machine *Machine `json:"machine,omitempty"`
 }
 
@@ -98,7 +100,8 @@ func AppendEventBatch(dst []byte, evs []WireEvent) []byte {
 }
 
 // DecodeEventBatch decodes a batch produced by AppendEventBatch. Corrupt
-// or truncated input fails with an error; it never panics.
+// or truncated input fails with an error; it never panics. The records it
+// attaches share what they carry over, as DecodeBatch's do.
 func DecodeEventBatch(b []byte) ([]WireEvent, error) {
 	d := &batchDec{b: b}
 	if v := d.byte(); d.err == nil && v != eventBatchVersion {
@@ -227,9 +230,11 @@ func (m *Machine) MatchConds(conds []query.RsrcCond) bool {
 
 // ResolveEvents turns locally observed events into self-contained wire
 // events. Kinds that expect a consumer re-read get the current record
-// snapshot attached (one local Get at encode time); events whose machine
-// has since vanished resolve to nil snapshots, which consumers apply as
-// removals (the real removal event is in flight regardless).
+// attached as a view (one local View at encode time: a header copy whose
+// cold part is the store's, so the caller encodes it and never writes
+// it); events whose machine has since vanished resolve to nil snapshots,
+// which consumers apply as removals (the real removal event is in flight
+// regardless).
 //
 // A non-empty conds filters the stream to the subscriber's slice of the
 // namespace: records matching the filter pass whole — dynamic updates
@@ -242,7 +247,7 @@ func ResolveEvents(b Backend, evs []Event, conds []query.RsrcCond) []WireEvent {
 	for _, ev := range evs {
 		w := WireEvent{Kind: ev.Kind, Name: ev.Name, Dynamic: ev.Dynamic}
 		if ev.Kind != EventRemoved {
-			m, err := b.Get(ev.Name)
+			m, err := b.View(ev.Name)
 			if err != nil {
 				// Vanished since the event: deliver as a removal hint.
 				w.Kind = EventRemoved

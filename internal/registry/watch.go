@@ -1,6 +1,7 @@
 package registry
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -18,7 +19,13 @@ import (
 // latches a single resync marker. Publishers therefore NEVER block on a
 // slow consumer — a wedged subscriber costs one flag, not a stalled monitor
 // sweep — and a consumer that sees the marker knows to fall back to a full
-// re-read (pool.Refresh), after which the stream is consistent again.
+// re-read (pool.Refresh), after which the stream is consistent again. A
+// coalesced event moves behind a later pending removal of its machine, so
+// a consumer that re-reads the record on an add never sees the add ahead
+// of a removal that came before it. Every other reordering is harmless:
+// the kinds but EventRemoved carry only Dynamic or are re-read when
+// resolved, and a removal coalesced ahead of a later add resolves that add
+// against the store, which no longer holds the record.
 
 // EventKind enumerates the typed registry mutations a Watch observes.
 type EventKind uint8
@@ -100,8 +107,9 @@ type Subscription struct {
 	mu     sync.Mutex
 	cap    int
 	buf    []Event
-	prev   []Event // last Poll's array, recycled on the next Poll
-	idx    map[subKey]int
+	prev   []Event        // last Poll's array, recycled on the next Poll
+	idx    map[subKey]int // the pending slot of each (kind, machine)
+	dead   int            // slots in buf vacated by coalescing (Kind 0)
 	resync bool
 	closed bool
 }
@@ -117,16 +125,54 @@ func (s *Subscription) publish(ev Event) {
 		return
 	}
 	k := subKey{ev.Kind, ev.Name}
-	if i, ok := s.idx[k]; ok {
+	i, pending := s.idx[k]
+	switch {
+	case pending && !s.removedAfterLocked(ev, i):
 		s.buf[i] = ev // newer payload replaces the pending one
-	} else if len(s.buf) >= s.cap {
+	case !pending && len(s.idx) >= s.cap:
 		s.forceResyncLocked()
-	} else {
+	default:
+		if pending {
+			// A removal of this machine is pending after the slot: the
+			// newer payload moves behind it.
+			s.buf[i].Kind = 0
+			s.dead++
+		}
 		s.idx[k] = len(s.buf)
 		s.buf = append(s.buf, ev)
+		if s.dead > len(s.idx) {
+			s.compactLocked()
+		}
 	}
 	s.mu.Unlock()
 	s.signal()
+}
+
+// removedAfterLocked reports whether ev, coalescing into slot i, would sit
+// ahead of a removal of its machine pending in a later slot.
+func (s *Subscription) removedAfterLocked(ev Event, i int) bool {
+	if ev.Kind == EventRemoved {
+		return false
+	}
+	j, ok := s.idx[subKey{EventRemoved, ev.Name}]
+	return ok && j > i
+}
+
+// compactLocked drops the vacated slots and re-indexes the rest, which
+// keeps buf within twice the pending events.
+func (s *Subscription) compactLocked() {
+	s.dropDeadLocked()
+	for i, ev := range s.buf {
+		s.idx[subKey{ev.Kind, ev.Name}] = i
+	}
+}
+
+// dropDeadLocked removes the vacated slots from buf, keeping order.
+func (s *Subscription) dropDeadLocked() {
+	if s.dead > 0 {
+		s.buf = slices.DeleteFunc(s.buf, func(ev Event) bool { return ev.Kind == 0 })
+		s.dead = 0
+	}
 }
 
 // forceResync latches the resync marker, dropping any pending events: the
@@ -144,6 +190,7 @@ func (s *Subscription) forceResync() {
 func (s *Subscription) forceResyncLocked() {
 	s.resync = true
 	s.buf = s.buf[:0]
+	s.dead = 0
 	clear(s.idx)
 }
 
@@ -166,6 +213,7 @@ func (s *Subscription) Ready() <-chan struct{} { return s.ready }
 func (s *Subscription) Poll() (events []Event, resync bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.dropDeadLocked()
 	events, resync = s.buf, s.resync
 	// Rotate buffers: the array handed out last time is free again (the
 	// single consumer finished with it before polling anew).
@@ -180,7 +228,7 @@ func (s *Subscription) Poll() (events []Event, resync bool) {
 func (s *Subscription) Pending() (int, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.buf), s.resync
+	return len(s.idx), s.resync
 }
 
 // Close detaches the subscription from the backend. A blocked Ready

@@ -3,6 +3,7 @@ package registry
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -120,6 +121,50 @@ func TestWatchCoalesces(t *testing.T) {
 			}
 			if events[0].Dynamic != last {
 				t.Errorf("coalesced payload = %+v, want the newest %+v", events[0].Dynamic, last)
+			}
+		})
+	}
+}
+
+// TestWatchCoalescingKeepsMachineOrder: a re-add coalesced while a
+// removal of its machine is pending after it moves behind that removal.
+// Coalescing into the older slot put the re-add first, and a consumer that
+// re-reads on the add and then removes (the journal, a watch replica) lost
+// a record the registry holds.
+func TestWatchCoalescingKeepsMachineOrder(t *testing.T) {
+	for kind, mk := range watchBackends() {
+		t.Run(kind, func(t *testing.T) {
+			b := mk()
+			watchFleet(t, b, 1)
+			m, err := b.Get("w0000")
+			if err != nil {
+				t.Fatal(err)
+			}
+			sub := b.Watch(8)
+			defer sub.Close()
+			if err := b.Remove("w0000"); err != nil {
+				t.Fatal(err)
+			}
+			sub.Poll() // the removal is consumed: the add starts the next batch
+			for i, step := range []func() error{
+				func() error { return b.Add(m) },
+				func() error { return b.Remove("w0000") },
+				func() error { return b.Add(m) },
+			} {
+				if err := step(); err != nil {
+					t.Fatalf("step %d: %v", i, err)
+				}
+			}
+			events, resync := sub.Poll()
+			if resync {
+				t.Fatal("unexpected resync")
+			}
+			var got []string
+			for _, ev := range events {
+				got = append(got, ev.Kind.String())
+			}
+			if want := []string{"removed", "added"}; !slices.Equal(got, want) {
+				t.Fatalf("pending events of w0000 %q, want %q", got, want)
 			}
 		})
 	}
