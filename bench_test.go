@@ -864,11 +864,11 @@ func BenchmarkMonitorSweep10k(b *testing.B) {
 
 // TestResidentBytesPerMachine bars what one machine costs a running
 // daemon in live heap: the registry's record, the pools' view of it, the
-// indexes, and whatever the monitor keeps per machine. The parent of the
-// change that added this test (PR 16's tree: one rand.Rand per machine in
-// the sampler, a deep copy of every record in the pools) measures 10355
-// bytes here (go1.24.0, linux/amd64); that change brought it to 3400. The
-// bar is 5000: under half the parent's figure, with room for a field.
+// indexes, and whatever the monitor keeps per machine. With one rand.Rand
+// per machine in the sampler and a deep copy of every record in the pools
+// it measured 10355 bytes here (go1.24.0, linux/amd64); dropping both
+// brought it to 3400, and a record's admin parameters as one sorted slice
+// instead of a map to 2785. The bar is 3060, that reading plus 10%.
 func TestResidentBytesPerMachine(t *testing.T) {
 	const machines = 10000
 	var before, after, swept runtime.MemStats
@@ -883,8 +883,8 @@ func TestResidentBytesPerMachine(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	perMachine := float64(after.HeapAlloc-before.HeapAlloc) / machines
 	t.Logf("%.0f bytes of live heap per machine", perMachine)
-	if perMachine > 5000 {
-		t.Errorf("%.0f bytes of live heap per machine, want at most 5000", perMachine)
+	if perMachine > 3060 {
+		t.Errorf("%.0f bytes of live heap per machine, want at most 3060", perMachine)
 	}
 	// The heap may only be this small if the sweeps make little garbage
 	// (see BenchmarkMonitorSweep10k): a fourth one, rings and buffers at

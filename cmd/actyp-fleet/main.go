@@ -246,12 +246,15 @@ func statsCmd(args []string) error {
 	cpus := 0
 	db.Walk(func(m *registry.Machine) bool {
 		states[m.State.String()]++
-		archs[m.Policy.Params["arch"].Str]++
-		domains[m.Policy.Params["domain"].Str]++
+		arch, _ := m.Policy.Params.Get("arch")
+		domain, _ := m.Policy.Params.Get("domain")
+		mem, _ := m.Policy.Params.Get("memory")
+		archs[arch.Str]++
+		domains[domain.Str]++
 		if m.TakenBy != "" {
 			taken++
 		}
-		totalMem += m.Policy.Params["memory"].Num
+		totalMem += mem.Num
 		totalSpeed += m.Static.Speed
 		cpus += m.Static.CPUs
 		return true

@@ -56,7 +56,7 @@ func run(machines, background, students, runs, workers int, seed int64) error {
 	for _, m := range fleet {
 		m.Policy.ToolGroups = append([]string(nil), allTools...)
 		m.Policy.ToolGroups = append(m.Policy.ToolGroups, "transport")
-		m.Policy.Params["license"] = query.ListAttr(allTools...)
+		m.Policy.Params = m.Policy.Params.With("license", query.ListAttr(allTools...))
 		if err := db.Add(m); err != nil {
 			return err
 		}

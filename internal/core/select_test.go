@@ -114,7 +114,7 @@ func TestSelectFilterAndLimit(t *testing.T) {
 		t.Fatalf("uncapped select returned %d/%d", len(all), total)
 	}
 	for _, m := range all {
-		if arch := m.Policy.Params["arch"]; arch.Str != "sun" {
+		if arch, _ := m.Policy.Params.Get("arch"); arch.Str != "sun" {
 			t.Fatalf("machine %s has arch %q", m.Static.Name, arch.Str)
 		}
 	}

@@ -258,7 +258,7 @@ func (c *Client) Renew(g *Grant) error {
 // the batch travels delta-encoded; pass full=true to pin the full
 // per-record encoding (the differential oracle and benchmark baseline).
 // The returned records are read-only: decoded from a delta batch, they may
-// share their slices and maps with each other, so Clone one before
+// share their slices with each other, so Clone one before
 // writing to it.
 func (c *Client) Select(text string, limit int, full bool) ([]*registry.Machine, int, error) {
 	return c.SelectContext(context.Background(), text, limit, full)

@@ -123,8 +123,8 @@ func TestWatchFilterOverWire(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := m.Policy.Params["arch"].Str; got != "sun" {
-			t.Fatalf("replica holds %s with arch %q; filter leaked", n, got)
+		if got, _ := m.Policy.Params.Get("arch"); got.Str != "sun" {
+			t.Fatalf("replica holds %s with arch %q; filter leaked", n, got.Str)
 		}
 	}
 	// A matching machine's update still flows.

@@ -441,9 +441,10 @@ func federationFreshPoint(cfg FederationConfig, size int, watch bool) (p50, p99,
 				return
 			}
 			for {
-				if m, err := replica.Get(sentinel); err == nil &&
-					m.Policy.Params["lagstamp"].Str == stamp {
-					break
+				if m, err := replica.Get(sentinel); err == nil {
+					if got, _ := m.Policy.Params.Get("lagstamp"); got.Str == stamp {
+						break
+					}
 				}
 				if time.Since(start) > 30*time.Second {
 					lagErr <- fmt.Errorf("lag probe %d never became visible", i)

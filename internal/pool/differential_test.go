@@ -55,9 +55,7 @@ func diffFleet(t *testing.T, rng *rand.Rand, n int) []*registry.Machine {
 				UserGroups:  userGroups[rng.Intn(len(userGroups))],
 				ToolGroups:  toolGroups[rng.Intn(len(toolGroups))],
 				UsagePolicy: policies[rng.Intn(len(policies))],
-				Params: query.AttrSet{
-					"arch": query.StrAttr(archs[rng.Intn(len(archs))]),
-				},
+				Params:      query.NewParams(query.Param{Key: "arch", Attr: query.StrAttr(archs[rng.Intn(len(archs))])}),
 			},
 		}
 	}

@@ -18,7 +18,7 @@ type Attr struct {
 // StrAttr builds a string attribute, promoting numeric strings so that both
 // numeric and string comparisons work against them.
 func StrAttr(s string) Attr {
-	if f, err := strconv.ParseFloat(s, 64); err == nil {
+	if f, ok := parseNum(s); ok {
 		return Attr{Str: s, Num: f, IsNum: true}
 	}
 	if strings.Contains(s, ",") {
@@ -32,6 +32,38 @@ func StrAttr(s string) Attr {
 		return Attr{Str: s, List: list}
 	}
 	return Attr{Str: s}
+}
+
+// parseNum is strconv.ParseFloat for a value that may or may not be a
+// number. Most values are words ("sun", "purdue"), and ParseFloat
+// allocates an error for each; a word no number can start like is
+// answered without calling it.
+func parseNum(s string) (float64, bool) {
+	if !mayBeNum(s) {
+		return 0, false
+	}
+	f, err := strconv.ParseFloat(s, 64)
+	return f, err == nil
+}
+
+// mayBeNum is false only for strings ParseFloat rejects. After an optional
+// sign, every number ParseFloat accepts starts with a digit or a '.' (hex
+// forms with "0x"), or is one of the words inf, infinity and nan in any
+// case.
+func mayBeNum(s string) bool {
+	if s != "" && (s[0] == '+' || s[0] == '-') {
+		s = s[1:]
+	}
+	if s == "" {
+		return false
+	}
+	switch c := s[0]; {
+	case '0' <= c && c <= '9', c == '.':
+		return true
+	case c == 'i', c == 'I', c == 'n', c == 'N':
+		return strings.EqualFold(s, "inf") || strings.EqualFold(s, "infinity") || strings.EqualFold(s, "nan")
+	}
+	return false
 }
 
 // NumAttr builds a numeric attribute.
@@ -142,20 +174,6 @@ func numIsStr(f float64, s string) bool {
 
 // AttrSet is a named collection of attributes, as held by a machine record.
 type AttrSet map[string]Attr
-
-// Clone returns a copy of the set; list values are copied too.
-func (s AttrSet) Clone() AttrSet {
-	out := make(AttrSet, len(s))
-	for k, v := range s {
-		if v.List != nil {
-			l := make([]string, len(v.List))
-			copy(l, v.List)
-			v.List = l
-		}
-		out[k] = v
-	}
-	return out
-}
 
 // MatchRsrc reports whether the attribute set satisfies every rsrc condition
 // of the query. A condition whose attribute is absent from the set fails,

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"maps"
 	"testing"
 	"testing/quick"
 )
@@ -77,14 +78,14 @@ func TestAttrSetMatchRsrc(t *testing.T) {
 	}
 
 	// Memory below the requirement fails.
-	m2 := m.Clone()
+	m2 := maps.Clone(m)
 	m2["memory"] = NumAttr(5)
 	if m2.MatchRsrc(q) {
 		t.Error("memory=5 should fail >=10")
 	}
 
 	// Missing attribute with a real condition fails...
-	m3 := m.Clone()
+	m3 := maps.Clone(m)
 	delete(m3, "license")
 	if m3.MatchRsrc(q) {
 		t.Error("missing license should fail")
@@ -98,15 +99,6 @@ func TestAttrSetMatchRsrc(t *testing.T) {
 	q3 := New().Set("punch.rsrc.gpu", Any())
 	if !m.MatchRsrc(q3) {
 		t.Error("wildcard should match a missing attribute")
-	}
-}
-
-func TestAttrSetCloneIsDeep(t *testing.T) {
-	s := AttrSet{"cms": ListAttr("sge", "pbs")}
-	c := s.Clone()
-	c["cms"].List[0] = "mutated"
-	if s["cms"].List[0] != "sge" {
-		t.Error("Clone shares list storage")
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // Kind constrains how values for an administrator-defined key are
@@ -224,6 +225,7 @@ func checkKind(f Field, cond Condition) error {
 type SchemaRegistry struct {
 	mu       sync.RWMutex
 	families map[string]*Schema
+	gen      atomic.Uint64
 }
 
 // NewSchemaRegistry returns a registry preloaded with the punch family.
@@ -233,12 +235,19 @@ func NewSchemaRegistry() *SchemaRegistry {
 	return r
 }
 
-// Register adds or replaces a family schema.
+// Register adds or replaces a family schema. It starts a new generation:
+// whatever was validated against the old one must be validated again. A
+// field declared into a registered schema takes effect for such caches
+// once the schema is registered again.
 func (r *SchemaRegistry) Register(s *Schema) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.families[s.Family] = s
+	r.gen.Add(1)
 }
+
+// Generation counts the Register calls so far.
+func (r *SchemaRegistry) Generation() uint64 { return r.gen.Load() }
 
 // Family returns the schema for a family name.
 func (r *SchemaRegistry) Family(name string) (*Schema, bool) {

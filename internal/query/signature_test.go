@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"maps"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -78,7 +79,7 @@ func TestCriteriaInvertsName(t *testing.T) {
 		"arch": StrAttr("sun"), "domain": StrAttr("purdue"),
 		"license": StrAttr("tsuprem4"), "memory": NumAttr(64),
 	}
-	no := yes.Clone()
+	no := maps.Clone(yes)
 	no["memory"] = NumAttr(1)
 	if !yes.MatchRsrc(crit) {
 		t.Error("criteria rejected a conforming machine")

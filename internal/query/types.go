@@ -124,7 +124,7 @@ type Condition struct {
 
 // Eq returns an equality condition for a string value.
 func Eq(v string) Condition {
-	if f, err := strconv.ParseFloat(v, 64); err == nil {
+	if f, ok := parseNum(v); ok {
 		return Condition{Op: OpEq, Str: v, Num: f, IsNum: true}
 	}
 	return Condition{Op: OpEq, Str: v}
@@ -149,7 +149,7 @@ func Lt(v float64) Condition { return Condition{Op: OpLt, Num: v, IsNum: true, S
 
 // Ne returns a != condition.
 func Ne(v string) Condition {
-	if f, err := strconv.ParseFloat(v, 64); err == nil {
+	if f, ok := parseNum(v); ok {
 		return Condition{Op: OpNe, Str: v, Num: f, IsNum: true}
 	}
 	return Condition{Op: OpNe, Str: v}

@@ -11,6 +11,7 @@ package querymgr
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -31,6 +32,11 @@ type ResourceManager interface {
 // internal composite form. Registering translators per family is how the
 // pipeline interoperates with foreign systems ("this could allow ActYP to
 // reuse Condor's ClassAds", Section 5.1).
+//
+// A Manager caches what its own native parser compiles, not what a
+// translator installed through Config compiles: it cannot vouch that a
+// foreign translator is a pure function of its text, so such a translator
+// is called on every submission.
 type Translator interface {
 	Translate(text string) (*query.Composite, error)
 }
@@ -107,6 +113,31 @@ type Manager struct {
 	submitted  atomic.Int64
 	fragments  atomic.Int64
 	reassembly atomic.Int64
+
+	// The compiled-query cache, native texts only and only while "native"
+	// is the manager's own parser (cacheNative); compiles counts misses.
+	cacheNative bool
+	compiledMu  sync.RWMutex
+	compiled    map[string]compiledQuery
+	compiles    atomic.Int64
+}
+
+// compiledCap bounds a manager's compiled-query cache. Clients send a few
+// distinct texts over and over; a manager that has seen this many empties
+// the cache and starts again rather than tracking which entry to evict.
+const compiledCap = 1024
+
+// compiledMaxText is the longest text the cache keeps, so that a full
+// cache holds at most a few megabytes of text. Longer texts are compiled
+// on every submission.
+const compiledMaxText = 4 << 10
+
+// compiledQuery is a text translated, validated and decomposed: the basic
+// queries every submission of the text resolves. Concurrent requests share
+// them, so nothing downstream of a Manager may write a query it is handed.
+type compiledQuery struct {
+	basics []*query.Query
+	gen    uint64 // the schema generation it was validated under
 }
 
 // New creates a query manager.
@@ -142,11 +173,14 @@ func New(cfg Config) (*Manager, error) {
 		mode:        cfg.Mode,
 		redundancy:  redundancy,
 		clock:       cfg.Clock,
+		compiled:    make(map[string]compiledQuery),
 	}
 	m.translators["native"] = TranslatorFunc(query.Parse)
 	for lang, tr := range cfg.Translators {
 		m.translators[lang] = tr
 	}
+	_, replaced := cfg.Translators["native"]
+	m.cacheNative = !replaced
 	return m, nil
 }
 
@@ -163,10 +197,22 @@ func (m *Manager) Languages() []string {
 }
 
 // SubmitText translates a native-language query and submits it. lang ""
-// means "native".
+// means "native". A native text the manager has compiled before, under the
+// current schemas, skips parsing, validation and decomposition.
 func (m *Manager) SubmitText(lang, text string) (*Response, error) {
+	start := m.clock()
 	if lang == "" {
 		lang = "native"
+	}
+	cache := m.cacheNative && lang == "native" && len(text) <= compiledMaxText
+	gen := m.schemas.Generation()
+	if cache {
+		m.compiledMu.RLock()
+		cq, ok := m.compiled[text]
+		m.compiledMu.RUnlock()
+		if ok && cq.gen == gen {
+			return m.resolve(start, cq.basics, true)
+		}
 	}
 	tr, ok := m.translators[lang]
 	if !ok {
@@ -176,13 +222,30 @@ func (m *Manager) SubmitText(lang, text string) (*Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	return m.Submit(c)
+	if err := m.schemas.Validate(c); err != nil {
+		return nil, err
+	}
+	basics := c.Decompose()
+	if cache {
+		m.compiles.Add(1)
+		m.compiledMu.Lock()
+		if len(m.compiled) >= compiledCap {
+			clear(m.compiled)
+		}
+		m.compiled[text] = compiledQuery{basics: basics, gen: gen}
+		m.compiledMu.Unlock()
+	}
+	return m.resolve(start, basics, true)
 }
+
+// Compiles returns how many native texts the manager has compiled into its
+// cache: the misses, of which every other cacheable submission is a hit.
+func (m *Manager) Compiles() int { return int(m.compiles.Load()) }
 
 // Submit validates, decomposes, routes, and reintegrates a composite
 // query, returning a machine lease. Only a composite or redundant query
 // runs its fragments concurrently; a query that is one fragment sent to
-// one manager resolves on the caller's goroutine.
+// one manager resolves on the caller's goroutine. Nothing of c is cached.
 func (m *Manager) Submit(c *query.Composite) (*Response, error) {
 	return m.submit(c, true)
 }
@@ -194,7 +257,12 @@ func (m *Manager) submit(c *query.Composite, inline bool) (*Response, error) {
 	if err := m.schemas.Validate(c); err != nil {
 		return nil, err
 	}
-	basics := c.Decompose()
+	return m.resolve(start, c.Decompose(), inline)
+}
+
+// resolve routes the basic queries of one submission and reintegrates
+// their results.
+func (m *Manager) resolve(start time.Time, basics []*query.Query, inline bool) (*Response, error) {
 	m.submitted.Add(1)
 	m.fragments.Add(int64(len(basics)))
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -381,4 +382,118 @@ func TestSelectors(t *testing.T) {
 			t.Error("empty manager list should yield nil")
 		}
 	})
+}
+
+// recordingRM grants every query and records the text of each it resolves.
+type recordingRM struct{ seen sync.Map }
+
+func (r *recordingRM) Name() string { return "pm" }
+func (r *recordingRM) Resolve(q *query.Query) (*pool.Lease, error) {
+	r.seen.Store(q.String(), true)
+	return &pool.Lease{ID: "l", Machine: "m"}, nil
+}
+func (r *recordingRM) Release(*pool.Lease) error { return nil }
+
+// TestCompiledCache holds the compiled-query cache to its promises:
+// concurrent submissions of one text share one compilation and reach the
+// pool managers with the query the text decomposes to; registering a
+// schema makes every cached text compile again, under the new schema; a
+// full cache empties rather than grows; and a native translator installed
+// through Config is called on every submission, not cached.
+func TestCompiledCache(t *testing.T) {
+	rm := &recordingRM{}
+	schemas := query.NewSchemaRegistry()
+	m, err := New(Config{Name: "qm", Managers: []ResourceManager{rm}, Schemas: schemas})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const text = "punch.rsrc.arch = sun | hp\npunch.rsrc.memory = >=128"
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				resp, err := m.SubmitText("", text)
+				if err != nil || resp.Lease == nil || resp.Fragments != 2 {
+					t.Errorf("submit: %+v, %v", resp, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	// Goroutines that missed together may each have compiled the text;
+	// from then on it is never compiled again.
+	warm := m.Compiles()
+	if warm < 1 || warm > 8 {
+		t.Fatalf("text compiled %d times by 8 goroutines", warm)
+	}
+	for i := 0; i < 10; i++ {
+		if _, err := m.SubmitText("native", text); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := m.Compiles(); got != warm {
+		t.Errorf("a cached text was compiled again: %d compiles, then %d", warm, got)
+	}
+	for _, want := range []string{"punch.rsrc.arch = sun\npunch.rsrc.memory = >=128", "punch.rsrc.arch = hp\npunch.rsrc.memory = >=128"} {
+		if _, ok := rm.seen.Load(want); !ok {
+			t.Errorf("no fragment resolved as %q", want)
+		}
+	}
+
+	// A new schema: arch is now an enum without sun, and the cached
+	// text must be validated again and refused.
+	punch := query.PunchSchema()
+	if err := punch.Declare(query.Field{Class: query.ClassRsrc, Name: "arch", Kind: query.KindEnum, Values: []string{"hp"}}); err != nil {
+		t.Fatal(err)
+	}
+	schemas.Register(punch)
+	if _, err := m.SubmitText("", text); err == nil {
+		t.Error("a cached text passed a schema registered after it was compiled")
+	}
+	if got := m.Compiles(); got != warm {
+		t.Errorf("a text the new schema refuses was cached: %d compiles, want %d", got, warm)
+	}
+
+	// Distinct texts fill the cache; the one that finds it full starts it
+	// again.
+	reset := false
+	for i := 0; i <= compiledCap; i++ {
+		if _, err := m.SubmitText("", fmt.Sprintf("punch.rsrc.memory = >=%d", i)); err != nil {
+			t.Fatal(err)
+		}
+		m.compiledMu.RLock()
+		size := len(m.compiled)
+		m.compiledMu.RUnlock()
+		if size > compiledCap {
+			t.Fatalf("the cache holds %d texts, cap %d", size, compiledCap)
+		}
+		reset = reset || (i > 0 && size == 1)
+	}
+	if !reset {
+		t.Errorf("%d distinct texts never emptied the cache", compiledCap+1)
+	}
+
+	// A translator that replaces the native parser is not the manager's
+	// to cache: it translates every submission.
+	var calls atomic.Int64
+	native := TranslatorFunc(func(text string) (*query.Composite, error) {
+		calls.Add(1)
+		return query.Parse(text)
+	})
+	m, err = New(Config{Name: "qm", Managers: []ResourceManager{rm}, Translators: map[string]Translator{"native": native}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := m.SubmitText("", text); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := calls.Load(); got != 3 || m.Compiles() != 0 {
+		t.Errorf("a replaced native translator: %d calls for 3 submissions, %d compiles cached", got, m.Compiles())
+	}
 }

@@ -35,11 +35,13 @@ type Backend interface {
 	// View is the read for in-process holders that keep many records for
 	// long, the pools above all: a copy of the record's mutable header
 	// (State, Dynamic, TakenBy) whose cold part (Static, Access, Policy,
-	// with the slices and the Params map behind it) may be the store's
+	// with the slices behind it, Params among them) may be the store's
 	// own. A store never writes a published cold part, it replaces it, so
 	// a view stays consistent as of its read; in return the holder must
 	// treat everything outside the header as read-only.
 	View(name string) (*Machine, error)
+	// Has reports whether a record for name exists, copying nothing.
+	Has(name string) bool
 	// Len returns the number of registered machines.
 	Len() int
 	// Names returns all machine names, sorted.

@@ -29,7 +29,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"slices"
+	"sync"
 	"time"
 
 	"actyp/internal/query"
@@ -74,22 +74,22 @@ const (
 // AppendBatch appends the delta/dictionary encoding of ms to dst and
 // returns the extended slice. Nil machine pointers are not allowed.
 func AppendBatch(dst []byte, ms []*Machine) []byte {
-	e := &batchEnc{dst: append(dst, batchVersion), dict: make(map[string]uint64)}
+	e := newBatchEnc(append(dst, batchVersion))
 	e.dst = binary.AppendUvarint(e.dst, uint64(len(ms)))
 	prev := &Machine{}
 	for _, m := range ms {
 		e.record(m, prev)
 		prev = m
 	}
-	return e.dst
+	return e.finish()
 }
 
 // DecodeBatch decodes a batch produced by AppendBatch. Corrupt or
 // truncated input fails with an error; it never panics or over-allocates.
-// Records of one batch share the slices and maps each carries over from
-// the record before it, so decoding costs what the input holds: a copy
-// would make a one-byte record pay for everything it carries, and tens of
-// kilobytes claim gigabytes. Callers read decoded records or copy them
+// Records of one batch share the slices each carries over from the record
+// before it, so decoding costs what the input holds: a copy would make a
+// one-byte record pay for everything it carries, and tens of kilobytes
+// claim gigabytes. Callers read decoded records or copy them
 // (every Backend.Add does); none writes their cold part in place.
 func DecodeBatch(b []byte) ([]*Machine, error) {
 	d := &batchDec{b: b}
@@ -125,7 +125,35 @@ func DecodeBatch(b []byte) ([]*Machine, error) {
 type batchEnc struct {
 	dst  []byte
 	dict map[string]uint64
-	keys []string // attrSet's sort buffer, reused record to record
+}
+
+// encPool recycles encoders with their dictionaries: a snapshot page or a
+// drained sweep holds thousands of distinct strings, and a fresh map would
+// grow to that size again for every batch.
+var encPool = sync.Pool{New: func() any { return &batchEnc{dict: make(map[string]uint64)} }}
+
+// maxPooledDict is the largest dictionary an encoder goes back to the pool
+// with; a one-off giant batch's map is left to the collector instead.
+const maxPooledDict = 1 << 16
+
+// newBatchEnc returns an encoder with an empty dictionary that appends to
+// dst.
+func newBatchEnc(dst []byte) *batchEnc {
+	e := encPool.Get().(*batchEnc)
+	e.dst = dst
+	return e
+}
+
+// finish returns the encoded output and recycles e, which the caller must
+// not use again.
+func (e *batchEnc) finish() []byte {
+	out := e.dst
+	e.dst = nil
+	if len(e.dict) <= maxPooledDict {
+		clear(e.dict)
+		encPool.Put(e)
+	}
+	return out
 }
 
 func (e *batchEnc) record(m, prev *Machine) {
@@ -190,7 +218,7 @@ func (e *batchEnc) record(m, prev *Machine) {
 	if m.Policy.UsagePolicy != prev.Policy.UsagePolicy {
 		mask |= batchUsagePolicy
 	}
-	if !attrSetEqual(m.Policy.Params, prev.Policy.Params) {
+	if !paramsEqual(m.Policy.Params, prev.Policy.Params) {
 		mask |= batchParams
 	}
 	if m.TakenBy != prev.TakenBy {
@@ -258,7 +286,7 @@ func (e *batchEnc) record(m, prev *Machine) {
 		e.string(m.Policy.UsagePolicy)
 	}
 	if mask&batchParams != 0 {
-		e.attrSet(m.Policy.Params)
+		e.params(m.Policy.Params)
 	}
 	if mask&batchTakenBy != 0 {
 		e.string(m.TakenBy)
@@ -324,22 +352,17 @@ func (e *batchEnc) attr(a query.Attr) {
 	}
 }
 
-// attrSet encodes a parameter set with sorted keys so equal sets encode
-// identically regardless of map iteration order.
-func (e *batchEnc) attrSet(s query.AttrSet) {
-	if s == nil {
+// params encodes a parameter list in its key order, so equal lists
+// encode identically.
+func (e *batchEnc) params(ps query.Params) {
+	if ps == nil {
 		e.dst = binary.AppendUvarint(e.dst, 0)
 		return
 	}
-	e.dst = binary.AppendUvarint(e.dst, uint64(len(s))+1)
-	e.keys = e.keys[:0]
-	for k := range s {
-		e.keys = append(e.keys, k)
-	}
-	slices.Sort(e.keys)
-	for _, k := range e.keys {
+	e.dst = binary.AppendUvarint(e.dst, uint64(ps.Len())+1)
+	for k, a := range ps.All() {
 		e.string(k)
-		e.attr(s[k])
+		e.attr(a)
 	}
 }
 
@@ -489,26 +512,28 @@ func (d *batchDec) attr() query.Attr {
 	return a
 }
 
-func (d *batchDec) attrSet() query.AttrSet {
+// params decodes a parameter list. Input out of key order, or with a key
+// twice, decodes as the map form did: sorted, the last value kept.
+func (d *batchDec) params() query.Params {
 	n := d.uvarint()
 	if d.err != nil || n == 0 {
 		return nil
 	}
 	n--
 	if n > uint64(len(d.b))+1 {
-		d.fail("truncated batch: attr set of %d with %d bytes left", n, len(d.b))
+		d.fail("truncated batch: %d params with %d bytes left", n, len(d.b))
 		return nil
 	}
-	out := make(query.AttrSet, n)
+	out := make([]query.Param, 0, n)
 	for i := uint64(0); i < n && d.err == nil; i++ {
 		k := d.string()
-		out[k] = d.attr()
+		out = append(out, query.Param{Key: k, Attr: d.attr()})
 	}
-	return out
+	return query.NewParams(out...)
 }
 
-// record decodes one machine: prev's fields carried over (slices and maps
-// shared, see DecodeBatch) and the masked fields overwritten.
+// record decodes one machine: prev's fields carried over (slices shared,
+// see DecodeBatch) and the masked fields overwritten.
 func (d *batchDec) record(prev *Machine) *Machine {
 	m := *prev
 	mask := d.uvarint()
@@ -573,7 +598,7 @@ func (d *batchDec) record(prev *Machine) *Machine {
 		m.Policy.UsagePolicy = d.string()
 	}
 	if mask&batchParams != 0 {
-		m.Policy.Params = d.attrSet()
+		m.Policy.Params = d.params()
 	}
 	if mask&batchTakenBy != 0 {
 		m.TakenBy = d.string()
@@ -607,13 +632,13 @@ func attrEqual(a, b query.Attr) bool {
 	return a.Str == b.Str && a.Num == b.Num && a.IsNum == b.IsNum && stringsEqual(a.List, b.List)
 }
 
-func attrSetEqual(a, b query.AttrSet) bool {
+// paramsEqual distinguishes nil from empty, as stringsEqual does.
+func paramsEqual(a, b query.Params) bool {
 	if (a == nil) != (b == nil) || len(a) != len(b) {
 		return false
 	}
-	for k, av := range a {
-		bv, ok := b[k]
-		if !ok || !attrEqual(av, bv) {
+	for i := range a {
+		if a[i].Key != b[i].Key || !attrEqual(a[i].Attr, b[i].Attr) {
 			return false
 		}
 	}

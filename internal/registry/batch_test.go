@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"math/rand"
+	"os"
 	"strconv"
 	"testing"
 	"time"
@@ -40,13 +41,13 @@ func batchCorpus(t *testing.T) map[string][]*Machine {
 				ToolGroups:    []string{"a", "a", "a"},
 				ShadowPoolRef: "ref",
 				UsagePolicy:   "policy-прог",
-				Params: query.AttrSet{
-					"":     {Str: "empty key"},
-					"str":  query.StrAttr("plain"),
-					"num":  query.NumAttr(-0.5),
-					"list": query.ListAttr("x", "y", "x"),
-					"raw":  {Str: "s", Num: 3, IsNum: false, List: []string{}},
-				},
+				Params: query.NewParams(
+					query.Param{Key: "", Attr: query.Attr{Str: "empty key"}},
+					query.Param{Key: "str", Attr: query.StrAttr("plain")},
+					query.Param{Key: "num", Attr: query.NumAttr(-0.5)},
+					query.Param{Key: "list", Attr: query.ListAttr("x", "y", "x")},
+					query.Param{Key: "raw", Attr: query.Attr{Str: "s", Num: 3, IsNum: false, List: []string{}}},
+				),
 			},
 			TakenBy: "pool/7",
 		},
@@ -54,7 +55,7 @@ func batchCorpus(t *testing.T) map[string][]*Machine {
 		{
 			Static:  Static{Name: "shares-nothing"},
 			Dynamic: Dynamic{LastUpdate: time.Unix(0, 12345)},
-			Policy:  Policy{Params: query.AttrSet{}},
+			Policy:  Policy{Params: query.Params{}},
 		},
 	}
 	return map[string][]*Machine{
@@ -120,6 +121,38 @@ func TestBatchSmallerThanFull(t *testing.T) {
 	delta := AppendBatch(nil, ms)
 	if len(delta)*4 > len(full) {
 		t.Errorf("delta batch %dB not under 1/4 of full %dB", len(delta), len(full))
+	}
+}
+
+// TestBatchReusesDictionary pins the encoders' recycled dictionary: a
+// snapshot writes its fleet in 2048-record pages, and once the first page
+// has grown the dictionary, the second allocates nothing at all. With a
+// fresh map per batch every page paid for growing it again.
+func TestBatchReusesDictionary(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled encoders at random")
+	}
+	const page = 2048
+	ms, err := DefaultFleetSpec(2 * page).Build(time.Unix(0, 1723100000000000000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := AppendBatch(nil, ms[:page])
+	second := AppendBatch(nil, ms[page:])
+	buf = make([]byte, 0, 2*max(len(buf), len(second)))
+	if n := testing.AllocsPerRun(10, func() { buf = AppendBatch(buf[:0], ms[page:]) }); n != 0 {
+		t.Errorf("encoding a second %d-record page: %.0f allocations, want 0", page, n)
+	}
+	if !bytes.Equal(buf, second) {
+		t.Error("a recycled encoder wrote different bytes")
+	}
+	evs := make([]WireEvent, page)
+	for i, m := range ms[page:] {
+		evs[i] = WireEvent{Kind: EventAdded, Name: m.Static.Name, Machine: m}
+	}
+	buf = AppendEventBatch(buf[:0], evs)
+	if n := testing.AllocsPerRun(10, func() { buf = AppendEventBatch(buf[:0], evs) }); n != 0 {
+		t.Errorf("encoding a %d-event batch: %.0f allocations, want 0", page, n)
 	}
 }
 
@@ -231,4 +264,98 @@ func TestDecodeCarryIsLinear(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestPriorEncodingsDecode holds the record formats to the bytes written
+// while Params was a map. testdata holds a record batch of
+// batchCorpus(t)["mixed"] and the JSON snapshot of a Locked database that
+// priorSnapshotDB builds. Both decode to the records built the same way
+// today, and those encode to the same bytes.
+func TestPriorEncodingsDecode(t *testing.T) {
+	batch, err := os.ReadFile("testdata/batch_map_params.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := batchCorpus(t)["mixed"]
+	got, err := DecodeBatch(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("batch decoded %d records, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if !machineEqual(got[i], want[i]) {
+			t.Errorf("batch record %d decoded as\n%+v, want\n%+v", i, got[i], want[i])
+		}
+	}
+	if re := AppendBatch(nil, want); !bytes.Equal(re, batch) {
+		t.Errorf("the batch encodes to other bytes (%d, was %d)", len(re), len(batch))
+	}
+
+	snap, err := os.ReadFile("testdata/snapshot_map_params.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := priorSnapshotDB(t)
+	var out bytes.Buffer
+	if err := ref.Save(&out); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out.Bytes(), snap) {
+		t.Errorf("the snapshot's database saves to other bytes (%d, was %d)", out.Len(), len(snap))
+	}
+	for _, kind := range []string{BackendLocked, BackendSharded} {
+		b, err := OpenBackend(kind, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Load(bytes.NewReader(snap)); err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range ref.Names() {
+			w, _ := ref.Get(name)
+			m, err := b.Get(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// JSON keeps the instant, not the location.
+			m.Dynamic.LastUpdate = m.Dynamic.LastUpdate.In(w.Dynamic.LastUpdate.Location())
+			if !machineEqual(m, w) {
+				t.Errorf("%s: snapshot record %s loaded as\n%+v, want\n%+v", kind, name, m, w)
+			}
+		}
+	}
+}
+
+// priorSnapshotDB builds the database of testdata/snapshot_map_params.json:
+// a six-machine default fleet at the batch corpus's instant beside three
+// testMachine records added by copy. "weird" is then given four parameters
+// by SetParam (an empty key, a key JSON escapes with a list value, a
+// number, a non-ASCII key with a numeric string); "nilp" is added with nil
+// Params and "empty" with empty ones, which the copy on Add makes the
+// same.
+func priorSnapshotDB(t *testing.T) *DB {
+	t.Helper()
+	db := NewDBWith(NewLocked())
+	if err := DefaultFleetSpec(6).Populate(db, time.Unix(0, 1723100000000000000)); err != nil {
+		t.Fatal(err)
+	}
+	weird, nilp, empty := testMachine("weird"), testMachine("nilp"), testMachine("empty")
+	nilp.Policy.Params = nil
+	empty.Policy.Params = query.Params{}
+	for _, m := range []*Machine{weird, nilp, empty} {
+		if err := db.Add(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, set := range []struct {
+		key  string
+		attr query.Attr
+	}{{"", query.StrAttr("empty key")}, {"a<b>&c", query.ListAttr("x", "<y>")}, {"num", query.NumAttr(-0.5)}, {"ünï\"", query.StrAttr("128")}} {
+		if err := db.SetParam("weird", set.key, set.attr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return db
 }

@@ -36,9 +36,9 @@ func TestDBAddGetRemove(t *testing.T) {
 		t.Fatalf("Get: %v, %v", m, err)
 	}
 	// Get returns a copy.
-	m.Policy.Params["arch"] = query.StrAttr("hp")
+	m.Policy.Params[0].Attr = query.StrAttr("hp") // arch, written in place
 	m2, _ := db.Get("a")
-	if m2.Policy.Params["arch"].Str != "sun" {
+	if param(m2, "arch").Str != "sun" {
 		t.Error("Get aliases stored record")
 	}
 	if err := db.Remove("a"); err != nil {
@@ -98,7 +98,7 @@ func TestDBSetParam(t *testing.T) {
 		t.Fatal(err)
 	}
 	m, _ := db.Get("a")
-	if m.Policy.Params["license"].Str != "spice" {
+	if param(m, "license").Str != "spice" {
 		t.Errorf("param not set: %+v", m.Policy.Params)
 	}
 	if err := db.SetParam("ghost", "k", query.StrAttr("v")); err == nil {
@@ -135,7 +135,7 @@ func TestDBSelect(t *testing.T) {
 	db := NewDB()
 	sun := testMachine("sun1")
 	hp := testMachine("hp1")
-	hp.Policy.Params["arch"] = query.StrAttr("hp")
+	hp.Policy.Params = hp.Policy.Params.With("arch", query.StrAttr("hp"))
 	if err := db.Add(sun); err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestDBTakeRelease(t *testing.T) {
 func TestDBTakeRespectsQuery(t *testing.T) {
 	db := NewDB()
 	m := testMachine("hp1")
-	m.Policy.Params["arch"] = query.StrAttr("hp")
+	m.Policy.Params = m.Policy.Params.With("arch", query.StrAttr("hp"))
 	if err := db.Add(m); err != nil {
 		t.Fatal(err)
 	}

@@ -37,19 +37,19 @@ func diffMachine(rng *rand.Rand, name string) *Machine {
 			Name:    name,
 		},
 		Policy: Policy{
-			Params: query.AttrSet{
-				"arch":   query.StrAttr(archs[rng.Intn(len(archs))]),
-				"domain": query.StrAttr(domains[rng.Intn(len(domains))]),
-				"ostype": query.StrAttr(oses[rng.Intn(len(oses))]),
-				"cms":    query.ListAttr("sge", "pbs"),
-			},
+			Params: query.NewParams(
+				query.Param{Key: "arch", Attr: query.StrAttr(archs[rng.Intn(len(archs))])},
+				query.Param{Key: "domain", Attr: query.StrAttr(domains[rng.Intn(len(domains))])},
+				query.Param{Key: "ostype", Attr: query.StrAttr(oses[rng.Intn(len(oses))])},
+				query.Param{Key: "cms", Attr: query.ListAttr("sge", "pbs")},
+			),
 		},
 	}
 	if rng.Intn(3) == 0 {
 		m.Policy.UserGroups = []string{"ece", "cs"}[0:1]
 	}
 	if rng.Intn(4) == 0 {
-		m.Policy.Params["pool"] = query.NumAttr(float64(rng.Intn(4)))
+		m.Policy.Params = m.Policy.Params.With("pool", query.NumAttr(float64(rng.Intn(4))))
 	}
 	return m
 }

@@ -67,7 +67,7 @@ const (
 // AppendEventBatch appends the delta/dictionary encoding of evs to dst
 // and returns the extended slice.
 func AppendEventBatch(dst []byte, evs []WireEvent) []byte {
-	e := &batchEnc{dst: append(dst, eventBatchVersion), dict: make(map[string]uint64)}
+	e := newBatchEnc(append(dst, eventBatchVersion))
 	e.dst = binary.AppendUvarint(e.dst, uint64(len(evs)))
 	prevMach := &Machine{}
 	var prevDyn Dynamic
@@ -96,7 +96,7 @@ func AppendEventBatch(dst []byte, evs []WireEvent) []byte {
 			prevMach = ev.Machine
 		}
 	}
-	return e.dst
+	return e.finish()
 }
 
 // DecodeEventBatch decodes a batch produced by AppendEventBatch. Corrupt
@@ -246,26 +246,23 @@ func ResolveEvents(b Backend, evs []Event, conds []query.RsrcCond) []WireEvent {
 	out := make([]WireEvent, 0, len(evs))
 	for _, ev := range evs {
 		w := WireEvent{Kind: ev.Kind, Name: ev.Name, Dynamic: ev.Dynamic}
-		if ev.Kind != EventRemoved {
+		var gone bool
+		switch {
+		case ev.Kind == EventRemoved:
+		case ev.Kind == EventDynamicUpdated && len(conds) == 0:
+			// The event carries its snapshot: only whether the record
+			// still exists is in question, and that takes no copy.
+			gone = !b.Has(ev.Name)
+		default:
 			m, err := b.View(ev.Name)
-			if err != nil {
-				// Vanished since the event: deliver as a removal hint.
-				w.Kind = EventRemoved
-				w.Dynamic = Dynamic{}
-				out = append(out, w)
-				continue
-			}
-			if len(conds) > 0 {
-				if !m.MatchConds(conds) {
-					w.Kind = EventRemoved
-					w.Dynamic = Dynamic{}
-					out = append(out, w)
-					continue
-				}
-				w.Machine = m
-			} else if ev.Kind != EventDynamicUpdated {
+			gone = err != nil || (len(conds) > 0 && !m.MatchConds(conds))
+			if !gone {
 				w.Machine = m
 			}
+		}
+		if gone {
+			// Vanished since the event, or out of the filter: a removal.
+			w.Kind, w.Dynamic = EventRemoved, Dynamic{}
 		}
 		out = append(out, w)
 	}
@@ -324,7 +321,7 @@ func machineEqual(a, b *Machine) bool {
 		stringsEqual(a.Policy.ToolGroups, b.Policy.ToolGroups) &&
 		a.Policy.ShadowPoolRef == b.Policy.ShadowPoolRef &&
 		a.Policy.UsagePolicy == b.Policy.UsagePolicy &&
-		attrSetEqual(a.Policy.Params, b.Policy.Params) &&
+		paramsEqual(a.Policy.Params, b.Policy.Params) &&
 		a.TakenBy == b.TakenBy
 }
 

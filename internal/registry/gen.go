@@ -93,17 +93,17 @@ func (spec FleetSpec) Each(now time.Time, fn func(*Machine) error) error {
 				UserGroups:    nil, // public
 				ToolGroups:    toolSlice(spec.Tools, i),
 				ShadowPoolRef: fmt.Sprintf("/punch/shadow/m%04d", i),
-				Params: query.AttrSet{
-					"arch":      query.StrAttr(arch),
-					"memory":    query.NumAttr(mem),
-					"swap":      query.NumAttr(2 * mem),
-					"ostype":    query.StrAttr(osFor(arch)),
-					"osversion": query.StrAttr("5.8"),
-					"owner":     query.StrAttr(owner),
-					"domain":    query.StrAttr(domain),
-					"cms":       query.ListAttr("sge", "pbs"),
-					"license":   query.ListAttr(toolSlice(spec.Tools, i)...),
-				},
+				Params: query.NewParams( // in key order, which NewParams checks
+					query.Param{Key: "arch", Attr: query.StrAttr(arch)},
+					query.Param{Key: "cms", Attr: query.ListAttr("sge", "pbs")},
+					query.Param{Key: "domain", Attr: query.StrAttr(domain)},
+					query.Param{Key: "license", Attr: query.ListAttr(toolSlice(spec.Tools, i)...)},
+					query.Param{Key: "memory", Attr: query.NumAttr(mem)},
+					query.Param{Key: "ostype", Attr: query.StrAttr(osFor(arch))},
+					query.Param{Key: "osversion", Attr: query.StrAttr("5.8")},
+					query.Param{Key: "owner", Attr: query.StrAttr(owner)},
+					query.Param{Key: "swap", Attr: query.NumAttr(2 * mem)},
+				),
 			},
 		}
 		if err := fn(m); err != nil {

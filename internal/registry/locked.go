@@ -78,6 +78,14 @@ func (db *Locked) Get(name string) (*Machine, error) {
 // View is Get: the oracle shares nothing, which the contract allows.
 func (db *Locked) View(name string) (*Machine, error) { return db.Get(name) }
 
+// Has reports whether a record for name exists.
+func (db *Locked) Has(name string) bool {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	_, ok := db.machines[name]
+	return ok
+}
+
 // Len returns the number of registered machines.
 func (db *Locked) Len() int {
 	db.mu.RLock()
@@ -154,7 +162,7 @@ func (db *Locked) SetParam(name, key string, attr query.Attr) error {
 	if !ok {
 		return fmt.Errorf("registry: machine %q not registered", name)
 	}
-	m.Policy.Params = withParam(m.Policy.Params, key, attr)
+	m.Policy.Params = m.Policy.Params.With(key, attr)
 	db.emit(Event{Kind: EventParamSet, Name: name})
 	return nil
 }

@@ -6,7 +6,6 @@ package registry
 
 import (
 	"fmt"
-	"maps"
 	"time"
 
 	"actyp/internal/query"
@@ -87,11 +86,11 @@ type Access struct {
 
 // Policy mirrors fields 16–20: who may use the machine and for what.
 type Policy struct {
-	UserGroups    []string      `json:"userGroups"`    // field 16: allowed user groups
-	ToolGroups    []string      `json:"toolGroups"`    // field 17: runnable tool groups
-	ShadowPoolRef string        `json:"shadowPoolRef"` // field 18: shadow account pool pointer
-	UsagePolicy   string        `json:"usagePolicy"`   // field 19: usage policy metaprogram ref
-	Params        query.AttrSet `json:"params"`        // field 20: admin-defined key-value pairs
+	UserGroups    []string     `json:"userGroups"`    // field 16: allowed user groups
+	ToolGroups    []string     `json:"toolGroups"`    // field 17: runnable tool groups
+	ShadowPoolRef string       `json:"shadowPoolRef"` // field 18: shadow account pool pointer
+	UsagePolicy   string       `json:"usagePolicy"`   // field 19: usage policy metaprogram ref
+	Params        query.Params `json:"params"`        // field 20: admin-defined key-value pairs
 }
 
 // Machine is one white-pages record: the twenty fields of Figure 3 plus the
@@ -119,20 +118,11 @@ func (m *Machine) Clone() *Machine {
 }
 
 // view returns a copy of the record's struct alone: the header is the
-// caller's, everything behind the cold part's strings, slices and map is
-// still m's (see Backend.View for who may hold one).
+// caller's, everything behind the cold part's strings and slices is still
+// m's (see Backend.View for who may hold one).
 func (m *Machine) view() *Machine {
 	v := *m
 	return &v
-}
-
-// withParam returns params with key set to attr, as a new map: a stored
-// record's Params is never written in place, because views share it.
-func withParam(params query.AttrSet, key string, attr query.Attr) query.AttrSet {
-	out := make(query.AttrSet, len(params)+1)
-	maps.Copy(out, params)
-	out[key] = attr
-	return out
 }
 
 // builtinAttr derives one attribute from record fields. Exactly one of
@@ -186,10 +176,7 @@ var builtinAttrs = map[string]builtinAttr{
 // derived from the other fields (name, speed, cpus, load, memory, swap,
 // usergroup, toolgroup).
 func (m *Machine) Attrs() query.AttrSet {
-	out := m.Policy.Params.Clone()
-	if out == nil {
-		out = make(query.AttrSet)
-	}
+	out := m.Policy.Params.AttrSet()
 	for name, b := range builtinAttrs {
 		if attr, ok := b.value(m); ok {
 			out[name] = attr
@@ -207,8 +194,7 @@ func (m *Machine) attrNamed(name string) (query.Attr, bool) {
 			return attr, true
 		}
 	}
-	attr, ok := m.Policy.Params[name]
-	return attr, ok
+	return m.Policy.Params.Get(name)
 }
 
 // matchConds is the per-record hot path of Page, Select and Take:
@@ -284,6 +270,9 @@ func (m *Machine) Validate() error {
 	}
 	if m.Access.MountMgrPort < 0 || m.Access.MountMgrPort > 65535 {
 		return fmt.Errorf("registry: machine %s: bad mount manager port %d", m.Static.Name, m.Access.MountMgrPort)
+	}
+	if err := m.Policy.Params.Check(); err != nil {
+		return fmt.Errorf("registry: machine %s: %w", m.Static.Name, err)
 	}
 	return nil
 }

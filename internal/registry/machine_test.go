@@ -1,6 +1,7 @@
 package registry
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -23,13 +24,19 @@ func testMachine(name string) *Machine {
 		Policy: Policy{
 			UserGroups: []string{"ece"}, ToolGroups: []string{"tsuprem4"},
 			ShadowPoolRef: "/punch/shadow/" + name,
-			Params: query.AttrSet{
-				"arch":   query.StrAttr("sun"),
-				"memory": query.NumAttr(256),
-				"domain": query.StrAttr("purdue"),
-			},
+			Params: query.NewParams(
+				query.Param{Key: "arch", Attr: query.StrAttr("sun")},
+				query.Param{Key: "memory", Attr: query.NumAttr(256)},
+				query.Param{Key: "domain", Attr: query.StrAttr("purdue")},
+			),
 		},
 	}
+}
+
+// param reads one of m's admin parameters, the zero attribute if absent.
+func param(m *Machine, key string) query.Attr {
+	a, _ := m.Policy.Params.Get(key)
+	return a
 }
 
 func TestStateStringParse(t *testing.T) {
@@ -51,12 +58,12 @@ func TestMachineCloneIsDeep(t *testing.T) {
 	m := testMachine("a")
 	c := m.Clone()
 	c.Policy.UserGroups[0] = "mutated"
-	c.Policy.Params["arch"] = query.StrAttr("hp")
+	c.Policy.Params[0].Attr = query.StrAttr("hp") // arch, written in place
 	c.Static.Name = "b"
 	if m.Policy.UserGroups[0] != "ece" {
 		t.Error("Clone shares UserGroups")
 	}
-	if m.Policy.Params["arch"].Str != "sun" {
+	if param(m, "arch").Str != "sun" {
 		t.Error("Clone shares Params")
 	}
 	if m.Static.Name != "a" {
@@ -86,7 +93,7 @@ func TestMachineAttrs(t *testing.T) {
 	}
 	// Attrs must be a copy: mutating it must not touch the record.
 	attrs["arch"] = query.StrAttr("hp")
-	if m.Policy.Params["arch"].Str != "sun" {
+	if param(m, "arch").Str != "sun" {
 		t.Error("Attrs aliases Params")
 	}
 }
@@ -134,6 +141,9 @@ func TestMachineValidate(t *testing.T) {
 		func(m *Machine) { m.Static.MaxLoad = 0 },
 		func(m *Machine) { m.Access.ExecUnitPort = -1 },
 		func(m *Machine) { m.Access.MountMgrPort = 70000 },
+		// Parameters out of order: a literal, and a key written in place.
+		func(m *Machine) { m.Policy.Params = query.Params{{Key: "memory"}, {Key: "arch"}} },
+		func(m *Machine) { m.Policy.Params[0].Key = "zzz" },
 	}
 	for i, mut := range cases {
 		m := testMachine("a")
@@ -141,6 +151,44 @@ func TestMachineValidate(t *testing.T) {
 		if err := m.Validate(); err == nil {
 			t.Errorf("case %d: invalid machine accepted", i)
 		}
+		if err := NewDB().Add(m); err == nil {
+			t.Errorf("case %d: invalid machine added", i)
+		}
+	}
+}
+
+// TestRecordBytes bars the live heap one record holds as the store keeps
+// it after Add, which stores a Clone: the struct, its strings and slices,
+// and its admin parameters. With the parameters in a map (nine entries
+// take sixteen slots of 72 bytes) a generated record held 1939 bytes
+// (go1.24, linux/amd64); one sorted slice of them brings it to 1285-1295.
+// The bar is 1400. What keeps it above 1.2 KB: the nine 72-byte entries
+// fill 648 bytes of a 704-byte size class, and the slice header moves the
+// record struct from the 288-byte class to the 320-byte one.
+func TestRecordBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes heap sizes")
+	}
+	const n = 10000
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	ms, err := DefaultFleetSpec(n).Build(time.Unix(0, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := make([]*Machine, n)
+	for i, m := range ms {
+		held[i] = m.Clone()
+	}
+	ms = nil
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	perRecord := float64(after.HeapAlloc-before.HeapAlloc) / n
+	runtime.KeepAlive(held)
+	t.Logf("%.0f bytes of live heap per stored record", perRecord)
+	if perRecord > 1400 {
+		t.Errorf("%.0f bytes of live heap per stored record, want at most 1400", perRecord)
 	}
 }
 
@@ -158,7 +206,7 @@ func TestFleetSpecBuild(t *testing.T) {
 		if err := m.Validate(); err != nil {
 			t.Fatalf("generated machine invalid: %v", err)
 		}
-		archs[m.Policy.Params["arch"].Str]++
+		archs[param(m, "arch").Str]++
 		if !m.Usable() {
 			t.Fatalf("generated machine %s not usable", m.Static.Name)
 		}
@@ -207,7 +255,7 @@ func TestHomogeneousFleet(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, m := range machines {
-		if m.Policy.Params["arch"].Str != "sun" || m.Policy.Params["domain"].Str != "purdue" {
+		if param(m, "arch").Str != "sun" || param(m, "domain").Str != "purdue" {
 			t.Fatalf("machine %s not homogeneous", m.Static.Name)
 		}
 	}

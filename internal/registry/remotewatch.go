@@ -36,7 +36,7 @@ import (
 // batch of events or a resync marker (never both; a marker means the
 // remote dropped events and the replica must re-baseline). The events'
 // Machine records are read-only: decoded from one binary batch they may
-// share their slices and maps (see DecodeEventBatch), so Clone one before
+// share their slices (see DecodeEventBatch), so Clone one before
 // writing to it.
 type WatchBatch struct {
 	Resync bool

@@ -164,7 +164,7 @@ func (sh *shard) insert(indexed map[string]bool, m *Machine) {
 	if m.TakenBy == "" {
 		sh.free = insertSorted(sh.free, name)
 	}
-	for k, v := range m.Policy.Params {
+	for k, v := range m.Policy.Params.All() {
 		if indexed[k] {
 			sh.idx.add(k, v, name)
 		}
@@ -184,7 +184,7 @@ func (s *Sharded) Remove(name string) error {
 	i := sh.after(name) - 1
 	sh.all = slices.Delete(sh.all, i, i+1)
 	sh.free = removeSorted(sh.free, name)
-	for k, v := range m.Policy.Params {
+	for k, v := range m.Policy.Params.All() {
 		if s.indexed[k] {
 			sh.idx.remove(k, v, name)
 		}
@@ -207,7 +207,7 @@ func (s *Sharded) Get(name string) (*Machine, error) {
 
 // View returns the record's header by value and the store's own cold part
 // behind it. Every writer below replaces what a view may share (SetParam
-// swaps the Params map) and writes in place only what the copy took by
+// swaps the Params slice) and writes in place only what the copy took by
 // value, which is what lets a pool hold its members without a second deep
 // copy of the fleet.
 func (s *Sharded) View(name string) (*Machine, error) {
@@ -219,6 +219,15 @@ func (s *Sharded) View(name string) (*Machine, error) {
 		return nil, fmt.Errorf("registry: machine %q not registered", name)
 	}
 	return m.view(), nil
+}
+
+// Has reports whether a record for name exists.
+func (s *Sharded) Has(name string) bool {
+	sh := s.shardFor(name)
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	_, ok := sh.machines[name]
+	return ok
 }
 
 // Len returns the number of registered machines.
@@ -309,7 +318,7 @@ func (s *Sharded) UpdateDynamicBatch(updates []DynamicUpdate) int {
 
 // SetParam sets one administrator-defined parameter (field 20), keeping
 // the inverted index in step when the key is indexed. The record gets a
-// new Params map: views may hold the old one.
+// new Params slice: views may hold the old one.
 func (s *Sharded) SetParam(name, key string, attr query.Attr) error {
 	sh := s.shardFor(name)
 	sh.mu.Lock()
@@ -319,12 +328,12 @@ func (s *Sharded) SetParam(name, key string, attr query.Attr) error {
 		return fmt.Errorf("registry: machine %q not registered", name)
 	}
 	if s.indexed[key] {
-		if old, had := m.Policy.Params[key]; had {
+		if old, had := m.Policy.Params.Get(key); had {
 			sh.idx.remove(key, old, name)
 		}
 		sh.idx.add(key, attr, name)
 	}
-	m.Policy.Params = withParam(m.Policy.Params, key, attr)
+	m.Policy.Params = m.Policy.Params.With(key, attr)
 	s.emit(Event{Kind: EventParamSet, Name: name})
 	return nil
 }
@@ -696,7 +705,7 @@ func (s *Sharded) checkInvariants() error {
 				if free != (m.TakenBy == "") {
 					return fmt.Errorf("shard %d: machine %q: free-list=%v but TakenBy=%q", i, name, free, m.TakenBy)
 				}
-				for k, v := range m.Policy.Params {
+				for k, v := range m.Policy.Params.All() {
 					if !s.indexed[k] {
 						continue
 					}
@@ -736,7 +745,7 @@ func (s *Sharded) checkInvariants() error {
 						if !ok {
 							return fmt.Errorf("shard %d: index %q term %+v holds unknown machine %q", i, k, t, name)
 						}
-						v, has := m.Policy.Params[k]
+						v, has := m.Policy.Params.Get(k)
 						if !has {
 							return fmt.Errorf("shard %d: index %q term %+v holds machine %q without that param", i, k, t, name)
 						}

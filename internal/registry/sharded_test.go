@@ -23,9 +23,9 @@ func TestAttrNamedMatchesAttrs(t *testing.T) {
 		m := diffMachine(rng, fmt.Sprintf("m%03d", trial))
 		switch trial % 4 {
 		case 0:
-			m.Policy.Params["speed"] = query.StrAttr("shadowed") // built-in must win
+			m.Policy.Params = m.Policy.Params.With("speed", query.StrAttr("shadowed")) // built-in must win
 		case 1:
-			m.Policy.Params["usergroup"] = query.StrAttr("paramgroup")
+			m.Policy.Params = m.Policy.Params.With("usergroup", query.StrAttr("paramgroup"))
 			m.Policy.UserGroups = nil // param must show through
 		case 2:
 			m.Policy.ToolGroups = []string{"spice", "matlab"}

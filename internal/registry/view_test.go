@@ -1,6 +1,7 @@
 package registry
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -22,13 +23,14 @@ func scribble(m *Machine) {
 		m.Policy.ToolGroups[i] = "scribbled"
 	}
 	m.Policy.UsagePolicy = "scribbled"
-	for k, v := range m.Policy.Params {
-		for i := range v.List {
-			v.List[i] = "scribbled"
+	for i := range m.Policy.Params {
+		p := &m.Policy.Params[i]
+		for j := range p.Attr.List {
+			p.Attr.List[j] = "scribbled"
 		}
-		m.Policy.Params[k] = query.StrAttr("scribbled")
+		p.Attr = query.StrAttr("scribbled")
 	}
-	m.Policy.Params["scribbled"] = query.NumAttr(1)
+	m.Policy.Params = m.Policy.Params.With("scribbled", query.NumAttr(1))
 }
 
 // TestViewSharingContract is the two halves of the sharing rule. The
@@ -55,7 +57,7 @@ func TestViewSharingContract(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pristine[3].Policy.Params["tags"] = query.ListAttr("a", "b")
+			pristine[3].Policy.Params = pristine[3].Policy.Params.With("tags", query.ListAttr("a", "b"))
 			views := make([]*Machine, len(pristine))
 			for i, want := range pristine {
 				if views[i], err = db.View(want.Static.Name); err != nil {
@@ -126,15 +128,15 @@ func TestViewSharingContract(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got := stored.Policy.Params[set.key]; !attrEqual(got, set.attr) {
+				if got, _ := stored.Policy.Params.Get(set.key); !attrEqual(got, set.attr) {
 					t.Errorf("SetParam(%q): the store holds %+v, want %+v", set.key, got, set.attr)
 				}
 				// Exactly that key: put the old value back (or take the new
 				// key out) and nothing else differs.
-				if old, had := before.Policy.Params[set.key]; had {
-					stored.Policy.Params[set.key] = old
+				if old, had := before.Policy.Params.Get(set.key); had {
+					stored.Policy.Params = stored.Policy.Params.With(set.key, old)
 				} else {
-					delete(stored.Policy.Params, set.key)
+					stored.Policy.Params = slices.DeleteFunc(stored.Policy.Params, func(p query.Param) bool { return p.Key == set.key })
 				}
 				if !machineEqual(stored, asRead) {
 					t.Errorf("SetParam(%q) changed more than its key:\n%+v, was\n%+v", set.key, stored, asRead)

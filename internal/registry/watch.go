@@ -22,10 +22,10 @@ import (
 // re-read (pool.Refresh), after which the stream is consistent again. A
 // coalesced event moves behind a later pending removal of its machine, so
 // a consumer that re-reads the record on an add never sees the add ahead
-// of a removal that came before it. Every other reordering is harmless:
-// the kinds but EventRemoved carry only Dynamic or are re-read when
-// resolved, and a removal coalesced ahead of a later add resolves that add
-// against the store, which no longer holds the record.
+// of a removal that came before it, and a second removal moves behind
+// everything pending, so no add or dynamic update that preceded it is
+// applied after it. Every other reordering is harmless: the kinds but
+// EventRemoved carry only Dynamic or are re-read when resolved.
 
 // EventKind enumerates the typed registry mutations a Watch observes.
 type EventKind uint8
@@ -127,14 +127,14 @@ func (s *Subscription) publish(ev Event) {
 	k := subKey{ev.Kind, ev.Name}
 	i, pending := s.idx[k]
 	switch {
-	case pending && !s.removedAfterLocked(ev, i):
+	case pending && s.inPlaceLocked(ev, i):
 		s.buf[i] = ev // newer payload replaces the pending one
 	case !pending && len(s.idx) >= s.cap:
 		s.forceResyncLocked()
 	default:
 		if pending {
-			// A removal of this machine is pending after the slot: the
-			// newer payload moves behind it.
+			// The slot may not take the newer event: it moves behind
+			// everything pending.
 			s.buf[i].Kind = 0
 			s.dead++
 		}
@@ -148,14 +148,17 @@ func (s *Subscription) publish(ev Event) {
 	s.signal()
 }
 
-// removedAfterLocked reports whether ev, coalescing into slot i, would sit
-// ahead of a removal of its machine pending in a later slot.
-func (s *Subscription) removedAfterLocked(ev Event, i int) bool {
+// inPlaceLocked reports whether ev may take over its pending slot i rather
+// than move behind everything pending. A removal always moves: what of its
+// machine is pending after slot i (an add, a dynamic update carrying its
+// own payload) came before it and must not be applied after it. Any other
+// kind moves only past a removal of its machine pending after slot i.
+func (s *Subscription) inPlaceLocked(ev Event, i int) bool {
 	if ev.Kind == EventRemoved {
 		return false
 	}
 	j, ok := s.idx[subKey{EventRemoved, ev.Name}]
-	return ok && j > i
+	return !ok || j < i
 }
 
 // compactLocked drops the vacated slots and re-indexes the rest, which

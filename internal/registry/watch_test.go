@@ -170,6 +170,56 @@ func TestWatchCoalescingKeepsMachineOrder(t *testing.T) {
 	}
 }
 
+// TestWatchSecondRemovalMovesBehind: a machine removed, re-added, updated
+// by the monitor, and removed and re-added again. The second removal must
+// not coalesce into the first's slot, ahead of the update: a consumer then
+// applied the update, which carries its own payload, to the record re-added
+// last, and the journal's replay held a load the registry no longer did.
+func TestWatchSecondRemovalMovesBehind(t *testing.T) {
+	for kind, mk := range watchBackends() {
+		t.Run(kind, func(t *testing.T) {
+			b := mk()
+			watchFleet(t, b, 1)
+			m, err := b.Get("w0000")
+			if err != nil {
+				t.Fatal(err)
+			}
+			replica := NewLocked()
+			if err := replica.Add(m); err != nil {
+				t.Fatal(err)
+			}
+			sub := b.Watch(8)
+			defer sub.Close()
+			for i, step := range []func() error{
+				func() error { return b.Remove("w0000") },
+				func() error { return b.Add(m) },
+				func() error { return b.UpdateDynamic("w0000", Dynamic{Load: 48}) },
+				func() error { return b.Remove("w0000") },
+				func() error { return b.Add(m) },
+			} {
+				if err := step(); err != nil {
+					t.Fatalf("step %d: %v", i, err)
+				}
+			}
+			events, resync := sub.Poll()
+			if resync {
+				t.Fatal("unexpected resync")
+			}
+			var got []string
+			for _, ev := range events {
+				got = append(got, ev.Kind.String())
+			}
+			if want := []string{"dynamic-updated", "removed", "added"}; !slices.Equal(got, want) {
+				t.Fatalf("pending events of w0000 %q, want %q", got, want)
+			}
+			ApplyWireEvents(replica, ResolveEvents(b, events, nil))
+			if r, _ := replica.Get("w0000"); r == nil || r.Dynamic.Load != m.Dynamic.Load {
+				t.Errorf("the replica holds %+v, the registry %+v", r, m)
+			}
+		})
+	}
+}
+
 // TestWatchOverflowResync proves the bounded ring degrades to the resync
 // marker instead of blocking writers: with nobody draining, a flood of
 // distinct-machine updates completes promptly and the next Poll reports a

@@ -213,7 +213,8 @@ func MachineDomain(m *registry.Machine) string {
 	if m == nil {
 		return ""
 	}
-	return m.Policy.Params["domain"].Str
+	domain, _ := m.Policy.Params.Get("domain")
+	return domain.Str
 }
 
 // Filter renders the basic-query filter text selecting one domain — the

@@ -360,3 +360,51 @@ func TestCorruptCompressedFrameFailsOneMessage(t *testing.T) {
 		t.Error("post-corruption echo corrupted")
 	}
 }
+
+// FuzzInflate feeds arbitrary bytes to the inflate path, the payload
+// region after the 0x03 tag. It must never panic or inflate past MaxFrame,
+// and whatever it accepts holds exactly the bytes it claimed, which deflate
+// and inflate again to themselves.
+func FuzzInflate(f *testing.F) {
+	region := func(tb testing.TB, rawLen uint64, raw []byte) []byte {
+		stream, err := deflate(nil, raw)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return append(binary.AppendUvarint([]byte{algoFlate}, rawLen), stream...)
+	}
+	inner := append([]byte{binPayloadJSON}, `{"token":"x"}`...)
+	big := []byte(bigToken(4096))
+	for _, seed := range [][]byte{
+		region(f, uint64(len(big)), big),
+		region(f, uint64(len(inner)), inner),
+		region(f, 3, inner),      // the stream holds more than it claims
+		region(f, 100000, inner), // and less
+		region(f, MaxFrame+1, inner),
+		region(f, 0, inner),
+		{0x7f, 0x01, 0x00}, // unknown algo
+		{algoFlate},
+	} {
+		f.Add(seed)
+		for cut := 1; cut < len(seed); cut += 1 + len(seed)/8 {
+			f.Add(seed[:cut])
+		}
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		out, err := inflatePayload(b)
+		if err != nil {
+			return
+		}
+		claimed, _ := binary.Uvarint(b[1:])
+		if uint64(len(out)) != claimed || len(out) > MaxFrame {
+			t.Fatalf("inflated %d bytes, claimed %d (cap %d)", len(out), claimed, MaxFrame)
+		}
+		again, err := inflatePayload(region(t, uint64(len(out)), out))
+		if err != nil {
+			t.Fatalf("re-deflated payload does not inflate: %v", err)
+		}
+		if !bytes.Equal(again, out) {
+			t.Fatal("re-deflated payload inflates to other bytes")
+		}
+	})
+}

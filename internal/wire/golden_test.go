@@ -43,12 +43,12 @@ func goldenMachines(n int) []*registry.Machine {
 			Policy: registry.Policy{
 				ToolGroups:    []string{"tsuprem4"},
 				ShadowPoolRef: fmt.Sprintf("/punch/shadow/m%04d", i),
-				Params: query.AttrSet{
-					"arch":   query.StrAttr(arch),
-					"memory": query.NumAttr(512),
-					"domain": query.StrAttr("purdue"),
-					"cms":    query.ListAttr("sge", "pbs"),
-				},
+				Params: query.NewParams(
+					query.Param{Key: "arch", Attr: query.StrAttr(arch)},
+					query.Param{Key: "memory", Attr: query.NumAttr(512)},
+					query.Param{Key: "domain", Attr: query.StrAttr("purdue")},
+					query.Param{Key: "cms", Attr: query.ListAttr("sge", "pbs")},
+				),
 			},
 		}
 	}
