@@ -809,7 +809,7 @@ func newSweepRig(tb testing.TB, machines int) *sweepRig {
 	if err := registry.DefaultFleetSpec(machines).Populate(db, time.Now()); err != nil {
 		tb.Fatal(err)
 	}
-	events := pool.NewDispatcher(db, max(registry.DefaultWatchBuffer, 2*machines))
+	events := pool.NewDispatcher(db, 0)
 	factory := &poolmgr.LocalFactory{DB: db, Events: events}
 	tb.Cleanup(func() {
 		factory.CloseAll()

@@ -129,7 +129,7 @@ func watchCmd(client *core.Client, args []string) error {
 	fs := flag.NewFlagSet("watch", flag.ExitOnError)
 	domains := fs.String("domains", "", "comma-separated domains to watch (empty watches everything)")
 	filter := fs.String("filter", "", "raw basic-query filter (mutually exclusive with -domains)")
-	ring := fs.Int("ring", 0, "server-side coalescing ring size (0 uses the server default)")
+	ring := fs.Int("ring", 0, "server-side event ring size (0 or above the server default uses the default)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -154,7 +154,7 @@ func watchCmd(client *core.Client, args []string) error {
 			return err
 		}
 		if batch.Resync {
-			fmt.Println("-- resync: events were coalesced away; re-fetch for fidelity --")
+			fmt.Println("-- resync: the server's event ring overflowed and dropped events; re-fetch for fidelity --")
 		}
 		for _, ev := range batch.Events {
 			domain := ""

@@ -66,12 +66,6 @@ type Options struct {
 	// Refresh of every pool — the pre-event behaviour, retained as a knob
 	// and fallback.
 	RefreshMode string
-	// WatchBuffer sizes the events-mode subscription ring. Zero picks a
-	// fleet-scaled default (coalescing bounds the backlog to one slot per
-	// machine and kind, so a fleet-sized ring never overflows under
-	// steady monitor sweeps); an overflowing ring degrades to one full
-	// resync, never to blocked registry writers.
-	WatchBuffer int
 	// RefreshInterval, when positive, periodically folds the monitor's
 	// database updates into every live pool cache (the pools' scheduling
 	// processes re-reading machine state). In poll mode it defaults to
@@ -249,14 +243,7 @@ func New(opts Options) (*Service, error) {
 		}
 	}()
 	if opts.RefreshMode == RefreshEvents {
-		buffer := opts.WatchBuffer
-		if buffer <= 0 {
-			// Fleet-scaled: coalescing bounds the backlog to one slot per
-			// machine and kind, so twice the fleet absorbs a sweep plus a
-			// state-flap burst without tripping the resync fallback.
-			buffer = max(registry.DefaultWatchBuffer, 2*opts.DB.Len())
-		}
-		s.events = pool.NewDispatcher(opts.DB, buffer)
+		s.events = pool.NewDispatcher(opts.DB, 0)
 		s.events.Start()
 	}
 	s.factory = &poolmgr.LocalFactory{

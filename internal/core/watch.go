@@ -4,9 +4,13 @@ package core
 // remote consumer (a federated peer's pool layer, a fleet dashboard) keeps
 // a replica fresh with deltas instead of polling full snapshots. One
 // subscription rides a wire stream: the server parks a registry
-// Subscription behind it and forwards coalesced event batches as
-// watch-events frames; a resync marker (ring overflow, wholesale Load)
-// travels as its own frame and tells the consumer to re-baseline.
+// Subscription behind it and forwards each poll's events, in publish
+// order and without the load snapshots a later one of the same machine
+// supersedes, as watch-events frames; a resync marker (ring overflow,
+// wholesale Load) travels as its own frame and tells the consumer to
+// re-baseline.
+// The ring size the client asks for is capped by registry.DB.Watch, so a
+// stalled remote watcher buffers no more than the server's default.
 //
 // The client half implements registry.WatchTransport, which is everything
 // registry.RemoteWatch needs to maintain a replica: subscribe, and fetch
@@ -22,9 +26,9 @@ import (
 	"actyp/internal/wire"
 )
 
-// watchChunk caps events per watch-events frame so a large coalesced batch
-// (worst case: every machine in a big registry changed between polls)
-// never exceeds MaxFrame.
+// watchChunk caps events per watch-events frame so a large poll (a full
+// monitor sweep of a big registry, or up to a whole ring) never exceeds
+// MaxFrame.
 const watchChunk = 1024
 
 // serveWatch runs one watch subscription on a server connection. env is
@@ -59,6 +63,10 @@ func (svc *Service) serveWatch(env *wire.Envelope, st *wire.ServerStream) {
 	if err := send(&wire.WatchEvents{Ack: true}); err != nil {
 		return
 	}
+	// A poll that drains several monitor sweeps is folded to the newest
+	// snapshot of each machine before it is resolved, so what one poll
+	// costs to resolve and send is bounded by the fleet.
+	seen := make(map[string]struct{})
 	for {
 		select {
 		case <-st.Done():
@@ -72,7 +80,7 @@ func (svc *Service) serveWatch(env *wire.Envelope, st *wire.ServerStream) {
 			}
 			continue
 		}
-		wevs := registry.ResolveEvents(db, evs, conds)
+		wevs := registry.ResolveEvents(db, registry.FoldDynamic(evs, seen), conds)
 		for len(wevs) > 0 {
 			n := min(len(wevs), watchChunk)
 			if err := send(&wire.WatchEvents{Events: wire.EventSet{Events: wevs[:n]}}); err != nil {

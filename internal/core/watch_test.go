@@ -370,3 +370,55 @@ func TestWatchFedPoolMatchesRefresh(t *testing.T) {
 		}
 	}
 }
+
+// ringBackend records the ring size every Watch asks the engine for.
+type ringBackend struct {
+	registry.Backend
+	rings chan int
+}
+
+func (b *ringBackend) Watch(buffer int) *registry.Subscription {
+	b.rings <- buffer
+	return b.Backend.Watch(buffer)
+}
+
+// TestWatchRingClampedOverWire: the ring size of a wire watch comes from
+// the remote client, and a stalled watcher buffers up to that many events.
+// A request for 1<<30 must reach the engine as DB.Watch's limit,
+// max(DefaultWatchBuffer, 2×fleet), as the service's own subscription does.
+func TestWatchRingClampedOverWire(t *testing.T) {
+	rec := &ringBackend{Backend: registry.NewSharded(0), rings: make(chan int, 4)}
+	db := registry.NewDBWith(rec)
+	if err := registry.DefaultFleetSpec(16).Populate(db, time.Unix(0, 0)); err != nil {
+		t.Fatal(err)
+	}
+	limit := max(registry.DefaultWatchBuffer, 2*db.Len())
+	svc, err := New(Options{DB: db, RefreshMode: RefreshEvents})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	if got := <-rec.rings; got != limit {
+		t.Fatalf("the dispatcher's ring is %d, want %d", got, limit)
+	}
+	srv, err := Serve(svc, "127.0.0.1:0", netsim.Local())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c, err := Dial(srv.Addr(), netsim.Local())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	st, err := c.WatchSubscribe(ctx, "", 1<<30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if got := <-rec.rings; got != limit {
+		t.Fatalf("a wire watch asking for 1<<30 got a ring of %d, want %d", got, limit)
+	}
+}

@@ -371,7 +371,7 @@ func federationFreshPoint(cfg FederationConfig, size int, watch bool) (p50, p99,
 	pcfg := pool.Config{Name: query.Name(q), DB: replica, Exclusive: false, Engine: PoolEngine()}
 	var disp *pool.Dispatcher
 	if watch {
-		disp = pool.NewDispatcher(replica, 1<<16)
+		disp = pool.NewDispatcher(replica, 0)
 		disp.Start()
 		defer disp.Stop()
 		pcfg.Events = disp

@@ -50,10 +50,6 @@ type Config struct {
 	// SnapshotPage is the machines-per-page snapshot granularity.
 	// Default DefaultSnapshotPage.
 	SnapshotPage int
-	// WatchBuffer sizes the registry watch ring. Zero picks
-	// max(registry.DefaultWatchBuffer, 2×fleet) at Attach time, so steady
-	// monitor sweeps never overflow into a resync.
-	WatchBuffer int
 	// Stats receives journal counters (nil: not recorded).
 	Stats *metrics.JournalStats
 	// Logf receives operational log lines (nil: discarded).
@@ -176,16 +172,9 @@ func (j *Journal) Attach(db *registry.DB, source SnapshotSource, snapshotEvery t
 		j.mu.Unlock()
 		return fmt.Errorf("journal: already attached")
 	}
-	buffer := j.cfg.WatchBuffer
-	if buffer <= 0 {
-		buffer = 2 * db.Len()
-		if buffer < registry.DefaultWatchBuffer {
-			buffer = registry.DefaultWatchBuffer
-		}
-	}
 	j.db = db
 	j.source = source
-	j.sub = db.Watch(buffer)
+	j.sub = db.Watch(0)
 	j.attached = true
 	j.mu.Unlock()
 

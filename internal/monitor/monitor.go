@@ -134,9 +134,9 @@ func New(cfg Config) *Monitor {
 // policy can newly mark machines down. The samples are written through
 // UpdateDynamicBatch in one call, so a fleet-wide sweep costs the store
 // O(shards) lock acquisitions instead of one per machine — and the
-// registry change stream carries one coalesced event per machine either
-// way. The pass reads name, state and dynamic fields by value (Statuses);
-// no record is cloned, and the sampler runs outside the store's locks.
+// registry change stream carries one event per machine either way. The
+// pass reads name, state and dynamic fields by value (Statuses); no
+// record is cloned, and the sampler runs outside the store's locks.
 func (m *Monitor) Sweep() int {
 	now := m.cfg.Now()
 	var stale []string

@@ -33,10 +33,9 @@ type Dispatcher struct {
 }
 
 // NewDispatcher subscribes to db's change stream with a ring of the given
-// capacity (<= 0 selects registry.DefaultWatchBuffer; coalescing bounds
-// the backlog to one slot per machine and kind, so a fleet-sized ring
-// never overflows under steady monitor sweeps). Call Start to begin
-// draining and Stop to detach.
+// capacity; 0 takes DB.Watch's default, which holds two full monitor
+// sweeps. Tests pass tiny rings to force the resync fallback. Call Start
+// to begin draining and Stop to detach.
 func NewDispatcher(db *registry.DB, buffer int) *Dispatcher {
 	return &Dispatcher{
 		sub:   db.Watch(buffer),

@@ -3,6 +3,7 @@ package pool
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -51,8 +52,9 @@ type indexedAlloc struct {
 	leaseMu sync.Mutex
 	leases  map[string]*ientry
 
-	applyMu sync.Mutex // serializes Apply, which owns mine; taken before rw
+	applyMu sync.Mutex // serializes Apply, which owns mine, batch and ientry.batch; taken before rw
 	mine    []int32    // positions of this pool's members in the batch being applied
+	batch   uint64     // stamp of the batch being applied
 
 	claiming atomic.Int64  // claims mid-flight (may hold entries out of the heaps)
 	claimGen atomic.Uint64 // completed claim attempts, for miss revalidation
@@ -77,6 +79,7 @@ type ientry struct {
 	lease   string
 	expires time.Time
 	grp     *igroup
+	batch   uint64 // the last batch whose newest dynamic update of this machine Apply kept
 }
 
 // igroup is one eligibility bucket.
@@ -484,6 +487,11 @@ const applyChunk = 256
 // kind re-reads the record through get and re-buckets the entry only when
 // its gate key actually changed. Events for machines outside the cache are
 // ignored, and a failing get keeps the last view, exactly as Refresh does.
+//
+// Of a machine's DynamicUpdated events in one batch only the newest is
+// folded: refreshCandidate keeps the larger of the record's and the
+// candidate's job count, so folding a superseded snapshot would leave a
+// charge that Refresh, which reads only the newest record, never makes.
 func (x *indexedAlloc) Apply(events []registry.Event, get func(name string) (*registry.Machine, error)) {
 	x.applyMu.Lock()
 	defer x.applyMu.Unlock()
@@ -492,13 +500,24 @@ func (x *indexedAlloc) Apply(events []registry.Event, get func(name string) (*re
 	// exclusive-lock time for its own changes, not for every sweep event
 	// the dispatcher fans out. The shared batch is never mutated (other
 	// pools receive the same slice); what is kept is positions in it, in a
-	// buffer recycled across batches.
+	// buffer recycled across batches. The pass runs newest first so the
+	// entry's batch stamp marks a dynamic update already kept.
+	x.batch++
 	mine := x.mine[:0]
-	for i := range events {
-		if _, ok := x.byName[events[i].Name]; ok {
-			mine = append(mine, int32(i))
+	for i := len(events) - 1; i >= 0; i-- {
+		e, ok := x.byName[events[i].Name]
+		if !ok {
+			continue
 		}
+		if events[i].Kind == registry.EventDynamicUpdated {
+			if e.batch == x.batch {
+				continue // a newer snapshot of this machine is kept
+			}
+			e.batch = x.batch
+		}
+		mine = append(mine, int32(i))
 	}
+	slices.Reverse(mine)
 	x.mine = mine
 	for len(mine) > 0 {
 		n := min(applyChunk, len(mine))

@@ -97,9 +97,11 @@ type Backend interface {
 	// from r.
 	Load(r io.Reader) error
 	// Watch subscribes to the change stream: every mutation the backend
-	// commits is published as a typed Event through a bounded, coalescing
-	// per-subscriber ring that degrades to a resync marker on overflow
-	// instead of ever blocking a writer. See watch.go for the contract.
+	// commits is published as a typed Event through a bounded
+	// per-subscriber FIFO of buffer events (a positive size) that degrades
+	// to a resync marker on overflow instead of ever blocking a writer.
+	// See watch.go for the contract, and DB.Watch for the size a database
+	// hands out.
 	Watch(buffer int) *Subscription
 }
 

@@ -28,6 +28,22 @@ func NewDBWith(b Backend) *DB {
 	return &DB{Backend: b}
 }
 
+// Watch subscribes to the change stream with a FIFO of at most
+// max(DefaultWatchBuffer, 2×Len()) events. Twice the fleet holds a full
+// monitor sweep plus a state-flap burst, and a FIFO full of sweeps folds
+// to one snapshot per machine, at most half of it, so a consumer that
+// falls behind the monitor is not forced to resync. A buffer at or below
+// zero, or above that limit, gets the limit, so a size that arrives from
+// a remote client cannot make a stalled watcher's backlog grow without
+// bound. Backend.Watch takes its size as given.
+func (db *DB) Watch(buffer int) *Subscription {
+	limit := max(DefaultWatchBuffer, 2*db.Len())
+	if buffer <= 0 || buffer > limit {
+		buffer = limit
+	}
+	return db.Backend.Watch(buffer)
+}
+
 // EachPage reads the match set of conds past c.After in name order, c.Limit
 // records at a time (copies, or views under c.Shared), resuming each page
 // by the last name of the one before: a record present for the whole pass

@@ -13,7 +13,7 @@ package registry
 //
 // Degradation ladder, in order:
 //
-//  1. watch stream — coalesced event batches applied incrementally.
+//  1. watch stream — event batches applied incrementally, in order.
 //  2. resync — on a resync marker (remote ring overflow or wholesale
 //     Load), stream overflow, or reconnect, the replica re-baselines from
 //     a full snapshot fetch and the stream resumes.
@@ -56,8 +56,8 @@ type WatchStream interface {
 // WatchTransport is the wire-agnostic face RemoteWatch drives.
 type WatchTransport interface {
 	// WatchSubscribe opens a stream of changes to records matching filter
-	// ("" = all), with a server-side coalescing ring of the given size
-	// (<=0 = server default).
+	// ("" = all), with a server-side event FIFO of the given size (<=0 =
+	// server default, which is also the most a server grants).
 	WatchSubscribe(ctx context.Context, filter string, ring int) (WatchStream, error)
 	// FetchSnapshot returns the current records matching filter — the
 	// resync baseline and poll mode's freshness unit.
@@ -79,8 +79,8 @@ type RemoteWatchConfig struct {
 	// Filter restricts the mirrored slice to records matching this basic
 	// query text ("" mirrors everything).
 	Filter string
-	// Ring sizes the remote subscription's coalescing ring (<=0 uses the
-	// server default).
+	// Ring sizes the remote subscription's event FIFO (<=0 uses the
+	// server default, which is also the most a server grants).
 	Ring int
 	// PollInterval paces poll mode and defaults to 2s.
 	PollInterval time.Duration

@@ -295,10 +295,16 @@ func (s *Sharded) UpdateDynamic(name string, d Dynamic) error {
 func (s *Sharded) UpdateDynamicBatch(updates []DynamicUpdate) int {
 	n := 0
 	var held *shard
+	// Events go out a run at a time, before the run's shard unlocks: one
+	// lock of each subscriber per run instead of one per event.
+	var run [64]Event
+	k := 0
 	for i := range updates {
 		u := &updates[i]
 		if sh := s.shardFor(u.Name); sh != held {
 			if held != nil {
+				s.emit(run[:k]...)
+				k = 0
 				held.mu.Unlock()
 			}
 			sh.mu.Lock()
@@ -306,11 +312,19 @@ func (s *Sharded) UpdateDynamicBatch(updates []DynamicUpdate) int {
 		}
 		if m, ok := held.machines[u.Name]; ok {
 			m.Dynamic = u.Dynamic
-			s.emit(Event{Kind: EventDynamicUpdated, Name: u.Name, Dynamic: u.Dynamic})
 			n++
+			if !s.active() {
+				continue
+			}
+			run[k] = Event{Kind: EventDynamicUpdated, Name: u.Name, Dynamic: u.Dynamic}
+			if k++; k == len(run) {
+				s.emit(run[:k]...)
+				k = 0
+			}
 		}
 	}
 	if held != nil {
+		s.emit(run[:k]...)
 		held.mu.Unlock()
 	}
 	return n

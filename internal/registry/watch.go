@@ -1,7 +1,6 @@
 package registry
 
 import (
-	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -13,19 +12,20 @@ import (
 // is what keeps freshness cheap at fleet scale (see DESIGN.md, "Change
 // propagation").
 //
-// Delivery is deliberately lossy-but-honest: each subscriber owns a
-// bounded ring that coalesces events per (kind, machine), and when even the
-// coalesced backlog outgrows the ring the subscription drops everything and
-// latches a single resync marker. Publishers therefore NEVER block on a
-// slow consumer — a wedged subscriber costs one flag, not a stalled monitor
-// sweep — and a consumer that sees the marker knows to fall back to a full
-// re-read (pool.Refresh), after which the stream is consistent again. A
-// coalesced event moves behind a later pending removal of its machine, so
-// a consumer that re-reads the record on an add never sees the add ahead
-// of a removal that came before it, and a second removal moves behind
-// everything pending, so no add or dynamic update that preceded it is
-// applied after it. Every other reordering is harmless: the kinds but
-// EventRemoved carry only Dynamic or are re-read when resolved.
+// Each subscriber owns a bounded FIFO. Events arrive in publish order,
+// which for any one machine is commit order: engines emit while holding
+// the mutated record's lock. Publishing is an append until the FIFO is
+// full. Then the dynamic updates that a later one of the same machine
+// supersedes are dropped (FoldDynamic), so a consumer that fell behind a
+// monitor sweeping faster than it drains holds one snapshot per machine
+// rather than one per sweep. If that does not free a quarter of the FIFO,
+// the subscription drops what it holds and latches the resync marker
+// instead, and a consumer that sees it falls back to a full re-read
+// (pool.Refresh), after which the stream is consistent again. Every event
+// is therefore delivered, superseded by a delivered later snapshot of its
+// machine, or covered by the marker. Publishers never block on a slow
+// consumer: a wedged subscriber costs one flag, not a stalled monitor
+// sweep.
 
 // EventKind enumerates the typed registry mutations a Watch observes.
 type EventKind uint8
@@ -69,9 +69,8 @@ type Event struct {
 	// Dynamic carries the fresh monitor snapshot for EventDynamicUpdated —
 	// the one high-rate kind — so consumers fold load changes without a
 	// database read (and without the deep clone a Get implies). For every
-	// other kind consumers re-read the record; coalescing may collapse
-	// several mutations into one event, and a re-read always lands on the
-	// newest state.
+	// other kind consumers re-read the record, which lands on its newest
+	// state.
 	Dynamic Dynamic
 }
 
@@ -82,17 +81,8 @@ type DynamicUpdate struct {
 	Dynamic Dynamic
 }
 
-// DefaultWatchBuffer is the subscription ring capacity used when Watch is
-// called with buffer <= 0. Coalescing bounds the backlog to one slot per
-// (kind, machine), so a ring at least as large as the fleet never
-// overflows under steady monitor sweeps.
+// DefaultWatchBuffer is the floor of DB.Watch's limit.
 const DefaultWatchBuffer = 1 << 16
-
-// subKey is the coalescing identity: one ring slot per kind and machine.
-type subKey struct {
-	kind EventKind
-	name string
-}
 
 // Subscription is one consumer's view of the change stream. It is written
 // by the backend's mutators (never blocking) and drained by a single
@@ -107,75 +97,60 @@ type Subscription struct {
 	mu     sync.Mutex
 	cap    int
 	buf    []Event
-	prev   []Event        // last Poll's array, recycled on the next Poll
-	idx    map[subKey]int // the pending slot of each (kind, machine)
-	dead   int            // slots in buf vacated by coalescing (Kind 0)
+	prev   []Event // last Poll's array, recycled on the next Poll
 	resync bool
 	closed bool
 }
 
-// publish appends one event, coalescing per (kind, machine) and degrading
-// to the resync marker on overflow. It never blocks beyond the
-// subscription's own mutex, which no consumer holds while doing work.
-func (s *Subscription) publish(ev Event) {
+// publish appends events in order, folding a full FIFO and degrading to
+// the resync marker when the fold leaves too little room. It never blocks
+// beyond the subscription's own mutex, which no consumer holds while doing
+// work.
+func (s *Subscription) publish(evs []Event) {
 	s.mu.Lock()
 	if s.closed || s.resync {
 		// A pending resync already supersedes every individual event.
 		s.mu.Unlock()
 		return
 	}
-	k := subKey{ev.Kind, ev.Name}
-	i, pending := s.idx[k]
-	switch {
-	case pending && s.inPlaceLocked(ev, i):
-		s.buf[i] = ev // newer payload replaces the pending one
-	case !pending && len(s.idx) >= s.cap:
-		s.forceResyncLocked()
-	default:
-		if pending {
-			// The slot may not take the newer event: it moves behind
-			// everything pending.
-			s.buf[i].Kind = 0
-			s.dead++
-		}
-		s.idx[k] = len(s.buf)
-		s.buf = append(s.buf, ev)
-		if s.dead > len(s.idx) {
-			s.compactLocked()
+	if len(s.buf)+len(evs) > s.cap {
+		// Full: keep only the newest snapshot of each machine. Unless that
+		// frees a quarter of the FIFO, what fills it is not sweeps the
+		// consumer fell behind but a burst it has to re-read anyway (and
+		// folding again at once would cost a pass per publish).
+		s.buf = FoldDynamic(s.buf, make(map[string]struct{}))
+		if len(s.buf)+len(evs) > s.cap-s.cap/4 {
+			s.forceResyncLocked()
+			s.mu.Unlock()
+			s.signal()
+			return
 		}
 	}
+	s.buf = append(s.buf, evs...)
 	s.mu.Unlock()
 	s.signal()
 }
 
-// inPlaceLocked reports whether ev may take over its pending slot i rather
-// than move behind everything pending. A removal always moves: what of its
-// machine is pending after slot i (an add, a dynamic update carrying its
-// own payload) came before it and must not be applied after it. Any other
-// kind moves only past a removal of its machine pending after slot i.
-func (s *Subscription) inPlaceLocked(ev Event, i int) bool {
-	if ev.Kind == EventRemoved {
-		return false
+// FoldDynamic drops every EventDynamicUpdated of evs that a later one of
+// the same machine supersedes and returns the rest, in order, in evs's
+// array; seen is scratch, cleared first. Nothing else moves, so a consumer
+// that applies the result in order ends on the state it would have reached
+// from all of evs: a machine's events are in commit order, and every kind
+// but EventDynamicUpdated is re-read when applied.
+func FoldDynamic(evs []Event, seen map[string]struct{}) []Event {
+	clear(seen)
+	keep := len(evs)
+	for i := len(evs) - 1; i >= 0; i-- {
+		if evs[i].Kind == EventDynamicUpdated {
+			if _, ok := seen[evs[i].Name]; ok {
+				continue
+			}
+			seen[evs[i].Name] = struct{}{}
+		}
+		keep--
+		evs[keep] = evs[i]
 	}
-	j, ok := s.idx[subKey{EventRemoved, ev.Name}]
-	return !ok || j < i
-}
-
-// compactLocked drops the vacated slots and re-indexes the rest, which
-// keeps buf within twice the pending events.
-func (s *Subscription) compactLocked() {
-	s.dropDeadLocked()
-	for i, ev := range s.buf {
-		s.idx[subKey{ev.Kind, ev.Name}] = i
-	}
-}
-
-// dropDeadLocked removes the vacated slots from buf, keeping order.
-func (s *Subscription) dropDeadLocked() {
-	if s.dead > 0 {
-		s.buf = slices.DeleteFunc(s.buf, func(ev Event) bool { return ev.Kind == 0 })
-		s.dead = 0
-	}
+	return append(evs[:0], evs[keep:]...)
 }
 
 // forceResync latches the resync marker, dropping any pending events: the
@@ -193,8 +168,6 @@ func (s *Subscription) forceResync() {
 func (s *Subscription) forceResyncLocked() {
 	s.resync = true
 	s.buf = s.buf[:0]
-	s.dead = 0
-	clear(s.idx)
 }
 
 func (s *Subscription) signal() {
@@ -216,22 +189,12 @@ func (s *Subscription) Ready() <-chan struct{} { return s.ready }
 func (s *Subscription) Poll() (events []Event, resync bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.dropDeadLocked()
 	events, resync = s.buf, s.resync
 	// Rotate buffers: the array handed out last time is free again (the
 	// single consumer finished with it before polling anew).
 	s.buf, s.prev = s.prev[:0], events
-	clear(s.idx)
 	s.resync = false
 	return events, resync
-}
-
-// Pending reports how many coalesced events wait, plus the resync flag
-// (observability and tests).
-func (s *Subscription) Pending() (int, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.idx), s.resync
 }
 
 // Close detaches the subscription from the backend. A blocked Ready
@@ -242,7 +205,7 @@ func (s *Subscription) Close() {
 	}
 	s.mu.Lock()
 	s.closed = true
-	s.buf, s.prev, s.idx = nil, nil, nil
+	s.buf, s.prev = nil, nil
 	s.resync = false
 	s.mu.Unlock()
 	s.signal()
@@ -258,19 +221,16 @@ type watchHub struct {
 	n    atomic.Int32
 }
 
-// Watch subscribes to the change stream with a ring of the given capacity
-// (buffer <= 0 selects DefaultWatchBuffer). Events observed strictly after
-// Watch returns are guaranteed to be delivered, coalesced, or covered by a
-// resync marker; there is no replay of earlier history.
+// Watch subscribes to the change stream with a FIFO of buffer events, a
+// positive size (DB.Watch picks and caps it). Events observed strictly
+// after Watch returns are guaranteed to be delivered, superseded by a
+// delivered later snapshot of their machine, or covered by a resync
+// marker; there is no replay of earlier history.
 func (h *watchHub) Watch(buffer int) *Subscription {
-	if buffer <= 0 {
-		buffer = DefaultWatchBuffer
-	}
 	s := &Subscription{
 		hub:   h,
 		ready: make(chan struct{}, 1),
 		cap:   buffer,
-		idx:   make(map[subKey]int),
 	}
 	h.mu.Lock()
 	h.subs = append(h.subs, s)
@@ -295,16 +255,17 @@ func (h *watchHub) remove(s *Subscription) {
 // event is worth constructing at all.
 func (h *watchHub) active() bool { return h.n.Load() > 0 }
 
-// emit publishes one event to every subscriber. Engines call it while
-// holding the mutated record's lock, so each machine's events are totally
-// ordered; subscription mutexes are leaves below every engine lock.
-func (h *watchHub) emit(ev Event) {
-	if !h.active() {
+// emit publishes events to every subscriber, in order. Engines call it
+// while holding the lock of every record the events name, so each
+// machine's events are totally ordered; subscription mutexes are leaves
+// below every engine lock.
+func (h *watchHub) emit(evs ...Event) {
+	if len(evs) == 0 || !h.active() {
 		return
 	}
 	h.mu.RLock()
 	for _, s := range h.subs {
-		s.publish(ev)
+		s.publish(evs)
 	}
 	h.mu.RUnlock()
 }

@@ -96,41 +96,97 @@ func TestWatchEmitsTypedEvents(t *testing.T) {
 	}
 }
 
-// TestWatchCoalesces asserts repeated updates of the same machine collapse
-// to one pending slot carrying the newest payload.
+// TestWatchCoalesces pins what a subscription keeps of one machine's
+// updates. While the FIFO holds them, 100 updates arrive as 100 events
+// carrying their payloads in publish order. A 4-slot FIFO folds to the
+// newest snapshot whenever it fills, so it polls the last updates, in
+// order. A 4-slot FIFO that the fold cannot free (5 machines) latches
+// resync.
 func TestWatchCoalesces(t *testing.T) {
 	for kind, mk := range watchBackends() {
 		t.Run(kind, func(t *testing.T) {
 			b := mk()
-			watchFleet(t, b, 1)
-			sub := b.Watch(4)
+			names := watchFleet(t, b, 5)
+			sub := b.Watch(128)
 			defer sub.Close()
-			var last Dynamic
+			small := b.Watch(4)
+			defer small.Close()
 			for i := 0; i < 100; i++ {
-				last = Dynamic{Load: float64(i) / 25}
-				if err := b.UpdateDynamic("w0000", last); err != nil {
+				if err := b.UpdateDynamic("w0000", Dynamic{Load: float64(i) / 25}); err != nil {
 					t.Fatal(err)
 				}
 			}
 			events, resync := sub.Poll()
 			if resync {
-				t.Fatal("coalescing must not overflow a ring on one machine")
+				t.Fatal("100 events must fit a 128-slot ring")
 			}
-			if len(events) != 1 {
-				t.Fatalf("got %d events, want 1 coalesced", len(events))
+			if len(events) != 100 {
+				t.Fatalf("got %d events, want 100", len(events))
 			}
-			if events[0].Dynamic != last {
-				t.Errorf("coalesced payload = %+v, want the newest %+v", events[0].Dynamic, last)
+			for i, ev := range events {
+				if want := (Dynamic{Load: float64(i) / 25}); ev.Kind != EventDynamicUpdated || ev.Dynamic != want {
+					t.Fatalf("event %d = %+v, want the update carrying %+v", i, ev, want)
+				}
+			}
+			events, resync = small.Poll()
+			if resync || len(events) == 0 || len(events) > 4 {
+				t.Fatalf("a 4-slot ring after 100 updates of one machine polled %d events, resync=%v; want the last few", len(events), resync)
+			}
+			first := 100 - len(events)
+			for i, ev := range events {
+				if want := (Dynamic{Load: float64(first+i) / 25}); ev.Dynamic != want {
+					t.Fatalf("4-slot ring event %d = %+v, want the update carrying %+v", i, ev, want)
+				}
+			}
+			for _, name := range names {
+				if err := b.UpdateDynamic(name, Dynamic{Load: 1}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if events, resync := small.Poll(); !resync || len(events) != 0 {
+				t.Fatalf("a 4-slot ring after updates of 5 machines polled %d events, resync=%v; want the resync marker", len(events), resync)
 			}
 		})
 	}
 }
 
-// TestWatchCoalescingKeepsMachineOrder: a re-add coalesced while a
-// removal of its machine is pending after it moves behind that removal.
-// Coalescing into the older slot put the re-add first, and a consumer that
-// re-reads on the add and then removes (the journal, a watch replica) lost
-// a record the registry holds.
+// watchOrderReplica starts a replica holding the same records as b.
+func watchOrderReplica(t *testing.T, b Backend) Backend {
+	t.Helper()
+	replica := NewLocked()
+	for _, name := range b.Names() {
+		m, err := b.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := replica.Add(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return replica
+}
+
+// pollKinds polls sub, feeds the events to replica the way the wire watch
+// does, and returns their kinds.
+func pollKinds(t *testing.T, b, replica Backend, sub *Subscription) []string {
+	t.Helper()
+	events, resync := sub.Poll()
+	if resync {
+		t.Fatal("unexpected resync")
+	}
+	var got []string
+	for _, ev := range events {
+		got = append(got, ev.Kind.String())
+	}
+	ApplyWireEvents(replica, ResolveEvents(b, events, nil))
+	return got
+}
+
+// TestWatchCoalescingKeepsMachineOrder: a machine re-added, removed and
+// re-added arrives as exactly that sequence. When the stream coalesced,
+// folding the second add into the first slot put it ahead of the removal,
+// and a consumer that re-reads on the add and then removes (the journal,
+// a watch replica) lost a record the registry holds.
 func TestWatchCoalescingKeepsMachineOrder(t *testing.T) {
 	for kind, mk := range watchBackends() {
 		t.Run(kind, func(t *testing.T) {
@@ -140,12 +196,13 @@ func TestWatchCoalescingKeepsMachineOrder(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			replica := watchOrderReplica(t, b)
 			sub := b.Watch(8)
 			defer sub.Close()
 			if err := b.Remove("w0000"); err != nil {
 				t.Fatal(err)
 			}
-			sub.Poll() // the removal is consumed: the add starts the next batch
+			pollKinds(t, b, replica, sub) // the removal is consumed: the add starts the next batch
 			for i, step := range []func() error{
 				func() error { return b.Add(m) },
 				func() error { return b.Remove("w0000") },
@@ -155,26 +212,20 @@ func TestWatchCoalescingKeepsMachineOrder(t *testing.T) {
 					t.Fatalf("step %d: %v", i, err)
 				}
 			}
-			events, resync := sub.Poll()
-			if resync {
-				t.Fatal("unexpected resync")
-			}
-			var got []string
-			for _, ev := range events {
-				got = append(got, ev.Kind.String())
-			}
-			if want := []string{"removed", "added"}; !slices.Equal(got, want) {
+			if got, want := pollKinds(t, b, replica, sub), []string{"added", "removed", "added"}; !slices.Equal(got, want) {
 				t.Fatalf("pending events of w0000 %q, want %q", got, want)
 			}
+			backendsEqual(t, b, replica)
 		})
 	}
 }
 
 // TestWatchSecondRemovalMovesBehind: a machine removed, re-added, updated
-// by the monitor, and removed and re-added again. The second removal must
-// not coalesce into the first's slot, ahead of the update: a consumer then
-// applied the update, which carries its own payload, to the record re-added
-// last, and the journal's replay held a load the registry no longer did.
+// by the monitor, and removed and re-added again arrives in that order.
+// When the stream coalesced, the second removal could land in the first's
+// slot, ahead of the update: a consumer then applied the update, which
+// carries its own payload, to the record re-added last, and the journal's
+// replay held a load the registry no longer did.
 func TestWatchSecondRemovalMovesBehind(t *testing.T) {
 	for kind, mk := range watchBackends() {
 		t.Run(kind, func(t *testing.T) {
@@ -184,10 +235,7 @@ func TestWatchSecondRemovalMovesBehind(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			replica := NewLocked()
-			if err := replica.Add(m); err != nil {
-				t.Fatal(err)
-			}
+			replica := watchOrderReplica(t, b)
 			sub := b.Watch(8)
 			defer sub.Close()
 			for i, step := range []func() error{
@@ -201,21 +249,11 @@ func TestWatchSecondRemovalMovesBehind(t *testing.T) {
 					t.Fatalf("step %d: %v", i, err)
 				}
 			}
-			events, resync := sub.Poll()
-			if resync {
-				t.Fatal("unexpected resync")
-			}
-			var got []string
-			for _, ev := range events {
-				got = append(got, ev.Kind.String())
-			}
-			if want := []string{"dynamic-updated", "removed", "added"}; !slices.Equal(got, want) {
+			want := []string{"removed", "added", "dynamic-updated", "removed", "added"}
+			if got := pollKinds(t, b, replica, sub); !slices.Equal(got, want) {
 				t.Fatalf("pending events of w0000 %q, want %q", got, want)
 			}
-			ApplyWireEvents(replica, ResolveEvents(b, events, nil))
-			if r, _ := replica.Get("w0000"); r == nil || r.Dynamic.Load != m.Dynamic.Load {
-				t.Errorf("the replica holds %+v, the registry %+v", r, m)
-			}
+			backendsEqual(t, b, replica)
 		})
 	}
 }
@@ -265,6 +303,94 @@ func TestWatchOverflowResync(t *testing.T) {
 	}
 }
 
+// TestDBWatchClampsRing: whatever size it is asked for, DB.Watch holds at
+// most max(DefaultWatchBuffer, 2×Len()) events before it latches resync,
+// so a ring size from a remote client cannot grow a stalled watcher's
+// backlog without bound. Param sets fill it: the fold of a full FIFO
+// frees only superseded dynamic updates.
+func TestDBWatchClampsRing(t *testing.T) {
+	for _, fleet := range []int{4, DefaultWatchBuffer/2 + 500} {
+		db := NewDB()
+		names := watchFleet(t, db, fleet)
+		limit := max(DefaultWatchBuffer, 2*fleet)
+		setParams := func(n int) {
+			for i := 0; i < n; i++ {
+				if err := db.SetParam(names[i%fleet], "p", query.NumAttr(float64(i))); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for _, ask := range []int{1 << 40, 0} {
+			sub := db.Watch(ask)
+			setParams(limit)
+			if evs, resync := sub.Poll(); resync || len(evs) != limit {
+				t.Fatalf("fleet %d, Watch(%d): %d events polled (resync %v), want all %d", fleet, ask, len(evs), resync, limit)
+			}
+			setParams(limit + 1)
+			if evs, resync := sub.Poll(); !resync || len(evs) != 0 {
+				t.Fatalf("fleet %d, Watch(%d): %d events polled (resync %v) past the limit of %d, want the resync marker", fleet, ask, len(evs), resync, limit)
+			}
+			sub.Close()
+		}
+	}
+}
+
+// TestFoldDynamic: only dynamic updates that a later one of the same
+// machine supersedes are dropped; every other event keeps its place.
+func TestFoldDynamic(t *testing.T) {
+	dyn := func(name string, load float64) Event {
+		return Event{Kind: EventDynamicUpdated, Name: name, Dynamic: Dynamic{Load: load}}
+	}
+	evs := []Event{
+		dyn("a", 1), {Kind: EventAdded, Name: "b"}, dyn("a", 2), {Kind: EventRemoved, Name: "a"},
+		dyn("b", 1), {Kind: EventAdded, Name: "a"}, {Kind: EventParamSet, Name: "b"}, dyn("a", 3), dyn("b", 2),
+	}
+	want := []Event{
+		{Kind: EventAdded, Name: "b"}, {Kind: EventRemoved, Name: "a"}, {Kind: EventAdded, Name: "a"},
+		{Kind: EventParamSet, Name: "b"}, dyn("a", 3), dyn("b", 2),
+	}
+	seen := map[string]struct{}{"stale": {}}
+	if got := FoldDynamic(evs, seen); !slices.Equal(got, want) {
+		t.Fatalf("FoldDynamic = %+v, want %+v", got, want)
+	}
+}
+
+// TestWatchLaggingSweepsFold: a consumer that does not poll while a
+// monitor sweeps the fleet over and over is not forced to resync. The
+// FIFO DB.Watch hands out folds to one snapshot per machine whenever it
+// fills, and the newest snapshot of every machine is delivered last. The
+// larger fleet is past the DefaultWatchBuffer floor, where the FIFO holds
+// just two sweeps.
+func TestWatchLaggingSweepsFold(t *testing.T) {
+	for _, tc := range []struct{ fleet, sweeps int }{{1000, 200}, {DefaultWatchBuffer/2 + 500, 5}} {
+		db := NewDB()
+		names := watchFleet(t, db, tc.fleet)
+		limit := max(DefaultWatchBuffer, 2*tc.fleet)
+		sub := db.Watch(0)
+		ups := make([]DynamicUpdate, len(names))
+		for sweep := 0; sweep < tc.sweeps; sweep++ {
+			for i, name := range names {
+				ups[i] = DynamicUpdate{Name: name, Dynamic: Dynamic{Load: float64(sweep)}}
+			}
+			db.UpdateDynamicBatch(ups)
+		}
+		evs, resync := sub.Poll()
+		if resync || len(evs) > limit {
+			t.Fatalf("fleet %d: after %d sweeps polled %d events, resync=%v; want at most %d and no resync", tc.fleet, tc.sweeps, len(evs), resync, limit)
+		}
+		last := make(map[string]float64)
+		for _, ev := range evs {
+			last[ev.Name] = ev.Dynamic.Load
+		}
+		for _, name := range names {
+			if got, ok := last[name]; !ok || got != float64(tc.sweeps-1) {
+				t.Fatalf("fleet %d, %s: newest delivered load %v (present %v), want %d", tc.fleet, name, got, ok, tc.sweeps-1)
+			}
+		}
+		sub.Close()
+	}
+}
+
 // TestWatchLoadForcesResync: replacing the world via Load cannot be
 // described incrementally.
 func TestWatchLoadForcesResync(t *testing.T) {
@@ -290,7 +416,7 @@ func TestWatchLoadForcesResync(t *testing.T) {
 }
 
 // TestUpdateDynamicBatch pins the batch API to the serial loop on both
-// engines: same final state, same count, same (coalesced) events.
+// engines: same final state, same count, same events.
 func TestUpdateDynamicBatch(t *testing.T) {
 	for kind, mk := range watchBackends() {
 		t.Run(kind, func(t *testing.T) {
@@ -386,5 +512,81 @@ drain:
 	wg.Wait()
 	if polls == 0 || total == 0 {
 		t.Errorf("drained nothing (polls=%d events=%d resyncs=%d)", polls, total, resyncs)
+	}
+}
+
+// sweepRig is a 10k-machine registry on 16 shards with subs subscribers:
+// sweep is one monitor pass (every record's load moves) and a Poll per
+// subscriber, the fan-out the change stream costs a sweep.
+type sweepRig struct {
+	db   *DB
+	subs []*Subscription
+	st   []Status
+	ups  []DynamicUpdate
+	n    int
+}
+
+func newSweepRig(tb testing.TB, subs int) *sweepRig {
+	tb.Helper()
+	db := NewDBWith(NewSharded(16))
+	if err := DefaultFleetSpec(10000).Populate(db, time.Unix(0, 0)); err != nil {
+		tb.Fatal(err)
+	}
+	r := &sweepRig{db: db}
+	for range subs {
+		sub := db.Watch(0)
+		tb.Cleanup(sub.Close)
+		r.subs = append(r.subs, sub)
+	}
+	return r
+}
+
+func (r *sweepRig) sweep(tb testing.TB) {
+	r.n++
+	r.st = r.db.Statuses(r.st[:0])
+	r.ups = r.ups[:0]
+	for _, st := range r.st {
+		st.Dynamic.Load = float64(r.n % 4)
+		r.ups = append(r.ups, DynamicUpdate{Name: st.Name, Dynamic: st.Dynamic})
+	}
+	r.db.UpdateDynamicBatch(r.ups)
+	for _, sub := range r.subs {
+		if evs, resync := sub.Poll(); resync || len(evs) != len(r.ups) {
+			tb.Fatalf("polled %d events (resync %v), want %d", len(evs), resync, len(r.ups))
+		}
+	}
+}
+
+// BenchmarkRegistrySweepSubscribers prices the change stream on the write
+// path: a 10k-machine sweep with 0, 1 and 3 subscribers polling after it.
+// The bar is 3 subscribers at most 3 times a sweep with none. A coalescing
+// index per subscriber cost about 10 times; FIFOs filled a shard run at a
+// time cost about 2 times (2-vCPU host, GOMAXPROCS 2).
+func BenchmarkRegistrySweepSubscribers(b *testing.B) {
+	for _, subs := range []int{0, 1, 3} {
+		b.Run(fmt.Sprintf("subs=%d", subs), func(b *testing.B) {
+			r := newSweepRig(b, subs)
+			r.sweep(b)
+			r.sweep(b) // both halves of every ring reach their steady size
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				r.sweep(b)
+			}
+		})
+	}
+}
+
+// TestWatchSweepAllocs pins that, rings at their steady size, a sweep and
+// the polls of three subscribers allocate nothing.
+func TestWatchSweepAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	r := newSweepRig(t, 3)
+	r.sweep(t)
+	r.sweep(t)
+	if allocs := testing.AllocsPerRun(5, func() { r.sweep(t) }); allocs != 0 {
+		t.Errorf("a steady-state sweep with 3 subscribers allocated %.0f times, want 0", allocs)
 	}
 }

@@ -246,9 +246,10 @@ type WatchRequest struct {
 	// Filter restricts the stream to records matching this basic query
 	// text ("" streams every record's events).
 	Filter string `json:"filter,omitempty"`
-	// Ring sizes the server-side coalescing ring for this subscription
-	// (<=0 uses the server default). Bigger rings ride out longer
-	// consumer stalls before degrading to a resync.
+	// Ring sizes the server-side event FIFO for this subscription (<=0
+	// uses the server default; the server caps it at that default, see
+	// registry.DB.Watch). Bigger rings ride out longer consumer stalls
+	// before degrading to a resync.
 	Ring int `json:"ring,omitempty"`
 }
 
@@ -283,8 +284,9 @@ type RouteReply struct {
 }
 
 // WatchEvents is one frame of a watch stream: the subscription ack (first
-// frame), a coalesced event batch, or a resync marker telling the
-// subscriber the server dropped events and a full snapshot re-fetch is
+// frame), a batch of events in publish order (less the load snapshots a
+// later one of the same machine supersedes), or a resync marker telling
+// the subscriber the server dropped events and a full snapshot re-fetch is
 // required.
 type WatchEvents struct {
 	Ack    bool     `json:"ack,omitempty"`
