@@ -447,10 +447,16 @@ func (s *Service) DB() *registry.DB { return s.db }
 // snapshot fetches of fleets whose full batch would exceed a wire frame.
 // Total always reports the full match count. This is the record-batch
 // read behind the wire "select" endpoint, a thin adapter over the
-// registry's paged read: a call costs one predicate test per candidate
-// record (none for "") plus offset+limit names per shard, and clones only
-// the records it returns. A reader of a whole set in-process should resume
-// by name instead (registry.DB.EachPage), which also spares the offset.
+// registry's paged read: a call costs offset+limit matching names per
+// shard and clones only the records it returns. The total costs a
+// predicate test per candidate record the first time a predicate is asked
+// (never for ""); each registry shard then remembers its count until a
+// write that could change it (a record added or removed, a parameter set),
+// so a repeated select, or the next page of a snapshot fetch, scans for its
+// page alone. A predicate on a dynamic field (load, activejobs, freememory,
+// freeswap) is counted on every call. A reader of a whole set in-process
+// should resume by name instead (registry.DB.EachPage), which also spares
+// the offset.
 func (s *Service) SelectMachines(text string, limit, offset int) ([]*registry.Machine, int, error) {
 	q, err := query.ParseBasic(text)
 	if err != nil {

@@ -152,8 +152,10 @@ const snapshotPage = 2048
 // construction: replica upserts are idempotent, and anything missed
 // lands with the watch events queued behind the baseline (or with the
 // next poll). On the serving side each page is one paged registry read:
-// a predicate test per candidate record for the filter and the total, and
-// a clone of the records of that page only.
+// predicate tests up to the end of that page, a clone of its records only,
+// and the total, which the registry's shards remember between pages until
+// a write that could change it (Service.SelectMachines says when a total
+// is counted).
 func (c *Client) FetchSnapshot(ctx context.Context, filter string) ([]*registry.Machine, error) {
 	var out []*registry.Machine
 	for {

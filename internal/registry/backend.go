@@ -69,10 +69,14 @@ type Backend interface {
 	// match set: copies of at most c.Limit records satisfying conds (the
 	// compiled form, query.CompileRsrc; none matches every record), in
 	// global name order, past the resume point and offset c names. It
-	// costs one predicate test per candidate and one clone per record
-	// returned, and a page shorter than a positive c.Limit means the scan
-	// reached the end of the match set. The second result is the number
-	// of matches in the whole registry when c.Total asks for it, else 0.
+	// costs one predicate test per candidate stepped over to fill the page
+	// and one clone per record returned, and a page shorter than a
+	// positive c.Limit means the scan reached the end of the match set.
+	// The second result is the number of matches in the whole registry
+	// when c.Total asks for it, else 0; counting it tests every candidate,
+	// unless the engine remembers the count (Sharded keeps, per shard, the
+	// counts of its last few predicates until a write that could change
+	// them).
 	Page(conds []query.RsrcCond, c Cursor) ([]*Machine, int)
 	// Statuses appends the monitor's view of every record (name, state
 	// and dynamic fields, copied by value, nothing cloned) to buf, in no
@@ -114,7 +118,7 @@ type Cursor struct {
 	After  string // resume point: only names greater than After are returned
 	Offset int    // matches past After to skip before the page starts
 	Limit  int    // page size; zero or less returns every match past Offset
-	Total  bool   // also count the matches in the whole registry
+	Total  bool   // also count the matches in the whole registry (exact; see Page for its cost)
 	Shared bool   // the caller only reads the page: views (see View) will do
 }
 

@@ -128,9 +128,14 @@ func (m *Machine) view() *Machine {
 // builtinAttr derives one attribute from record fields. Exactly one of
 // num and attr is set: numeric built-ins expose the bare number, so the
 // per-record matcher tests them without formatting a string per record.
+// dynamic marks the built-ins derived from Dynamic, which every monitor
+// sweep rewrites: the sharded backend remembers no match count of a
+// predicate that names one (TestDynamicBuiltinsMarked holds the marks to
+// the fields).
 type builtinAttr struct {
-	num  func(*Machine) float64
-	attr func(*Machine) (query.Attr, bool)
+	num     func(*Machine) float64
+	attr    func(*Machine) (query.Attr, bool)
+	dynamic bool
 }
 
 // value is the attribute as Attrs exposes it.
@@ -143,20 +148,21 @@ func (b builtinAttr) value(m *Machine) (query.Attr, bool) {
 
 // builtinAttrs is the single schema of the attributes derived from record
 // fields rather than admin parameters. Attrs, the per-record matcher
-// (attrNamed, matchConds) and the sharded backend's index guard all read
-// this table, so a new derived attribute added here is consistently exposed
-// by every backend and never shadowed by a stale index. An extractor
-// returning ok=false (the empty usergroup/toolgroup lists) lets a same-named
-// admin parameter show through instead.
+// (attrNamed, matchConds), the sharded backend's index guard and its count
+// memo all read this table, so a new derived attribute added here is
+// consistently exposed by every backend and never shadowed by a stale index
+// or a stale count. An extractor returning ok=false (the empty
+// usergroup/toolgroup lists) lets a same-named admin parameter show through
+// instead.
 var builtinAttrs = map[string]builtinAttr{
 	"name":       {attr: func(m *Machine) (query.Attr, bool) { return query.StrAttr(m.Static.Name), true }},
 	"speed":      {num: func(m *Machine) float64 { return m.Static.Speed }},
 	"cpus":       {num: func(m *Machine) float64 { return float64(m.Static.CPUs) }},
 	"maxload":    {num: func(m *Machine) float64 { return m.Static.MaxLoad }},
-	"load":       {num: func(m *Machine) float64 { return m.Dynamic.Load }},
-	"activejobs": {num: func(m *Machine) float64 { return float64(m.Dynamic.ActiveJobs) }},
-	"freememory": {num: func(m *Machine) float64 { return m.Dynamic.FreeMemory }},
-	"freeswap":   {num: func(m *Machine) float64 { return m.Dynamic.FreeSwap }},
+	"load":       {num: func(m *Machine) float64 { return m.Dynamic.Load }, dynamic: true},
+	"activejobs": {num: func(m *Machine) float64 { return float64(m.Dynamic.ActiveJobs) }, dynamic: true},
+	"freememory": {num: func(m *Machine) float64 { return m.Dynamic.FreeMemory }, dynamic: true},
+	"freeswap":   {num: func(m *Machine) float64 { return m.Dynamic.FreeSwap }, dynamic: true},
 	"usergroup": {attr: func(m *Machine) (query.Attr, bool) {
 		if len(m.Policy.UserGroups) == 0 {
 			return query.Attr{}, false
@@ -189,7 +195,13 @@ func (m *Machine) Attrs() query.AttrSet {
 // without materializing (and deep-copying) the whole set. Built-in
 // attributes shadow same-named admin parameters, exactly as in Attrs.
 func (m *Machine) attrNamed(name string) (query.Attr, bool) {
-	if b, ok := builtinAttrs[name]; ok {
+	b, builtin := builtinAttrs[name]
+	return m.attrFrom(b, builtin, name)
+}
+
+// attrFrom is attrNamed past its lookup of name in builtinAttrs.
+func (m *Machine) attrFrom(b builtinAttr, builtin bool, name string) (query.Attr, bool) {
+	if builtin {
 		if attr, ok := b.value(m); ok {
 			return attr, true
 		}
@@ -199,16 +211,18 @@ func (m *Machine) attrNamed(name string) (query.Attr, bool) {
 
 // matchConds is the per-record hot path of Page, Select and Take:
 // equivalent to m.Attrs().MatchConds(conds) but without building the
-// attribute set, and without allocating on numeric built-ins.
+// attribute set, without allocating on numeric built-ins, and with one
+// lookup in builtinAttrs per condition.
 func (m *Machine) matchConds(conds []query.RsrcCond) bool {
 	for _, rc := range conds {
-		if b := builtinAttrs[rc.Name]; b.num != nil {
+		b, builtin := builtinAttrs[rc.Name]
+		if b.num != nil {
 			if !query.NumMatches(b.num(m), rc.Cond) {
 				return false
 			}
 			continue
 		}
-		attr, ok := m.attrNamed(rc.Name)
+		attr, ok := m.attrFrom(b, builtin, rc.Name)
 		if !ok || !attr.Matches(rc.Cond) {
 			return false
 		}

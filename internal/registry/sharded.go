@@ -24,7 +24,10 @@ import (
 //   - an inverted index over discrete admin parameters (arch, OS, domain,
 //     ... — see DefaultIndexedAttrs), so Page and Take visit only the
 //     posting list of the most selective indexed condition instead of the
-//     whole shard.
+//     whole shard, and
+//   - the match counts of the last few predicates Page totalled, kept
+//     until a write that could change them (see countMemo), so a repeated
+//     total costs no scan.
 //
 // Observable semantics match Locked exactly: results are name-sorted,
 // callers only ever see copies (or views, which share only what the store
@@ -50,6 +53,14 @@ type shard struct {
 	all      []*Machine // every record, sorted by name
 	free     []string   // sorted names with TakenBy == ""
 	idx      attrIndex
+
+	// gen moves, under the write lock, with every write a predicate can
+	// see: a record added or removed, a parameter set, a Load. The taken
+	// mark, the state and the dynamic fields are outside every predicate
+	// (matchConds reads none of the first two, and the dynamic built-ins
+	// keep their predicates out of counts), so their writers leave it.
+	gen    uint64
+	counts countMemo
 }
 
 // NewSharded returns an empty sharded backend with the default indexed
@@ -159,6 +170,7 @@ func (sh *shard) after(name string) int {
 // index. The caller holds the shard lock and guarantees the name is unused.
 func (sh *shard) insert(indexed map[string]bool, m *Machine) {
 	name := m.Static.Name
+	sh.gen++
 	sh.machines[name] = m
 	sh.all = slices.Insert(sh.all, sh.after(name), m)
 	if m.TakenBy == "" {
@@ -180,6 +192,7 @@ func (s *Sharded) Remove(name string) error {
 	if !ok {
 		return fmt.Errorf("registry: machine %q not registered", name)
 	}
+	sh.gen++
 	delete(sh.machines, name)
 	i := sh.after(name) - 1
 	sh.all = slices.Delete(sh.all, i, i+1)
@@ -348,6 +361,7 @@ func (s *Sharded) SetParam(name, key string, attr query.Attr) error {
 		sh.idx.add(key, attr, name)
 	}
 	m.Policy.Params = m.Policy.Params.With(key, attr)
+	sh.gen++
 	s.emit(Event{Kind: EventParamSet, Name: name})
 	return nil
 }
@@ -513,39 +527,58 @@ func (s *Sharded) Page(conds []query.RsrcCond, c Cursor) ([]*Machine, int) {
 // match total when the cursor asks for it. The globally first Offset+Limit
 // names past the resume point are necessarily among the first Offset+Limit
 // of each shard, and scan yields candidates in name order, so each shard
-// keeps that many names and then stops — or, when the total is wanted,
-// only counts. The full match set is never materialized or sorted.
+// keeps that many names and then stops — or, when the total is wanted and
+// the shard's memo has no count of the predicate at its generation, counts
+// the rest, and leaves the count in the memo. The full match set is never
+// materialized or sorted.
 func (s *Sharded) pageNames(p plan, c Cursor) ([]string, int) {
 	need := c.Offset + c.Limit
 	if c.Limit <= 0 || need < 0 {
 		need = 0 // unlimited (or past counting): every name
 	}
+	memo := c.Total && len(p.conds) > 0 && countStable(p.conds)
+	var memoConds []query.RsrcCond // the memo's copy of p.conds, made at the first miss
 	total := 0
 	lists := make([][]string, 0, len(s.shards))
 	for _, sh := range s.shards {
 		var local []string
 		sh.mu.RLock()
 		count, from := c.Total, c.After
-		if count && len(p.conds) == 0 {
+		switch {
+		case !count:
+		case len(p.conds) == 0:
 			total += len(sh.all)
 			count = false
+		case memo:
+			if n, ok := sh.counts.get(p.conds, sh.gen); ok {
+				total += n
+				count = false
+			}
 		}
 		if count {
 			from = "" // the total counts the matches before the resume point too
 		}
+		n := 0
 		sh.scan(p, false, from, func(m *Machine) bool {
 			if !m.matchConds(p.conds) {
 				return true
 			}
 			if count {
-				total++
+				n++
 			}
 			if (need == 0 || len(local) < need) && m.Static.Name > c.After {
 				local = append(local, m.Static.Name)
 			}
 			return count || need == 0 || len(local) < need
 		})
+		if count && memo {
+			if memoConds == nil {
+				memoConds = cloneConds(p.conds)
+			}
+			sh.counts.put(memoConds, sh.gen, n)
+		}
 		sh.mu.RUnlock()
+		total += n
 		lists = append(lists, local)
 	}
 	return mergeSorted(lists, c.Offset, c.Limit), total
@@ -683,6 +716,7 @@ func (s *Sharded) Load(r io.Reader) error {
 		sh.all = nil
 		sh.free = nil
 		sh.idx = make(attrIndex)
+		sh.gen++
 	}
 	// In name order every sorted list (records, free, postings) appends.
 	names := make([]string, 0, len(fresh))
