@@ -1,6 +1,7 @@
 package pool
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -29,10 +30,12 @@ const (
 	EngineIndexed = "indexed"
 )
 
-// Allocator is the storage-and-selection engine behind one Pool: it owns
-// the machine cache and the lease table, and implements the allocate/
-// release/renew/reap/refresh operations. The Pool wraps it with lease-id
-// generation, access keys, TTL policy, and lifecycle.
+// Allocator is the selection engine behind one Pool: it owns the machine
+// cache and one busy bit per machine, picks a free machine for a request,
+// marks it busy, and takes it back. It knows no lease: the Pool keeps the
+// lease table (ids and deadlines) above it, once for both engines, and
+// names a machine it holds by its slot, the machine's cache position,
+// which is fixed after construction.
 //
 // Engines must agree on serial semantics (which machine a given request
 // gets, and every observable count); the differential tests in
@@ -43,32 +46,23 @@ type Allocator interface {
 	Kind() string
 	// Size returns the number of machines in the cache.
 	Size() int
-	// Free returns how many machines are currently unleased.
-	Free() int
 	// Members returns the machine names in cache order.
 	Members() []string
 	// Allocate selects the best eligible free machine for the request,
-	// marks it leased under an id drawn from req.newID, and returns its
-	// record. It returns ErrExhausted when no machine qualifies; newID is
-	// called only after a machine is claimed, so misses stay free of
-	// id-generation work.
-	Allocate(req *allocRequest) (*registry.Machine, error)
-	// Release frees the machine held by a lease.
-	Release(leaseID string) error
-	// Renew overwrites a live lease's expiry deadline. A zero expires
-	// leaves the deadline unchanged (a pure validity check), so renewing
-	// on a TTL-disabled pool never erases a deadline granted earlier.
-	Renew(leaseID string, expires time.Time) error
-	// Reap releases every lease whose deadline has passed, returning the
-	// reaped lease ids (in no particular order).
-	Reap(now time.Time) []string
-	// Adopt marks the named machine leased under an externally-minted
-	// lease id (journal replay): the inverse of Allocate for recovery.
-	// Adopting an id the engine already holds on the same machine is a
-	// no-op; adopting a machine leased under another id, or a machine
-	// outside the cache, is an error. Charged like a grant (local load
+	// marks it busy, and returns its slot and record. It returns
+	// ErrExhausted when no machine qualifies. req.newID is called once,
+	// after a machine is claimed and while the claim is still in flight,
+	// so misses stay free of id-generation work; its error aborts the
+	// allocation and leaves the machine free.
+	Allocate(req *allocRequest) (slot int, m *registry.Machine, err error)
+	// Return frees a machine that Allocate or Claim handed out. The
+	// caller must hold the slot: each one is returned once.
+	Return(slot int)
+	// Claim marks the named machine busy for recovery, the inverse of
+	// Return, and returns its slot. It fails for a machine outside the
+	// cache or one already busy. Charged like a grant (local load
 	// accounting), counted like neither (allocs/misses stay untouched).
-	Adopt(leaseID, machine string, expires time.Time) error
+	Claim(machine string) (slot int, err error)
 	// Refresh re-reads every cached machine through get, folding monitor
 	// updates into the candidate view while preserving locally-accounted
 	// jobs. Machines get reports as unknown keep their last view.
@@ -82,22 +76,16 @@ type Allocator interface {
 	// as a full Refresh — which is exactly what lets the differential
 	// tests pin the event-applied indexed state to a full rebuild.
 	Apply(events []registry.Event, get func(name string) (*registry.Machine, error))
-	// Leases enumerates the live leases (unordered): the domain-migration
-	// drain reads them to ship a domain's grants to the new owner.
-	Leases() []LeaseInfo
 	// Stats reports successful allocations, exhausted misses, and the
 	// total number of cache entries examined while selecting.
 	Stats() (allocs, misses int, scanned int64)
 }
 
-// LeaseInfo is one live lease as an engine tracks it: enough to re-adopt
-// the grant elsewhere (the full pool.Lease the holder carries is not kept
-// by engines — only the holder needs access keys and ports).
-type LeaseInfo struct {
-	ID      string
-	Machine string
-	Expires time.Time // zero: no expiry
-}
+// errNotMember and errBusy are Claim's two refusals.
+var (
+	errNotMember = errors.New("not in cache")
+	errBusy      = errors.New("already leased")
+)
 
 // allocRequest carries one allocation's identity and eligibility gates,
 // precomputed by the Pool so engines never touch the query twice.
@@ -106,17 +94,15 @@ type allocRequest struct {
 	toolGroup string       // punch.appl.tool, "" when absent
 	login     string       // punch.user.login, "" when absent
 	verify    *query.Query // non-nil: re-verify rsrc constraints per machine (mis-routed query)
-	// newID mints the lease id (key generation and all), called exactly
-	// once per successful claim, while the claimed machine is exclusively
-	// held. An error aborts the allocation; engines must return the
-	// machine to the free state.
-	newID   func() (string, error)
-	expires time.Time // lease deadline; zero means no expiry
+	// newID mints the lease id (key generation and all) into the Pool's
+	// keeping, called exactly once per successful claim, while the claimed
+	// machine is exclusively held. An error aborts the allocation; engines
+	// must return the machine to the free state.
+	newID func() error
 }
 
 // engineConfig is the static per-pool configuration shared by engines.
 type engineConfig struct {
-	poolID   string // for error messages
 	obj      schedule.Objective
 	instance int
 	replicas int

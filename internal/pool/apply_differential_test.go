@@ -33,8 +33,8 @@ func checkParity(t *testing.T, step int, oracle, subject *Pool) {
 		if oe.cand != xe.cand {
 			t.Fatalf("step %d: cand diverged for %s:\noracle  %+v\nindexed %+v", step, name, oe.cand, xe.cand)
 		}
-		if (oe.lease == "") != (xe.lease == "") {
-			t.Fatalf("step %d: lease state diverged for %s: %q vs %q", step, name, oe.lease, xe.lease)
+		if oe.leased != xe.leased {
+			t.Fatalf("step %d: lease state diverged for %s: %v vs %v", step, name, oe.leased, xe.leased)
 		}
 	}
 }
@@ -422,10 +422,20 @@ func TestStressEventDispatch(t *testing.T) {
 		defer bg.Done()
 		wrng := rand.New(rand.NewSource(71))
 		batch := make([]registry.DynamicUpdate, 0, len(members))
+		var deadline time.Time
 		for i := 0; ; i++ {
 			select {
 			case <-stop:
-				return
+				// Keep sweeping until the dispatcher has drained a batch
+				// and fallen back to a resync at least once: on a busy
+				// host the clients can finish before the dispatcher
+				// goroutine ever runs.
+				if deadline.IsZero() {
+					deadline = time.Now().Add(10 * time.Second)
+				}
+				if batches, _, resyncs := d.Stats(); batches > 0 && resyncs > 0 || time.Now().After(deadline) {
+					return
+				}
 			default:
 			}
 			batch = batch[:0]
@@ -453,6 +463,7 @@ func TestStressEventDispatch(t *testing.T) {
 		sunQuery(t).Set("punch.appl.tool", query.Eq("spice")),
 	}
 	var claims sync.Map
+	var count leaseCount
 	fail := make(chan string, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -463,6 +474,7 @@ func TestStressEventDispatch(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				l, err := p.Allocate(queries[(w+i)%len(queries)])
 				if err == nil {
+					count.granted.Add(1)
 					if prev, loaded := claims.LoadOrStore(l.Machine, w); loaded {
 						fail <- fmt.Sprintf("machine %q leased to worker %d while held by %v", l.Machine, w, prev)
 						return
@@ -477,6 +489,7 @@ func TestStressEventDispatch(t *testing.T) {
 						fail <- fmt.Sprintf("release %s: %v", l.ID, rerr)
 						return
 					}
+					count.released.Add(1)
 					if err == nil {
 						break
 					}
@@ -488,6 +501,7 @@ func TestStressEventDispatch(t *testing.T) {
 					fail <- fmt.Sprintf("drain %s: %v", l.ID, err)
 					return
 				}
+				count.released.Add(1)
 			}
 		}(w)
 	}
@@ -502,6 +516,7 @@ func TestStressEventDispatch(t *testing.T) {
 	if p.Free() != p.Size() {
 		t.Errorf("free = %d after full drain, want %d", p.Free(), p.Size())
 	}
+	count.check(t, p)
 	batches, _, resyncs := d.Stats()
 	if batches == 0 {
 		t.Error("dispatcher drained nothing under stress")

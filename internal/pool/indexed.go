@@ -1,14 +1,12 @@
 package pool
 
 import (
-	"fmt"
 	"runtime"
 	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"actyp/internal/policy"
 	"actyp/internal/registry"
@@ -32,15 +30,15 @@ import (
 // re-checked per candidate at pop time, exactly as the oracle folds it
 // into Busy.
 //
-// Lock order: the engine RWMutex is held in read mode for every lease
-// operation and in write mode only by Refresh (which rebuilds buckets
-// wholesale, the resync fallback) and Apply (which folds registry change
+// Lock order: the engine RWMutex is held in read mode by Allocate and
+// Return and in write mode only by Refresh (which rebuilds buckets
+// wholesale, the resync fallback), Apply (which folds registry change
 // events in bounded chunks, repositioning or re-bucketing only the
-// entries the events name). Bucket mutexes and the lease-table mutex are
-// leaves: never is one taken while holding another.
+// entries the events name) and Claim. Bucket mutexes are leaves: never is
+// one taken while holding another.
 // Entries mutate their candidate view only while exclusively held —
-// popped from a heap but not yet in the lease table, or removed from the
-// lease table but not yet pushed back. Apply takes its own mutex first.
+// popped from a heap but not yet marked leased, or being returned by the
+// one caller that holds the slot. Apply takes its own mutex first.
 type indexedAlloc struct {
 	cfg engineConfig
 
@@ -49,9 +47,6 @@ type indexedAlloc struct {
 	byName  map[string]*ientry // name -> entry, immutable after construction
 	groups  []*igroup          // bucket list, rebuilt by Refresh, sorted key order
 
-	leaseMu sync.Mutex
-	leases  map[string]*ientry
-
 	applyMu sync.Mutex // serializes Apply, which owns mine, batch and ientry.batch; taken before rw
 	mine    []int32    // positions of this pool's members in the batch being applied
 	batch   uint64     // stamp of the batch being applied
@@ -59,7 +54,6 @@ type indexedAlloc struct {
 	claiming atomic.Int64  // claims mid-flight (may hold entries out of the heaps)
 	claimGen atomic.Uint64 // completed claim attempts, for miss revalidation
 
-	free    atomic.Int64
 	allocs  atomic.Int64
 	misses  atomic.Int64
 	scanned atomic.Int64 // entries popped while selecting
@@ -75,9 +69,8 @@ type ientry struct {
 	pos     int  // index in its bucket heap; -1 while leased or mid-claim
 	machine *registry.Machine
 	handed  bool // Allocate has returned machine to a caller
+	leased  bool // handed out by Allocate or Claim, not yet returned
 	cand    schedule.Candidate
-	lease   string
-	expires time.Time
 	grp     *igroup
 	batch   uint64 // the last batch whose newest dynamic update of this machine Apply kept
 }
@@ -125,7 +118,6 @@ func groupKey(m *registry.Machine) string {
 func newIndexedAlloc(machines []*registry.Machine, cfg engineConfig) *indexedAlloc {
 	x := &indexedAlloc{
 		cfg:    cfg,
-		leases: make(map[string]*ientry),
 		byName: make(map[string]*ientry, len(machines)),
 	}
 	for i, m := range machines {
@@ -139,7 +131,6 @@ func newIndexedAlloc(machines []*registry.Machine, cfg engineConfig) *indexedAll
 		x.entries = append(x.entries, e)
 		x.byName[m.Static.Name] = e
 	}
-	x.free.Store(int64(len(x.entries)))
 	x.rebuildGroups()
 	return x
 }
@@ -161,9 +152,9 @@ func (x *indexedAlloc) rebuildGroups() {
 			byKey[key] = g
 		}
 		e.grp = g
-		if e.lease != "" {
+		if e.leased {
 			e.pos = -1
-			continue // leased entries rejoin a heap on release
+			continue // leased entries rejoin a heap on Return
 		}
 		if e.pref {
 			g.pref.items = append(g.pref.items, e)
@@ -198,9 +189,6 @@ func (x *indexedAlloc) Kind() string { return EngineIndexed }
 
 // Size implements Allocator.
 func (x *indexedAlloc) Size() int { return len(x.entries) }
-
-// Free implements Allocator.
-func (x *indexedAlloc) Free() int { return int(x.free.Load()) }
 
 // Members implements Allocator. The read lock orders the e.machine reads
 // against Refresh's pointer swaps.
@@ -308,7 +296,7 @@ func (x *indexedAlloc) pushFree(e *ientry) {
 // during ours); otherwise Allocate retries, bounded so sustained churn on
 // a genuinely exhausted pool cannot livelock it. Serially the first
 // attempt is always conclusive.
-func (x *indexedAlloc) Allocate(req *allocRequest) (*registry.Machine, error) {
+func (x *indexedAlloc) Allocate(req *allocRequest) (int, *registry.Machine, error) {
 	x.rw.RLock()
 	defer x.rw.RUnlock()
 	var e *ientry
@@ -331,131 +319,64 @@ func (x *indexedAlloc) Allocate(req *allocRequest) (*registry.Machine, error) {
 		conclusive := x.claiming.Load() == 0 && x.claimGen.Load() == gen+1
 		if conclusive || attempt >= 3 {
 			x.misses.Add(1)
-			return nil, ErrExhausted
+			return 0, nil, ErrExhausted
 		}
 		runtime.Gosched()
 	}
-	id, err := req.newID()
-	if err != nil {
+	if err := req.newID(); err != nil {
 		// The claim stays flagged in flight until the entry is back in
 		// its heap, so no concurrent miss can be judged conclusive while
 		// the machine is invisible yet destined to stay free.
 		x.pushFree(e)
 		x.claimGen.Add(1)
 		x.claiming.Add(-1)
-		return nil, err
+		return 0, nil, err
 	}
-	// The entry is exclusively held: popped from its heap and not yet in
-	// the lease table, so no other goroutine can observe these writes.
-	e.lease = id
-	e.expires = req.expires
+	// The entry is exclusively held: popped from its heap and not yet
+	// marked leased, so no other goroutine can observe these writes.
+	e.leased = true
 	e.handed = true
 	placeAccounting(&e.cand, e.machine)
-	x.leaseMu.Lock()
-	x.leases[id] = e
-	x.leaseMu.Unlock()
-	x.free.Add(-1)
-	// Once the lease is published the machine is genuinely gone, so a
+	// Once the entry is marked leased the machine is genuinely gone, so a
 	// concurrent miss that now looks conclusive is correct.
 	x.claimGen.Add(1)
 	x.claiming.Add(-1)
 	x.allocs.Add(1)
-	return e.machine, nil
+	return e.idx, e.machine, nil
 }
 
-// Adopt implements Allocator: recovery re-installs a replayed lease on
-// its machine. It takes the engine lock exclusively — recovery runs
-// before the pool serves, so there is no hot path to contend with, and
-// exclusivity guarantees the entry is either in its heap or leased.
-func (x *indexedAlloc) Adopt(leaseID, machine string, expires time.Time) error {
+// Claim implements Allocator. It takes the engine lock exclusively —
+// recovery runs before the pool serves, so there is no hot path to contend
+// with, and exclusivity guarantees the entry is either in its heap or
+// leased.
+func (x *indexedAlloc) Claim(machine string) (int, error) {
 	x.rw.Lock()
 	defer x.rw.Unlock()
 	e, ok := x.byName[machine]
 	if !ok {
-		return fmt.Errorf("pool %s: adopt %s: machine %s not in cache", x.cfg.poolID, leaseID, machine)
+		return 0, errNotMember
 	}
-	if e.lease == leaseID {
-		return nil // idempotent re-adoption
-	}
-	if e.lease != "" {
-		return fmt.Errorf("pool %s: adopt %s: machine %s already leased under %s",
-			x.cfg.poolID, leaseID, machine, e.lease)
+	if e.leased {
+		return 0, errBusy
 	}
 	if e.pos >= 0 {
 		x.heapOf(e).remove(x, e.pos)
 	}
-	e.lease = leaseID
-	e.expires = expires
+	e.leased = true
 	placeAccounting(&e.cand, e.machine)
-	x.leaseMu.Lock()
-	x.leases[leaseID] = e
-	x.leaseMu.Unlock()
-	x.free.Add(-1)
-	return nil
+	return e.idx, nil
 }
 
-// Release implements Allocator.
-func (x *indexedAlloc) Release(leaseID string) error {
+// Return implements Allocator: it undoes the local load accounting on the
+// entry, which its one returning caller holds exclusively, and pushes it
+// back into its bucket.
+func (x *indexedAlloc) Return(slot int) {
 	x.rw.RLock()
 	defer x.rw.RUnlock()
-	x.leaseMu.Lock()
-	e, ok := x.leases[leaseID]
-	if ok {
-		delete(x.leases, leaseID)
-	}
-	x.leaseMu.Unlock()
-	if !ok {
-		return fmt.Errorf("pool %s: %w %s", x.cfg.poolID, ErrUnknownLease, leaseID)
-	}
-	x.releaseEntry(e)
-	return nil
-}
-
-// releaseEntry undoes the local load accounting on an exclusively-held
-// entry (just removed from the lease table) and returns it to its bucket.
-func (x *indexedAlloc) releaseEntry(e *ientry) {
-	e.lease = ""
+	e := x.entries[slot]
+	e.leased = false
 	releaseAccounting(&e.cand, e.machine)
 	x.pushFree(e)
-	x.free.Add(1)
-}
-
-// Renew implements Allocator.
-func (x *indexedAlloc) Renew(leaseID string, expires time.Time) error {
-	x.rw.RLock()
-	defer x.rw.RUnlock()
-	x.leaseMu.Lock()
-	defer x.leaseMu.Unlock()
-	e, ok := x.leases[leaseID]
-	if !ok {
-		return fmt.Errorf("pool %s: %w %s", x.cfg.poolID, ErrUnknownLease, leaseID)
-	}
-	if !expires.IsZero() {
-		e.expires = expires
-	}
-	return nil
-}
-
-// Reap implements Allocator.
-func (x *indexedAlloc) Reap(now time.Time) []string {
-	x.rw.RLock()
-	defer x.rw.RUnlock()
-	x.leaseMu.Lock()
-	var expired []*ientry
-	var ids []string
-	for id, e := range x.leases {
-		if e.expires.IsZero() || e.expires.After(now) {
-			continue
-		}
-		delete(x.leases, id)
-		expired = append(expired, e)
-		ids = append(ids, id)
-	}
-	x.leaseMu.Unlock()
-	for _, e := range expired {
-		x.releaseEntry(e)
-	}
-	return ids
 }
 
 // Refresh implements Allocator. It runs exclusively: gate attributes may
@@ -531,7 +452,7 @@ func (x *indexedAlloc) applyBatch(events []registry.Event, mine []int32, get fun
 	x.rw.Lock()
 	defer x.rw.Unlock()
 	// Under the exclusive lock no claim is in flight, so every entry is
-	// either in its bucket heap (pos >= 0) or in the lease table.
+	// either in its bucket heap (pos >= 0) or leased.
 	for _, i := range mine {
 		ev := &events[i]
 		e := x.byName[ev.Name]
@@ -583,7 +504,7 @@ func (x *indexedAlloc) rebucket(e *ientry, m *registry.Machine) {
 		x.heapOf(e).remove(x, e.pos)
 	}
 	e.grp = x.groupFor(key, m)
-	if e.lease == "" {
+	if !e.leased {
 		x.heapOf(e).push(x, e)
 	}
 }
@@ -620,17 +541,6 @@ func (x *indexedAlloc) groupFor(key string, m *registry.Machine) *igroup {
 // which is the point.
 func (x *indexedAlloc) Stats() (allocs, misses int, scanned int64) {
 	return int(x.allocs.Load()), int(x.misses.Load()), x.scanned.Load()
-}
-
-// Leases implements Allocator.
-func (x *indexedAlloc) Leases() []LeaseInfo {
-	x.rw.RLock()
-	defer x.rw.RUnlock()
-	out := make([]LeaseInfo, 0, len(x.leases))
-	for id, e := range x.leases {
-		out = append(out, LeaseInfo{ID: id, Machine: e.machine.Static.Name, Expires: e.expires})
-	}
-	return out
 }
 
 // iheap is a binary min-heap of free entries under the engine's total

@@ -1,6 +1,7 @@
 package pool
 
 import (
+	"sort"
 	"sync"
 	"time"
 )
@@ -11,18 +12,69 @@ import (
 // leases not renewed within TTL are reaped and their machines returned to
 // the pool. Long runs renew periodically (the execution unit's heartbeat).
 
-// SetLeaseTTL enables expiry for leases granted *after* the call. A
-// non-positive ttl disables expiry.
-func (p *Pool) SetLeaseTTL(ttl time.Duration) {
-	p.life.Lock()
-	defer p.life.Unlock()
-	p.leaseTTL = ttl
+// leaseRow is one live lease in the pool's table: the engine slot of its
+// machine, the machine's name, and its deadline (zero: no expiry).
+type leaseRow struct {
+	slot    int
+	machine string
+	expires time.Time
+}
+
+// LeaseInfo is one row of a pool's lease table as Leases reports it:
+// enough to re-adopt the grant elsewhere. The access key and ports stay
+// with the holder's Lease.
+type LeaseInfo struct {
+	ID      string
+	Machine string
+	Expires time.Time // zero: no expiry
+}
+
+// Leases enumerates the live leases, sorted by id.
+func (p *Pool) Leases() []LeaseInfo {
+	p.mu.Lock()
+	out := make([]LeaseInfo, 0, len(p.leases))
+	for id, row := range p.leases {
+		out = append(out, LeaseInfo{ID: id, Machine: row.machine, Expires: row.expires})
+	}
+	p.mu.Unlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	return out
+}
+
+// Free returns how many machines are currently unleased.
+func (p *Pool) Free() int {
+	p.mu.Lock()
+	live := len(p.leases)
+	p.mu.Unlock()
+	return p.Size() - live
+}
+
+// Release frees the machine held by a lease. It deliberately skips the
+// closed check — outstanding leases stay releasable while the pool shuts
+// down — but still holds the lifecycle lock shared so Close waits out
+// in-flight releases like every other lease operation.
+func (p *Pool) Release(leaseID string) error {
+	p.life.RLock()
+	defer p.life.RUnlock()
+	p.mu.Lock()
+	row, ok := p.leases[leaseID]
+	delete(p.leases, leaseID)
+	p.mu.Unlock()
+	if !ok {
+		return p.unknownLease(leaseID)
+	}
+	p.engine.Return(row.slot)
+	if p.log != nil {
+		p.log.LeaseReleased(leaseID)
+	}
+	return nil
 }
 
 // Renew extends a live lease's lifetime by the pool's TTL from now.
 // Renewing an unknown (possibly already-reaped) lease is an error the
 // holder must treat as "your machine is gone". On pools without a TTL it
-// is a validity check: any existing deadline is left untouched.
+// is a validity check: any existing deadline (an adopted lease's) is left
+// untouched.
 func (p *Pool) Renew(leaseID string) error {
 	p.life.RLock()
 	defer p.life.RUnlock()
@@ -30,8 +82,15 @@ func (p *Pool) Renew(leaseID string) error {
 	if p.leaseTTL > 0 {
 		expires = p.clock().Add(p.leaseTTL)
 	}
-	if err := p.engine.Renew(leaseID, expires); err != nil {
-		return err
+	p.mu.Lock()
+	row, ok := p.leases[leaseID]
+	if ok && !expires.IsZero() {
+		row.expires = expires
+		p.leases[leaseID] = row
+	}
+	p.mu.Unlock()
+	if !ok {
+		return p.unknownLease(leaseID)
 	}
 	if p.log != nil && !expires.IsZero() {
 		p.log.LeaseRenewed(leaseID, expires)
@@ -40,14 +99,30 @@ func (p *Pool) Renew(leaseID string) error {
 }
 
 // Reap releases every lease whose lifetime has passed, returning the
-// reaped lease ids. Pools with expiry disabled never reap.
+// reaped lease ids (in no particular order). Pools with expiry disabled
+// never reap.
 func (p *Pool) Reap() []string {
 	p.life.RLock()
 	defer p.life.RUnlock()
 	if p.leaseTTL <= 0 {
 		return nil
 	}
-	ids := p.engine.Reap(p.clock())
+	now := p.clock()
+	var ids []string
+	var slots []int
+	p.mu.Lock()
+	for id, row := range p.leases {
+		if row.expires.IsZero() || row.expires.After(now) {
+			continue
+		}
+		delete(p.leases, id)
+		ids = append(ids, id)
+		slots = append(slots, row.slot)
+	}
+	p.mu.Unlock()
+	for _, slot := range slots {
+		p.engine.Return(slot)
+	}
 	if p.log != nil {
 		for _, id := range ids {
 			p.log.LeaseReleased(id)

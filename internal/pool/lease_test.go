@@ -2,6 +2,7 @@ package pool
 
 import (
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -28,11 +29,10 @@ func (c *fakeClock) Advance(d time.Duration) {
 func TestLeaseExpiryAndReap(t *testing.T) {
 	db := fleetDB(t, 2)
 	clk := &fakeClock{now: time.Unix(1000, 0)}
-	p, err := New(Config{Name: sunName(t), DB: db, Exclusive: true, Clock: clk.Now})
+	p, err := New(Config{Name: sunName(t), DB: db, Exclusive: true, Clock: clk.Now, LeaseTTL: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.SetLeaseTTL(time.Minute)
 	q := sunQuery(t)
 
 	l1, err := p.Allocate(q)
@@ -104,32 +104,25 @@ func TestRenewUnknownLease(t *testing.T) {
 	}
 }
 
-// TestRenewWithTTLDisabledKeepsDeadline pins a subtlety: renewing while
-// expiry is administratively disabled must not erase a deadline granted
-// earlier, or the lease would dodge the reaper forever once expiry is
-// re-enabled.
+// TestRenewWithTTLDisabledKeepsDeadline pins a subtlety: on a pool
+// without a TTL, Renew is a validity check and must not erase a deadline
+// the lease already carries (one adopted from a journal or a handoff), or
+// the lease would dodge every reaper it later meets.
 func TestRenewWithTTLDisabledKeepsDeadline(t *testing.T) {
 	for _, engine := range []string{EngineOracle, EngineIndexed} {
 		t.Run("engine="+engine, func(t *testing.T) {
-			db := fleetDB(t, 1)
-			clk := &fakeClock{now: time.Unix(0, 0)}
-			p := newSunPool(t, db, func(c *Config) {
-				c.Engine = engine
-				c.Clock = clk.Now
-				c.LeaseTTL = time.Minute
-			})
-			l, err := p.Allocate(sunQuery(t))
-			if err != nil {
+			p := newSunPool(t, fleetDB(t, 1), func(c *Config) { c.Engine = engine })
+			deadline := time.Unix(60, 0)
+			l := &Lease{ID: p.ID() + ":1:deadbeef", Machine: p.Members()[0]}
+			if err := p.AdoptLease(l, deadline); err != nil {
 				t.Fatal(err)
 			}
-			p.SetLeaseTTL(0)
 			if err := p.Renew(l.ID); err != nil { // validity check only
 				t.Fatal(err)
 			}
-			p.SetLeaseTTL(time.Minute)
-			clk.Advance(2 * time.Minute)
-			if got := p.Reap(); len(got) != 1 || got[0] != l.ID {
-				t.Errorf("reap = %v, want the original deadline to stand", got)
+			want := []LeaseInfo{{ID: l.ID, Machine: l.Machine, Expires: deadline}}
+			if got := p.Leases(); !reflect.DeepEqual(got, want) {
+				t.Errorf("leases after renew = %+v, want the adopted deadline to stand: %+v", got, want)
 			}
 		})
 	}
@@ -139,11 +132,10 @@ func TestReaperSweepsAllPools(t *testing.T) {
 	db := fleetDB(t, 4)
 	clk := &fakeClock{now: time.Unix(0, 0)}
 	mk := func(members []string) *Pool {
-		p, err := New(Config{Name: sunName(t), DB: db, Members: members, Clock: clk.Now})
+		p, err := New(Config{Name: sunName(t), DB: db, Members: members, Clock: clk.Now, LeaseTTL: time.Second})
 		if err != nil {
 			t.Fatal(err)
 		}
-		p.SetLeaseTTL(time.Second)
 		return p
 	}
 	p1 := mk([]string{"m0000", "m0001"})
@@ -176,11 +168,10 @@ func TestReaperSweepsAllPools(t *testing.T) {
 func TestExpiredMachineIsReallocatable(t *testing.T) {
 	db := fleetDB(t, 1)
 	clk := &fakeClock{now: time.Unix(0, 0)}
-	p, err := New(Config{Name: sunName(t), DB: db, Exclusive: true, Clock: clk.Now})
+	p, err := New(Config{Name: sunName(t), DB: db, Exclusive: true, Clock: clk.Now, LeaseTTL: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.SetLeaseTTL(time.Second)
 	q := sunQuery(t)
 	l1, err := p.Allocate(q)
 	if err != nil {
@@ -222,5 +213,90 @@ func TestUnknownLeaseIsSentinel(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestAdoptLease pins recovery's adoption on both engines: an adopted
+// lease is live like a granted one, adoption is idempotent per (id,
+// machine), a busy or foreign machine refuses it, and the pool's sequence
+// moves past the adopted id.
+func TestAdoptLease(t *testing.T) {
+	for _, engine := range []string{EngineOracle, EngineIndexed} {
+		t.Run("engine="+engine, func(t *testing.T) {
+			db := fleetDB(t, 3)
+			clk := &fakeClock{now: time.Unix(0, 0)}
+			p := newSunPool(t, db, func(c *Config) {
+				c.Engine = engine
+				c.Clock = clk.Now
+				c.LeaseTTL = time.Minute
+			})
+			members := p.Members()
+			deadline := time.Unix(500, 0)
+			adopted := &Lease{ID: p.ID() + ":41:deadbeef", Machine: members[1]}
+			if err := p.AdoptLease(adopted, deadline); err != nil {
+				t.Fatal(err)
+			}
+			want := []LeaseInfo{{ID: adopted.ID, Machine: members[1], Expires: deadline}}
+			if got := p.Leases(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("leases = %+v, want %+v", got, want)
+			}
+			if p.Free() != p.Size()-1 {
+				t.Fatalf("free = %d after adoption, want %d", p.Free(), p.Size()-1)
+			}
+
+			// The same lease again is a no-op.
+			if err := p.AdoptLease(adopted, deadline); err != nil {
+				t.Fatalf("re-adoption: %v", err)
+			}
+			if got := p.Leases(); !reflect.DeepEqual(got, want) || p.Free() != p.Size()-1 {
+				t.Fatalf("re-adoption changed the pool: leases %+v, free %d", got, p.Free())
+			}
+			// Another id onto the busy machine, or a machine outside the
+			// pool, is refused.
+			if err := p.AdoptLease(&Lease{ID: p.ID() + ":42:cafebabe", Machine: members[1]}, deadline); err == nil {
+				t.Error("adopting a second lease onto a busy machine succeeded")
+			}
+			if err := p.AdoptLease(&Lease{ID: p.ID() + ":43:0badf00d", Machine: "no-such-machine"}, deadline); err == nil {
+				t.Error("adopting a lease onto a non-member succeeded")
+			}
+			if got := p.Leases(); !reflect.DeepEqual(got, want) || p.Free() != p.Size()-1 {
+				t.Fatalf("a refused adoption changed the pool: leases %+v, free %d", got, p.Free())
+			}
+
+			// Fresh grants mint above the adopted sequence.
+			l, err := p.Allocate(sunQuery(t))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if seq, ok := leaseSeq(l.ID); !ok || seq <= 41 {
+				t.Errorf("grant after adoption minted %q, want a sequence above 41", l.ID)
+			}
+			if l.Machine == members[1] {
+				t.Errorf("granted the adopted machine %s", l.Machine)
+			}
+
+			// Releasing the adopted lease frees its machine, once.
+			if err := p.Release(adopted.ID); err != nil {
+				t.Fatal(err)
+			}
+			if err := p.Release(adopted.ID); !errors.Is(err, ErrUnknownLease) {
+				t.Errorf("second release = %v, want ErrUnknownLease", err)
+			}
+			l2, err := p.Allocate(sunQuery(t))
+			if err != nil {
+				t.Fatalf("adopted machine not returned: %v", err)
+			}
+			if l2.Machine == l.Machine {
+				t.Errorf("granted %s twice", l2.Machine)
+			}
+			for _, id := range []string{l.ID, l2.ID} {
+				if err := p.Release(id); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if p.Free() != p.Size() || len(p.Leases()) != 0 {
+				t.Errorf("free = %d, leases %+v after draining", p.Free(), p.Leases())
+			}
+		})
 	}
 }

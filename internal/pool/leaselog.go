@@ -28,11 +28,12 @@ type LeaseLog interface {
 	LeaseRenewed(leaseID string, expires time.Time)
 }
 
-// AdoptLease re-installs a replayed lease into this pool: the machine is
-// marked leased under the lease's original id and the given deadline, and
-// the pool's sequence counter is advanced past the id so future grants
-// cannot collide with it. Adoption is idempotent per id and is NOT
-// re-logged — the journal already holds the lease it replayed from.
+// AdoptLease re-installs a replayed lease into this pool: the engine
+// claims the machine, the table gets a row under the lease's original id
+// and the given deadline, and the pool's sequence counter is advanced past
+// the id so future grants cannot collide with it. Adoption is idempotent
+// per (id, machine) and is NOT re-logged — the journal already holds the
+// lease it replayed from. A busy machine or a non-member refuses it.
 // Recovery calls it before the pool starts serving.
 func (p *Pool) AdoptLease(l *Lease, expires time.Time) error {
 	if l == nil || l.ID == "" || l.Machine == "" {
@@ -43,8 +44,8 @@ func (p *Pool) AdoptLease(l *Lease, expires time.Time) error {
 	if p.closed {
 		return fmt.Errorf("pool %s: closed", p.id)
 	}
-	if err := p.engine.Adopt(l.ID, l.Machine, expires); err != nil {
-		return err
+	if err := p.adopt(l.ID, l.Machine, expires); err != nil {
+		return fmt.Errorf("pool %s: adopt %s: %w", p.id, l.ID, err)
 	}
 	// Advance the sequence floor monotonically. Recovery runs before the
 	// pool serves, so the simple load/store race window never matters in
@@ -57,6 +58,31 @@ func (p *Pool) AdoptLease(l *Lease, expires time.Time) error {
 			}
 		}
 	}
+	return nil
+}
+
+// adopt claims the machine in the engine and inserts the lease's row,
+// holding the table lock throughout so a concurrent adoption of the same
+// lease sees either nothing or the whole row.
+func (p *Pool) adopt(leaseID, machine string, expires time.Time) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if row, ok := p.leases[leaseID]; ok {
+		if row.machine == machine {
+			return nil // idempotent re-adoption
+		}
+		return fmt.Errorf("lease already held on machine %s", row.machine)
+	}
+	slot, err := p.engine.Claim(machine)
+	if err != nil {
+		for id, row := range p.leases {
+			if row.machine == machine {
+				return fmt.Errorf("machine %s %w under %s", machine, err, id)
+			}
+		}
+		return fmt.Errorf("machine %s %w", machine, err)
+	}
+	p.leases[leaseID] = leaseRow{slot: slot, machine: machine, expires: expires}
 	return nil
 }
 

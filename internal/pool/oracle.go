@@ -1,7 +1,6 @@
 package pool
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,8 +13,7 @@ import (
 type entry struct {
 	machine *registry.Machine
 	cand    schedule.Candidate
-	lease   string    // active lease id, "" when free
-	expires time.Time // lease deadline; zero means no expiry
+	leased  bool // handed out by Allocate or Claim, not yet returned
 }
 
 // oracleAlloc is the reference engine: the paper's linear search over the
@@ -26,9 +24,8 @@ type entry struct {
 type oracleAlloc struct {
 	cfg engineConfig
 
-	mu     sync.Mutex
-	cache  []*entry
-	leases map[string]*entry
+	mu    sync.Mutex
+	cache []*entry
 	// scratch buffers reused across Allocate calls (guarded by mu) so a
 	// 3,200-entry scan does not allocate per query.
 	scratch    []schedule.Candidate
@@ -40,7 +37,7 @@ type oracleAlloc struct {
 }
 
 func newOracleAlloc(machines []*registry.Machine, cfg engineConfig) *oracleAlloc {
-	o := &oracleAlloc{cfg: cfg, leases: make(map[string]*entry)}
+	o := &oracleAlloc{cfg: cfg}
 	for _, m := range machines {
 		o.cache = append(o.cache, &entry{machine: m, cand: candidateOf(m)})
 	}
@@ -57,19 +54,6 @@ func (o *oracleAlloc) Size() int {
 	return len(o.cache)
 }
 
-// Free implements Allocator.
-func (o *oracleAlloc) Free() int {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	n := 0
-	for _, e := range o.cache {
-		if e.lease == "" {
-			n++
-		}
-	}
-	return n
-}
-
 // Members implements Allocator.
 func (o *oracleAlloc) Members() []string {
 	o.mu.Lock()
@@ -84,7 +68,7 @@ func (o *oracleAlloc) Members() []string {
 // Allocate implements Allocator with the paper's linear search, honouring
 // the scheduling objective, the replication bias, machine usability, and
 // the user- and tool-group access policies carried in the request.
-func (o *oracleAlloc) Allocate(req *allocRequest) (*registry.Machine, error) {
+func (o *oracleAlloc) Allocate(req *allocRequest) (int, *registry.Machine, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 
@@ -101,7 +85,7 @@ func (o *oracleAlloc) Allocate(req *allocRequest) (*registry.Machine, error) {
 		c := &o.scratch[i]
 		*c = e.cand
 		m := e.machine
-		c.Busy = e.lease != "" ||
+		c.Busy = e.leased ||
 			!m.Usable() || c.Load >= m.Static.MaxLoad ||
 			(req.userGroup != "" && !m.AllowsUserGroup(req.userGroup)) ||
 			(req.toolGroup != "" && !m.SupportsToolGroup(req.toolGroup)) ||
@@ -121,96 +105,45 @@ func (o *oracleAlloc) Allocate(req *allocRequest) (*registry.Machine, error) {
 	idx := schedule.SelectBiased(cands, o.cfg.obj, nil, o.cfg.instance, o.cfg.replicas)
 	if idx < 0 {
 		o.misses.Add(1)
-		return nil, ErrExhausted
+		return 0, nil, ErrExhausted
 	}
 
 	e := o.cache[idx]
-	id, err := req.newID()
-	if err != nil {
-		return nil, err // nothing marked yet; the candidate stays free
+	if err := req.newID(); err != nil {
+		return 0, nil, err // nothing marked yet; the candidate stays free
 	}
-	e.lease = id
-	e.expires = req.expires
+	e.leased = true
 	placeAccounting(&e.cand, e.machine)
-	o.leases[id] = e
 	o.allocs.Add(1)
-	return e.machine, nil
+	return idx, e.machine, nil
 }
 
-// Adopt implements Allocator: recovery re-installs a replayed lease on
-// its machine. The linear scan is fine — adoption happens once per lease
-// at boot, never on the request path.
-func (o *oracleAlloc) Adopt(leaseID, machine string, expires time.Time) error {
+// Claim implements Allocator. The linear scan is fine: recovery claims
+// once per lease at boot, never on the request path.
+func (o *oracleAlloc) Claim(machine string) (int, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	for _, e := range o.cache {
+	for i, e := range o.cache {
 		if e.machine.Static.Name != machine {
 			continue
 		}
-		if e.lease == leaseID {
-			return nil // idempotent re-adoption
+		if e.leased {
+			return 0, errBusy
 		}
-		if e.lease != "" {
-			return fmt.Errorf("pool %s: adopt %s: machine %s already leased under %s",
-				o.cfg.poolID, leaseID, machine, e.lease)
-		}
-		e.lease = leaseID
-		e.expires = expires
+		e.leased = true
 		placeAccounting(&e.cand, e.machine)
-		o.leases[leaseID] = e
-		return nil
+		return i, nil
 	}
-	return fmt.Errorf("pool %s: adopt %s: machine %s not in cache", o.cfg.poolID, leaseID, machine)
+	return 0, errNotMember
 }
 
-// Release implements Allocator.
-func (o *oracleAlloc) Release(leaseID string) error {
+// Return implements Allocator, undoing the local load accounting.
+func (o *oracleAlloc) Return(slot int) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	e, ok := o.leases[leaseID]
-	if !ok {
-		return fmt.Errorf("pool %s: %w %s", o.cfg.poolID, ErrUnknownLease, leaseID)
-	}
-	delete(o.leases, leaseID)
-	releaseEntryLocked(e)
-	return nil
-}
-
-// releaseEntryLocked returns a leased entry to the free state, undoing the
-// local load accounting. The caller holds the engine lock.
-func releaseEntryLocked(e *entry) {
-	e.lease = ""
+	e := o.cache[slot]
+	e.leased = false
 	releaseAccounting(&e.cand, e.machine)
-}
-
-// Renew implements Allocator.
-func (o *oracleAlloc) Renew(leaseID string, expires time.Time) error {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	e, ok := o.leases[leaseID]
-	if !ok {
-		return fmt.Errorf("pool %s: %w %s", o.cfg.poolID, ErrUnknownLease, leaseID)
-	}
-	if !expires.IsZero() {
-		e.expires = expires
-	}
-	return nil
-}
-
-// Reap implements Allocator.
-func (o *oracleAlloc) Reap(now time.Time) []string {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	var reaped []string
-	for id, e := range o.leases {
-		if e.expires.IsZero() || e.expires.After(now) {
-			continue
-		}
-		delete(o.leases, id)
-		releaseEntryLocked(e)
-		reaped = append(reaped, id)
-	}
-	return reaped
 }
 
 // Refresh implements Allocator: it re-reads the dynamic fields of every
@@ -237,17 +170,6 @@ func (o *oracleAlloc) Apply(events []registry.Event, get func(name string) (*reg
 		return
 	}
 	o.Refresh(get)
-}
-
-// Leases implements Allocator.
-func (o *oracleAlloc) Leases() []LeaseInfo {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	out := make([]LeaseInfo, 0, len(o.leases))
-	for id, e := range o.leases {
-		out = append(out, LeaseInfo{ID: id, Machine: e.machine.Static.Name, Expires: e.expires})
-	}
-	return out
 }
 
 // Stats implements Allocator.

@@ -16,7 +16,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -49,6 +48,11 @@ var ErrExhausted = fmt.Errorf("pool: no machine available")
 // lease by that id (never granted here, released, or reaped). The pool
 // manager reads it as "not held here" and routes the call onward.
 var ErrUnknownLease = errors.New("unknown lease")
+
+// unknownLease is the one place ErrUnknownLease is wrapped.
+func (p *Pool) unknownLease(leaseID string) error {
+	return fmt.Errorf("pool %s: %w %s", p.id, ErrUnknownLease, leaseID)
+}
 
 // Config describes a pool to create.
 type Config struct {
@@ -108,9 +112,10 @@ type Config struct {
 	Log LeaseLog
 }
 
-// Pool is a resource pool instance. The allocation state lives in the
-// engine; the Pool contributes lease identity (ids, access keys), TTL
-// policy, and lifecycle.
+// Pool is a resource pool instance. The machines and their busy bits live
+// in the engine; the Pool keeps the lease table (one row per live lease:
+// its machine's slot, the machine's name and the deadline) and contributes
+// lease identity (ids, access keys), TTL policy, and lifecycle.
 type Pool struct {
 	name     query.PoolName
 	family   string
@@ -123,14 +128,22 @@ type Pool struct {
 	engine   Allocator
 	events   *Dispatcher // non-nil: subscribed to the registry change stream
 	log      LeaseLog    // non-nil: lease ops are journaled
+	leaseTTL time.Duration
 	nextSeq  atomic.Int64
 
-	// life guards lifecycle and TTL policy only — never the allocation
-	// hot path, which engines synchronize internally. Lease operations
-	// hold it shared so Close can wait out in-flight grants.
-	life     sync.RWMutex
-	closed   bool
-	leaseTTL time.Duration
+	// mu guards the lease table. A row is inserted by Allocate or
+	// AdoptLease and deleted by Release or Reap; whoever deletes it alone
+	// returns its slot to the engine, so a machine is freed once however
+	// a release and the reaper race. mu is taken before an engine's locks
+	// (AdoptLease's claim), never after.
+	mu     sync.Mutex
+	leases map[string]leaseRow
+
+	// life guards lifecycle only — never the allocation hot path, which
+	// engines synchronize internally. Lease operations hold it shared so
+	// Close can wait out in-flight grants.
+	life   sync.RWMutex
+	closed bool
 }
 
 // New creates and initializes a pool object: it walks the white pages for
@@ -174,6 +187,7 @@ func New(cfg Config) (*Pool, error) {
 		clock:    cfg.Clock,
 		log:      cfg.Log,
 		leaseTTL: cfg.LeaseTTL,
+		leases:   make(map[string]leaseRow),
 	}
 
 	var machines []*registry.Machine
@@ -206,7 +220,6 @@ func New(cfg Config) (*Pool, error) {
 		return nil, fmt.Errorf("pool %s: no machines match the aggregation criteria", p.id)
 	}
 	p.engine = newAllocator(kind, machines, engineConfig{
-		poolID:   p.id,
 		obj:      cfg.Objective,
 		instance: cfg.Instance,
 		replicas: cfg.Replicas,
@@ -254,18 +267,8 @@ func (p *Pool) Engine() string { return p.engine.Kind() }
 // Size returns the number of machines in the cache.
 func (p *Pool) Size() int { return p.engine.Size() }
 
-// Free returns how many machines are currently unleased.
-func (p *Pool) Free() int { return p.engine.Free() }
-
 // Members returns the machine names in cache order.
 func (p *Pool) Members() []string { return p.engine.Members() }
-
-// Leases enumerates the live leases the engine tracks, sorted by id.
-func (p *Pool) Leases() []LeaseInfo {
-	out := p.engine.Leases()
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
 
 // Allocate answers a basic query with a machine lease. It performs the
 // engine's search over the cache, honouring the scheduling objective, the
@@ -292,8 +295,9 @@ func (p *Pool) Allocate(q *query.Query) (*Lease, error) {
 		return nil, fmt.Errorf("pool %s: closed", p.id)
 	}
 	granted := p.clock()
+	var expires time.Time
 	if p.leaseTTL > 0 {
-		req.expires = granted.Add(p.leaseTTL)
+		expires = granted.Add(p.leaseTTL)
 	}
 	// Minted by the engine only once a machine is claimed, so misses pay
 	// no id-generation work. The access-key prefix makes the lease id
@@ -301,19 +305,22 @@ func (p *Pool) Allocate(q *query.Query) (*Lease, error) {
 	// directory, and two administrative domains can both run an
 	// "arch,==/sun#0" whose sequence numbers collide.
 	var leaseID, key string
-	req.newID = func() (string, error) {
+	req.newID = func() error {
 		k, err := newAccessKey()
 		if err != nil {
-			return "", fmt.Errorf("pool %s: %w", p.id, err)
+			return fmt.Errorf("pool %s: %w", p.id, err)
 		}
 		key = k
 		leaseID = fmt.Sprintf("%s:%d:%s", p.id, p.nextSeq.Add(1), k[:8])
-		return leaseID, nil
+		return nil
 	}
-	m, err := p.engine.Allocate(req)
+	slot, m, err := p.engine.Allocate(req)
 	if err != nil {
 		return nil, err
 	}
+	p.mu.Lock()
+	p.leases[leaseID] = leaseRow{slot: slot, machine: m.Static.Name, expires: expires}
+	p.mu.Unlock()
 	lease := &Lease{
 		ID:           leaseID,
 		Machine:      m.Static.Name,
@@ -325,25 +332,9 @@ func (p *Pool) Allocate(q *query.Query) (*Lease, error) {
 		Granted:      granted,
 	}
 	if p.log != nil {
-		p.log.LeaseGranted(lease, req.expires)
+		p.log.LeaseGranted(lease, expires)
 	}
 	return lease, nil
-}
-
-// Release frees the machine held by a lease. It deliberately skips the
-// closed check — outstanding leases stay releasable while the pool shuts
-// down — but still holds the lifecycle lock shared so Close waits out
-// in-flight releases like every other lease operation.
-func (p *Pool) Release(leaseID string) error {
-	p.life.RLock()
-	defer p.life.RUnlock()
-	if err := p.engine.Release(leaseID); err != nil {
-		return err
-	}
-	if p.log != nil {
-		p.log.LeaseReleased(leaseID)
-	}
-	return nil
 }
 
 // Refresh re-reads the dynamic fields of every cached machine from the

@@ -130,8 +130,7 @@ func TestStressSharedViews(t *testing.T) {
 					}
 					continue
 				}
-				id := fmt.Sprintf("w%d-%d", w, i)
-				m, err := p.engine.Allocate(&allocRequest{newID: func() (string, error) { return id, nil }})
+				slot, m, err := p.engine.Allocate(&allocRequest{newID: func() error { return nil }})
 				if err != nil {
 					continue // every candidate down or loaded just now
 				}
@@ -142,10 +141,7 @@ func TestStressSharedViews(t *testing.T) {
 				if !reflect.DeepEqual(m, asRead) {
 					t.Errorf("the record of %s changed while its lease was held:\n%+v, as allocated\n%+v", asRead.Static.Name, m, asRead)
 				}
-				if err := p.engine.Release(id); err != nil {
-					t.Error(err)
-					return
-				}
+				p.engine.Return(slot)
 			}
 		}(w)
 	}
@@ -200,7 +196,7 @@ func TestApplyDynamicAllocatesNothing(t *testing.T) {
 
 	// A handed-out view is the exception: the caller keeps the record it
 	// was given, the entry moves on to a copy of its header.
-	m, err := x.Allocate(&allocRequest{newID: func() (string, error) { return "held", nil }})
+	slot, m, err := x.Allocate(&allocRequest{newID: func() error { return nil }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,9 +207,7 @@ func TestApplyDynamicAllocatesNothing(t *testing.T) {
 	if e := x.byName[m.Static.Name]; e.machine == m || e.machine.Dynamic.Load != 0.5 {
 		t.Errorf("the entry did not move on from the view it handed out: %+v", e.machine)
 	}
-	if err := x.Release("held"); err != nil {
-		t.Fatal(err)
-	}
+	x.Return(slot)
 	if n := testing.AllocsPerRun(20, func() { x.Apply(low, get) }); n != 0 {
 		t.Errorf("Apply allocates %v times again after the successor took over, want 0", n)
 	}

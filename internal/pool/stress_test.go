@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,6 +17,26 @@ import (
 // asserts the lease-exclusivity guarantee: no machine ever carries two
 // live leases at once. Ownership is tracked in a claims map — an Allocate
 // returning a machine already present in the map is a double lease.
+
+// leaseCount tallies a stress test's lease operations on the test side for
+// the conservation check: every grant is released, reaped, or still live.
+type leaseCount struct {
+	granted, released, reaped atomic.Int64
+}
+
+// check asserts granted = released + reaped + live, and that the pool's
+// free count is its size less the live leases.
+func (c *leaseCount) check(t *testing.T, p *Pool) {
+	t.Helper()
+	live := len(p.Leases())
+	g, r, x := c.granted.Load(), c.released.Load(), c.reaped.Load()
+	if g != r+x+int64(live) {
+		t.Errorf("lease conservation: granted %d, released %d + reaped %d + live %d", g, r, x, live)
+	}
+	if p.Free() != p.Size()-live {
+		t.Errorf("free = %d, want size %d - live %d", p.Free(), p.Size(), live)
+	}
+}
 
 func TestStressAllocateExclusive(t *testing.T) {
 	for _, engine := range []string{EngineOracle, EngineIndexed} {
@@ -59,6 +80,7 @@ func TestStressAllocateExclusive(t *testing.T) {
 			}
 
 			var claims sync.Map // machine name -> worker
+			var count leaseCount
 			fail := make(chan string, workers)
 			var wg sync.WaitGroup
 			for w := 0; w < workers; w++ {
@@ -70,6 +92,7 @@ func TestStressAllocateExclusive(t *testing.T) {
 						q := queries[(w+i)%len(queries)]
 						l, err := p.Allocate(q)
 						if err == nil {
+							count.granted.Add(1)
 							if prev, loaded := claims.LoadOrStore(l.Machine, w); loaded {
 								fail <- fmt.Sprintf("machine %q leased to worker %d while held by %v", l.Machine, w, prev)
 								return
@@ -85,6 +108,7 @@ func TestStressAllocateExclusive(t *testing.T) {
 								fail <- fmt.Sprintf("release %s: %v", l.ID, rerr)
 								return
 							}
+							count.released.Add(1)
 							if err == nil {
 								break
 							}
@@ -96,6 +120,7 @@ func TestStressAllocateExclusive(t *testing.T) {
 							fail <- fmt.Sprintf("drain %s: %v", l.ID, err)
 							return
 						}
+						count.released.Add(1)
 					}
 				}(w)
 			}
@@ -147,6 +172,7 @@ func TestStressAllocateExclusive(t *testing.T) {
 			if p.Free() != p.Size() {
 				t.Errorf("free = %d after full drain, want %d", p.Free(), p.Size())
 			}
+			count.check(t, p)
 		})
 	}
 }
@@ -167,6 +193,7 @@ func TestStressReapRenewRace(t *testing.T) {
 				c.LeaseTTL = 40 * time.Second
 			})
 			q := sunQuery(t)
+			var count leaseCount
 
 			stop := make(chan struct{})
 			var bg sync.WaitGroup
@@ -180,7 +207,7 @@ func TestStressReapRenewRace(t *testing.T) {
 					default:
 					}
 					clk.Advance(time.Second)
-					p.Reap()
+					count.reaped.Add(int64(len(p.Reap())))
 				}
 			}()
 
@@ -198,6 +225,7 @@ func TestStressReapRenewRace(t *testing.T) {
 						if err != nil {
 							continue
 						}
+						count.granted.Add(1)
 						switch i % 3 {
 						case 0:
 							// Heartbeat then let the lease expire: only the
@@ -207,10 +235,15 @@ func TestStressReapRenewRace(t *testing.T) {
 							if err := p.Release(l.ID); err != nil {
 								// The reaper may have beaten us to it; the
 								// lease must then be unknown, not half-freed.
-								if _, rerr := p.Allocate(q); rerr != nil && rerr != ErrExhausted {
+								_, rerr := p.Allocate(q)
+								if rerr == nil {
+									count.granted.Add(1)
+								} else if rerr != ErrExhausted {
 									t.Errorf("pool wedged after release race: %v", rerr)
 									return
 								}
+							} else {
+								count.released.Add(1)
 							}
 						}
 					}
@@ -219,10 +252,12 @@ func TestStressReapRenewRace(t *testing.T) {
 			wg.Wait()
 			close(stop)
 			bg.Wait()
+			count.check(t, p)
 
 			// Expire everything still outstanding; the pool must drain.
 			clk.Advance(time.Hour)
-			p.Reap()
+			count.reaped.Add(int64(len(p.Reap())))
+			count.check(t, p)
 			if p.Free() != p.Size() {
 				t.Errorf("free = %d, want %d after final reap", p.Free(), p.Size())
 			}
