@@ -45,7 +45,6 @@ func main() {
 	regBackend := flag.String("registry-backend", "", "white-pages engine for the figure experiments: sharded or locked (default sharded)")
 	regShards := flag.Int("registry-shards", 0, "shard count for the sharded backend (0: GOMAXPROCS-scaled)")
 	poolEngine := flag.String("pool-engine", "", "pool allocation engine: indexed or oracle (default indexed; ScanCost figures stay on oracle)")
-	refreshMode := flag.String("refresh-mode", "", "pool freshness mode for the figure experiments: events or poll (the refresh figure sweeps both regardless)")
 	wireCodec := flag.String("wire-codec", "", "wire codec preference for the transport figure: auto, binary or json (the codec figure sweeps both regardless)")
 	hedge := flag.Duration("hedge-delay", 0, "fan-out stagger for the federation figure, e.g. 10ms (0 races the full width at once)")
 	jsonOut := flag.String("json", "", "also write BENCH_<figure>.json files into this directory")
@@ -55,9 +54,6 @@ func main() {
 		log.Fatalf("actyp-bench: %v", err)
 	}
 	if err := experiments.UsePoolEngine(*poolEngine); err != nil {
-		log.Fatalf("actyp-bench: %v", err)
-	}
-	if err := experiments.UseRefreshMode(*refreshMode); err != nil {
 		log.Fatalf("actyp-bench: %v", err)
 	}
 	if err := experiments.UseWireCodec(*wireCodec); err != nil {
@@ -198,8 +194,7 @@ func figCodec(quick bool) error {
 }
 
 // figRefresh sweeps allocate-latency p99 under sustained monitor sweeps
-// across fleet sizes, comparing poll-mode full cache rebuilds against the
-// event-driven incremental refresh.
+// across fleet sizes, with the change stream keeping the pool fresh.
 func figRefresh(quick bool) error {
 	cfg := experiments.DefaultRefreshScale()
 	if quick {
@@ -210,7 +205,7 @@ func figRefresh(quick bool) error {
 	if err != nil {
 		return err
 	}
-	return emit("refresh", "Refresh: allocate p99 under sustained monitor sweeps, per freshness mode",
+	return emit("refresh", "Refresh: allocate p99 under sustained monitor sweeps",
 		"machines", "p99 op (s)", series)
 }
 

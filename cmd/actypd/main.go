@@ -318,7 +318,6 @@ func run(cfg daemonConfig) error {
 		return err
 	}
 	defer svc.Close()
-	log.Printf("actypd: pool freshness in %s mode", svc.RefreshMode())
 
 	// Crash recovery: re-adopt the replayed leases into rebuilt pools
 	// before the listener opens. No probe is injected — renewals are the

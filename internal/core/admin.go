@@ -7,7 +7,6 @@ import (
 	"actyp/internal/directory"
 	"actyp/internal/pool"
 	"actyp/internal/query"
-	"actyp/internal/schedule"
 )
 
 // criteriaName parses a basic query text and returns its pool name.
@@ -59,42 +58,20 @@ func (s *Service) SplitPool(criteria string, k int) error {
 	if err != nil {
 		return err
 	}
-	obj := func() schedule.Objective {
-		o, err := schedule.ByName(s.opts.Objective)
-		if err != nil {
-			return schedule.LeastLoad{}
-		}
-		return o
-	}
-	children := make([]*pool.Pool, 0, k)
+	// Children subscribe to the change stream as they are built; the
+	// parent's Close unsubscribes it.
+	children := make([]directory.PoolRef, 0, k)
 	for i, members := range parts {
-		child, err := pool.New(pool.Config{
-			Name:      name,
-			Instance:  i + 1, // parent was instance 0
-			DB:        s.db,
-			Objective: obj(),
-			Members:   members,
-			ScanCost:  s.opts.ScanCost,
-			Engine:    s.opts.PoolEngine,
-			Events:    s.events, // children subscribe; the parent's Close unsubscribes it
-		})
+		child, err := s.factory.Build(pool.Config{Name: name, Instance: i + 1, Members: members}) // parent was instance 0
 		if err != nil {
 			for _, c := range children {
-				c.Close()
+				c.Local.(*pool.Pool).Close()
 			}
 			return fmt.Errorf("core: split child %d: %w", i, err)
 		}
 		children = append(children, child)
 	}
-	// Swap: register children, then retire the parent.
-	for _, c := range children {
-		if err := s.dir.Register(directory.PoolRef{Name: name, Instance: c.ID(), Local: c}); err != nil {
-			return err
-		}
-	}
-	s.dir.Unregister(parent.ID())
-	parent.Close()
-	return nil
+	return s.swap(parent, children)
 }
 
 // ReplicatePool adds replicas of the criteria's pool that share its full
@@ -119,36 +96,25 @@ func (s *Service) ReplicatePool(criteria string, replicas int) error {
 		return fmt.Errorf("core: instance %s is not a local pool", refs[0].Instance)
 	}
 	members := parent.Members()
-	obj := func() schedule.Objective {
-		o, err := schedule.ByName(s.opts.Objective)
-		if err != nil {
-			return schedule.LeastLoad{}
-		}
-		return o
-	}
-	made := make([]*pool.Pool, 0, replicas)
+	made := make([]directory.PoolRef, 0, replicas)
 	for i := 0; i < replicas; i++ {
-		rep, err := pool.New(pool.Config{
-			Name:      name,
-			Instance:  i + 1,
-			Replicas:  replicas,
-			DB:        s.db,
-			Objective: obj(),
-			Members:   members,
-			ScanCost:  s.opts.ScanCost,
-			Engine:    s.opts.PoolEngine,
-			Events:    s.events, // replicas subscribe; the parent's Close unsubscribes it
-		})
+		rep, err := s.factory.Build(pool.Config{Name: name, Instance: i + 1, Replicas: replicas, Members: members})
 		if err != nil {
 			for _, r := range made {
-				r.Close()
+				r.Local.(*pool.Pool).Close()
 			}
 			return fmt.Errorf("core: replica %d: %w", i, err)
 		}
 		made = append(made, rep)
 	}
-	for _, r := range made {
-		if err := s.dir.Register(directory.PoolRef{Name: name, Instance: r.ID(), Local: r}); err != nil {
+	return s.swap(parent, made)
+}
+
+// swap registers a retiring pool's successors, then unregisters and
+// closes the pool.
+func (s *Service) swap(parent *pool.Pool, successors []directory.PoolRef) error {
+	for _, ref := range successors {
+		if err := s.dir.Register(ref); err != nil {
 			return err
 		}
 	}
@@ -207,13 +173,6 @@ func (s *Service) Drain(timeout time.Duration) bool {
 		busy := 0
 		for _, p := range s.factory.Pools() {
 			busy += p.Size() - p.Free()
-		}
-		for _, name := range s.dir.Names() {
-			for _, ref := range s.dir.Lookup(name) {
-				if p, ok := ref.Local.(*pool.Pool); ok {
-					busy += p.Size() - p.Free()
-				}
-			}
 		}
 		if busy == 0 {
 			return true

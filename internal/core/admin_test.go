@@ -2,9 +2,12 @@ package core
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"actyp/internal/policy"
+	"actyp/internal/pool"
 	"actyp/internal/registry"
 )
 
@@ -186,5 +189,87 @@ func TestReplicatePool(t *testing.T) {
 		if err := s.Release(g); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// countingLog counts lease transitions (a stand-in for the journal).
+type countingLog struct{ granted, released atomic.Int64 }
+
+func (l *countingLog) LeaseGranted(*pool.Lease, time.Time) { l.granted.Add(1) }
+func (l *countingLog) LeaseReleased(string)                { l.released.Add(1) }
+func (l *countingLog) LeaseRenewed(string, time.Time)      {}
+
+// TestSplitKeepsNodeSettings: split children and replicas are built with
+// the node's pool settings, so their grants reach the lease log, expire
+// under the lease TTL, and obey the usage policies. m0000 of four carries
+// a policy that refuses public users.
+func TestSplitKeepsNodeSettings(t *testing.T) {
+	const criteria = "punch.rsrc.arch = sun"
+	const public = criteria + "\npunch.user.accessgroup = public"
+	for _, tc := range []struct {
+		name   string
+		reform func(*Service) error
+		grants int // public grants before the fleet starves
+	}{
+		{"split", func(s *Service) error { return s.SplitPool(criteria, 2) }, 3},
+		{"replicate", func(s *Service) error { return s.ReplicatePool(criteria, 2) }, 6},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			machines, err := registry.HomogeneousFleetSpec(4).Build(time.Unix(0, 0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			machines[0].Policy.UsagePolicy = "/punch/policies/public-threshold"
+			machines[0].Dynamic.Load = 1.5
+			db := registry.NewDB()
+			for _, m := range machines {
+				if err := db.Add(m); err != nil {
+					t.Fatal(err)
+				}
+			}
+			store := policy.NewStore()
+			if err := store.Register("/punch/policies/public-threshold",
+				"deny if group == public && load >= 0.5\nallow"); err != nil {
+				t.Fatal(err)
+			}
+			log := &countingLog{}
+			svc, err := New(Options{DB: db, Policies: store, LeaseLog: log,
+				LeaseTTL: time.Nanosecond, ReapInterval: time.Hour})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer svc.Close()
+			if err := svc.Precreate(criteria); err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.reform(svc); err != nil {
+				t.Fatal(err)
+			}
+			granted := 0
+			for ; granted <= tc.grants; granted++ {
+				g, err := svc.Request(public)
+				if err != nil {
+					break
+				}
+				if g.Lease.Machine == "m0000" {
+					t.Fatalf("public grant %d landed on m0000, which the policy refuses", granted)
+				}
+			}
+			if granted != tc.grants {
+				t.Fatalf("%d public grants, want %d", granted, tc.grants)
+			}
+			if got := log.granted.Load(); got != int64(tc.grants) {
+				t.Errorf("lease log saw %d grants, want %d", got, tc.grants)
+			}
+			if n := svc.Reaper().Sweep(); n != tc.grants {
+				t.Errorf("sweep reaped %d leases, want %d", n, tc.grants)
+			}
+			if got := log.released.Load(); got != int64(tc.grants) {
+				t.Errorf("lease log saw %d releases, want %d", got, tc.grants)
+			}
+			if _, err := svc.Request(public); err != nil {
+				t.Errorf("public request after the reap: %v", err)
+			}
+		})
 	}
 }

@@ -64,3 +64,65 @@ func TestLeaseTTLDisabledByDefault(t *testing.T) {
 		t.Error("reaper should not exist without LeaseTTL")
 	}
 }
+
+// reapNow builds a service over n homogeneous machines whose leases expire
+// as soon as they are granted and whose reaper never sweeps on its own:
+// the test reaps with Reaper().Sweep(), so nothing races it.
+func reapNow(t *testing.T, n int, mut ...func(*Options)) *Service {
+	t.Helper()
+	return homogService(t, n, append([]func(*Options){func(o *Options) {
+		o.LeaseTTL = time.Nanosecond
+		o.ReapInterval = time.Hour
+	}}, mut...)...)
+}
+
+// TestReapFreesShadowAccount: a reaped lease gives its shadow account
+// back, so clients that never release cannot exhaust a machine's accounts.
+func TestReapFreesShadowAccount(t *testing.T) {
+	svc := reapNow(t, 1, func(o *Options) { o.ShadowAccounts = 2 })
+	for i := 0; i < 3; i++ {
+		if _, err := svc.Request("punch.rsrc.arch = sun"); err != nil {
+			t.Fatalf("grant %d: %v", i, err)
+		}
+		if n := svc.Reaper().Sweep(); n != 1 {
+			t.Fatalf("sweep %d reaped %d leases, want 1", i, n)
+		}
+	}
+	g, err := svc.Request("punch.rsrc.arch = sun")
+	if err != nil {
+		t.Fatalf("fourth grant after three reaps: %v", err)
+	}
+	if free := svc.shadows.Free(g.Lease.Machine); free != 1 {
+		t.Errorf("%d accounts free with one grant live, want 1", free)
+	}
+}
+
+// TestReleaseFreesOwnAccount: Release frees the account recorded for the
+// lease, whatever account the client's grant names.
+func TestReleaseFreesOwnAccount(t *testing.T) {
+	svc := homogService(t, 2)
+	g1, err := svc.Request("punch.rsrc.arch = sun")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g2, err := svc.Request("punch.rsrc.arch = sun")
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged := &Grant{Lease: g1.Lease, Shadow: g2.Shadow}
+	if err := svc.Release(forged); err != nil {
+		t.Fatal(err)
+	}
+	if free := svc.shadows.Free(g1.Lease.Machine); free != 8 {
+		t.Errorf("released grant's machine %s has %d free accounts, want 8", g1.Lease.Machine, free)
+	}
+	if free := svc.shadows.Free(g2.Lease.Machine); free != 7 {
+		t.Errorf("live grant's machine %s has %d free accounts, want 7", g2.Lease.Machine, free)
+	}
+	if err := svc.Release(g2); err != nil {
+		t.Fatal(err)
+	}
+	if free := svc.shadows.Free(g2.Lease.Machine); free != 8 {
+		t.Errorf("after both releases %s has %d free accounts, want 8", g2.Lease.Machine, free)
+	}
+}

@@ -69,7 +69,7 @@ func (s *Service) ExportDomain(domain string, pageSize int) (*DomainExport, erro
 	for _, m := range exp.Machines {
 		names[m.Static.Name] = true
 	}
-	for _, p := range s.allPools() {
+	for _, p := range s.factory.Pools() {
 		for _, li := range p.Leases() {
 			if !names[li.Machine] {
 				continue
@@ -135,7 +135,6 @@ func (s *Service) AdoptDomain(exp *DomainExport, grace time.Duration) (RecoveryR
 	sort.Strings(instances)
 
 	now := time.Now()
-	adoptedIDs := make([]string, 0, len(exp.Leases))
 	for _, inst := range instances {
 		ls := byInstance[inst]
 		p, err := s.adoptInstance(inst, ls)
@@ -167,21 +166,9 @@ func (s *Service) AdoptDomain(exp *DomainExport, grace time.Duration) (RecoveryR
 				rep.Dropped++
 				continue
 			}
-			adoptedIDs = append(adoptedIDs, rl.Lease.ID)
 			rep.Restored++
 		}
 	}
-
-	// Migrated leases have no shadow accounts in this process; their first
-	// release must tolerate the missing account, like recovered leases.
-	s.mu.Lock()
-	if s.recovered == nil {
-		s.recovered = make(map[string]bool, len(adoptedIDs))
-	}
-	for _, id := range adoptedIDs {
-		s.recovered[id] = true
-	}
-	s.mu.Unlock()
 	return rep, nil
 }
 
@@ -215,7 +202,7 @@ func (s *Service) adoptInstance(inst string, ls []RecoveredLease) (*pool.Pool, e
 	if len(members) == 0 {
 		return nil, nil
 	}
-	ref, err := s.factory.Adopt(name, num, members, exclusive)
+	ref, err := s.factory.Build(pool.Config{Name: name, Instance: num, Members: members, Exclusive: exclusive})
 	if err != nil {
 		return nil, err
 	}
@@ -250,7 +237,7 @@ func (s *Service) DropDomain(exp *DomainExport) int {
 	for _, m := range exp.Machines {
 		names[m.Static.Name] = true
 	}
-	for _, p := range s.allPools() {
+	for _, p := range s.factory.Pools() {
 		touched := false
 		for _, member := range p.Members() {
 			if names[member] {

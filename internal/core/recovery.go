@@ -145,7 +145,6 @@ func (s *Service) Recover(leases []RecoveredLease, opts RecoverOptions) (Recover
 	}
 
 	now := time.Now()
-	recoveredIDs := make([]string, 0, len(alive))
 	for _, inst := range instances {
 		ls := byInstance[inst]
 		name, num, err := parsePoolInstance(inst)
@@ -171,7 +170,7 @@ func (s *Service) Recover(leases []RecoveredLease, opts RecoverOptions) (Recover
 		if len(members) == 0 {
 			continue // instance evaporated entirely; nothing to rebuild
 		}
-		ref, err := s.factory.Adopt(name, num, members, exclusive)
+		ref, err := s.factory.Build(pool.Config{Name: name, Instance: num, Members: members, Exclusive: exclusive})
 		if err != nil {
 			dropAll(inst, ls, err)
 			continue
@@ -199,22 +198,9 @@ func (s *Service) Recover(leases []RecoveredLease, opts RecoverOptions) (Recover
 				rep.Dropped++
 				continue
 			}
-			recoveredIDs = append(recoveredIDs, rl.Lease.ID)
 			rep.Restored++
 		}
 	}
-
-	// Shadow accounts are session-scoped and not journaled: the manager
-	// restarts empty, so releases of pre-crash grants must tolerate the
-	// missing account exactly once per recovered lease.
-	s.mu.Lock()
-	if s.recovered == nil {
-		s.recovered = make(map[string]bool, len(recoveredIDs))
-	}
-	for _, id := range recoveredIDs {
-		s.recovered[id] = true
-	}
-	s.mu.Unlock()
 	return rep, nil
 }
 
@@ -241,17 +227,4 @@ type errNoInstanceSep string
 
 func (e errNoInstanceSep) Error() string {
 	return "core: pool instance " + strconv.Quote(string(e)) + " has no '#'"
-}
-
-// recoveredLease reports (and consumes) whether id was restored by
-// Recover — Release uses it to tolerate the one shadow-release failure a
-// pre-crash grant legitimately produces.
-func (s *Service) recoveredLease(id string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.recovered[id] {
-		return false
-	}
-	delete(s.recovered, id)
-	return true
 }

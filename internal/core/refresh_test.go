@@ -7,25 +7,30 @@ import (
 	"actyp/internal/registry"
 )
 
-// TestRefreshLoopFoldsMonitorUpdates verifies the self-optimizing loop end
-// to end: the monitor writes fresh loads to the white pages, the refresh
-// loop folds them into pool caches, and scheduling decisions follow.
-func TestRefreshLoopFoldsMonitorUpdates(t *testing.T) {
+// TestEventDispatchFoldsMonitorUpdates verifies the self-optimizing loop
+// end to end: the monitor writes fresh loads to the white pages, the
+// change-stream dispatcher folds them into the pool cache, and scheduling
+// decisions follow.
+func TestEventDispatchFoldsMonitorUpdates(t *testing.T) {
 	db := registry.NewDB()
 	if err := registry.HomogeneousFleetSpec(2).Populate(db, time.Unix(0, 0)); err != nil {
 		t.Fatal(err)
 	}
-	svc, err := New(Options{DB: db, RefreshInterval: time.Millisecond})
+	svc, err := New(Options{DB: db})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer svc.Close()
+	if svc.Events() == nil {
+		t.Fatal("the service built no dispatcher")
+	}
 	if err := svc.Precreate("punch.rsrc.arch = sun"); err != nil {
 		t.Fatal(err)
 	}
+	if got := svc.Events().Pools(); got != 1 {
+		t.Fatalf("subscribed pools = %d, want 1", got)
+	}
 
-	// Load m0000 heavily via the "monitor" (direct DB write), then wait
-	// for the refresh loop to propagate it.
 	m, err := db.Get("m0000")
 	if err != nil {
 		t.Fatal(err)
@@ -36,7 +41,6 @@ func TestRefreshLoopFoldsMonitorUpdates(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Eventually the scheduler must prefer m0001 (least load wins).
 	deadline := time.Now().Add(3 * time.Second)
 	for {
 		g, err := svc.Request("punch.rsrc.arch = sun")
@@ -54,6 +58,33 @@ func TestRefreshLoopFoldsMonitorUpdates(t *testing.T) {
 			t.Fatalf("scheduler kept choosing %s despite the load update", machine)
 		}
 		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// TestSplitReplicaResubscribe: split children and replicas take over the
+// parent's change-stream subscription across the admin swap.
+func TestSplitReplicaResubscribe(t *testing.T) {
+	db := registry.NewDB()
+	if err := registry.HomogeneousFleetSpec(8).Populate(db, time.Unix(0, 0)); err != nil {
+		t.Fatal(err)
+	}
+	svc, err := New(Options{DB: db})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	const criteria = "punch.rsrc.arch = sun"
+	if err := svc.Precreate(criteria); err != nil {
+		t.Fatal(err)
+	}
+	if got := svc.Events().Pools(); got != 1 {
+		t.Fatalf("after precreate: %d subscriptions, want 1", got)
+	}
+	if err := svc.SplitPool(criteria, 2); err != nil {
+		t.Fatal(err)
+	}
+	if got := svc.Events().Pools(); got != 2 {
+		t.Fatalf("after split: %d subscriptions, want 2 (children in, parent out)", got)
 	}
 }
 

@@ -73,11 +73,7 @@ func newMux(svc *Service) *wire.Mux {
 		}, nil
 	})
 	wire.Handle(mux, wire.Release, func(req *wire.ReleaseRequest) (*wire.ReleaseReply, error) {
-		g := &Grant{Lease: &req.Lease}
-		if req.Shadow != nil {
-			g.Shadow = *req.Shadow
-		}
-		return &wire.ReleaseReply{}, svc.Release(g)
+		return &wire.ReleaseReply{}, svc.Release(&Grant{Lease: &req.Lease})
 	})
 	wire.Handle(mux, wire.Renew, func(req *wire.RenewRequest) (*wire.RenewReply, error) {
 		return &wire.RenewReply{}, svc.Renew(&Grant{Lease: &req.Lease})

@@ -58,20 +58,6 @@ type Options struct {
 	// MonitorInterval, when positive, starts a background monitor sweep
 	// at this period using the synthetic sampler.
 	MonitorInterval time.Duration
-	// RefreshMode selects how monitor updates reach live pool caches.
-	// RefreshEvents (the default) subscribes every pool to the registry
-	// change stream: a dispatcher folds updates into the caches
-	// incrementally as they land, so no timer and no full rebuilds are on
-	// the steady-state path. RefreshPoll keeps the timer-driven full
-	// Refresh of every pool — the pre-event behaviour, retained as a knob
-	// and fallback.
-	RefreshMode string
-	// RefreshInterval, when positive, periodically folds the monitor's
-	// database updates into every live pool cache (the pools' scheduling
-	// processes re-reading machine state). In poll mode it defaults to
-	// MonitorInterval when that is set; in events mode it is off unless
-	// set explicitly (a safety-net full Refresh underneath the stream).
-	RefreshInterval time.Duration
 	// Selector overrides the query managers' pool-manager selection
 	// (default: random).
 	Selector querymgr.Selector
@@ -125,28 +111,6 @@ type Options struct {
 	Routes *route.Table
 }
 
-// Refresh modes accepted by Options.RefreshMode and actyp-bench's
-// -refresh-mode flag.
-const (
-	RefreshPoll   = "poll"
-	RefreshEvents = "events"
-)
-
-// defaultRefreshMode is used when Options.RefreshMode is empty. The test
-// suite overrides it (-refresh-default-mode) to run the whole package in
-// either mode, mirroring the wire package's per-codec matrix.
-var defaultRefreshMode = RefreshEvents
-
-// ValidateRefreshMode rejects unknown refresh modes; actyp-bench uses it to
-// fail fast on a bad -refresh-mode flag.
-func ValidateRefreshMode(mode string) error {
-	switch mode {
-	case "", RefreshPoll, RefreshEvents:
-		return nil
-	}
-	return fmt.Errorf("core: unknown refresh mode %q (want %q or %q)", mode, RefreshPoll, RefreshEvents)
-}
-
 // Grant is a completed resource grant: the machine lease plus the shadow
 // account the run will execute in.
 type Grant struct {
@@ -168,23 +132,25 @@ type Service struct {
 	shadows *shadow.Manager
 	mon     *monitor.Monitor
 	reaper  *pool.Reaper
-	events  *pool.Dispatcher // events mode: the registry->pool freshness bridge
+	events  *pool.Dispatcher // the registry->pool freshness bridge
 	opts    Options
-
-	refreshStop chan struct{}
-	refreshDone chan struct{}
 
 	nextQM  atomic.Uint64
 	shadowN int
 
-	// mu guards lifecycle only; the request path is lock-free in this
-	// layer (queries serialize, if at all, inside the stages below).
+	// accounts maps each live lease granted through this service to its
+	// shadow account, so the account ends with the lease whichever way
+	// the lease ends: Release, or a release, reap or drop its pool reports
+	// through leaseLog. A lease missing here (recovered from the journal,
+	// adopted from a handoff, or already ended) has no account to free.
+	acctMu   sync.Mutex
+	accounts map[string]shadow.Account
+
+	// mu guards lifecycle only; the request path takes no lock in this
+	// layer but acctMu (queries serialize, if at all, inside the stages
+	// below).
 	mu     sync.Mutex
 	closed bool
-	// recovered holds lease ids restored by Recover whose shadow accounts
-	// died with the previous process; Release consumes them to tolerate
-	// the one missing-shadow error each such grant produces.
-	recovered map[string]bool
 }
 
 // New builds and starts a Service.
@@ -214,38 +180,29 @@ func New(opts Options) (*Service, error) {
 	if err := pool.ValidateEngine(opts.PoolEngine); err != nil {
 		return nil, err
 	}
-	if err := ValidateRefreshMode(opts.RefreshMode); err != nil {
-		return nil, err
-	}
-	if opts.RefreshMode == "" {
-		opts.RefreshMode = defaultRefreshMode
-	}
 	s := &Service{
-		db:      opts.DB,
-		schemas: opts.Schemas,
-		dir:     directory.New(),
-		shadows: shadow.NewManager(),
-		opts:    opts,
-		shadowN: opts.ShadowAccounts,
+		db:       opts.DB,
+		schemas:  opts.Schemas,
+		dir:      directory.New(),
+		shadows:  shadow.NewManager(),
+		events:   pool.NewDispatcher(opts.DB, 0),
+		opts:     opts,
+		shadowN:  opts.ShadowAccounts,
+		accounts: make(map[string]shadow.Account),
 	}
-	// A failed constructor must not leak the background helpers started
-	// below (dispatcher drain loop + registry subscription, reaper).
+	s.events.Start()
+	// A failed constructor must not leak its background helpers (the
+	// dispatcher's drain loop and registry subscription, the reaper).
 	built := false
 	defer func() {
 		if built {
 			return
 		}
-		if s.events != nil {
-			s.events.Stop()
-		}
+		s.events.Stop()
 		if s.reaper != nil {
 			s.reaper.Stop()
 		}
 	}()
-	if opts.RefreshMode == RefreshEvents {
-		s.events = pool.NewDispatcher(opts.DB, 0)
-		s.events.Start()
-	}
 	s.factory = &poolmgr.LocalFactory{
 		DB:          opts.DB,
 		Objective:   opts.Objective,
@@ -255,14 +212,14 @@ func New(opts Options) (*Service, error) {
 		LeaseTTL:    opts.LeaseTTL,
 		Engine:      opts.PoolEngine,
 		Events:      s.events,
-		Log:         opts.LeaseLog,
+		Log:         leaseLog{s},
 	}
 	if opts.LeaseTTL > 0 {
 		ivl := opts.ReapInterval
 		if ivl <= 0 {
 			ivl = opts.LeaseTTL / 2
 		}
-		s.reaper = pool.NewReaper(s.allPools, ivl)
+		s.reaper = pool.NewReaper(s.factory.Pools, ivl)
 		s.reaper.Start()
 	}
 	for i := 0; i < opts.PoolManagers; i++ {
@@ -317,39 +274,8 @@ func New(opts Options) (*Service, error) {
 		})
 		s.mon.Start()
 	}
-	refreshIvl := opts.RefreshInterval
-	if refreshIvl <= 0 && opts.RefreshMode == RefreshPoll {
-		// Only poll mode infers an interval: in events mode the stream is
-		// the steady-state path, and the timer runs solely when asked for
-		// explicitly (a safety-net full Refresh underneath it).
-		refreshIvl = opts.MonitorInterval
-	}
-	if refreshIvl > 0 {
-		s.refreshStop = make(chan struct{})
-		s.refreshDone = make(chan struct{})
-		go s.refreshLoop(refreshIvl)
-	}
 	built = true
 	return s, nil
-}
-
-// refreshLoop periodically runs every live pool's Refresh — poll mode's
-// freshness path, and the optional safety net underneath events mode —
-// folding the monitor's white-pages updates into the pool caches.
-func (s *Service) refreshLoop(interval time.Duration) {
-	defer close(s.refreshDone)
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.refreshStop:
-			return
-		case <-t.C:
-			for _, p := range s.allPools() {
-				p.Refresh()
-			}
-		}
-	}
 }
 
 // Request submits a native-language query and returns a full grant.
@@ -371,6 +297,9 @@ func (s *Service) RequestLang(lang, text string) (*Grant, error) {
 		_ = qm.Release(resp.Lease)
 		return nil, err
 	}
+	s.acctMu.Lock()
+	s.accounts[resp.Lease.ID] = acct
+	s.acctMu.Unlock()
 	return &Grant{
 		Lease:     resp.Lease,
 		Shadow:    acct,
@@ -380,28 +309,56 @@ func (s *Service) RequestLang(lang, text string) (*Grant, error) {
 	}, nil
 }
 
-// Release returns a grant's machine and shadow account.
+// Release returns a grant's machine and the shadow account recorded for
+// its lease; g.Shadow is not consulted. The account is freed whatever the
+// lease release returns: a release that fails found no lease left to end
+// (its pool retired, or its grantor reaped it), and the holder is done
+// with the account either way.
 func (s *Service) Release(g *Grant) error {
 	if g == nil || g.Lease == nil {
 		return fmt.Errorf("core: nil grant")
 	}
-	var firstErr error
-	if g.Shadow.User != "" {
-		if err := s.shadows.Release(g.Shadow.Machine, g.Shadow.User); err != nil {
-			// A lease restored by crash recovery has no shadow account in
-			// this process (shadow state is session-scoped, not journaled);
-			// that one failure is expected and consumed here.
-			if !s.recoveredLease(g.Lease.ID) {
-				firstErr = err
-			}
-		}
-	}
+	s.endShadow(g.Lease.ID)
 	// Every pool manager shares one directory and routes by the lease id
 	// alone, so any one of them reaches the grantor; see Renew.
-	if err := s.pms[0].Release(g.Lease); err != nil && firstErr == nil {
-		firstErr = err
+	return s.pms[0].Release(g.Lease)
+}
+
+// endShadow frees the shadow account recorded for a lease, if any. Only
+// the first caller for a lease finds it, so the account is freed once
+// however Release and the lease's pool race.
+func (s *Service) endShadow(leaseID string) {
+	s.acctMu.Lock()
+	acct, ok := s.accounts[leaseID]
+	delete(s.accounts, leaseID)
+	s.acctMu.Unlock()
+	if ok {
+		_ = s.shadows.Release(acct.Machine, acct.User)
 	}
-	return firstErr
+}
+
+// leaseLog is the lease log of every pool the service builds: a lease's
+// end frees its shadow account, and each transition goes on unchanged to
+// Options.LeaseLog when one is set.
+type leaseLog struct{ s *Service }
+
+func (l leaseLog) LeaseGranted(lease *pool.Lease, expires time.Time) {
+	if next := l.s.opts.LeaseLog; next != nil {
+		next.LeaseGranted(lease, expires)
+	}
+}
+
+func (l leaseLog) LeaseReleased(leaseID string) {
+	l.s.endShadow(leaseID)
+	if next := l.s.opts.LeaseLog; next != nil {
+		next.LeaseReleased(leaseID)
+	}
+}
+
+func (l leaseLog) LeaseRenewed(leaseID string, expires time.Time) {
+	if next := l.s.opts.LeaseLog; next != nil {
+		next.LeaseRenewed(leaseID, expires)
+	}
 }
 
 // Renew extends a grant's lease lifetime on TTL-enabled services. Clients
@@ -480,28 +437,6 @@ func (s *Service) QueryManagers() []*querymgr.Manager {
 	return out
 }
 
-// allPools enumerates every live local pool: factory-created ones plus
-// split children and replicas registered directly in the directory.
-func (s *Service) allPools() []*pool.Pool {
-	seen := map[string]bool{}
-	var out []*pool.Pool
-	for _, p := range s.factory.Pools() {
-		if !seen[p.ID()] {
-			seen[p.ID()] = true
-			out = append(out, p)
-		}
-	}
-	for _, name := range s.dir.Names() {
-		for _, ref := range s.dir.Lookup(name) {
-			if p, ok := ref.Local.(*pool.Pool); ok && !seen[p.ID()] {
-				seen[p.ID()] = true
-				out = append(out, p)
-			}
-		}
-	}
-	return out
-}
-
 // Routes exposes the domain-ownership table (nil when partitioning is
 // off).
 func (s *Service) Routes() *route.Table { return s.opts.Routes }
@@ -509,11 +444,8 @@ func (s *Service) Routes() *route.Table { return s.opts.Routes }
 // Reaper exposes the lease reaper (nil when LeaseTTL is unset).
 func (s *Service) Reaper() *pool.Reaper { return s.reaper }
 
-// RefreshMode reports the active freshness mode (RefreshPoll or
-// RefreshEvents).
-func (s *Service) RefreshMode() string { return s.opts.RefreshMode }
-
-// Events exposes the change-stream dispatcher (nil in poll mode).
+// Events exposes the change-stream dispatcher that keeps every pool's
+// cache fresh.
 func (s *Service) Events() *pool.Dispatcher { return s.events }
 
 // Stats is an aggregate operational snapshot of the pipeline.
@@ -564,12 +496,6 @@ func (s *Service) Close() {
 	if s.reaper != nil {
 		s.reaper.Stop()
 	}
-	if s.refreshStop != nil {
-		close(s.refreshStop)
-		<-s.refreshDone
-	}
-	if s.events != nil {
-		s.events.Stop()
-	}
+	s.events.Stop()
 	s.factory.CloseAll()
 }

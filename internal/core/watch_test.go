@@ -393,7 +393,7 @@ func TestWatchRingClampedOverWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	limit := max(registry.DefaultWatchBuffer, 2*db.Len())
-	svc, err := New(Options{DB: db, RefreshMode: RefreshEvents})
+	svc, err := New(Options{DB: db})
 	if err != nil {
 		t.Fatal(err)
 	}

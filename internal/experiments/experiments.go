@@ -42,7 +42,7 @@ func newService(machines int, scanCost time.Duration, seed int64) (*core.Service
 	if err := registry.HomogeneousFleetSpec(machines).Populate(db, time.Now()); err != nil {
 		return nil, err
 	}
-	return core.New(core.Options{DB: db, ScanCost: scanCost, Seed: seed, PoolEngine: PoolEngine(), RefreshMode: RefreshMode()})
+	return core.New(core.Options{DB: db, ScanCost: scanCost, Seed: seed, PoolEngine: PoolEngine()})
 }
 
 // closedLoop runs `clients` concurrent closed-loop clients, each executing

@@ -334,7 +334,7 @@ func federationFreshPoint(cfg FederationConfig, size int, watch bool) (p50, p99,
 	if err := registry.HomogeneousFleetSpec(size).Populate(db, time.Now()); err != nil {
 		return 0, 0, 0, err
 	}
-	svc, err := core.New(core.Options{DB: db, PoolEngine: PoolEngine(), RefreshMode: RefreshMode()})
+	svc, err := core.New(core.Options{DB: db, PoolEngine: PoolEngine()})
 	if err != nil {
 		return 0, 0, 0, err
 	}

@@ -232,7 +232,7 @@ func recoveryPoint(cfg RecoveryConfig, size int) (recoverySample, error) {
 	}
 	svc, err := core.New(core.Options{
 		DB: db, Seed: cfg.Seed, LeaseTTL: time.Minute, LeaseLog: jnl,
-		PoolEngine: PoolEngine(), RefreshMode: RefreshMode(),
+		PoolEngine: PoolEngine(),
 	})
 	if err != nil {
 		return out, err
@@ -286,7 +286,7 @@ func fsyncPoint(cfg RecoveryConfig, policy string) (time.Duration, error) {
 	if err := registry.HomogeneousFleetSpec(cfg.FsyncMachines).Populate(db, time.Now()); err != nil {
 		return 0, err
 	}
-	opts := core.Options{DB: db, Seed: cfg.Seed, PoolEngine: PoolEngine(), RefreshMode: RefreshMode()}
+	opts := core.Options{DB: db, Seed: cfg.Seed, PoolEngine: PoolEngine()}
 	var jnl *journal.Journal
 	if policy != "none" {
 		dir, err := os.MkdirTemp("", "actyp-fsync-*")

@@ -11,40 +11,29 @@ import (
 	"actyp/internal/registry"
 )
 
-// RefreshScaleConfig parameterizes the freshness-mode scale experiment:
+// RefreshScaleConfig parameterizes the freshness scale experiment:
 // allocate-latency p99 on one fleet-wide pool while the resource monitor
-// sweeps the whole white pages as fast as it can, per refresh mode. Poll
-// mode pays a stop-the-world full cache rebuild per refresh tick — a
-// window that grows with the fleet — while events mode folds the same
-// sweeps through the registry change stream in bounded increments, so the
-// tail latency gap between the two is the figure of merit.
+// sweeps the whole white pages as fast as it can. The sweeps reach the
+// pool cache through the registry change stream in bounded increments, so
+// the tail should stay flat as the fleet grows.
 type RefreshScaleConfig struct {
-	Sizes        []int    // fleet sizes to sweep
-	Modes        []string // refresh modes to compare
-	Clients      int      // concurrent closed-loop clients
-	OpsPerClient int      // measured requests per client per point
-	// PollInterval is poll mode's refresh cadence. It is set small so the
-	// rebuilds are as continuous as the event stream they stand against;
-	// at large fleets one rebuild outlasts the interval anyway, making
-	// the refresher effectively back-to-back.
-	PollInterval time.Duration
+	Sizes        []int // fleet sizes to sweep
+	Clients      int   // concurrent closed-loop clients
+	OpsPerClient int   // measured requests per client per point
 }
 
-// DefaultRefreshScale sweeps 1k/10k/100k machines in both modes under
-// 8-way contention.
+// DefaultRefreshScale sweeps 1k/10k/100k machines under 8-way contention.
 func DefaultRefreshScale() RefreshScaleConfig {
 	return RefreshScaleConfig{
 		Sizes:        []int{1000, 10000, 100000},
-		Modes:        []string{core.RefreshPoll, core.RefreshEvents},
 		Clients:      8,
 		OpsPerClient: 150,
-		PollInterval: 25 * time.Millisecond,
 	}
 }
 
-// RefreshScale runs the sweep and returns one series per mode: p99
-// seconds per Request+Release cycle at each fleet size, measured under
-// sustained monitor sweeps.
+// RefreshScale runs the sweep and returns one series, labelled "events":
+// p99 seconds per Request+Release cycle at each fleet size, measured
+// under sustained monitor sweeps.
 func RefreshScale(cfg RefreshScaleConfig) ([]metrics.Series, error) {
 	if cfg.Clients <= 0 {
 		cfg.Clients = 8
@@ -52,25 +41,18 @@ func RefreshScale(cfg RefreshScaleConfig) ([]metrics.Series, error) {
 	if cfg.OpsPerClient <= 0 {
 		cfg.OpsPerClient = 150
 	}
-	if cfg.PollInterval <= 0 {
-		cfg.PollInterval = 25 * time.Millisecond
-	}
-	var out []metrics.Series
-	for _, mode := range cfg.Modes {
-		s := metrics.Series{Label: mode}
-		for _, size := range cfg.Sizes {
-			p99, err := refreshScalePoint(mode, size, cfg)
-			if err != nil {
-				return out, err
-			}
-			s.Add(float64(size), p99.Seconds())
+	s := metrics.Series{Label: "events"}
+	for _, size := range cfg.Sizes {
+		p99, err := refreshScalePoint(size, cfg)
+		if err != nil {
+			return nil, err
 		}
-		out = append(out, s)
+		s.Add(float64(size), p99.Seconds())
 	}
-	return out, nil
+	return []metrics.Series{s}, nil
 }
 
-func refreshScalePoint(mode string, size int, cfg RefreshScaleConfig) (time.Duration, error) {
+func refreshScalePoint(size int, cfg RefreshScaleConfig) (time.Duration, error) {
 	const criteria = "punch.rsrc.arch = sun"
 	db, err := newDB()
 	if err != nil {
@@ -79,11 +61,7 @@ func refreshScalePoint(mode string, size int, cfg RefreshScaleConfig) (time.Dura
 	if err := registry.HomogeneousFleetSpec(size).Populate(db, time.Now()); err != nil {
 		return 0, err
 	}
-	opts := core.Options{DB: db, PoolEngine: PoolEngine(), RefreshMode: mode}
-	if mode == core.RefreshPoll {
-		opts.RefreshInterval = cfg.PollInterval
-	}
-	svc, err := core.New(opts)
+	svc, err := core.New(core.Options{DB: db, PoolEngine: PoolEngine()})
 	if err != nil {
 		return 0, err
 	}
@@ -96,7 +74,7 @@ func refreshScalePoint(mode string, size int, cfg RefreshScaleConfig) (time.Dura
 
 	// The monitor sweeps back to back: every pass samples the whole fleet
 	// and lands it through the batched update path, which is the sustained
-	// churn both freshness modes must absorb.
+	// churn the change stream must absorb.
 	mon := monitor.New(monitor.Config{DB: db, Sampler: monitor.NewSyntheticSampler(1)})
 	stop := make(chan struct{})
 	var sweeps sync.WaitGroup
@@ -117,7 +95,7 @@ func refreshScalePoint(mode string, size int, cfg RefreshScaleConfig) (time.Dura
 	err = closedLoop(cfg.Clients, cfg.OpsPerClient, rec, func(client, iter int) error {
 		g, err := svc.Request(criteria)
 		if err != nil {
-			return fmt.Errorf("mode %s size %d: %w", mode, size, err)
+			return fmt.Errorf("size %d: %w", size, err)
 		}
 		return svc.Release(g)
 	})

@@ -1,28 +1,21 @@
 package experiments
 
-import (
-	"testing"
-	"time"
-
-	"actyp/internal/core"
-)
+import "testing"
 
 // TestRefreshScaleSmoke runs a miniature sweep through the full driver:
-// both modes, two sizes, real monitor sweeps underneath.
+// two sizes, real monitor sweeps underneath.
 func TestRefreshScaleSmoke(t *testing.T) {
 	cfg := RefreshScaleConfig{
 		Sizes:        []int{200, 400},
-		Modes:        []string{core.RefreshPoll, core.RefreshEvents},
 		Clients:      4,
 		OpsPerClient: 5,
-		PollInterval: time.Millisecond,
 	}
 	series, err := RefreshScale(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(series) != 2 {
-		t.Fatalf("got %d series, want 2", len(series))
+	if len(series) != 1 || series[0].Label != "events" {
+		t.Fatalf("got %d series, want one labelled events", len(series))
 	}
 	for _, s := range series {
 		if len(s.Points) != len(cfg.Sizes) {
@@ -34,21 +27,4 @@ func TestRefreshScaleSmoke(t *testing.T) {
 			}
 		}
 	}
-}
-
-func TestUseRefreshModeValidates(t *testing.T) {
-	if err := UseRefreshMode("bogus"); err == nil {
-		t.Fatal("bogus refresh mode accepted")
-	}
-	if err := UseRefreshMode(core.RefreshEvents); err != nil {
-		t.Fatal(err)
-	}
-	if got := RefreshMode(); got != core.RefreshEvents {
-		t.Fatalf("RefreshMode() = %q", got)
-	}
-	t.Cleanup(func() {
-		if err := UseRefreshMode(""); err != nil {
-			t.Fatal(err)
-		}
-	})
 }

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"actyp/internal/core"
 	"actyp/internal/metrics"
 	"actyp/internal/pool"
 	"actyp/internal/query"
@@ -21,7 +20,6 @@ var (
 	registryBackend = registry.BackendSharded
 	registryShards  = 0
 	poolEngine      = ""
-	refreshMode     = ""
 	wireCodecs      []wire.Codec
 )
 
@@ -59,26 +57,6 @@ func PoolEngine() string {
 	regMu.Lock()
 	defer regMu.Unlock()
 	return poolEngine
-}
-
-// UseRefreshMode selects the pool freshness mode the experiment drivers
-// configure ("" = the core default, events). The refresh figure sweeps
-// both modes regardless — comparing them is that figure's job.
-func UseRefreshMode(mode string) error {
-	if err := core.ValidateRefreshMode(mode); err != nil {
-		return err
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	refreshMode = mode
-	return nil
-}
-
-// RefreshMode returns the configured freshness mode ("" = default).
-func RefreshMode() string {
-	regMu.Lock()
-	defer regMu.Unlock()
-	return refreshMode
 }
 
 // UseWireCodec pins the wire-codec preference the wire-speaking experiment

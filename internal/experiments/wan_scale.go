@@ -170,7 +170,7 @@ func wanPoint(cfg WanConfig, profile netsim.Profile, leg WanLeg, batch int) (flo
 	if err := registry.DefaultFleetSpec(cfg.Machines).Populate(db, time.Now()); err != nil {
 		return 0, 0, err
 	}
-	svc, err := core.New(core.Options{DB: db, Seed: 1, PoolEngine: PoolEngine(), RefreshMode: RefreshMode()})
+	svc, err := core.New(core.Options{DB: db, Seed: 1, PoolEngine: PoolEngine()})
 	if err != nil {
 		return 0, 0, err
 	}

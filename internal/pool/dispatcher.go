@@ -9,11 +9,12 @@ import (
 
 // Dispatcher is the freshness bridge between the white pages and live
 // pools: one registry change-stream subscription fanned out to every
-// subscribed pool. Monitor updates reach pool caches as they happen —
-// each batch folds through the engines' incremental Apply — instead of
-// through the timer-driven full Refresh of poll mode, and when the
-// subscription ring overflows and drops to its resync marker, the
-// dispatcher degrades every pool to exactly that full Refresh. One
+// subscribed pool. It is the pools' scheduling process (Section 5.2.3:
+// "processes or threads that order the machines on the basis of specified
+// scheduling objectives"). Monitor updates reach pool caches as they
+// happen, each batch folded through the engines' incremental Apply; when
+// the subscription ring overflows and drops to its resync marker, the
+// dispatcher degrades every pool to a full Refresh. One
 // dispatcher serves any number of pools; pools subscribe at creation
 // (Config.Events) and unsubscribe when they close.
 type Dispatcher struct {

@@ -161,8 +161,8 @@ func (o *oracleAlloc) Refresh(get func(name string) (*registry.Machine, error)) 
 	}
 }
 
-// Apply implements Allocator as a full Refresh: the oracle stays
-// poll-based by design — its whole value is full-scan reference semantics
+// Apply implements Allocator as a full Refresh: the oracle re-reads
+// everything by design — its whole value is full-scan reference semantics
 // — so an event batch simply triggers the complete re-read the events are
 // guaranteed to be a subset of.
 func (o *oracleAlloc) Apply(events []registry.Event, get func(name string) (*registry.Machine, error)) {

@@ -104,8 +104,8 @@ type Config struct {
 	Engine string
 	// Events, when non-nil, subscribes the new pool to the registry change
 	// stream the dispatcher drains: monitor updates then fold into the
-	// cache incrementally (Apply) instead of through timed full Refreshes.
-	// The pool unsubscribes itself on Close.
+	// cache incrementally (Apply). The pool unsubscribes itself on Close.
+	// Nil leaves a standalone pool whose owner calls Refresh.
 	Events *Dispatcher
 	// Log, when non-nil, observes every lease grant, renewal, and release
 	// (reaps included) — the durability journal's feed. See LeaseLog.
@@ -338,10 +338,9 @@ func (p *Pool) Allocate(q *query.Query) (*Lease, error) {
 }
 
 // Refresh re-reads the dynamic fields of every cached machine from the
-// white pages. This is the scheduling process's periodic resorting input
-// in poll mode — and the resync fallback of the event path: monitor
-// updates land in the database and Refresh folds them into the cache,
-// preserving locally-accounted jobs.
+// white pages, preserving locally-accounted jobs. The Dispatcher runs it
+// when its subscription resyncs, and New once after subscribing; a
+// standalone pool's owner runs it to fold monitor updates in.
 func (p *Pool) Refresh() {
 	p.engine.Refresh(p.db.View)
 }

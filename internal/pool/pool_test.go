@@ -485,22 +485,6 @@ func TestConcurrentAllocateNoDoubleLease(t *testing.T) {
 	}
 }
 
-func TestRefresherStartStop(t *testing.T) {
-	db := fleetDB(t, 2)
-	p := newSunPool(t, db)
-	r := NewRefresher(p, time.Millisecond)
-	r.Start()
-	r.Start() // no-op
-	time.Sleep(10 * time.Millisecond)
-	r.Stop()
-	r.Stop() // no-op
-	// Default interval guard.
-	r2 := NewRefresher(p, 0)
-	if r2.interval != time.Second {
-		t.Errorf("default interval = %v", r2.interval)
-	}
-}
-
 func TestLeaseIDsUnique(t *testing.T) {
 	db := fleetDB(t, 16)
 	p := newSunPool(t, db)

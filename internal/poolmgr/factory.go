@@ -55,78 +55,54 @@ type LocalFactory struct {
 
 // Create implements Factory.
 func (f *LocalFactory) Create(name query.PoolName, instance int) (directory.PoolRef, error) {
-	if f.DB == nil {
-		return directory.PoolRef{}, fmt.Errorf("poolmgr: local factory needs a database")
-	}
-	obj, err := schedule.ByName(f.Objective)
-	if err != nil {
-		return directory.PoolRef{}, err
-	}
-	p, err := pool.New(pool.Config{
+	return f.Build(pool.Config{
 		Name:        name,
-		Family:      f.Family,
 		Instance:    instance,
-		DB:          f.DB,
-		Objective:   obj,
 		MaxMachines: f.MaxMachines,
 		Exclusive:   !f.NonExclusive && instance == 0,
-		ScanCost:    f.ScanCost,
-		Policies:    f.Policies,
-		LeaseTTL:    f.LeaseTTL,
-		Engine:      f.Engine,
-		Events:      f.Events,
-		Log:         f.Log,
 	})
-	if err != nil {
-		return directory.PoolRef{}, err
-	}
-	f.mu.Lock()
-	f.created = append(f.created, p)
-	f.mu.Unlock()
-	return directory.PoolRef{Name: name, Instance: p.ID(), Local: p}, nil
 }
 
-// Adopt rebuilds a pool instance from a journal replay: instead of
-// walking the white pages by criteria (whose free machines a concurrent
-// creation could race for), the pool loads exactly the given member
-// list — the machines whose taken marks (exclusive) or live leases
-// (non-exclusive replicas) survived in the replayed registry state. An
-// exclusive adoption relies on the members already carrying this
-// instance's taken mark; pool.New's member path loads without re-taking,
-// and the marks then release normally on Close.
-func (f *LocalFactory) Adopt(name query.PoolName, instance int, members []string, exclusive bool) (directory.PoolRef, error) {
+// Build creates a pool whose name, instance and shape (Members,
+// Exclusive, MaxMachines, Replicas) come from cfg and whose every other
+// setting is this factory's: database, family, objective, scan cost,
+// policies, lease TTL, engine, change stream and lease log. Create, the
+// administrator's splits and replicas, and journal adoption all build
+// through it, so every pool of a node keeps the node's settings and
+// CloseAll reaches it.
+//
+// Adoption rebuilds a pool from a journal replay or a domain handoff:
+// cfg.Members lists exactly the machines whose taken marks (exclusive) or
+// live leases (non-exclusive replicas) survived, instead of a white-pages
+// walk by criteria whose free machines a concurrent creation could race
+// for. An exclusive member list relies on the members already carrying
+// this instance's taken mark; pool.New's member path loads without
+// re-taking, and the marks then release normally on Close.
+func (f *LocalFactory) Build(cfg pool.Config) (directory.PoolRef, error) {
 	if f.DB == nil {
 		return directory.PoolRef{}, fmt.Errorf("poolmgr: local factory needs a database")
-	}
-	if len(members) == 0 {
-		return directory.PoolRef{}, fmt.Errorf("poolmgr: adopt %s#%d: no members", name, instance)
 	}
 	obj, err := schedule.ByName(f.Objective)
 	if err != nil {
 		return directory.PoolRef{}, err
 	}
-	p, err := pool.New(pool.Config{
-		Name:      name,
-		Family:    f.Family,
-		Instance:  instance,
-		DB:        f.DB,
-		Objective: obj,
-		Members:   members,
-		Exclusive: exclusive,
-		ScanCost:  f.ScanCost,
-		Policies:  f.Policies,
-		LeaseTTL:  f.LeaseTTL,
-		Engine:    f.Engine,
-		Events:    f.Events,
-		Log:       f.Log,
-	})
+	cfg.Family = f.Family
+	cfg.DB = f.DB
+	cfg.Objective = obj
+	cfg.ScanCost = f.ScanCost
+	cfg.Policies = f.Policies
+	cfg.LeaseTTL = f.LeaseTTL
+	cfg.Engine = f.Engine
+	cfg.Events = f.Events
+	cfg.Log = f.Log
+	p, err := pool.New(cfg)
 	if err != nil {
 		return directory.PoolRef{}, err
 	}
 	f.mu.Lock()
 	f.created = append(f.created, p)
 	f.mu.Unlock()
-	return directory.PoolRef{Name: name, Instance: p.ID(), Local: p}, nil
+	return directory.PoolRef{Name: cfg.Name, Instance: p.ID(), Local: p}, nil
 }
 
 // Pools returns every pool this factory created.

@@ -219,7 +219,7 @@ func startHandoff(t *testing.T) *handoff {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err = newF.Adopt(name, 0, []string{lease.Machine}, false)
+	ref, err = newF.Build(pool.Config{Name: name, Members: []string{lease.Machine}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -152,7 +152,8 @@ type QueryReply struct {
 	ElapsedNS int64           `json:"elapsedNs"`
 }
 
-// ReleaseRequest returns a lease.
+// ReleaseRequest returns a lease. Shadow echoes the grant's account; the
+// service frees the account it recorded for the lease and does not read it.
 type ReleaseRequest struct {
 	Lease  pool.Lease      `json:"lease"`
 	Shadow *shadow.Account `json:"shadow,omitempty"`
