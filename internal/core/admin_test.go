@@ -273,3 +273,60 @@ func TestSplitKeepsNodeSettings(t *testing.T) {
 		})
 	}
 }
+
+// TestDropDomainRebuildsSpanningPool: dropping a domain closes a pool that
+// spans it and others, and the next query rebuilds a pool over the
+// machines of the domain that stayed.
+func TestDropDomainRebuildsSpanningPool(t *testing.T) {
+	const crit = "punch.rsrc.memory = >=0"
+	s := fleetService(t, 8)
+	if err := s.Precreate(crit); err != nil {
+		t.Fatal(err)
+	}
+	exp, err := s.ExportDomain("purdue", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dropped := s.DropDomain(exp); dropped != 4 {
+		t.Fatalf("dropped %d records, want 4", dropped)
+	}
+	if sizes := s.PoolSizes(); len(sizes) != 0 {
+		t.Errorf("closed pools still registered: %v", sizes)
+	}
+	g, err := s.Request(crit)
+	if err != nil {
+		t.Fatalf("request after the drop: %v", err)
+	}
+	if _, err := s.db.View(g.Lease.Machine); err != nil {
+		t.Fatalf("granted %s of the dropped domain: %v", g.Lease.Machine, err)
+	}
+	if err := s.Release(g); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDropDomainForgetsClosedPools: the factory lists only open pools, so
+// neither a split parent nor a dropped domain's pools linger in it.
+func TestDropDomainForgetsClosedPools(t *testing.T) {
+	const crit = "punch.rsrc.arch = sun"
+	s := homogService(t, 8)
+	if err := s.Precreate(crit); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SplitPool(crit, 2); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(s.factory.Pools()); n != 2 {
+		t.Fatalf("after split the factory lists %d pools, want the 2 children", n)
+	}
+	exp, err := s.ExportDomain("purdue", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dropped := s.DropDomain(exp); dropped != 8 {
+		t.Fatalf("dropped %d records, want 8", dropped)
+	}
+	for _, p := range s.factory.Pools() {
+		t.Errorf("factory still lists pool %s (closed %v)", p.ID(), p.Closed())
+	}
+}

@@ -97,6 +97,44 @@ func TestReapFreesShadowAccount(t *testing.T) {
 	}
 }
 
+// TestSplitReapsParentLease: a lease granted before a split stays with the
+// retired parent, and the reaper still reaches it there: the sweep ends the
+// lease in the lease log and frees its shadow account, and only then does
+// the factory forget the parent.
+func TestSplitReapsParentLease(t *testing.T) {
+	const crit = "punch.rsrc.arch = sun"
+	log := &countingLog{}
+	svc := reapNow(t, 4, func(o *Options) {
+		o.ShadowAccounts = 2
+		o.LeaseLog = log
+	})
+	if err := svc.Precreate(crit); err != nil {
+		t.Fatal(err)
+	}
+	g, err := svc.Request(crit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.SplitPool(crit, 2); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(svc.factory.Pools()); n != 3 {
+		t.Fatalf("factory lists %d pools with the parent's lease live, want the parent and 2 children", n)
+	}
+	if n := svc.Reaper().Sweep(); n != 1 {
+		t.Fatalf("sweep reaped %d leases, want the parent's 1", n)
+	}
+	if got := log.released.Load(); got != 1 {
+		t.Errorf("lease log saw %d releases, want 1", got)
+	}
+	if free := svc.shadows.Free(g.Lease.Machine); free != 2 {
+		t.Errorf("%s has %d free accounts after the reap, want 2", g.Lease.Machine, free)
+	}
+	if n := len(svc.factory.Pools()); n != 2 {
+		t.Errorf("factory lists %d pools after the parent's last lease ended, want 2", n)
+	}
+}
+
 // TestReleaseFreesOwnAccount: Release frees the account recorded for the
 // lease, whatever account the client's grant names.
 func TestReleaseFreesOwnAccount(t *testing.T) {

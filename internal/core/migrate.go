@@ -251,6 +251,7 @@ func (s *Service) DropDomain(exp *DomainExport) int {
 		for _, li := range p.Leases() {
 			_ = p.Release(li.ID)
 		}
+		s.dir.Unregister(p.ID())
 		p.Close()
 	}
 	dropped := 0

@@ -60,16 +60,17 @@ type Allocator interface {
 	Return(slot int)
 	// Claim marks the named machine busy for recovery, the inverse of
 	// Return, and returns its slot. It fails for a machine outside the
-	// cache or one already busy. Charged like a grant (local load
-	// accounting), counted like neither (allocs/misses stay untouched).
+	// cache or one already busy. Busy like a grant, counted like neither
+	// (allocs/misses stay untouched).
 	Claim(machine string) (slot int, err error)
-	// Refresh re-reads every cached machine through get, folding monitor
-	// updates into the candidate view while preserving locally-accounted
-	// jobs. Machines get reports as unknown keep their last view.
+	// Refresh re-reads every cached machine through get and rebuilds its
+	// candidate view from the record (candidateOf). Machines get reports
+	// as unknown keep their last view.
 	Refresh(get func(name string) (*registry.Machine, error))
 	// Apply folds a batch of registry change events into the candidate
 	// view: the incremental counterpart of Refresh, touching only the
-	// machines the events name. DynamicUpdated events carry their snapshot
+	// machines the events name, in event order, so the last event of a
+	// machine decides its view. DynamicUpdated events carry their snapshot
 	// and cost no database read; other kinds re-read the record through
 	// get (a failing get keeps the last view, as in Refresh). The oracle
 	// engine deliberately keeps full-scan semantics and treats any Apply
@@ -167,62 +168,21 @@ func policyDenied(pol *policy.Policy, m *registry.Machine, cand *schedule.Candid
 	return pol.Evaluate(ctx) == policy.Deny
 }
 
-// The local-accounting arithmetic lives here, shared by both engines,
-// because the differential tests require the engines to stay observably
-// identical: a tweak to the math must be impossible to make in one engine
-// only. The candidate load is always DERIVED — recomputed from the record
-// plus the locally-charged job count — never incrementally accumulated:
-// an accumulated float (+= on place, -= on release) drifts from the
-// recomputed one by ulps, so an engine that folds only changed machines
-// (Apply) would diverge on objective ties from one that re-reads
-// everything (Refresh). Derivation makes the view a pure function of
-// (record, local jobs), which both paths land on bit-for-bit.
-
-// localJobs is the number of locally-charged jobs the monitor has not yet
-// observed: the candidate's job count minus the record's, floored at zero.
-func localJobs(cand *schedule.Candidate, m *registry.Machine) int {
-	l := cand.ActiveJobs - m.Dynamic.ActiveJobs
-	if l < 0 {
-		l = 0
+// candidateOf is a machine's candidate view: a pure function of its
+// record, so Apply and Refresh land on the same view bit for bit. It adds
+// no charge for the pool's own grants: a leased machine is never a
+// candidate in its pool until Return, and the monitor's next report
+// carries the job to everyone else.
+func candidateOf(m *registry.Machine) schedule.Candidate {
+	return schedule.Candidate{
+		Name:       m.Static.Name,
+		Load:       m.Dynamic.Load,
+		FreeMemory: m.Dynamic.FreeMemory,
+		FreeSwap:   m.Dynamic.FreeSwap,
+		Speed:      m.Static.Speed,
+		CPUs:       m.Static.CPUs,
+		ActiveJobs: m.Dynamic.ActiveJobs,
 	}
-	return l
-}
-
-// chargeLocal recomputes the candidate's load from the record plus the
-// local job charge.
-func chargeLocal(cand *schedule.Candidate, m *registry.Machine) {
-	cand.Load = m.Dynamic.Load + float64(localJobs(cand, m))/float64(max(1, m.Static.CPUs))
-}
-
-// placeAccounting charges a just-granted lease to the candidate view so
-// subsequent scheduling decisions see the machine as more loaded even
-// before the monitor reports it.
-func placeAccounting(cand *schedule.Candidate, m *registry.Machine) {
-	cand.ActiveJobs++
-	chargeLocal(cand, m)
-}
-
-// releaseAccounting undoes one lease's local charge. It never pushes the
-// job count below the record's own: once the monitor has folded our job
-// into its report the local charge is spent, and decrementing past the
-// record would double-subtract — and leave a view that the next refresh
-// of an unchanged record "corrects" back up, which would make folding
-// frequency observable (Refresh must be a no-op on an unchanged record
-// for Apply and Refresh to stay equivalent).
-func releaseAccounting(cand *schedule.Candidate, m *registry.Machine) {
-	if cand.ActiveJobs > m.Dynamic.ActiveJobs {
-		cand.ActiveJobs--
-	}
-	chargeLocal(cand, m)
-}
-
-// refreshCandidate folds a fresh monitor record into the candidate view,
-// preserving locally-accounted jobs the monitor has not observed yet.
-func refreshCandidate(cand *schedule.Candidate, m *registry.Machine) {
-	local := localJobs(cand, m)
-	*cand = candidateOf(m)
-	cand.ActiveJobs += local
-	chargeLocal(cand, m)
 }
 
 // lookupPolicy resolves a usage-policy reference, mapping "no store",

@@ -30,8 +30,8 @@ func checkParity(t *testing.T, step int, oracle, subject *Pool) {
 	for _, oe := range o.cache {
 		name := oe.machine.Static.Name
 		xe := x.byName[name]
-		if oe.cand != xe.cand {
-			t.Fatalf("step %d: cand diverged for %s:\noracle  %+v\nindexed %+v", step, name, oe.cand, xe.cand)
+		if oc := candidateOf(oe.machine); oc != xe.cand {
+			t.Fatalf("step %d: cand diverged for %s:\noracle  %+v\nindexed %+v", step, name, oc, xe.cand)
 		}
 		if oe.leased != xe.leased {
 			t.Fatalf("step %d: lease state diverged for %s: %v vs %v", step, name, oe.leased, xe.leased)

@@ -2,7 +2,6 @@ package pool
 
 import (
 	"runtime"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -36,9 +35,12 @@ import (
 // events in bounded chunks, repositioning or re-bucketing only the
 // entries the events name) and Claim. Bucket mutexes are leaves: never is
 // one taken while holding another.
-// Entries mutate their candidate view only while exclusively held —
-// popped from a heap but not yet marked leased, or being returned by the
-// one caller that holds the slot. Apply takes its own mutex first.
+// An entry's candidate view is written only under the write lock (Refresh,
+// Apply) and at construction, so it is read-only to every read-mode
+// holder. Allocate and Return write an entry's lease bits only while they
+// hold it exclusively: popped from a heap but not yet marked leased, or
+// being returned by the one caller that holds the slot. Apply takes its
+// own mutex first.
 type indexedAlloc struct {
 	cfg engineConfig
 
@@ -47,9 +49,8 @@ type indexedAlloc struct {
 	byName  map[string]*ientry // name -> entry, immutable after construction
 	groups  []*igroup          // bucket list, rebuilt by Refresh, sorted key order
 
-	applyMu sync.Mutex // serializes Apply, which owns mine, batch and ientry.batch; taken before rw
+	applyMu sync.Mutex // serializes Apply, which owns mine; taken before rw
 	mine    []int32    // positions of this pool's members in the batch being applied
-	batch   uint64     // stamp of the batch being applied
 
 	claiming atomic.Int64  // claims mid-flight (may hold entries out of the heaps)
 	claimGen atomic.Uint64 // completed claim attempts, for miss revalidation
@@ -72,7 +73,6 @@ type ientry struct {
 	leased  bool // handed out by Allocate or Claim, not yet returned
 	cand    schedule.Candidate
 	grp     *igroup
-	batch   uint64 // the last batch whose newest dynamic update of this machine Apply kept
 }
 
 // igroup is one eligibility bucket.
@@ -336,7 +336,6 @@ func (x *indexedAlloc) Allocate(req *allocRequest) (int, *registry.Machine, erro
 	// marked leased, so no other goroutine can observe these writes.
 	e.leased = true
 	e.handed = true
-	placeAccounting(&e.cand, e.machine)
 	// Once the entry is marked leased the machine is genuinely gone, so a
 	// concurrent miss that now looks conclusive is correct.
 	x.claimGen.Add(1)
@@ -363,19 +362,16 @@ func (x *indexedAlloc) Claim(machine string) (int, error) {
 		x.heapOf(e).remove(x, e.pos)
 	}
 	e.leased = true
-	placeAccounting(&e.cand, e.machine)
 	return e.idx, nil
 }
 
-// Return implements Allocator: it undoes the local load accounting on the
-// entry, which its one returning caller holds exclusively, and pushes it
-// back into its bucket.
+// Return implements Allocator: it frees the entry, which its one returning
+// caller holds exclusively, and pushes it back into its bucket.
 func (x *indexedAlloc) Return(slot int) {
 	x.rw.RLock()
 	defer x.rw.RUnlock()
 	e := x.entries[slot]
 	e.leased = false
-	releaseAccounting(&e.cand, e.machine)
 	x.pushFree(e)
 }
 
@@ -391,8 +387,7 @@ func (x *indexedAlloc) Refresh(get func(name string) (*registry.Machine, error))
 		if err != nil {
 			continue // machine unregistered; keep last view
 		}
-		e.machine, e.handed = m, false
-		refreshCandidate(&e.cand, m)
+		e.machine, e.handed, e.cand = m, false, candidateOf(m)
 	}
 	x.rebuildGroups()
 }
@@ -408,11 +403,8 @@ const applyChunk = 256
 // kind re-reads the record through get and re-buckets the entry only when
 // its gate key actually changed. Events for machines outside the cache are
 // ignored, and a failing get keeps the last view, exactly as Refresh does.
-//
-// Of a machine's DynamicUpdated events in one batch only the newest is
-// folded: refreshCandidate keeps the larger of the record's and the
-// candidate's job count, so folding a superseded snapshot would leave a
-// charge that Refresh, which reads only the newest record, never makes.
+// Events fold in order, so a machine's last event in the batch decides its
+// view, as the newest record decides Refresh's.
 func (x *indexedAlloc) Apply(events []registry.Event, get func(name string) (*registry.Machine, error)) {
 	x.applyMu.Lock()
 	defer x.applyMu.Unlock()
@@ -421,24 +413,13 @@ func (x *indexedAlloc) Apply(events []registry.Event, get func(name string) (*re
 	// exclusive-lock time for its own changes, not for every sweep event
 	// the dispatcher fans out. The shared batch is never mutated (other
 	// pools receive the same slice); what is kept is positions in it, in a
-	// buffer recycled across batches. The pass runs newest first so the
-	// entry's batch stamp marks a dynamic update already kept.
-	x.batch++
+	// buffer recycled across batches.
 	mine := x.mine[:0]
-	for i := len(events) - 1; i >= 0; i-- {
-		e, ok := x.byName[events[i].Name]
-		if !ok {
-			continue
+	for i := range events {
+		if _, ok := x.byName[events[i].Name]; ok {
+			mine = append(mine, int32(i))
 		}
-		if events[i].Kind == registry.EventDynamicUpdated {
-			if e.batch == x.batch {
-				continue // a newer snapshot of this machine is kept
-			}
-			e.batch = x.batch
-		}
-		mine = append(mine, int32(i))
 	}
-	slices.Reverse(mine)
 	x.mine = mine
 	for len(mine) > 0 {
 		n := min(applyChunk, len(mine))
@@ -481,7 +462,7 @@ func (x *indexedAlloc) applyBatch(events []registry.Event, mine []int32, get fun
 // reposition folds the entry's refreshed record into its candidate view
 // and restores heap order around it (leased entries re-sort on release).
 func (x *indexedAlloc) reposition(e *ientry) {
-	refreshCandidate(&e.cand, e.machine)
+	e.cand = candidateOf(e.machine)
 	if e.pos >= 0 {
 		x.heapOf(e).fix(x, e.pos)
 	}
@@ -492,7 +473,7 @@ func (x *indexedAlloc) reposition(e *ientry) {
 // in key order if unseen; buckets emptied this way linger harmlessly until
 // the next full Refresh sweeps them).
 func (x *indexedAlloc) rebucket(e *ientry, m *registry.Machine) {
-	refreshCandidate(&e.cand, m)
+	e.cand = candidateOf(m)
 	key := groupKey(m)
 	if key == e.grp.key {
 		if e.pos >= 0 {

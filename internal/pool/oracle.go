@@ -12,7 +12,6 @@ import (
 // entry is one machine in the oracle engine's cache.
 type entry struct {
 	machine *registry.Machine
-	cand    schedule.Candidate
 	leased  bool // handed out by Allocate or Claim, not yet returned
 }
 
@@ -39,7 +38,7 @@ type oracleAlloc struct {
 func newOracleAlloc(machines []*registry.Machine, cfg engineConfig) *oracleAlloc {
 	o := &oracleAlloc{cfg: cfg}
 	for _, m := range machines {
-		o.cache = append(o.cache, &entry{machine: m, cand: candidateOf(m)})
+		o.cache = append(o.cache, &entry{machine: m})
 	}
 	return o
 }
@@ -83,14 +82,14 @@ func (o *oracleAlloc) Allocate(req *allocRequest) (int, *registry.Machine, error
 	cands := o.scratchPtr[:len(o.cache)]
 	for i, e := range o.cache {
 		c := &o.scratch[i]
-		*c = e.cand
 		m := e.machine
+		*c = candidateOf(m)
 		c.Busy = e.leased ||
 			!m.Usable() || c.Load >= m.Static.MaxLoad ||
 			(req.userGroup != "" && !m.AllowsUserGroup(req.userGroup)) ||
 			(req.toolGroup != "" && !m.SupportsToolGroup(req.toolGroup)) ||
 			(req.verify != nil && !m.Attrs().MatchRsrc(req.verify)) ||
-			policyDenied(lookupPolicy(o.cfg.policies, m.Policy.UsagePolicy), m, &e.cand,
+			policyDenied(lookupPolicy(o.cfg.policies, m.Policy.UsagePolicy), m, c,
 				req.userGroup, req.toolGroup, req.login)
 		cands[i] = c
 	}
@@ -113,7 +112,6 @@ func (o *oracleAlloc) Allocate(req *allocRequest) (int, *registry.Machine, error
 		return 0, nil, err // nothing marked yet; the candidate stays free
 	}
 	e.leased = true
-	placeAccounting(&e.cand, e.machine)
 	o.allocs.Add(1)
 	return idx, e.machine, nil
 }
@@ -131,23 +129,19 @@ func (o *oracleAlloc) Claim(machine string) (int, error) {
 			return 0, errBusy
 		}
 		e.leased = true
-		placeAccounting(&e.cand, e.machine)
 		return i, nil
 	}
 	return 0, errNotMember
 }
 
-// Return implements Allocator, undoing the local load accounting.
+// Return implements Allocator.
 func (o *oracleAlloc) Return(slot int) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	e := o.cache[slot]
-	e.leased = false
-	releaseAccounting(&e.cand, e.machine)
+	o.cache[slot].leased = false
 }
 
-// Refresh implements Allocator: it re-reads the dynamic fields of every
-// cached machine, preserving locally-accounted jobs.
+// Refresh implements Allocator: it re-reads every cached machine.
 func (o *oracleAlloc) Refresh(get func(name string) (*registry.Machine, error)) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -157,7 +151,6 @@ func (o *oracleAlloc) Refresh(get func(name string) (*registry.Machine, error)) 
 			continue // machine unregistered; keep last view
 		}
 		e.machine = m
-		refreshCandidate(&e.cand, m)
 	}
 }
 

@@ -240,18 +240,6 @@ func New(cfg Config) (*Pool, error) {
 	return p, nil
 }
 
-func candidateOf(m *registry.Machine) schedule.Candidate {
-	return schedule.Candidate{
-		Name:       m.Static.Name,
-		Load:       m.Dynamic.Load,
-		FreeMemory: m.Dynamic.FreeMemory,
-		FreeSwap:   m.Dynamic.FreeSwap,
-		Speed:      m.Static.Speed,
-		CPUs:       m.Static.CPUs,
-		ActiveJobs: m.Dynamic.ActiveJobs,
-	}
-}
-
 // Name returns the pool's signature/identifier name.
 func (p *Pool) Name() query.PoolName { return p.name }
 
@@ -338,9 +326,9 @@ func (p *Pool) Allocate(q *query.Query) (*Lease, error) {
 }
 
 // Refresh re-reads the dynamic fields of every cached machine from the
-// white pages, preserving locally-accounted jobs. The Dispatcher runs it
-// when its subscription resyncs, and New once after subscribing; a
-// standalone pool's owner runs it to fold monitor updates in.
+// white pages. The Dispatcher runs it when its subscription resyncs, and
+// New once after subscribing; a standalone pool's owner runs it to fold
+// monitor updates in.
 func (p *Pool) Refresh() {
 	p.engine.Refresh(p.db.View)
 }

@@ -268,8 +268,8 @@ func TestAllocateLocalLoadAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// With equal initial loads, local accounting must steer the second
-	// allocation to the other machine.
+	// The first grant leaves its machine leased, so the second allocation
+	// must land on the other machine.
 	if a.Machine == b.Machine {
 		t.Errorf("both allocations hit %s", a.Machine)
 	}
@@ -364,13 +364,97 @@ func TestRefreshFoldsMonitorUpdates(t *testing.T) {
 		}
 	}
 	p.Refresh()
-	// The leased machine keeps its locally-accounted job.
+	// The refresh keeps the lease; releasing it frees both machines.
 	if err := p.Release(l.ID); err != nil {
 		t.Fatal(err)
 	}
 	if p.Free() != 2 {
 		t.Errorf("free = %d", p.Free())
 	}
+}
+
+// TestJobChargeFollowsMonitor: a candidate's job count is the monitor's.
+// A machine reported with 40 jobs and then with none is allocatable at
+// once, however the reports reach the pool: the first before the pool is
+// built and the second through Refresh, each through a dispatch of its
+// own, or both in one batch.
+func TestJobChargeFollowsMonitor(t *testing.T) {
+	report := func(t *testing.T, db *registry.DB, jobs int) {
+		t.Helper()
+		m, _ := db.Get("m0000")
+		d := m.Dynamic
+		d.Load, d.ActiveJobs = 0.1, jobs
+		if err := db.UpdateDynamic("m0000", d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, engine := range []string{EngineOracle, EngineIndexed} {
+		for _, leg := range []struct {
+			name  string
+			built int // jobs the monitor reports before the pool is built
+			fold  func(t *testing.T, db *registry.DB, p *Pool)
+		}{
+			{"refresh", 40, func(t *testing.T, db *registry.DB, p *Pool) {
+				report(t, db, 0)
+				p.Refresh()
+			}},
+			{"two-dispatches", 0, func(t *testing.T, db *registry.DB, p *Pool) {
+				sub := db.Watch(16)
+				defer sub.Close()
+				for _, jobs := range []int{40, 0} {
+					report(t, db, jobs)
+					events, _ := sub.Poll()
+					p.Apply(events)
+				}
+			}},
+			{"one-batch", 0, func(t *testing.T, db *registry.DB, p *Pool) {
+				sub := db.Watch(16)
+				defer sub.Close()
+				report(t, db, 40)
+				report(t, db, 0)
+				events, _ := sub.Poll()
+				if len(events) != 2 {
+					t.Fatalf("batch holds %d events, want 2", len(events))
+				}
+				p.Apply(events)
+			}},
+		} {
+			t.Run(engine+"/"+leg.name, func(t *testing.T) {
+				db := fleetDB(t, 1)
+				report(t, db, leg.built)
+				p := newSunPool(t, db, func(c *Config) { c.Engine = engine })
+				leg.fold(t, db, p)
+				if jobs := candJobs(p, "m0000"); jobs != 0 {
+					t.Errorf("candidate jobs = %d after the fold, want the monitor's 0", jobs)
+				}
+				l, err := p.Allocate(sunQuery(t))
+				if err != nil {
+					t.Fatalf("allocate after the monitor reported no jobs: %v", err)
+				}
+				if l.Machine != "m0000" {
+					t.Errorf("granted %s, want m0000", l.Machine)
+				}
+				if jobs := candJobs(p, "m0000"); jobs != 0 {
+					t.Errorf("candidate jobs = %d after the grant, want the monitor's 0", jobs)
+				}
+			})
+		}
+	}
+}
+
+// candJobs reads the named machine's candidate job count from either engine.
+func candJobs(p *Pool, name string) int {
+	switch x := p.engine.(type) {
+	case *oracleAlloc:
+		for _, e := range x.cache {
+			if e.machine.Static.Name == name {
+				return candidateOf(e.machine).ActiveJobs
+			}
+		}
+	case *indexedAlloc:
+		return x.byName[name].cand.ActiveJobs
+	}
+	return -1
 }
 
 func TestSplitPartitions(t *testing.T) {

@@ -2,6 +2,7 @@ package poolmgr
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -28,8 +29,9 @@ type LocalFactory struct {
 	Objective string
 	// MaxMachines caps pool sizes (0: unlimited).
 	MaxMachines int
-	// Exclusive controls whether created pools take machines (default
-	// true for instance 0; replicas share automatically).
+	// NonExclusive makes created pools share their machines instead of
+	// taking them (by default instance 0 takes them; replicas share
+	// automatically).
 	NonExclusive bool
 	// ScanCost is forwarded to created pools; see pool.Config.ScanCost.
 	ScanCost time.Duration
@@ -105,13 +107,18 @@ func (f *LocalFactory) Build(cfg pool.Config) (directory.PoolRef, error) {
 	return directory.PoolRef{Name: cfg.Name, Instance: p.ID(), Local: p}, nil
 }
 
-// Pools returns every pool this factory created.
+// Pools returns every pool this factory created that is still open or
+// still holds a lease. It forgets a pool here once it is closed (a split
+// parent, a creation-race loser, a dropped domain's pool) and its last
+// lease has ended: until then the pool is the only way to reach those
+// leases, for the reaper and for a domain export or drop.
 func (f *LocalFactory) Pools() []*pool.Pool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	out := make([]*pool.Pool, len(f.created))
-	copy(out, f.created)
-	return out
+	f.created = slices.DeleteFunc(f.created, func(p *pool.Pool) bool {
+		return p.Closed() && p.Free() == p.Size()
+	})
+	return slices.Clone(f.created)
 }
 
 // CloseAll shuts down every created pool, releasing their machines.
