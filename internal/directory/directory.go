@@ -35,40 +35,23 @@ type PoolRef struct {
 
 // Forwarder is the view the directory has of a peer pool manager, used for
 // query delegation (Section 5.2.2: "forwards it to one of the pool
-// managers listed in the local directory service").
+// managers listed in the local directory service") and for the leases won
+// through it. poolmgr.Manager and the stage's wire stub implement it.
 type Forwarder interface {
-	// Name identifies the pool manager; it appears in visited lists.
+	// Name identifies the pool manager; it appears in visited lists and
+	// as the hop in the ids of leases won through it.
 	Name() string
-	// Forward continues resolution of the query at this manager. The
-	// visited list and TTL travel with the query.
-	Forward(q *query.Query, ttl int, visited []string) (*pool.Lease, error)
-}
-
-// ContextForwarder is an optional extension of Forwarder: peers that
-// implement it honour cancellation, which the parallel first-win
-// delegation path uses to call losing branches off as soon as one peer
-// grants a lease. Peers without it are still raced — their branch just
-// runs to completion and any late lease is handed to LeaseReleaser.
-type ContextForwarder interface {
-	Forwarder
-	// ForwardContext is Forward with cancellation. A cancelled branch
+	// ForwardContext continues resolution of the query at this manager.
+	// The visited list and TTL travel with the query. A cancelled call
 	// returns ctx.Err(); the implementation remains responsible for
-	// releasing a lease that was granted remotely after the cancel landed
-	// (it must not orphan capacity on the peer).
+	// releasing a lease granted after the cancel landed (it must not
+	// orphan capacity on the peer).
 	ForwardContext(ctx context.Context, q *query.Query, ttl int, visited []string) (*pool.Lease, error)
-}
-
-// LeaseReleaser is an optional extension of Forwarder: peers that
-// implement it can take a granted lease back, which the fan-out path uses
-// to return losing branches' leases instead of leaking them.
-type LeaseReleaser interface {
+	// Release takes back a lease the peer granted: a lease won through it,
+	// or a losing branch's late lease.
 	Release(lease *pool.Lease) error
-}
-
-// LeaseRenewer is the renewal counterpart of LeaseReleaser: a peer that
-// implements it extends the lifetime of a lease it granted, which is how
-// a lease won through the peer is heartbeated.
-type LeaseRenewer interface {
+	// Renew extends the lifetime of a lease the peer granted, which is
+	// how a lease won through it is heartbeated.
 	Renew(lease *pool.Lease) error
 }
 

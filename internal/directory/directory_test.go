@@ -1,6 +1,7 @@
 package directory
 
 import (
+	"context"
 	"testing"
 
 	"actyp/internal/pool"
@@ -17,9 +18,11 @@ func (f *fakeAllocator) Release(leaseID string) error { return nil }
 type fakeForwarder struct{ name string }
 
 func (f *fakeForwarder) Name() string { return f.name }
-func (f *fakeForwarder) Forward(q *query.Query, ttl int, visited []string) (*pool.Lease, error) {
+func (f *fakeForwarder) ForwardContext(ctx context.Context, q *query.Query, ttl int, visited []string) (*pool.Lease, error) {
 	return nil, nil
 }
+func (f *fakeForwarder) Release(lease *pool.Lease) error { return nil }
+func (f *fakeForwarder) Renew(lease *pool.Lease) error   { return nil }
 
 func poolName(t *testing.T, text string) query.PoolName {
 	t.Helper()

@@ -11,10 +11,10 @@ package experiments
 // Swept over peer count and network profile (LAN, bandwidth-modeled WAN).
 //
 // Leg 2 — remote freshness: a consumer keeps a replica of a remote
-// registry while the remote's monitor sweeps the fleet continuously, and
-// allocates from a pool living on that replica. Watch mode feeds the pool
-// through the pushed change stream (dispatcher + incremental Apply); poll
-// mode is the old ladder — periodic full snapshot fetches plus timed
+// registry while the remote's monitor sweeps the fleet every millisecond,
+// and allocates from a pool living on that replica. Watch mode feeds the
+// pool through the pushed change stream (dispatcher + incremental Apply);
+// poll mode is the old ladder — periodic full snapshot fetches plus timed
 // stop-the-world pool rebuilds. Allocate p50/p99 and update-visibility lag
 // are measured per mode across fleet sizes.
 
@@ -318,9 +318,16 @@ func federationMissPoint(cfg FederationConfig, profile netsim.Profile, peers int
 	return rec.Percentile(50), rec.Percentile(99), nil
 }
 
+// freshSweepEvery paces the freshness leg's remote monitor, the same in
+// watch and poll mode. An unpaced sweep loop makes the leg measure how
+// much CPU the monitor's events leave the clients, which moves with what a
+// publish costs rather than with freshness.
+const freshSweepEvery = time.Millisecond
+
 // federationFreshPoint measures one (mode, size) freshness point: allocate
 // p50/p99 on a pool living on a wire-fed replica, plus update-visibility
-// lag p99, while the remote monitor sweeps its fleet back to back.
+// lag p99, while the remote monitor sweeps its fleet every
+// freshSweepEvery.
 func federationFreshPoint(cfg FederationConfig, size int, watch bool) (p50, p99, lag99 time.Duration, err error) {
 	const criteria = "punch.rsrc.arch = sun"
 	q, err := query.ParseBasic(criteria)
@@ -403,19 +410,21 @@ func federationFreshPoint(cfg FederationConfig, size int, watch bool) (p50, p99,
 			}
 		}()
 	}
-	// The remote monitor sweeps its whole fleet back to back — the churn
-	// both freshness modes must absorb across the wire.
+	// The remote monitor's churn, which both freshness modes must absorb
+	// across the wire.
 	mon := monitor.New(monitor.Config{DB: db, Sampler: monitor.NewSyntheticSampler(1)})
 	bg.Add(1)
 	go func() {
 		defer bg.Done()
+		t := time.NewTicker(freshSweepEvery)
+		defer t.Stop()
 		for {
 			select {
 			case <-stop:
 				return
-			default:
+			case <-t.C:
+				mon.Sweep()
 			}
-			mon.Sweep()
 		}
 	}()
 

@@ -58,15 +58,16 @@ func (s *FederationStats) Fanout() {
 	}
 }
 
-// Forwarded counts one branch launched toward the named peer (serial or
-// concurrent).
+// Forwarded counts one branch launched toward the named peer: a directed
+// hop, a serial step or a racing branch.
 func (s *FederationStats) Forwarded(peer string) {
 	if s != nil {
 		s.peer(peer).forwards.Add(1)
 	}
 }
 
-// Win counts the named peer answering first with a usable lease.
+// Win counts the named peer answering first with a usable lease after a
+// local miss (a directed hop's win is DirectedWin).
 func (s *FederationStats) Win(peer string) {
 	if s != nil {
 		s.wins.Add(1)
@@ -100,11 +101,11 @@ func (s *FederationStats) LoserCancelled(peer string) {
 
 // Directed counts one domain-routed delegation: a query whose domain the
 // ownership table resolved to a single peer, sent as one directed hop
-// instead of a fan-out.
-func (s *FederationStats) Directed(peer string) {
+// instead of a fan-out. The hop itself counts in the peer's forwards
+// (Forwarded) and failures (Failure) like any other branch.
+func (s *FederationStats) Directed() {
 	if s != nil {
 		s.directed.Add(1)
-		s.peer(peer).forwards.Add(1)
 	}
 }
 
@@ -118,10 +119,9 @@ func (s *FederationStats) DirectedWin(peer string) {
 
 // DirectedMiss counts a directed hop that failed, dropping the query back
 // to the local-then-fan-out path.
-func (s *FederationStats) DirectedMiss(peer string) {
+func (s *FederationStats) DirectedMiss() {
 	if s != nil {
 		s.directedMisses.Add(1)
-		s.peer(peer).failures.Add(1)
 	}
 }
 

@@ -34,6 +34,7 @@ type fakePeer struct {
 	released []*pool.Lease
 	renewed  []*pool.Lease
 	visited  [][]string // copy of each visited list seen
+	raw      [][]string // each visited list as passed, to catch later writes
 }
 
 func (p *fakePeer) Name() string { return p.name }
@@ -41,6 +42,7 @@ func (p *fakePeer) Name() string { return p.name }
 func (p *fakePeer) Forward(q *query.Query, ttl int, visited []string) (*pool.Lease, error) {
 	p.mu.Lock()
 	p.visited = append(p.visited, append([]string(nil), visited...))
+	p.raw = append(p.raw, visited)
 	p.mu.Unlock()
 	if p.delay > 0 {
 		time.Sleep(p.delay)
@@ -57,6 +59,13 @@ func (p *fakePeer) Forward(q *query.Query, ttl int, visited []string) (*pool.Lea
 	l := &pool.Lease{ID: fmt.Sprintf("%s-%d", p.name, p.seq), Machine: "m-" + p.name, Pool: p.name + "#0"}
 	p.granted = append(p.granted, l)
 	return l, nil
+}
+
+// ForwardContext ignores ctx, as a peer that cannot recall a call already
+// sent does: a cancelled branch still runs out its delay, and a lease it
+// grants late is the caller's to release.
+func (p *fakePeer) ForwardContext(_ context.Context, q *query.Query, ttl int, visited []string) (*pool.Lease, error) {
+	return p.Forward(q, ttl, visited)
 }
 
 func (p *fakePeer) Release(l *pool.Lease) error {
@@ -517,9 +526,11 @@ func TestFanoutSinglePeerStaysSerial(t *testing.T) {
 	}
 }
 
-// TestFanoutVisitedNotAliased: every concurrent branch receives the same
-// visited slice; no branch (or downstream manager) may observe it mutate.
-// This is the regression test for the in-loop append aliasing bug.
+// TestFanoutVisitedNotAliased: each branch carries the caller's list, this
+// manager, and every peer launched before it, in a copy of its own. The
+// caller's slice is never written, and no branch (or downstream manager)
+// may observe its list change after the call. This is the regression test
+// for the in-loop append aliasing bug.
 func TestFanoutVisitedNotAliased(t *testing.T) {
 	peers := make([]directory.Forwarder, 6)
 	fakes := make([]*fakePeer, 6)
@@ -537,14 +548,67 @@ func TestFanoutVisitedNotAliased(t *testing.T) {
 	if seed[0] != "pm-origin" {
 		t.Fatalf("caller's visited slice mutated to %v", seed)
 	}
+	want := []string{"pm-origin", "pm-home"}
 	for _, p := range fakes {
 		p.mu.Lock()
-		for _, v := range p.visited {
-			if len(v) != 2 || v[0] != "pm-origin" || v[1] != "pm-home" {
-				t.Errorf("peer %s saw visited %v, want [pm-origin pm-home]", p.name, v)
+		if len(p.visited) != 1 || fmt.Sprint(p.visited[0]) != fmt.Sprint(want) {
+			t.Errorf("peer %s saw visited %v, want [%v]", p.name, p.visited, want)
+		}
+		for i, v := range p.raw {
+			if fmt.Sprint(v) != fmt.Sprint(p.visited[i]) {
+				t.Errorf("peer %s: visited list changed after the call, %v -> %v", p.name, p.visited[i], v)
 			}
 		}
 		p.mu.Unlock()
+		want = append(want, p.name)
+	}
+}
+
+// TestSerialVisitedLaunchOrder pins the serial walk's visited rule: a peer
+// tried after a failed one sees every peer tried before it.
+func TestSerialVisitedLaunchOrder(t *testing.T) {
+	p1 := &fakePeer{name: "pm-1"}
+	p2 := &fakePeer{name: "pm-2"}
+	p3 := &fakePeer{name: "pm-3", grant: true}
+	m := fanoutManager(t, 1, 0, nil, p1, p2, p3)
+
+	if _, err := m.Forward(basicQuery(t, "punch.rsrc.arch = sun"), 4, []string{"pm-origin"}); err != nil {
+		t.Fatalf("resolve: %v", err)
+	}
+	for _, tc := range []struct {
+		peer *fakePeer
+		want string
+	}{
+		{p1, "[[pm-origin pm-home]]"},
+		{p2, "[[pm-origin pm-home pm-1]]"},
+		{p3, "[[pm-origin pm-home pm-1 pm-2]]"},
+	} {
+		if got := fmt.Sprint(tc.peer.visited); got != tc.want {
+			t.Errorf("peer %s saw visited %s, want %s", tc.peer.name, got, tc.want)
+		}
+	}
+}
+
+// TestFanoutVisitedCarriesLaunched: a branch that replaces a failed one
+// carries every peer launched before it, including the one still in
+// flight, so no downstream manager sends the query back to either.
+func TestFanoutVisitedCarriesLaunched(t *testing.T) {
+	fail := &fakePeer{name: "pm-fail"}
+	slow := &fakePeer{name: "pm-slow", delay: 30 * time.Millisecond}
+	good := &fakePeer{name: "pm-good", grant: true}
+	m := fanoutManager(t, 2, 0, nil, fail, slow, good)
+
+	lease, err := m.Forward(basicQuery(t, "punch.rsrc.arch = sun"), 4, []string{"pm-origin"})
+	if err != nil {
+		t.Fatalf("resolve: %v", err)
+	}
+	if lease.Machine != "m-pm-good" {
+		t.Errorf("winner = %q, want the replacement branch's peer", lease.Machine)
+	}
+	good.mu.Lock()
+	defer good.mu.Unlock()
+	if got, want := fmt.Sprint(good.visited), "[[pm-origin pm-home pm-fail pm-slow]]"; got != want {
+		t.Errorf("replacement branch carried visited %s, want %s", got, want)
 	}
 }
 

@@ -220,22 +220,11 @@ func (m *Manager) leaseLocal(instance, id string, renew bool) (held bool, err er
 
 // leasePeer sends a release or renewal to a peer, naming it in the error.
 func (m *Manager) leasePeer(peer directory.Forwarder, lease *pool.Lease, renew bool) error {
-	verb, err := "release", error(nil)
+	verb, call := "release", peer.Release
 	if renew {
-		verb = "renew"
-		ren, ok := peer.(directory.LeaseRenewer)
-		if !ok {
-			return fmt.Errorf("poolmgr %s: peer %s cannot renew lease %s", m.name, peer.Name(), lease.ID)
-		}
-		err = ren.Renew(lease)
-	} else {
-		rel, ok := peer.(directory.LeaseReleaser)
-		if !ok {
-			return fmt.Errorf("poolmgr %s: peer %s cannot take lease %s back", m.name, peer.Name(), lease.ID)
-		}
-		err = rel.Release(lease)
+		verb, call = "renew", peer.Renew
 	}
-	if err != nil {
+	if err := call(lease); err != nil {
 		return fmt.Errorf("poolmgr %s: %s lease %s through peer %s: %w", m.name, verb, lease.ID, peer.Name(), err)
 	}
 	return nil

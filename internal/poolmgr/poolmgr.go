@@ -64,9 +64,10 @@ type Config struct {
 	// TTL is attached to queries arriving without one (default
 	// DefaultTTL).
 	TTL int
-	// Fanout is the delegation width: how many peers a local miss may try
-	// concurrently, first granted lease winning. Values <= 1 keep the
-	// paper's serial peer walk. See fanout.go.
+	// Fanout is the delegation ladder's width after a local miss: how many
+	// peers may be tried concurrently, first granted lease winning. Values
+	// <= 1 keep the paper's serial peer walk; the directed hop to a
+	// domain's owner is always width 1. See fanout.go.
 	Fanout int
 	// HedgeDelay staggers fan-out branches: each next branch launches
 	// only after the previous ones have had this long to answer. Zero
@@ -76,8 +77,8 @@ type Config struct {
 	// hedges fired, and cancelled losers. Nil disables the accounting.
 	Stats *metrics.FederationStats
 	// Routes, when set, is the domain-ownership table: a query pinning a
-	// domain owned by a remote peer skips the local scan and the fan-out
-	// race for a single directed hop to the owner, and a release or
+	// domain owned by a remote peer takes a directed hop to the owner (the
+	// ladder over the owner alone) before the local scan, and a release or
 	// renewal no hop can carry goes to the domain's current owner (see
 	// routeLease). Nil keeps pre-partition behaviour.
 	Routes *route.Table
@@ -173,10 +174,10 @@ func (m *Manager) Resolve(q *query.Query) (*pool.Lease, error) {
 	return m.Forward(q, m.ttl, nil)
 }
 
-// Forward implements directory.Forwarder: it continues resolution of a
-// query that carries delegation state. The visited list prevents the query
-// from reaching any manager twice; the TTL bounds total hops. The
-// delegation walk is serial with Config.Fanout <= 1, a bounded first-win
+// Forward is ForwardContext without cancellation: it continues resolution
+// of a query that carries delegation state. The visited list prevents the
+// query from reaching any manager twice; the TTL bounds total hops. The
+// delegation ladder is serial with Config.Fanout <= 1, a bounded first-win
 // race otherwise (see fanout.go).
 func (m *Manager) Forward(q *query.Query, ttl int, visited []string) (*pool.Lease, error) {
 	return m.ForwardContext(context.Background(), q, ttl, visited)

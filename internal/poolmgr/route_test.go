@@ -1,6 +1,7 @@
 package poolmgr
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -62,6 +63,9 @@ func TestDirectedHopGoesStraightToOwner(t *testing.T) {
 	if snap.Fanouts != 0 {
 		t.Errorf("fanouts = %d, want 0: the directed hop replaces the race", snap.Fanouts)
 	}
+	if p := snap.Peers["pm-owner"]; p.Forwards != 1 || p.Wins != 1 || p.Failures != 0 {
+		t.Errorf("owner's counts = %+v, want one forward and one win", p)
+	}
 }
 
 // TestDirectedMissFallsBackToFanout: a failed directed hop (owner cannot
@@ -92,6 +96,48 @@ func TestDirectedMissFallsBackToFanout(t *testing.T) {
 	snap := stats.Snapshot()
 	if snap.Directed != 1 || snap.DirectedMisses != 1 {
 		t.Errorf("directed stats = %d/%d (%d miss), want a recorded miss", snap.DirectedWins, snap.Directed, snap.DirectedMisses)
+	}
+	if p := snap.Peers["pm-owner"]; p.Forwards != 1 || p.Failures != 1 || p.Wins != 0 {
+		t.Errorf("owner's counts = %+v, want one forward and one failure", p)
+	}
+}
+
+// TestSpentTTLLaunchesNoHop: a hop that would leave at TTL 0 could only
+// fail, so none is launched. At TTL 1 the directed hop is skipped and the
+// node's own pools still answer; after a local miss the query fails with
+// ErrTTLExpired without a peer call.
+func TestSpentTTLLaunchesNoHop(t *testing.T) {
+	owner, err := New(Config{Name: "pm-owner", Dir: directory.New()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := route.New("pm-home")
+	rt.Reload(map[string]string{"upc": "pm-owner"}, []string{"pm-home", "pm-owner"})
+	dir := directory.New()
+	dir.AddPeer(owner)
+	f := &LocalFactory{DB: fleetDB(t, 8)}
+	defer f.CloseAll()
+	home, err := New(Config{Name: "pm-home", Dir: dir, Factory: f, Routes: rt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := home.Forward(basicQuery(t, "punch.rsrc.domain = upc"), 1, nil); err != nil {
+		t.Fatalf("resolve at TTL 1 with local capacity: %v", err)
+	}
+	if _, _, forwarded, _ := home.Stats(); forwarded != 0 {
+		t.Errorf("home forwarded %d hops at TTL 1, want 0", forwarded)
+	}
+	if _, _, _, failed := owner.Stats(); failed != 0 {
+		t.Errorf("owner failed %d queries, want 0: no hop reaches it", failed)
+	}
+
+	peer := &fakePeer{name: "pm-peer", grant: true}
+	m := fanoutManager(t, 1, 0, nil, peer)
+	if _, err := m.Forward(basicQuery(t, "punch.rsrc.arch = sun"), 1, nil); !errors.Is(err, ErrTTLExpired) {
+		t.Errorf("local miss at TTL 1 = %v, want ErrTTLExpired", err)
+	}
+	if g, _ := peer.counts(); g != 0 || len(peer.visited) != 0 {
+		t.Errorf("peer called %d times (granted %d) at a spent TTL, want 0", len(peer.visited), g)
 	}
 }
 

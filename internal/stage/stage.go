@@ -155,9 +155,9 @@ func ServeOpts(pm *poolmgr.Manager, addr string, profile netsim.Profile, opts wi
 }
 
 // Remote is the client stub for a remote pool manager. It satisfies
-// querymgr.ResourceManager (Name/Resolve/Release), directory.Forwarder
-// (Name/Forward) and directory.LeaseRenewer, so it slots into both
-// stages' wiring. Calls multiplex over one connection: concurrent
+// querymgr.ResourceManager (Name/Resolve/Release) and directory.Forwarder
+// (Name/ForwardContext/Release/Renew), so it slots into both stages'
+// wiring. Calls multiplex over one connection: concurrent
 // fragments routed to the same remote manager keep their requests in
 // flight together, and a dropped connection is redialed on the next call.
 type Remote struct {
@@ -199,8 +199,8 @@ func (r *Remote) Resolve(q *query.Query) (*pool.Lease, error) {
 	return r.Forward(q, r.ttl, nil)
 }
 
-// Forward implements directory.Forwarder: the TTL and visited list travel
-// in the wire message.
+// Forward is ForwardContext without cancellation: the TTL and visited
+// list travel in the wire message.
 func (r *Remote) Forward(q *query.Query, ttl int, visited []string) (*pool.Lease, error) {
 	rr, err := methodResolve.Call(context.Background(), r.c, &resolveRequest{
 		Query: q.String(), TTL: ttl, Visited: visited,
@@ -214,9 +214,8 @@ func (r *Remote) Forward(q *query.Query, ttl int, visited []string) (*pool.Lease
 	return rr.Lease, nil
 }
 
-// ForwardContext implements directory.ContextForwarder for the fan-out
-// delegation path. Cancellation cannot recall a request already on the
-// wire, so a cancelled branch keeps a goroutine waiting on the in-flight
+// ForwardContext implements directory.Forwarder for the delegation
+// ladder. Cancellation cannot recall a request already on the wire, so a cancelled branch keeps a goroutine waiting on the in-flight
 // call: if the peer grants a lease after the cancel landed, that goroutine
 // releases it — a losing branch never orphans capacity on a remote peer.
 func (r *Remote) ForwardContext(ctx context.Context, q *query.Query, ttl int, visited []string) (*pool.Lease, error) {
@@ -245,7 +244,7 @@ func (r *Remote) ForwardContext(ctx context.Context, q *query.Query, ttl int, vi
 	}
 }
 
-// Release implements querymgr.ResourceManager and directory.LeaseReleaser.
+// Release implements querymgr.ResourceManager and directory.Forwarder.
 func (r *Remote) Release(lease *pool.Lease) error {
 	if lease == nil {
 		return fmt.Errorf("stage: nil lease")
@@ -256,7 +255,7 @@ func (r *Remote) Release(lease *pool.Lease) error {
 	return nil
 }
 
-// Renew implements directory.LeaseRenewer: it extends a lease the remote
+// Renew implements directory.Forwarder: it extends a lease the remote
 // manager's side granted.
 func (r *Remote) Renew(lease *pool.Lease) error {
 	if lease == nil {
