@@ -12,8 +12,9 @@ import (
 //
 //   - Locked: the original single-RWMutex map, kept as the reference
 //     oracle for differential tests and comparison benchmarks.
-//   - Sharded: hash-sharded with per-shard locks, per-shard free lists,
-//     and inverted indexes over discrete admin parameters — the default.
+//   - Sharded: hash-sharded with per-shard locks, inverted indexes over
+//     discrete admin parameters, and one stored copy per shard of each
+//     distinct parameter set and group list — the default.
 //
 // All implementations share the semantics the pipeline depends on:
 // name-sorted deterministic ordering of Walk/Select/Page/Take/Names/TakenBy,

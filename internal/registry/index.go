@@ -21,8 +21,8 @@ import (
 // interpretations, mirroring Attr.Matches.
 //
 // Posting lists are kept sorted so Take can visit candidates in name order
-// and stop as soon as it has its limit — the same reason the free list is
-// sorted.
+// and stop as soon as it has its limit — the same reason a shard's records
+// are.
 
 // DefaultIndexedAttrs lists the discrete, admin-maintained parameters the
 // sharded backend indexes by default: the attributes queries constrain by
@@ -77,8 +77,12 @@ func condTerms(c query.Condition) ([]term, bool) {
 	return nil, false
 }
 
-// insertSorted adds name to a sorted, duplicate-free list.
+// insertSorted adds name to a sorted, duplicate-free list. A name that
+// sorts last is appended without a search.
 func insertSorted(names []string, name string) []string {
+	if n := len(names); n == 0 || names[n-1] < name {
+		return append(names, name)
+	}
 	i := sort.SearchStrings(names, name)
 	if i < len(names) && names[i] == name {
 		return names

@@ -85,12 +85,18 @@ type Access struct {
 }
 
 // Policy mirrors fields 16–20: who may use the machine and for what.
+//
+// UserGroups, ToolGroups and Params are immutable once a record is stored:
+// Sharded points every record whose list or parameter set equals a stored
+// one by value at that one backing array, and views share it too. A writer
+// replaces the slice (SetParam swaps in Params.With's copy), never an
+// element; Clone deep-copies all three for whatever leaves the process.
 type Policy struct {
-	UserGroups    []string     `json:"userGroups"`    // field 16: allowed user groups
-	ToolGroups    []string     `json:"toolGroups"`    // field 17: runnable tool groups
+	UserGroups    []string     `json:"userGroups"`    // field 16: allowed user groups (immutable once stored)
+	ToolGroups    []string     `json:"toolGroups"`    // field 17: runnable tool groups (immutable once stored)
 	ShadowPoolRef string       `json:"shadowPoolRef"` // field 18: shadow account pool pointer
 	UsagePolicy   string       `json:"usagePolicy"`   // field 19: usage policy metaprogram ref
-	Params        query.Params `json:"params"`        // field 20: admin-defined key-value pairs
+	Params        query.Params `json:"params"`        // field 20: admin-defined key-value pairs (immutable once stored)
 }
 
 // Machine is one white-pages record: the twenty fields of Figure 3 plus the

@@ -19,8 +19,9 @@ import (
 //
 //   - its records sorted by name, so a scan yields name order and a page
 //     can start at a resume point and stop at its limit,
-//   - a free list (the names whose TakenBy is empty), so Take never scans
-//     machines that are already held by a pool instance, and
+//   - one stored copy of each distinct parameter set and group list its
+//     records hold, which every record with that value points at (see
+//     canon),
 //   - an inverted index over discrete admin parameters (arch, OS, domain,
 //     ... — see DefaultIndexedAttrs), so Page and Take visit only the
 //     posting list of the most selective indexed condition instead of the
@@ -51,8 +52,8 @@ type shard struct {
 	mu       sync.RWMutex
 	machines map[string]*Machine
 	all      []*Machine // every record, sorted by name
-	free     []string   // sorted names with TakenBy == ""
 	idx      attrIndex
+	canon    canon
 
 	// gen moves, under the write lock, with every write a predicate can
 	// see: a record added or removed, a parameter set, a Load. The taken
@@ -166,15 +167,18 @@ func (sh *shard) after(name string) int {
 	return sort.Search(len(sh.all), func(i int) bool { return sh.all[i].Static.Name > name })
 }
 
-// insert wires a record into the shard's map, sorted list, free list and
-// index. The caller holds the shard lock and guarantees the name is unused.
+// insert wires a record into the shard's map, sorted list and index, and
+// points its parameters and group lists at the shard's stored copies. The
+// caller holds the shard lock and guarantees the name is unused.
 func (sh *shard) insert(indexed map[string]bool, m *Machine) {
 	name := m.Static.Name
 	sh.gen++
+	sh.canon.intern(m)
 	sh.machines[name] = m
-	sh.all = slices.Insert(sh.all, sh.after(name), m)
-	if m.TakenBy == "" {
-		sh.free = insertSorted(sh.free, name)
+	if n := len(sh.all); n == 0 || sh.all[n-1].Static.Name < name {
+		sh.all = append(sh.all, m) // in name order (Load, a fleet in name order) nothing moves
+	} else {
+		sh.all = slices.Insert(sh.all, sh.after(name), m)
 	}
 	for k, v := range m.Policy.Params.All() {
 		if indexed[k] {
@@ -196,7 +200,6 @@ func (s *Sharded) Remove(name string) error {
 	delete(sh.machines, name)
 	i := sh.after(name) - 1
 	sh.all = slices.Delete(sh.all, i, i+1)
-	sh.free = removeSorted(sh.free, name)
 	for k, v := range m.Policy.Params.All() {
 		if s.indexed[k] {
 			sh.idx.remove(k, v, name)
@@ -344,8 +347,9 @@ func (s *Sharded) UpdateDynamicBatch(updates []DynamicUpdate) int {
 }
 
 // SetParam sets one administrator-defined parameter (field 20), keeping
-// the inverted index in step when the key is indexed. The record gets a
-// new Params slice: views may hold the old one.
+// the inverted index in step when the key is indexed. The record gets
+// another Params slice, the shard's stored copy when one is equal: views
+// and other records may hold the old one.
 func (s *Sharded) SetParam(name, key string, attr query.Attr) error {
 	sh := s.shardFor(name)
 	sh.mu.Lock()
@@ -360,7 +364,7 @@ func (s *Sharded) SetParam(name, key string, attr query.Attr) error {
 		}
 		sh.idx.add(key, attr, name)
 	}
-	m.Policy.Params = m.Policy.Params.With(key, attr)
+	m.Policy.Params = sh.canon.internParams(m.Policy.Params.With(key, attr))
 	sh.gen++
 	s.emit(Event{Kind: EventParamSet, Name: name})
 	return nil
@@ -417,36 +421,24 @@ func (s *Sharded) plan(conds []query.RsrcCond) plan {
 // scan calls visit, in ascending name order, for every machine named
 // greater than after that can match the plan's indexable conditions — the
 // merged posting lists of the most selective indexed condition when the
-// index applies, the whole shard (or just the free list, with freeOnly)
-// otherwise. visit may return false to stop early (Page and Take stop at
-// their limits). Full condition verification is left to visit. The caller
-// holds the shard lock.
-func (sh *shard) scan(p plan, freeOnly bool, after string, visit func(m *Machine) bool) {
+// index applies, the whole shard otherwise. visit may return false to
+// stop early (Page and Take stop at their limits). Full condition
+// verification, and Take's test of the taken mark, are left to visit. The
+// caller holds the shard lock.
+func (sh *shard) scan(p plan, after string, visit func(m *Machine) bool) {
 	best, useIndex := sh.bestPostings(p)
-	switch {
-	case useIndex:
-		for i, l := range best {
-			best[i] = l[firstAfter(l, after):]
-		}
-		forEachMerged(best, func(name string) bool {
-			if freeOnly && !containsSorted(sh.free, name) {
-				return true
-			}
-			return visit(sh.machines[name])
-		})
-	case freeOnly:
-		for _, name := range sh.free[firstAfter(sh.free, after):] {
-			if !visit(sh.machines[name]) {
-				return
-			}
-		}
-	default:
+	if !useIndex {
 		for _, m := range sh.all[sh.after(after):] {
 			if !visit(m) {
 				return
 			}
 		}
+		return
 	}
+	for i, l := range best {
+		best[i] = l[firstAfter(l, after):]
+	}
+	forEachMerged(best, func(name string) bool { return visit(sh.machines[name]) })
 }
 
 // bestPostings picks the most selective indexable condition's posting
@@ -559,7 +551,7 @@ func (s *Sharded) pageNames(p plan, c Cursor) ([]string, int) {
 			from = "" // the total counts the matches before the resume point too
 		}
 		n := 0
-		sh.scan(p, false, from, func(m *Machine) bool {
+		sh.scan(p, from, func(m *Machine) bool {
 			if !m.matchConds(p.conds) {
 				return true
 			}
@@ -599,14 +591,14 @@ func (s *Sharded) Take(q *query.Query, poolInstance string, limit int) []*Machin
 	var cands []string
 	for _, sh := range s.shards {
 		// The globally-first limit names are necessarily among the first
-		// limit of each shard, and scan yields free candidates in name
-		// order (the free list and posting lists are sorted), so with a
+		// limit of each shard, and scan yields candidates in name
+		// order (the record list and posting lists are sorted), so with a
 		// positive limit each shard stops after its first limit matches —
 		// Take never materializes the full match set.
 		var local []string
 		sh.mu.RLock()
-		sh.scan(p, true, "", func(m *Machine) bool {
-			if m.matchConds(p.conds) {
+		sh.scan(p, "", func(m *Machine) bool {
+			if m.TakenBy == "" && m.matchConds(p.conds) {
 				local = append(local, m.Static.Name)
 			}
 			return limit <= 0 || len(local) < limit
@@ -624,7 +616,6 @@ func (s *Sharded) Take(q *query.Query, poolInstance string, limit int) []*Machin
 		sh.mu.Lock()
 		if m, ok := sh.machines[name]; ok && m.TakenBy == "" && m.matchConds(p.conds) {
 			m.TakenBy = poolInstance
-			sh.free = removeSorted(sh.free, name)
 			out = append(out, m.view())
 			s.emit(Event{Kind: EventTaken, Name: name})
 		}
@@ -642,7 +633,6 @@ func (s *Sharded) Release(poolInstance string, names ...string) int {
 		sh.mu.Lock()
 		if m, ok := sh.machines[name]; ok && m.TakenBy == poolInstance {
 			m.TakenBy = ""
-			sh.free = insertSorted(sh.free, name)
 			n++
 			s.emit(Event{Kind: EventReleased, Name: name})
 		}
@@ -660,7 +650,6 @@ func (s *Sharded) ReleaseAll(poolInstance string) int {
 		for name, m := range sh.machines {
 			if m.TakenBy == poolInstance {
 				m.TakenBy = ""
-				sh.free = insertSorted(sh.free, name)
 				n++
 				s.emit(Event{Kind: EventReleased, Name: name})
 			}
@@ -714,11 +703,11 @@ func (s *Sharded) Load(r io.Reader) error {
 	for _, sh := range s.shards {
 		sh.machines = make(map[string]*Machine, 1+len(fresh)/len(s.shards))
 		sh.all = nil
-		sh.free = nil
 		sh.idx = make(attrIndex)
+		sh.canon = canon{}
 		sh.gen++
 	}
-	// In name order every sorted list (records, free, postings) appends.
+	// In name order every sorted list (records, postings) appends.
 	names := make([]string, 0, len(fresh))
 	for name := range fresh {
 		names = append(names, name)
@@ -737,10 +726,9 @@ func (s *Sharded) Load(r io.Reader) error {
 }
 
 // checkInvariants verifies the internal bookkeeping of every shard: the
-// sorted list holds exactly the shard's records in name order, the free
-// list holds exactly the untaken machines, records live in the shard their
-// name hashes to, and the index holds exactly the terms of the indexed
-// parameters. Tests call it after stress runs.
+// sorted list holds exactly the shard's records in name order, records
+// live in the shard their name hashes to, and the index holds exactly the
+// terms of the indexed parameters. Tests call it after stress runs.
 func (s *Sharded) checkInvariants() error {
 	for i, sh := range s.shards {
 		sh.mu.RLock()
@@ -748,10 +736,6 @@ func (s *Sharded) checkInvariants() error {
 			for name, m := range sh.machines {
 				if s.shardFor(name) != sh {
 					return fmt.Errorf("shard %d: machine %q is in the wrong shard", i, name)
-				}
-				free := containsSorted(sh.free, name)
-				if free != (m.TakenBy == "") {
-					return fmt.Errorf("shard %d: machine %q: free-list=%v but TakenBy=%q", i, name, free, m.TakenBy)
 				}
 				for k, v := range m.Policy.Params.All() {
 					if !s.indexed[k] {
@@ -773,14 +757,6 @@ func (s *Sharded) checkInvariants() error {
 				}
 				if j > 0 && sh.all[j-1].Static.Name >= m.Static.Name {
 					return fmt.Errorf("shard %d: sorted list out of order at %q", i, m.Static.Name)
-				}
-			}
-			if !sort.StringsAreSorted(sh.free) {
-				return fmt.Errorf("shard %d: free list is not sorted", i)
-			}
-			for _, name := range sh.free {
-				if _, ok := sh.machines[name]; !ok {
-					return fmt.Errorf("shard %d: free list holds unknown machine %q", i, name)
 				}
 			}
 			for k, byTerm := range sh.idx {

@@ -141,9 +141,10 @@ func TestShardedShardCount(t *testing.T) {
 	}
 }
 
-// TestShardedTakeUsesFreeList pins the free-list behaviour: once the
-// matching machines are all taken, further Takes return nothing, and a
-// Release makes exactly the released machine takeable again.
+// TestShardedTakeUsesFreeList pins what Take sees of the taken marks (a
+// shard kept a free list once; its scan now skips the taken records):
+// once the matching machines are all taken, further Takes return nothing,
+// and a Release makes exactly the released machine takeable again.
 func TestShardedTakeUsesFreeList(t *testing.T) {
 	s := shardedFleet(t, 8, 64)
 	q := query.New().Set("punch.rsrc.arch", query.Eq("sun"))
@@ -164,5 +165,37 @@ func TestShardedTakeUsesFreeList(t *testing.T) {
 	}
 	if err := s.checkInvariants(); err != nil {
 		t.Error(err)
+	}
+}
+
+// BenchmarkRegistryTakeRelease takes a quarter of the fleet (the sun
+// machines, through the arch index) for one pool instance and releases it
+// with ReleaseAll, on 8 shards. Both used to shift a sorted free list per
+// machine, so their cost grew with machines taken times shard size; now
+// each marks the record and moves on.
+func BenchmarkRegistryTakeRelease(b *testing.B) {
+	q := query.New().Set("punch.rsrc.arch", query.Eq("sun"))
+	for _, n := range []int{10000, 40000} {
+		b.Run(fmt.Sprintf("machines=%d", n), func(b *testing.B) {
+			s := NewSharded(8)
+			if err := DefaultFleetSpec(n).Populate(NewDBWith(s), time.Unix(1000000000, 0).UTC()); err != nil {
+				b.Fatal(err)
+			}
+			var take, release time.Duration
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				start := time.Now()
+				got := s.Take(q, "p", 0)
+				mid := time.Now()
+				freed := s.ReleaseAll("p")
+				take += mid.Sub(start)
+				release += time.Since(mid)
+				if len(got) != n/4 || freed != n/4 {
+					b.Fatalf("took %d and released %d of %d machines, want %d", len(got), freed, n, n/4)
+				}
+			}
+			b.ReportMetric(float64(take.Microseconds())/1000/float64(b.N), "take-ms/op")
+			b.ReportMetric(float64(release.Microseconds())/1000/float64(b.N), "release-ms/op")
+		})
 	}
 }
