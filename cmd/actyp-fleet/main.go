@@ -209,10 +209,8 @@ func loadDB(path string) (db *registry.DB, isSnapshot bool, err error) {
 		if err != nil {
 			return nil, false, err
 		}
-		for _, m := range ms {
-			if err := db.Add(m); err != nil {
-				return nil, false, err
-			}
+		if err := db.AddOwnedAll(ms); err != nil {
+			return nil, false, err
 		}
 		return db, true, nil
 	}

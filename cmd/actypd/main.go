@@ -223,6 +223,7 @@ func run(cfg daemonConfig) error {
 		}
 		defer jnl.Close()
 	}
+	popStart := time.Now()
 	switch {
 	case jstate != nil && !jstate.Empty():
 		// Domain-scoped replay: a partitioned node restores only the
@@ -238,8 +239,8 @@ func run(cfg daemonConfig) error {
 			return err
 		}
 		c := journStats.Snapshot()
-		log.Printf("actypd: replayed %d machines and %d leases from %s (%d records in %s, torn=%d corrupt=%d)",
-			db.Len(), len(jstate.Leases), cfg.journalDir, c.ReplayRecords, c.ReplayDuration, c.ReplayTorn, c.ReplayCorrupt)
+		log.Printf("actypd: replayed %d machines and %d leases from %s (%d records in %s, torn=%d corrupt=%d), stored in %s",
+			db.Len(), len(jstate.Leases), cfg.journalDir, c.ReplayRecords, c.ReplayDuration, c.ReplayTorn, c.ReplayCorrupt, time.Since(popStart))
 		if cfg.dbPath != "" {
 			log.Printf("actypd: -db %s ignored: the journal replay is authoritative", cfg.dbPath)
 		}
@@ -251,12 +252,10 @@ func run(cfg daemonConfig) error {
 		if err != nil {
 			return err
 		}
-		for _, m := range ms {
-			if err := db.Add(m); err != nil {
-				return err
-			}
+		if err := db.AddOwnedAll(ms); err != nil {
+			return err
 		}
-		log.Printf("actypd: loaded %d machines from snapshot %s", db.Len(), cfg.dbPath)
+		log.Printf("actypd: loaded %d machines from snapshot %s in %s", db.Len(), cfg.dbPath, time.Since(popStart))
 	case cfg.dbPath != "":
 		f, err := os.Open(cfg.dbPath)
 		if err != nil {
@@ -267,19 +266,23 @@ func run(cfg daemonConfig) error {
 		if err != nil {
 			return err
 		}
-		log.Printf("actypd: loaded %d machines from %s", db.Len(), cfg.dbPath)
+		log.Printf("actypd: loaded %d machines from %s in %s", db.Len(), cfg.dbPath, time.Since(popStart))
 	default:
 		// Owned-only from the start: a record the ownership table assigns
 		// elsewhere is dropped as it is generated, never stored and pruned.
+		owned := make([]*registry.Machine, 0, max(cfg.machines, 0))
 		if err := registry.DefaultFleetSpec(cfg.machines).Each(time.Now(), func(m *registry.Machine) error {
-			if routes != nil && !routes.KeepMachine(m) {
-				return nil
+			if routes == nil || routes.KeepMachine(m) {
+				owned = append(owned, m)
 			}
-			return db.AddOwned(m)
+			return nil
 		}); err != nil {
 			return err
 		}
-		log.Printf("actypd: generated a synthetic fleet of %d machines; %d owned records resident", cfg.machines, db.Len())
+		if err := db.AddOwnedAll(owned); err != nil {
+			return err
+		}
+		log.Printf("actypd: generated a synthetic fleet of %d machines in %s; %d owned records resident", cfg.machines, time.Since(popStart), db.Len())
 	}
 
 	// Owned-only storage: whatever population path ran, a partitioned

@@ -43,17 +43,16 @@ func (s *State) Empty() bool {
 	return s == nil || (len(s.Machines) == 0 && len(s.Leases) == 0 && s.Records == 0 && s.SnapshotSeq == 0)
 }
 
-// RestoreDB loads the replayed machine records into db, which must be
-// empty. Taken marks ride along inside the records, so pool membership
-// survives into the new registry.
+// RestoreDB hands the replayed machine records to db, which must be empty,
+// in one AddOwnedAll: db keeps them, so s.Machines must not be touched
+// afterwards. Taken marks ride along inside the records, so pool
+// membership survives into the new registry.
 func (s *State) RestoreDB(db *registry.DB) error {
 	if s == nil {
 		return nil
 	}
-	for _, m := range s.Machines {
-		if err := db.Add(m); err != nil {
-			return fmt.Errorf("journal: restore %s: %w", m.Static.Name, err)
-		}
+	if err := db.AddOwnedAll(s.Machines); err != nil {
+		return fmt.Errorf("journal: restore: %w", err)
 	}
 	return nil
 }
@@ -137,10 +136,8 @@ func replay(dir string, stats *metrics.JournalStats, logf func(string, ...any)) 
 		return nil, 0, err
 	}
 	db := registry.NewDBWith(backend)
-	for _, m := range baseMachines {
-		if err := db.Add(m); err != nil {
-			return nil, 0, fmt.Errorf("journal: snapshot %d machine %s: %w", st.SnapshotSeq, m.Static.Name, err)
-		}
+	if err := db.AddOwnedAll(baseMachines); err != nil {
+		return nil, 0, fmt.Errorf("journal: snapshot %d: %w", st.SnapshotSeq, err)
 	}
 
 	var maxSeg uint64

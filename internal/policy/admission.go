@@ -31,6 +31,15 @@ func (l AdmitLimit) normalized() AdmitLimit {
 	return l
 }
 
+// refill is how long an empty bucket takes to fill to its burst (zero for
+// a disabled limit), capped at 2^20 seconds.
+func (l AdmitLimit) refill() time.Duration {
+	if l.Rate <= 0 {
+		return 0
+	}
+	return time.Duration(min(l.Burst/l.Rate, 1<<20) * float64(time.Second))
+}
+
 // admitShards stripes the bucket map so concurrent readers on different
 // accounts do not serialize on one mutex; a power of two keeps the pick
 // to a mask of an FNV-style hash.
@@ -44,6 +53,7 @@ type admitBucket struct {
 type admitShard struct {
 	mu      sync.Mutex
 	buckets map[string]*admitBucket
+	swept   time.Time // when the shard last dropped its full buckets
 }
 
 // Admitter is a set of per-account token buckets. Admit spends one token
@@ -54,12 +64,19 @@ type admitShard struct {
 // a neighbour's share; the anonymous key "" is one shared bucket by
 // construction.
 //
+// A bucket refilled to its burst admits exactly as a missing one does, so
+// it is dropped: a shard, when Admit visits it, drops its full buckets at
+// most once per refill time, the longest an empty bucket of any limit
+// takes to fill. The map then holds the keys seen within about two refill
+// times, however many distinct keys have come and gone.
+//
 // Admitter is safe for concurrent use and allocation-free on the hot
 // path once a key's bucket exists.
 type Admitter struct {
 	def       AdmitLimit
 	overrides map[string]AdmitLimit
 	shards    [admitShards]admitShard
+	refill    time.Duration // the longest burst/rate over the limits
 
 	// now is the clock; tests inject a fake one.
 	now func() time.Time
@@ -77,6 +94,10 @@ func NewAdmitter(def AdmitLimit, overrides map[string]AdmitLimit) *Admitter {
 	}
 	for i := range a.shards {
 		a.shards[i].buckets = make(map[string]*admitBucket)
+	}
+	a.refill = a.def.refill()
+	for _, l := range a.overrides {
+		a.refill = max(a.refill, l.refill())
 	}
 	return a
 }
@@ -118,6 +139,9 @@ func (a *Admitter) Admit(key string) (ok bool, retryAfter time.Duration) {
 	s := a.shard(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if now.Sub(s.swept) >= a.refill {
+		a.dropFull(s, key, now)
+	}
 	b := s.buckets[key]
 	if b == nil {
 		b = &admitBucket{tokens: lim.Burst, last: now}
@@ -139,6 +163,19 @@ func (a *Admitter) Admit(key string) (ok bool, retryAfter time.Duration) {
 	}
 	// The deficit to the next whole token, at the replenish rate.
 	return false, time.Duration((1 - b.tokens) / lim.Rate * float64(time.Second))
+}
+
+// dropFull deletes the shard's buckets that have refilled to their burst
+// by now, but for key's, which the caller is about to spend from. The
+// caller holds the shard's lock.
+func (a *Admitter) dropFull(s *admitShard, key string, now time.Time) {
+	for k, b := range s.buckets {
+		lim := a.limit(k)
+		if k != key && b.tokens+now.Sub(b.last).Seconds()*lim.Rate >= lim.Burst {
+			delete(s.buckets, k)
+		}
+	}
+	s.swept = now
 }
 
 // ParseAdmitOverrides parses a flag-style per-key limit spec:

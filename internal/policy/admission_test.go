@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -160,4 +161,59 @@ func TestParseAdmitOverrides(t *testing.T) {
 			t.Errorf("spec %q parsed without error", bad)
 		}
 	}
+}
+
+// TestAdmitterForgetsFullBuckets: a bucket refilled to its burst is
+// dropped on a later visit to its shard, so 200k distinct keys leave a
+// bounded map once burst/rate seconds pass, and a dropped key admits as a
+// new one does. Admit stays allocation-free for a live key, sweeps
+// included.
+func TestAdmitterForgetsFullBuckets(t *testing.T) {
+	const rate, burst = 10.0, 5.0
+	clock := newFakeClock()
+	a := withClock(NewAdmitter(AdmitLimit{Rate: rate, Burst: burst}, nil), clock)
+	const keys = 200000
+	for i := 0; i < keys; i++ {
+		if ok, _ := a.Admit(fmt.Sprintf("k%d", i)); !ok {
+			t.Fatalf("first request of key %d rejected", i)
+		}
+	}
+	if n := bucketCount(a); n != keys {
+		t.Fatalf("%d buckets for %d keys before any refill", n, keys)
+	}
+	clock.advance(time.Duration(burst / rate * float64(time.Second)))
+	const fresh = 1000
+	for i := 0; i < fresh; i++ {
+		a.Admit(fmt.Sprintf("fresh%d", i))
+	}
+	if n := bucketCount(a); n > fresh+admitShards {
+		t.Fatalf("%d buckets after %d keys went idle for burst/rate and %d new ones came", n, keys, fresh)
+	}
+	// A forgotten key gets its whole burst back, no more.
+	admitted := 0
+	for i := 0; i < 2*burst; i++ {
+		if ok, _ := a.Admit("k7"); ok {
+			admitted++
+		}
+	}
+	if admitted != burst {
+		t.Errorf("a forgotten key admitted %d, want the burst of %d", admitted, int(burst))
+	}
+	// A live key allocates nothing, through refills and sweeps of its
+	// shard alike: here it comes back each time its bucket is full, when
+	// every visit sweeps, and keeps its bucket.
+	if allocs := testing.AllocsPerRun(2000, func() {
+		clock.advance(time.Duration(burst / rate * float64(time.Second)))
+		a.Admit("k7")
+	}); allocs != 0 {
+		t.Errorf("Admit of a live key allocates %.1f times", allocs)
+	}
+}
+
+func bucketCount(a *Admitter) int {
+	n := 0
+	for i := range a.shards {
+		n += len(a.shards[i].buckets)
+	}
+	return n
 }

@@ -29,6 +29,12 @@ type Backend interface {
 	// AddOwned is Add without the copy: the store keeps m itself, so the
 	// caller must not touch m, or anything it references, afterwards.
 	AddOwned(m *Machine) error
+	// AddOwnedAll is AddOwned for a batch, the population paths' insert:
+	// every record is validated, and its name checked against the batch
+	// and the store, before any is inserted, so a refused batch leaves the
+	// store unchanged. An accepted batch publishes one EventAdded per
+	// record, as AddOwned would.
+	AddOwnedAll(ms []*Machine) error
 	// Remove deletes a machine record by name.
 	Remove(name string) error
 	// Get returns a copy of the record for name.
@@ -155,24 +161,14 @@ type snapshot struct {
 	Machines []*Machine `json:"machines"`
 }
 
-// decodeSnapshot reads and fully validates a snapshot, returning the
-// records keyed by name. Every backend's Load decodes through it, so the
-// engines can never drift in which snapshots they accept, and a bad
-// snapshot is rejected before any store is touched.
-func decodeSnapshot(r io.Reader) (map[string]*Machine, error) {
+// decodeSnapshot reads a snapshot's records. Every backend's Load decodes
+// through it and checks the records as its AddOwnedAll does, so the engines
+// can never drift in which snapshots they accept, and a bad snapshot is
+// rejected before any store is touched.
+func decodeSnapshot(r io.Reader) ([]*Machine, error) {
 	var snap snapshot
 	if err := json.NewDecoder(r).Decode(&snap); err != nil {
 		return nil, fmt.Errorf("registry: load: %w", err)
 	}
-	fresh := make(map[string]*Machine, len(snap.Machines))
-	for _, m := range snap.Machines {
-		if err := m.Validate(); err != nil {
-			return nil, err
-		}
-		if _, dup := fresh[m.Static.Name]; dup {
-			return nil, fmt.Errorf("registry: load: duplicate machine %q", m.Static.Name)
-		}
-		fresh[m.Static.Name] = m
-	}
-	return fresh, nil
+	return snap.Machines, nil
 }

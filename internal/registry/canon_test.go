@@ -47,9 +47,10 @@ func sameArray[E any](a, b []E) bool {
 }
 
 // TestCanonDifferential holds a sharing store to a copying one. On a
-// generated fleet each shard keeps at most one backing array per distinct
-// parameter set and group list, while every record reads, and saves, as
-// the oracle's does; a SetParam changes its record only, however many
+// generated fleet, and on a batch of decoded records that share nothing,
+// each shard keeps at most one backing array per distinct parameter set
+// and group list, while every record reads, and saves, as the oracle's
+// does; a SetParam changes its record only, however many
 // others shared its parameters; and writers interning beside readers of
 // shared views race on nothing.
 func TestCanonDifferential(t *testing.T) {
@@ -66,40 +67,7 @@ func TestCanonDifferential(t *testing.T) {
 	}
 
 	t.Run("arrays", func(t *testing.T) {
-		for i, sh := range subject.shards {
-			paramArrays := map[*query.Param]bool{}
-			paramValues := map[string]bool{}
-			listArrays := map[*string]bool{}
-			listValues := map[string]bool{}
-			for _, m := range sh.all {
-				if p := m.Policy.Params; len(p) > 0 {
-					paramArrays[&p[0]] = true
-					paramValues[identityKey(p)] = true
-				}
-				for _, l := range [][]string{m.Policy.UserGroups, m.Policy.ToolGroups} {
-					if len(l) > 0 {
-						listArrays[&l[0]] = true
-						listValues[listKey(l)] = true
-					}
-				}
-			}
-			if len(sh.all) > 0 && len(paramValues) == 0 {
-				t.Fatalf("shard %d: %d records and no parameters", i, len(sh.all))
-			}
-			if len(paramArrays) > len(paramValues) {
-				t.Errorf("shard %d: %d parameter arrays for %d distinct values", i, len(paramArrays), len(paramValues))
-			}
-			if len(listArrays) > len(listValues) {
-				t.Errorf("shard %d: %d group-list arrays for %d distinct values", i, len(listArrays), len(listValues))
-			}
-		}
-		stored := 0
-		for _, sh := range subject.shards {
-			stored += len(sh.canon.params)
-		}
-		if stored > n/2 {
-			t.Errorf("%d records over %d stored parameter sets: the fleet shares little", n, stored)
-		}
+		checkShared(t, subject, n)
 		compareState(t, 0, oracle, subject)
 		for _, name := range oracle.Names() {
 			want, _ := oracle.Get(name)
@@ -110,6 +78,28 @@ func TestCanonDifferential(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s: got %+v, want %+v", name, got, want)
 			}
+		}
+	})
+
+	// Decoded records each hold arrays of their own, where the generator's
+	// share theirs: a batch of them shares as the generated fleet does.
+	t.Run("bulk", func(t *testing.T) {
+		var snap bytes.Buffer
+		if err := oracle.Save(&snap); err != nil {
+			t.Fatal(err)
+		}
+		ms, err := decodeSnapshot(&snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh := NewSharded(8)
+		if err := fresh.AddOwnedAll(ms); err != nil {
+			t.Fatal(err)
+		}
+		checkShared(t, fresh, n)
+		compareState(t, 0, oracle, fresh)
+		if err := fresh.checkInvariants(); err != nil {
+			t.Error(err)
 		}
 	})
 
@@ -194,8 +184,8 @@ func TestCanonDifferential(t *testing.T) {
 			}()
 		}
 		// Each op sets an owner on one record and adds a copy of it
-		// under a new name; no two ops touch one name, so the oracle may
-		// run them in any order afterwards.
+		// under a new name, or a batch of two; no two ops touch one name,
+		// so the oracle may run them in any order afterwards.
 		ops := make([][]func(Backend) error, writers)
 		for w := range ops {
 			for i := 0; i < rounds; i++ {
@@ -206,11 +196,16 @@ func TestCanonDifferential(t *testing.T) {
 					t.Fatal(err)
 				}
 				add.Static.Name = fmt.Sprintf("x%d-%03d", w, i)
+				other := add.Clone()
+				other.Static.Name = fmt.Sprintf("y%d-%03d", w, i)
 				ops[w] = append(ops[w], func(b Backend) error {
 					if err := b.SetParam(name, "owner", value); err != nil {
 						return err
 					}
-					return b.AddOwned(add.Clone())
+					if i%2 == 0 {
+						return b.AddOwned(add.Clone())
+					}
+					return b.AddOwnedAll([]*Machine{add.Clone(), other.Clone()})
 				})
 			}
 		}
@@ -247,6 +242,47 @@ func TestCanonDifferential(t *testing.T) {
 			t.Error(err)
 		}
 	})
+}
+
+// checkShared asserts that each shard of s keeps at most one backing array
+// per distinct parameter set and group list, and that a fleet of n records
+// shares: fewer than n/2 stored parameter sets.
+func checkShared(t *testing.T, s *Sharded, n int) {
+	t.Helper()
+	for i, sh := range s.shards {
+		paramArrays := map[*query.Param]bool{}
+		paramValues := map[string]bool{}
+		listArrays := map[*string]bool{}
+		listValues := map[string]bool{}
+		for _, m := range sh.all {
+			if p := m.Policy.Params; len(p) > 0 {
+				paramArrays[&p[0]] = true
+				paramValues[identityKey(p)] = true
+			}
+			for _, l := range [][]string{m.Policy.UserGroups, m.Policy.ToolGroups} {
+				if len(l) > 0 {
+					listArrays[&l[0]] = true
+					listValues[listKey(l)] = true
+				}
+			}
+		}
+		if len(sh.all) > 0 && len(paramValues) == 0 {
+			t.Fatalf("shard %d: %d records and no parameters", i, len(sh.all))
+		}
+		if len(paramArrays) > len(paramValues) {
+			t.Errorf("shard %d: %d parameter arrays for %d distinct values", i, len(paramArrays), len(paramValues))
+		}
+		if len(listArrays) > len(listValues) {
+			t.Errorf("shard %d: %d group-list arrays for %d distinct values", i, len(listArrays), len(listValues))
+		}
+	}
+	stored := 0
+	for _, sh := range s.shards {
+		stored += len(sh.canon.params)
+	}
+	if stored > n/2 {
+		t.Errorf("%d records over %d stored parameter sets: the fleet shares little", n, stored)
+	}
 }
 
 // TestCanonInternAllocs pins the lookup of a value already stored: it

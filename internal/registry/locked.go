@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 
@@ -49,6 +50,35 @@ func (db *Locked) AddOwned(m *Machine) error {
 	}
 	db.machines[name] = m
 	db.emit(Event{Kind: EventAdded, Name: name})
+	return nil
+}
+
+// AddOwnedAll is a loop of AddOwned that checks every record before it
+// inserts any: a refused batch leaves the store unchanged.
+func (db *Locked) AddOwnedAll(ms []*Machine) error {
+	for _, m := range ms {
+		if err := m.Validate(); err != nil {
+			return err
+		}
+	}
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	for i, m := range ms {
+		name := m.Static.Name
+		if prev, ok := db.machines[name]; ok {
+			for _, m := range ms[:i] {
+				delete(db.machines, m.Static.Name)
+			}
+			if slices.Contains(ms[:i], prev) {
+				return fmt.Errorf("registry: machine %q given twice in one batch", name)
+			}
+			return fmt.Errorf("registry: machine %q already registered", name)
+		}
+		db.machines[name] = m
+	}
+	for _, m := range ms {
+		db.emit(Event{Kind: EventAdded, Name: m.Static.Name})
+	}
 	return nil
 }
 
@@ -342,12 +372,16 @@ func (db *Locked) Save(w io.Writer) error {
 
 // Load replaces the database contents with the JSON snapshot read from r.
 func (db *Locked) Load(r io.Reader) error {
-	fresh, err := decodeSnapshot(r)
+	ms, err := decodeSnapshot(r)
 	if err != nil {
 		return err
 	}
+	fresh := NewLocked()
+	if err := fresh.AddOwnedAll(ms); err != nil {
+		return err
+	}
 	db.mu.Lock()
-	db.machines = fresh
+	db.machines = fresh.machines
 	db.mu.Unlock()
 	// A wholesale replacement has no incremental description: subscribers
 	// get the resync marker and re-read.

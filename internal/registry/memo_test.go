@@ -100,7 +100,7 @@ func TestPageTotalMemoDifferential(t *testing.T) {
 				name := names[rng.Intn(len(names))]
 				pool := pools[rng.Intn(len(pools))]
 				var op string
-				switch rng.Intn(12) {
+				switch rng.Intn(13) {
 				case 0, 1:
 					op = "AddOwned"
 					m := memoMachine(rand.New(rand.NewSource(rng.Int63())), name)
@@ -170,6 +170,19 @@ func TestPageTotalMemoDifferential(t *testing.T) {
 						t.Fatal(err)
 					}
 					same(step, op, oracle.Load(bytes.NewReader(snap.Bytes())), subject.Load(bytes.NewReader(snap.Bytes())))
+				case 12:
+					// A few records at once, refused whole when a name is
+					// held or given twice.
+					op = "AddOwnedAll"
+					var batch []*Machine
+					for i := rng.Intn(5); i > 0; i-- {
+						batch = append(batch, memoMachine(rand.New(rand.NewSource(rng.Int63())), names[rng.Intn(len(names))]))
+					}
+					clones := make([]*Machine, len(batch))
+					for i, m := range batch {
+						clones[i] = m.Clone()
+					}
+					same(step, op, oracle.AddOwnedAll(clones), subject.AddOwnedAll(batch))
 				}
 				check(step, op)
 			}

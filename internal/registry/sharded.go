@@ -56,10 +56,11 @@ type shard struct {
 	canon    canon
 
 	// gen moves, under the write lock, with every write a predicate can
-	// see: a record added or removed, a parameter set, a Load. The taken
-	// mark, the state and the dynamic fields are outside every predicate
-	// (matchConds reads none of the first two, and the dynamic built-ins
-	// keep their predicates out of counts), so their writers leave it.
+	// see: a record added or removed (a batch moves it once), a parameter
+	// set, a Load. The taken mark, the state and the dynamic fields are
+	// outside every predicate (matchConds reads none of the first two, and
+	// the dynamic built-ins keep their predicates out of counts), so their
+	// writers leave it.
 	gen    uint64
 	counts countMemo
 }
@@ -168,7 +169,8 @@ func (sh *shard) after(name string) int {
 }
 
 // insert wires a record into the shard's map, sorted list and index, and
-// points its parameters and group lists at the shard's stored copies. The
+// points its parameters and group lists at the shard's stored copies: the
+// runtime insert, one record at a time (batches go through fill). The
 // caller holds the shard lock and guarantees the name is unused.
 func (sh *shard) insert(indexed map[string]bool, m *Machine) {
 	name := m.Static.Name
@@ -176,7 +178,7 @@ func (sh *shard) insert(indexed map[string]bool, m *Machine) {
 	sh.canon.intern(m)
 	sh.machines[name] = m
 	if n := len(sh.all); n == 0 || sh.all[n-1].Static.Name < name {
-		sh.all = append(sh.all, m) // in name order (Load, a fleet in name order) nothing moves
+		sh.all = append(sh.all, m) // a name that sorts last moves nothing
 	} else {
 		sh.all = slices.Insert(sh.all, sh.after(name), m)
 	}
@@ -691,34 +693,32 @@ func (s *Sharded) Save(w io.Writer) error {
 // Load replaces the database contents with the JSON snapshot read from r.
 // The snapshot is fully validated before any shard is touched, so a bad
 // snapshot leaves the database unchanged; installation locks every shard
-// (in order, so concurrent Loads cannot deadlock) to swap atomically.
+// (in order, so concurrent Loads cannot deadlock) and empties it before
+// any is filled, so no reader sees old and new records together. The
+// records go in as AddOwnedAll's do.
 func (s *Sharded) Load(r io.Reader) error {
-	fresh, err := decodeSnapshot(r)
+	ms, err := decodeSnapshot(r)
+	if err != nil {
+		return err
+	}
+	groups, err := s.group(ms)
 	if err != nil {
 		return err
 	}
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 	}
-	for _, sh := range s.shards {
-		sh.machines = make(map[string]*Machine, 1+len(fresh)/len(s.shards))
+	for i, sh := range s.shards {
+		sh.machines = map[string]*Machine{}
 		sh.all = nil
 		sh.idx = make(attrIndex)
 		sh.canon = canon{}
 		sh.gen++
+		if len(groups[i]) == 0 {
+			sh.mu.Unlock()
+		}
 	}
-	// In name order every sorted list (records, postings) appends.
-	names := make([]string, 0, len(fresh))
-	for name := range fresh {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		s.shardFor(name).insert(s.indexed, fresh[name])
-	}
-	for _, sh := range s.shards {
-		sh.mu.Unlock()
-	}
+	s.fill(groups, false)
 	// A wholesale replacement has no incremental description: subscribers
 	// get the resync marker and re-read.
 	s.emitResync()
@@ -761,8 +761,10 @@ func (s *Sharded) checkInvariants() error {
 			}
 			for k, byTerm := range sh.idx {
 				for t, list := range byTerm {
-					if !sort.StringsAreSorted(list) {
-						return fmt.Errorf("shard %d: index %q term %+v posting list is not sorted", i, k, t)
+					for j := 1; j < len(list); j++ {
+						if list[j-1] >= list[j] {
+							return fmt.Errorf("shard %d: index %q term %+v posting list is not sorted or repeats %q", i, k, t, list[j])
+						}
 					}
 					for _, name := range list {
 						m, ok := sh.machines[name]
